@@ -58,11 +58,9 @@ soak::SoakConfig makeConfig(bool Quick) {
   Config.Seed = 42;
   Config.QueueCapacity = 1u << 16;
   Config.ChaosYieldPermille = DefaultChaosPermille;
-  // 8s: far beyond any planned stall (ms-scale), yet a genuine wedge is
-  // permanent and gets caught at any deadline — the slack only filters
-  // hypervisor-steal bursts on shared single-core CI hosts, which at 2s
-  // produced rare false stuck-op reports against healthy scenarios.
-  Config.OpDeadlineNs = 8'000'000'000;
+  // 2s: far beyond any planned stall (ms-scale); a genuine wedge is
+  // permanent and gets caught at any deadline.
+  Config.OpDeadlineNs = 2'000'000'000;
 
   // Diurnal profile with a burst overlay. Rates are sized for the
   // single-core instrumented build CI runs on: the trough is easily
@@ -138,6 +136,8 @@ void emitWindow(JsonReporter &Json, const soak::WindowStats &W) {
   Json.field("degraded_fraction", W.degradedFraction());
   Json.field("sojourn_p50_ns", W.Sojourn.valueAtQuantile(0.5));
   Json.field("sojourn_p99_ns", W.Sojourn.valueAtQuantile(0.99));
+  Json.field("gen_lag_p50_ns", W.GenLag.valueAtQuantile(0.5));
+  Json.field("queue_wait_p50_ns", W.QueueWait.valueAtQuantile(0.5));
   Json.field("service_p99_ns", W.Service.valueAtQuantile(0.99));
   Json.endObject();
 }
@@ -189,6 +189,8 @@ soak::SoakReport runScenario(JsonReporter &Json,
   Json.field("sojourn_p50_ns", R.RunSojourn.valueAtQuantile(0.5));
   Json.field("sojourn_p99_ns", R.RunSojourn.valueAtQuantile(0.99));
   Json.field("sojourn_p999_ns", R.RunSojourn.valueAtQuantile(0.999));
+  Json.field("gen_lag_p50_ns", R.RunGenLag.valueAtQuantile(0.5));
+  Json.field("queue_wait_p50_ns", R.RunQueueWait.valueAtQuantile(0.5));
   Json.field("service_p99_ns", R.RunService.valueAtQuantile(0.99));
   obs::emitPathBreakdown(Json, R.FinalPaths);
   Json.field("conserve_final", R.FinalConserves);

@@ -76,6 +76,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 
 namespace csobj {
 
@@ -94,12 +95,13 @@ public:
 
   static constexpr Value Bottom = TopC::Bottom;
 
-  /// Creates a queue holding up to \p Capacity elements.
+  /// Creates a queue holding up to \p Capacity elements. The ring has
+  /// Capacity + 1 slots, which must fit the REAR codec's index field;
+  /// otherwise (or for Capacity 0) throws std::invalid_argument, a hard
+  /// check kept under NDEBUG.
   explicit AbortableQueue(std::uint32_t Capacity)
-      : K(Capacity), Ring(Capacity + 1),
+      : K(checkedCapacity(Capacity)), Ring(Capacity + 1),
         Items(new AtomicRegister<SlotWord, Policy>[Capacity + 1]) {
-    assert(Capacity >= 1 && "queue capacity must be positive");
-    assert(Capacity + 1 <= TopC::MaxIndex && "capacity exceeds index field");
     Rear.write(TopC::pack({/*Index=*/0, /*Value=*/Bottom, /*Seq=*/0}));
     Front.write(SlotC::pack({/*Value=*/0, /*Seq=*/0}));
     Items[0].write(SlotC::pack({Bottom, TopC::seqAdd(0, -1)}));
@@ -217,6 +219,15 @@ private:
     Items[R.Index].compareAndSwap(
         SlotC::pack({Cur.Value, TopC::seqAdd(R.Seq, -1)}),
         SlotC::pack({R.Value, R.Seq}), std::memory_order_acq_rel);
+  }
+
+  static std::uint32_t checkedCapacity(std::uint32_t Capacity) {
+    if (Capacity < 1)
+      throw std::invalid_argument("AbortableQueue: capacity must be >= 1");
+    if (Capacity >= TopC::MaxIndex)
+      throw std::invalid_argument(
+          "AbortableQueue: capacity + 1 exceeds the REAR codec's index field");
+    return Capacity;
   }
 
   const std::uint32_t K;

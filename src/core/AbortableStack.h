@@ -52,6 +52,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 
 namespace csobj {
 
@@ -75,12 +76,11 @@ public:
 
   /// Creates a stack of capacity \p Capacity (the paper's k). Entry 0 of
   /// the backing array is the dummy slot, so Capacity must be at least 1
-  /// and small enough for the index field of the TOP codec.
+  /// and small enough for the index field of the TOP codec; otherwise
+  /// throws std::invalid_argument (a hard check, kept under NDEBUG).
   explicit AbortableStack(std::uint32_t Capacity)
-      : K(Capacity),
+      : K(checkedCapacity(Capacity)),
         Slots(new AtomicRegister<SlotWord, Policy>[Capacity + 1]) {
-    assert(Capacity >= 1 && "stack capacity must be positive");
-    assert(Capacity <= TopC::MaxIndex && "capacity exceeds index field");
     // TOP <- <0, bottom, 0>; STACK[0] <- <bottom, -1>; STACK[x] <- <bottom, 0>.
     Top.write(TopC::pack({/*Index=*/0, /*Value=*/Bottom, /*Seq=*/0}));
     Slots[0].write(SlotC::pack({Bottom, TopC::seqAdd(0, -1)}));
@@ -186,6 +186,15 @@ private:
         SlotC::pack({Cur.Value, TopC::seqAdd(T.Seq, -1)}),
         SlotC::pack({T.Value, T.Seq}),
         std::memory_order_acq_rel);                             // line 16
+  }
+
+  static std::uint32_t checkedCapacity(std::uint32_t Capacity) {
+    if (Capacity < 1)
+      throw std::invalid_argument("AbortableStack: capacity must be >= 1");
+    if (Capacity > TopC::MaxIndex)
+      throw std::invalid_argument(
+          "AbortableStack: capacity exceeds the TOP codec's index field");
+    return Capacity;
   }
 
   const std::uint32_t K;

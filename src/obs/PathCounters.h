@@ -127,6 +127,9 @@ inline constexpr unsigned batchBucket(std::uint64_t K) {
 /// the object is quiescent; approximate mid-run.
 struct PathSnapshot {
   std::uint64_t Ops = 0; ///< strongApply entries.
+  /// Ops as read before the path counters (MetricSink::snapshot() reads
+  /// Ops after them); equal to Ops at quiesce.
+  std::uint64_t OpsBefore = 0;
   std::uint64_t Paths[NumPaths] = {};
   std::uint64_t Events[NumEvents] = {};
   /// Batch-group size histogram (onBatch calls, log2 buckets), the sum
@@ -184,6 +187,7 @@ struct PathSnapshot {
 
   PathSnapshot &operator+=(const PathSnapshot &Other) {
     Ops += Other.Ops;
+    OpsBefore += Other.OpsBefore;
     for (unsigned I = 0; I < NumPaths; ++I)
       Paths[I] += Other.Paths[I];
     for (unsigned I = 0; I < NumEvents; ++I)
@@ -242,11 +246,12 @@ public:
   }
 
   /// The operation's terminal path — exactly one booking per onOp entry
-  /// (\p N ops at once for group paths).
+  /// (\p N ops at once for group paths). Release: a snapshot that sees
+  /// this booking also sees the onOp entries that preceded it.
   void onPath(std::uint32_t Tid, Path P, std::uint64_t N = 1) {
     Block &B = Blocks[Tid];
     B.C[PathBase + static_cast<unsigned>(P)].fetch_add(
-        N, std::memory_order_relaxed);
+        N, std::memory_order_release);
     B.Last.store(static_cast<std::uint8_t>(P), std::memory_order_relaxed);
   }
 
@@ -278,14 +283,21 @@ public:
         Blocks[Tid].Last.load(std::memory_order_relaxed));
   }
 
-  /// Sums all thread blocks. Exact at quiesce.
+  /// Sums all thread blocks. Exact at quiesce. Mid-run, every block's
+  /// Ops is read once before (OpsBefore) and once after (Ops) every path
+  /// counter, so the two bracket the retired ops:
+  ///  * pathTotal() <= Ops: a booking seen carries its onOp entry along,
+  ///    even one booked on another thread's block (release/acquire);
+  ///  * OpsBefore - pathTotal() is at most the ops in flight, one per
+  ///    thread plus one per crash-abandoned op.
   PathSnapshot snapshot() const {
     PathSnapshot S;
+    for (std::uint32_t T = 0; T < N; ++T)
+      S.OpsBefore += Blocks[T].C[OpsSlot].load(std::memory_order_acquire);
     for (std::uint32_t T = 0; T < N; ++T) {
       const Block &B = Blocks[T];
-      S.Ops += B.C[OpsSlot].load(std::memory_order_relaxed);
       for (unsigned I = 0; I < NumPaths; ++I)
-        S.Paths[I] += B.C[PathBase + I].load(std::memory_order_relaxed);
+        S.Paths[I] += B.C[PathBase + I].load(std::memory_order_acquire);
       for (unsigned I = 0; I < NumEvents; ++I)
         S.Events[I] += B.C[EventBase + I].load(std::memory_order_relaxed);
       for (unsigned I = 0; I < NumBatchBuckets; ++I)
@@ -297,6 +309,8 @@ public:
       if (Max > S.BatchMax)
         S.BatchMax = Max;
     }
+    for (std::uint32_t T = 0; T < N; ++T)
+      S.Ops += Blocks[T].C[OpsSlot].load(std::memory_order_relaxed);
     return S;
   }
 

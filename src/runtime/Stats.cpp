@@ -43,7 +43,7 @@ void LatencyHistogram::record(std::uint64_t ValueNs) {
   const std::uint64_t Clamped = std::max<std::uint64_t>(ValueNs, 1);
   ++Buckets[bucketIndex(Clamped)];
   ++Total;
-  Sum += Clamped;
+  Sum += ValueNs;
   Max = std::max(Max, Clamped);
   Min = std::min(Min, Clamped);
 }

@@ -39,7 +39,8 @@ public:
 
   LatencyHistogram();
 
-  /// Records one value (clamped to >= 1).
+  /// Records one value. Bucketing, min and max clamp it to >= 1; sum()
+  /// takes it as given.
   void record(std::uint64_t ValueNs);
 
   /// Adds all samples of \p Other into this histogram.
@@ -54,6 +55,10 @@ public:
   /// bucket width (~3% relative, but absolute error grows with the
   /// exponent — hundreds of ns for microsecond-scale fast paths).
   std::uint64_t minValue() const { return Total == 0 ? 0 : Min; }
+
+  /// Exact sum of every recorded value, so per-sample identities (one
+  /// histogram's values are the sum of others') carry over to sums.
+  std::uint64_t sum() const { return Sum; }
 
   double mean() const;
 

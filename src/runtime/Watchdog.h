@@ -169,11 +169,16 @@ private:
   }
 
   void scanOnce() {
-    const std::uint64_t Now = nowNs();
     for (std::uint32_t Tid = 0; Tid < Slots.size(); ++Tid) {
       Slot &S = Slots[Tid].value();
+      // Arm time first, clock second: the acquire orders the arming
+      // thread's clock read before ours, so Now >= Armed and the age
+      // cannot wrap to ~2^64 ns for an op armed mid-scan.
       const std::uint64_t Armed = S.Armed.load(std::memory_order_acquire);
-      if (Armed == 0 || Now - Armed < DeadlineNs)
+      if (Armed == 0)
+        continue;
+      const std::uint64_t Now = nowNs();
+      if (Now - Armed < DeadlineNs)
         continue;
       if (S.Reported.load(std::memory_order_relaxed) == Armed)
         continue; // This operation was already reported.

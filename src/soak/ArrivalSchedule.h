@@ -109,11 +109,14 @@ struct ArrivalSchedule {
 /// the stream's origin; the harness keeps it through the queue so
 /// sojourn latency is measured from when the request *should* have
 /// arrived, not from when an overloaded generator got around to it.
+/// EnqueueNs (same origin) is stamped by the harness when its generator
+/// queues the arrival; the stream leaves it 0.
 struct Arrival {
   std::uint64_t NominalNs = 0;
   std::uint32_t Key = 0;
   bool IsPush = true;
   std::uint32_t Value = 0;
+  std::uint64_t EnqueueNs = 0;
 };
 
 /// Deterministic realisation of an ArrivalSchedule: same (schedule,

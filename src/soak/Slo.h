@@ -65,10 +65,15 @@ struct WindowStats {
   bool Conserves = true;
 
   /// Sojourn: completion minus *nominal* arrival (queueing included — the
-  /// open-loop, coordinated-omission-free number). Service: operation
-  /// start to completion. PathLatency: service split by terminal path
-  /// (the extra slot collects Path::None).
+  /// open-loop, coordinated-omission-free number). It splits exactly, op
+  /// by op, into GenLag (enqueue minus nominal: how late the generator
+  /// released the arrival), QueueWait (operation start minus enqueue) and
+  /// Service (operation start to completion), so the three histograms'
+  /// sums add up to Sojourn's. PathLatency: service split by terminal
+  /// path (the extra slot collects Path::None).
   LatencyHistogram Sojourn;
+  LatencyHistogram GenLag;
+  LatencyHistogram QueueWait;
   LatencyHistogram Service;
   LatencyHistogram PathLatency[obs::NumPaths + 1];
 

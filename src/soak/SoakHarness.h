@@ -23,7 +23,8 @@
 ///  * Overload is observable: arrivals are generated on schedule whether
 ///    or not workers keep up; the queue grows, then sheds, and both
 ///    numbers land in the window record. Sojourn latency is measured
-///    from the *nominal* arrival instant (coordinated-omission-free).
+///    from the *nominal* arrival instant (coordinated-omission-free) and
+///    splits per op into generator lag, queue wait and service.
 ///  * Crashed workers resurrect: a campaign crash unwinds the worker's
 ///    current operation (ProcessCrash), and the worker re-enters its
 ///    loop under the same thread id — continuously exercising the
@@ -52,13 +53,20 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <ctime>
+#include <linux/futex.h>
+#include <sys/prctl.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 namespace csobj {
 namespace soak {
@@ -105,6 +113,8 @@ struct SoakReport {
   bool FinalConserves = true;   ///< Tight conservation at quiesce.
 
   LatencyHistogram RunSojourn;
+  LatencyHistogram RunGenLag;
+  LatencyHistogram RunQueueWait;
   LatencyHistogram RunService;
   LatencyHistogram RunPathLatency[obs::NumPaths + 1];
 
@@ -119,11 +129,20 @@ struct SoakReport {
 
 namespace detail {
 
-/// Bounded MPMC arrival queue. The generator pushes in nominal-time
-/// batches; workers pop with a short timeout so they can notice
-/// shutdown. Arrivals beyond capacity are shed and counted — in an
+/// Bounded MPMC arrival queue. The generator pushes each wake-up's due
+/// arrivals in one batch; workers pop with a short timeout so they can
+/// notice shutdown. Arrivals beyond capacity are shed and counted — in an
 /// open-loop harness losing track of dropped load would turn overload
 /// back into silence.
+///
+/// Wake-up rule: a worker that finds the queue empty counts itself
+/// parked, under the mutex, and sleeps on a wake word; pushBatch wakes
+/// one parked worker, so a generator wake-up costs at most one wake, and
+/// none (no syscall) when every worker is busy. On Linux the wake word
+/// is a futex, whose wake never blocks the caller. glibc's
+/// pthread_cond_signal can block until an earlier woken waiter has run,
+/// which with every CPU busy held the generator for up to a scheduler
+/// tick (~1 ms); see DESIGN.md "Soak harness".
 class ArrivalQueue {
 public:
   explicit ArrivalQueue(std::size_t Capacity) : Capacity(Capacity) {}
@@ -131,6 +150,7 @@ public:
   /// Enqueues what fits; returns how many were shed.
   std::size_t pushBatch(const std::vector<Arrival> &Batch) {
     std::size_t ShedNow = 0;
+    bool Wake = false;
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       for (const Arrival &A : Batch) {
@@ -141,17 +161,28 @@ public:
         Queue.push_back(A);
       }
       ShedTotal += ShedNow;
+      Wake = Parked != 0;
     }
-    Cv.notify_all();
+    if (Wake)
+      wake(1);
     return ShedNow;
   }
 
-  /// Pops one arrival, waiting up to ~1ms. False on timeout or when the
+  /// Pops one arrival, parking on an empty queue until a push or close
+  /// wakes it (at most 1 ms on Linux). False on timeout or when the
   /// queue is closed and drained (check drained()).
   bool pop(Arrival &Out) {
     std::unique_lock<std::mutex> Lock(Mutex);
-    Cv.wait_for(Lock, std::chrono::milliseconds(1),
-                [this] { return !Queue.empty() || Closed; });
+    if (Queue.empty() && !Closed) {
+      // Read under the mutex: a push that sees this worker parked bumps
+      // the word after, so the sleep below cannot miss its wake.
+      const std::uint32_t Seen = WakeWord.load(std::memory_order_relaxed);
+      ++Parked;
+      Lock.unlock();
+      sleepWhile(Seen);
+      Lock.lock();
+      --Parked;
+    }
     if (Queue.empty())
       return false;
     Out = Queue.front();
@@ -164,7 +195,7 @@ public:
       std::lock_guard<std::mutex> Lock(Mutex);
       Closed = true;
     }
-    Cv.notify_all();
+    wake(AllWaiters);
   }
 
   bool drained() const {
@@ -183,12 +214,48 @@ public:
   }
 
 private:
+  static constexpr int AllWaiters = 1 << 30;
+
+  /// Sleeps while the wake word still reads \p Seen: at most 1 ms on
+  /// Linux, until the next wake elsewhere.
+  void sleepWhile(std::uint32_t Seen) {
+#ifdef __linux__
+    const timespec Timeout{0, 1000 * 1000};
+    syscall(SYS_futex, futexWord(), FUTEX_WAIT_PRIVATE, Seen, &Timeout,
+            nullptr, 0);
+#else
+    WakeWord.wait(Seen, std::memory_order_relaxed);
+#endif
+  }
+
+  void wake(int Waiters) {
+    WakeWord.fetch_add(1, std::memory_order_relaxed);
+#ifdef __linux__
+    syscall(SYS_futex, futexWord(), FUTEX_WAKE_PRIVATE, Waiters, nullptr,
+            nullptr, 0);
+#else
+    if (Waiters == 1)
+      WakeWord.notify_one();
+    else
+      WakeWord.notify_all();
+#endif
+  }
+
+#ifdef __linux__
+  std::uint32_t *futexWord() {
+    static_assert(sizeof(WakeWord) == sizeof(std::uint32_t) &&
+                  std::atomic<std::uint32_t>::is_always_lock_free);
+    return reinterpret_cast<std::uint32_t *>(&WakeWord);
+  }
+#endif
+
   const std::size_t Capacity;
   mutable std::mutex Mutex;
-  std::condition_variable Cv;
   std::deque<Arrival> Queue;
   std::uint64_t ShedTotal = 0;
+  std::uint32_t Parked = 0; ///< Workers asleep, or about to be, on WakeWord.
   bool Closed = false;
+  std::atomic<std::uint32_t> WakeWord{0};
 };
 
 /// Per-worker measurement cell, swapped out by the collector once per
@@ -197,6 +264,8 @@ private:
 struct WorkerCell {
   std::mutex Mutex;
   LatencyHistogram Sojourn;
+  LatencyHistogram GenLag;
+  LatencyHistogram QueueWait;
   LatencyHistogram Service;
   LatencyHistogram PathLatency[obs::NumPaths + 1];
   std::uint64_t Completed = 0;
@@ -205,11 +274,15 @@ struct WorkerCell {
     std::lock_guard<std::mutex> Lock(Mutex);
     W.Completed += Completed;
     W.Sojourn.merge(Sojourn);
+    W.GenLag.merge(GenLag);
+    W.QueueWait.merge(QueueWait);
     W.Service.merge(Service);
     for (unsigned P = 0; P <= obs::NumPaths; ++P)
       W.PathLatency[P].merge(PathLatency[P]);
     Completed = 0;
     Sojourn.reset();
+    GenLag.reset();
+    QueueWait.reset();
     Service.reset();
     for (unsigned P = 0; P <= obs::NumPaths; ++P)
       PathLatency[P].reset();
@@ -288,10 +361,17 @@ SoakReport runSoak(const SoakConfig &Config) {
             .count());
   };
 
-  // Generator: replays the deterministic stream in real time, batching
-  // everything due by "now" under one queue lock (~1ms granularity, the
-  // sleep quantum). Nominal timestamps ride along untouched.
+  // Generator: replays the deterministic stream in real time. It sleeps
+  // until the next arrival's nominal instant (at most 1 ms, so a stop
+  // request is noticed), then pushes everything due by "now" under one
+  // queue lock, each arrival stamped with that clock read as its enqueue
+  // time. Nominal timestamps ride along untouched. Linux's default 50 us
+  // timer slack would stretch every sleep to ~55 us and release a clump
+  // of arrivals per wake-up, so the generator asks for 1 ns.
   std::thread Generator([&] {
+#ifdef __linux__
+    prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
     ArrivalStream Stream(Config.Schedule, Config.Seed);
     Arrival Next = Stream.next();
     std::vector<Arrival> Batch;
@@ -305,6 +385,7 @@ SoakReport runSoak(const SoakConfig &Config) {
       }
       Batch.clear();
       while (Next.NominalNs <= Now) {
+        Next.EnqueueNs = Now;
         Batch.push_back(Next);
         Next = Stream.next();
       }
@@ -356,6 +437,8 @@ SoakReport runSoak(const SoakConfig &Config) {
         const std::uint64_t EndNs = elapsedNs();
         std::lock_guard<std::mutex> Lock(Cell.Mutex);
         ++Cell.Completed;
+        Cell.GenLag.record(A.EnqueueNs - A.NominalNs);
+        Cell.QueueWait.record(BeginNs - A.EnqueueNs);
         Cell.Service.record(EndNs - BeginNs);
         Cell.Sojourn.record(EndNs - A.NominalNs);
         if constexpr (requires { Obj.lastPath(Tid); }) {
@@ -431,18 +514,23 @@ SoakReport runSoak(const SoakConfig &Config) {
     for (unsigned I = 0; I < obs::NumBatchBuckets; ++I)
       W.Paths.BatchBuckets[I] -= PrevPaths.BatchBuckets[I];
     W.Paths.Ops = Cum.Ops - PrevPaths.Ops;
+    W.Paths.OpsBefore = Cum.OpsBefore - PrevPaths.OpsBefore;
     W.Paths.BatchOps = Cum.BatchOps - PrevPaths.BatchOps;
     PrevPaths = Cum;
 
-    // Bounded mid-run conservation over cumulative counters: the gap
-    // between entered and retired operations is at most one in-flight op
-    // per worker plus one abandoned op per executed crash.
-    const std::uint64_t Entered = Cum.Ops;
+    // Bounded mid-run conservation over cumulative counters: no op
+    // retires before it enters, and the gap between entered and retired
+    // operations is at most one in-flight op per worker plus one
+    // abandoned op per executed crash. The snapshot reads entries before
+    // and after the retirements; each half of the check uses its read.
     const std::uint64_t Retired = Cum.pathTotal();
-    W.Conserves =
-        Entered >= Retired && Entered - Retired <= Workers + Crashes;
+    W.Conserves = Retired <= Cum.Ops &&
+                  (Cum.OpsBefore <= Retired ||
+                   Cum.OpsBefore - Retired <= Workers + Crashes);
 
     Report.RunSojourn.merge(W.Sojourn);
+    Report.RunGenLag.merge(W.GenLag);
+    Report.RunQueueWait.merge(W.QueueWait);
     Report.RunService.merge(W.Service);
     for (unsigned P = 0; P <= obs::NumPaths; ++P)
       Report.RunPathLatency[P].merge(W.PathLatency[P]);

@@ -15,6 +15,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "HistoryRecording.h"
+
 #include "support/ContentionManager.h"
 
 #include "core/ContentionSensitiveQueue.h"
@@ -187,20 +189,6 @@ void runAndCheck(std::uint32_t Threads, std::uint32_t OpsPerThread,
   }
 }
 
-void recordPush(HistoryRecorder &Rec, PushResult Res, std::uint32_t V,
-                std::uint64_t T0, std::uint64_t T1) {
-  if (Res != PushResult::Abort)
-    Rec.recordPush(V, Res == PushResult::Full, T0, T1);
-}
-
-void recordPop(HistoryRecorder &Rec, const PopResult<std::uint32_t> &Res,
-               std::uint64_t T0, std::uint64_t T1) {
-  if (Res.isValue())
-    Rec.recordPopValue(Res.value(), T0, T1);
-  else if (Res.isEmpty())
-    Rec.recordPopEmpty(T0, T1);
-}
-
 template <ContentionManager Manager> void stressFastNbStack() {
   using Stack = NonBlockingStack<Compact64, Manager, Fast>;
   runAndCheck(
@@ -209,9 +197,9 @@ template <ContentionManager Manager> void stressFastNbStack() {
          HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, S.push(V), V, T0, HistoryRecorder::now());
+          recordPush(Rec, S.push(V), V, T0);
         else
-          recordPop(Rec, S.pop(), T0, HistoryRecorder::now());
+          recordPop(Rec, S.pop(), T0);
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -225,9 +213,9 @@ template <ContentionManager Manager> void stressFastCsStack() {
          HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, S.push(Tid, V), V, T0, HistoryRecorder::now());
+          recordPush(Rec, S.push(Tid, V), V, T0);
         else
-          recordPop(Rec, S.pop(Tid), T0, HistoryRecorder::now());
+          recordPop(Rec, S.pop(Tid), T0);
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -240,9 +228,9 @@ template <ContentionManager Manager> void stressFastNbQueue() {
          HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Q.enqueue(V), V, T0, HistoryRecorder::now());
+          recordPush(Rec, Q.enqueue(V), V, T0);
         else
-          recordPop(Rec, Q.dequeue(), T0, HistoryRecorder::now());
+          recordPop(Rec, Q.dequeue(), T0);
       },
       [] { return BoundedQueueSpec(4); });
 }
@@ -281,9 +269,9 @@ TEST(FastPolicyLincheck, CsQueueAdaptive) {
          HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Q.enqueue(Tid, V), V, T0, HistoryRecorder::now());
+          recordPush(Rec, Q.enqueue(Tid, V), V, T0);
         else
-          recordPop(Rec, Q.dequeue(Tid), T0, HistoryRecorder::now());
+          recordPop(Rec, Q.dequeue(Tid), T0);
       },
       [] { return BoundedQueueSpec(4); });
 }

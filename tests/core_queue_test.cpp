@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -64,6 +65,17 @@ TEST(AbortableQueueTest, CapacityOneQueue) {
   ASSERT_TRUE(Res.isValue());
   EXPECT_EQ(Res.value(), 7u);
   EXPECT_TRUE(Queue.weakDequeue().isEmpty());
+}
+
+TEST(AbortableQueueTest, CapacityOutsideTheIndexFieldThrows) {
+  // The ring holds Capacity + 1 slots, so MaxIndex - 1 is the largest
+  // capacity REAR's index field can address; beyond it, a hard check.
+  constexpr std::uint32_t MaxIndex = Compact64::Top::MaxIndex;
+  EXPECT_THROW(AbortableQueue<>(0), std::invalid_argument);
+  EXPECT_THROW(AbortableQueue<>(MaxIndex + 1), std::invalid_argument);
+  EXPECT_THROW(AbortableQueue<>{MaxIndex}, std::invalid_argument);
+  AbortableQueue<> Largest(MaxIndex - 1);
+  EXPECT_EQ(Largest.capacity(), MaxIndex - 1);
 }
 
 TEST(AbortableQueueTest, RingWrapsManyTimes) {

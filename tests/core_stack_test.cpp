@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -72,6 +73,16 @@ TEST(AbortableStackTest, CapacityOneStack) {
   EXPECT_EQ(Stack.weakPush(10), PushResult::Full);
   ASSERT_TRUE(Stack.weakPop().isValue());
   EXPECT_TRUE(Stack.weakPop().isEmpty());
+}
+
+TEST(AbortableStackTest, CapacityOutsideTheIndexFieldThrows) {
+  // A hard check, not an assert: under NDEBUG a capacity above MaxIndex
+  // used to wrap TOP's index field silently.
+  constexpr std::uint32_t MaxIndex = Compact64::Top::MaxIndex;
+  EXPECT_THROW(AbortableStack<>(0), std::invalid_argument);
+  EXPECT_THROW(AbortableStack<>(MaxIndex + 1), std::invalid_argument);
+  AbortableStack<> Largest(MaxIndex);
+  EXPECT_EQ(Largest.capacity(), MaxIndex);
 }
 
 TEST(AbortableStackTest, EmptyAfterDrain) {

@@ -52,6 +52,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -681,6 +682,33 @@ TEST(WatchdogTest, DisarmedAndDisabledReportNothing) {
   Off.arm(1);
   Off.stop();
   EXPECT_EQ(Off.stuckCount(), 0u);
+}
+
+TEST(WatchdogTest, ChurningHealthyOpsAreNeverReported) {
+  // Regression: scanOnce read the clock before a slot's arm time, so an
+  // op armed between the two reads looked ~2^64 ns old and was reported
+  // stuck (3-8 false reports per second in a soak). Thread 1 arms and
+  // disarms in a tight loop for longer than the 1 s deadline while thread
+  // 0 holds one op armed the whole time: exactly that op is reported.
+  Watchdog Dog(2, /*DeadlineNs=*/1000 * 1000 * 1000,
+               /*PollIntervalNs=*/100 * 1000);
+  Dog.start();
+  Dog.arm(0);
+  std::atomic<bool> Stop{false};
+  std::thread Churn([&] {
+    while (!Stop.load(std::memory_order_relaxed)) {
+      Dog.arm(1);
+      Dog.disarm(1);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+  Stop.store(true, std::memory_order_relaxed);
+  Churn.join();
+  Dog.stop();
+  const auto Reports = Dog.stuckReports();
+  ASSERT_EQ(Reports.size(), 1u);
+  EXPECT_EQ(Reports.front().Tid, 0u);
+  EXPECT_GE(Reports.front().ObservedNs, Dog.deadlineNs());
 }
 
 TEST(WatchdogTest, DisabledWatchdogAddsZeroSharedAccesses) {

@@ -12,6 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "HistoryRecording.h"
+
 #include "lincheck/Checker.h"
 #include "lincheck/History.h"
 #include "lincheck/Spec.h"
@@ -240,22 +242,6 @@ void runAndCheck(std::uint32_t Threads, std::uint32_t OpsPerThread,
   }
 }
 
-/// Records one push outcome unless it aborted.
-void recordPush(HistoryRecorder &Rec, PushResult Res, std::uint32_t V,
-                std::uint64_t T0, std::uint64_t T1) {
-  if (Res != PushResult::Abort)
-    Rec.recordPush(V, Res == PushResult::Full, T0, T1);
-}
-
-/// Records one pop outcome unless it aborted.
-void recordPop(HistoryRecorder &Rec, const PopResult<std::uint32_t> &Res,
-               std::uint64_t T0, std::uint64_t T1) {
-  if (Res.isValue())
-    Rec.recordPopValue(Res.value(), T0, T1);
-  else if (Res.isEmpty())
-    Rec.recordPopEmpty(T0, T1);
-}
-
 TEST(LincheckStress, AbortableStackLinearizesAndAbortsHaveNoEffect) {
   runAndCheck(
       3, 6, 40, [] { return std::make_unique<AbortableStack<>>(4); },
@@ -263,9 +249,9 @@ TEST(LincheckStress, AbortableStackLinearizesAndAbortsHaveNoEffect) {
          std::uint32_t V, HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Stack.weakPush(V), V, T0, HistoryRecorder::now());
+          recordPush(Rec, Stack.weakPush(V), V, T0);
         else
-          recordPop(Rec, Stack.weakPop(), T0, HistoryRecorder::now());
+          recordPop(Rec, Stack.weakPop(), T0);
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -277,9 +263,9 @@ TEST(LincheckStress, NonBlockingStackLinearizes) {
          std::uint32_t V, HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Stack.push(V), V, T0, HistoryRecorder::now());
+          recordPush(Rec, Stack.push(V), V, T0);
         else
-          recordPop(Rec, Stack.pop(), T0, HistoryRecorder::now());
+          recordPop(Rec, Stack.pop(), T0);
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -292,10 +278,9 @@ TEST(LincheckStress, ContentionSensitiveStackLinearizes) {
          std::uint32_t V, HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Stack.push(Tid, V), V, T0,
-                     HistoryRecorder::now());
+          recordPush(Rec, Stack.push(Tid, V), V, T0);
         else
-          recordPop(Rec, Stack.pop(Tid), T0, HistoryRecorder::now());
+          recordPop(Rec, Stack.pop(Tid), T0);
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -307,10 +292,9 @@ TEST(LincheckStress, AbortableQueueLinearizes) {
          std::uint32_t V, HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Queue.weakEnqueue(V), V, T0,
-                     HistoryRecorder::now());
+          recordPush(Rec, Queue.weakEnqueue(V), V, T0);
         else
-          recordPop(Rec, Queue.weakDequeue(), T0, HistoryRecorder::now());
+          recordPop(Rec, Queue.weakDequeue(), T0);
       },
       [] { return BoundedQueueSpec(4); });
 }
@@ -322,9 +306,9 @@ TEST(LincheckStress, NonBlockingQueueLinearizes) {
          std::uint32_t V, HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Queue.enqueue(V), V, T0, HistoryRecorder::now());
+          recordPush(Rec, Queue.enqueue(V), V, T0);
         else
-          recordPop(Rec, Queue.dequeue(), T0, HistoryRecorder::now());
+          recordPop(Rec, Queue.dequeue(), T0);
       },
       [] { return BoundedQueueSpec(4); });
 }
@@ -337,10 +321,9 @@ TEST(LincheckStress, ContentionSensitiveQueueLinearizes) {
          std::uint32_t V, HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Queue.enqueue(Tid, V), V, T0,
-                     HistoryRecorder::now());
+          recordPush(Rec, Queue.enqueue(Tid, V), V, T0);
         else
-          recordPop(Rec, Queue.dequeue(Tid), T0, HistoryRecorder::now());
+          recordPop(Rec, Queue.dequeue(Tid), T0);
       },
       [] { return BoundedQueueSpec(4); });
 }
@@ -352,9 +335,9 @@ TEST(LincheckStress, TreiberStackLinearizes) {
          HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Stack.push(V), V, T0, HistoryRecorder::now());
+          recordPush(Rec, Stack.push(V), V, T0);
         else
-          recordPop(Rec, Stack.pop(), T0, HistoryRecorder::now());
+          recordPop(Rec, Stack.pop(), T0);
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -370,9 +353,9 @@ TEST(LincheckStress, EliminationStackLinearizes) {
          std::uint32_t V, HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Stack.push(V), V, T0, HistoryRecorder::now());
+          recordPush(Rec, Stack.push(V), V, T0);
         else
-          recordPop(Rec, Stack.pop(), T0, HistoryRecorder::now());
+          recordPop(Rec, Stack.pop(), T0);
       },
       [] { return BoundedStackSpec(4); });
 }
@@ -384,9 +367,9 @@ TEST(LincheckStress, MichaelScottQueueLinearizes) {
          std::uint32_t V, HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Queue.enqueue(V), V, T0, HistoryRecorder::now());
+          recordPush(Rec, Queue.enqueue(V), V, T0);
         else
-          recordPop(Rec, Queue.dequeue(), T0, HistoryRecorder::now());
+          recordPop(Rec, Queue.dequeue(), T0);
       },
       [] { return BoundedQueueSpec(4); });
 }
@@ -398,10 +381,9 @@ TEST(LincheckStress, LockedStackLinearizes) {
          std::uint32_t V, HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
         if (IsPush)
-          recordPush(Rec, Stack.push(Tid, V), V, T0,
-                     HistoryRecorder::now());
+          recordPush(Rec, Stack.push(Tid, V), V, T0);
         else
-          recordPop(Rec, Stack.pop(Tid), T0, HistoryRecorder::now());
+          recordPop(Rec, Stack.pop(Tid), T0);
       },
       [] { return BoundedStackSpec(4); });
 }

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -114,6 +115,45 @@ TEST(MetricSink, ConcurrentIncrementsSumExactly) {
     EXPECT_EQ(S.path(obs::Path::Shortcut), Threads * PerThread);
   }
   EXPECT_TRUE(S.conserves());
+}
+
+TEST(MetricSink, MidRunSnapshotsBracketRetiredOps) {
+  // Regression: snapshot() read each block's Ops before its path
+  // counters, so an op completing between the two reads showed up as
+  // retired but not entered, and the soak's per-window bound failed
+  // spuriously. A reader now snapshots while three workers book ops:
+  // no snapshot retires more than it entered, and the ops entered by
+  // the first read but not retired are at most one per worker.
+  constexpr std::uint32_t Threads = 3;
+  constexpr std::uint64_t PerThread = 200000;
+  obs::MetricSink Sink(Threads);
+  SpinBarrier Barrier(Threads + 1);
+  std::atomic<std::uint32_t> Running{Threads};
+  std::vector<std::thread> Workers;
+  for (std::uint32_t T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      Barrier.arriveAndWait();
+      for (std::uint64_t I = 0; I < PerThread; ++I) {
+        Sink.onOp(T);
+        Sink.onPath(T, obs::Path::Shortcut);
+      }
+      Running.fetch_sub(1, std::memory_order_release);
+    });
+  Barrier.arriveAndWait();
+  std::uint64_t Snapshots = 0, Torn = 0, Overdue = 0;
+  do {
+    const obs::PathSnapshot S = Sink.snapshot();
+    ++Snapshots;
+    Torn += S.Ops < S.pathTotal();
+    Overdue += S.OpsBefore > S.pathTotal() + Threads;
+  } while (Running.load(std::memory_order_acquire) != 0);
+  for (auto &W : Workers)
+    W.join();
+  EXPECT_EQ(Torn, 0u) << "of " << Snapshots << " mid-run snapshots";
+  EXPECT_EQ(Overdue, 0u) << "of " << Snapshots << " mid-run snapshots";
+  const obs::PathSnapshot Final = Sink.snapshot();
+  EXPECT_TRUE(Final.conserves());
+  EXPECT_EQ(Final.OpsBefore, Final.Ops);
 }
 
 //===----------------------------------------------------------------------===

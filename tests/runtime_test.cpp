@@ -54,6 +54,7 @@ TEST(HistogramTest, ZeroClampsToOne) {
   H.record(0);
   EXPECT_EQ(H.count(), 1u);
   EXPECT_GE(H.minValue(), 1u);
+  EXPECT_EQ(H.sum(), 0u) << "the sum takes values as given, unclamped";
 }
 
 TEST(HistogramTest, QuantilesAreMonotone) {
@@ -88,6 +89,7 @@ TEST(HistogramTest, MergeCombinesSamples) {
   B.record(1000000);
   A.merge(B);
   EXPECT_EQ(A.count(), 3u);
+  EXPECT_EQ(A.sum(), 10u + 20u + 1000000u);
   EXPECT_EQ(A.maxValue(), 1000000u);
   EXPECT_NEAR(A.mean(), (10.0 + 20.0 + 1000000.0) / 3.0, 0.01);
 }

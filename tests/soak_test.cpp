@@ -17,7 +17,8 @@
 ///    policy promises (and a clean run produces none).
 ///  * runSoak — a short end-to-end smoke over the crash-tolerant stack:
 ///    windows are produced, operations complete, per-window and final
-///    conservation hold, and the empty policy passes.
+///    conservation hold, the empty policy passes, and every op's sojourn
+///    splits exactly into generator lag, queue wait and service.
 ///
 /// The long-form soak (60s, full campaign) is experiment E15
 /// (bench/bench_soak.cpp); this file keeps the harness honest at test
@@ -349,6 +350,23 @@ struct SoakStackAdapter {
   CrashTolerantStack<> Stack;
 };
 
+/// Every completed op records its generator lag (enqueue - nominal),
+/// queue wait (start - enqueue), service (end - start) and sojourn
+/// (end - nominal), so the first three sum to the fourth exactly, in
+/// every window and over the run.
+void expectSojournSplitsExactly(const SoakReport &Report) {
+  for (const WindowStats &W : Report.Windows) {
+    EXPECT_EQ(W.GenLag.count(), W.Completed) << "window " << W.Index;
+    EXPECT_EQ(W.QueueWait.count(), W.Completed) << "window " << W.Index;
+    EXPECT_EQ(W.GenLag.sum() + W.QueueWait.sum() + W.Service.sum(),
+              W.Sojourn.sum())
+        << "window " << W.Index;
+  }
+  EXPECT_EQ(Report.RunGenLag.sum() + Report.RunQueueWait.sum() +
+                Report.RunService.sum(),
+            Report.RunSojourn.sum());
+}
+
 TEST(SoakSmokeTest, ShortRunCompletesConservesAndPasses) {
   SoakConfig Config;
   Config.Workers = 2;
@@ -392,6 +410,32 @@ TEST(SoakSmokeTest, ShortRunCompletesConservesAndPasses) {
   // The run-level histograms saw every completion.
   EXPECT_EQ(Report.RunSojourn.count(), Report.TotalCompleted);
   EXPECT_EQ(Report.RunService.count(), Report.TotalCompleted);
+  expectSojournSplitsExactly(Report);
+}
+
+TEST(SoakSmokeTest, PacedGeneratorDeliversEveryArrivalAtAHighRate) {
+  // The service workload's shape at test scale: a flat open loop fast
+  // enough that the generator wakes per arrival or two and the workers
+  // park and wake constantly. Nothing may be shed or left behind, and
+  // every op's sojourn still splits exactly.
+  SoakConfig Config;
+  Config.Workers = 2;
+  Config.Capacity = 1024;
+  Config.DurationSec = 0.6;
+  Config.WindowSec = 0.2;
+  Config.Seed = 5;
+  Config.Schedule = ArrivalSchedule::flat(50000);
+  Config.Schedule.Keys = 4;
+
+  const SoakReport Report = runSoak<SoakStackAdapter>(Config);
+
+  EXPECT_GT(Report.TotalArrivals, 10000u);
+  EXPECT_EQ(Report.TotalShed, 0u);
+  EXPECT_EQ(Report.TotalCompleted, Report.TotalArrivals);
+  for (const WindowStats &W : Report.Windows)
+    EXPECT_TRUE(W.Conserves) << "window " << W.Index;
+  EXPECT_TRUE(Report.FinalConserves);
+  expectSojournSplitsExactly(Report);
 }
 
 TEST(SoakSmokeTest, CampaignCrashesResurrectWorkersAndAreAccounted) {
