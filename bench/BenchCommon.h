@@ -33,10 +33,11 @@
 #include "perf/AdaptiveShardedStack.h"
 #include "perf/CombiningObjects.h"
 #include "perf/EliminatingStack.h"
-#include "perf/ShardedStack.h"
 #include "runtime/Driver.h"
 #include "runtime/Workload.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -75,6 +76,27 @@ inline std::vector<std::uint32_t> threadSweep() {
 
 /// Default operations per thread per cell.
 inline std::uint64_t opsPerThread() { return quickMode() ? 5000 : 40000; }
+
+/// Nanoseconds per call of \p Body run solo on the calling thread: a
+/// steady_clock loop of a fixed number of calls, repeated five times,
+/// median taken, so one preempted repeat does not set the result. E5 and
+/// E6 time their solo round trips with it.
+template <typename BodyFn> double soloNsPerCall(BodyFn Body) {
+  const std::uint64_t Calls = quickMode() ? 20000 : 1000000;
+  constexpr std::size_t Repeats = 5;
+  std::vector<double> Samples;
+  for (std::size_t R = 0; R < Repeats; ++R) {
+    const auto T0 = std::chrono::steady_clock::now();
+    for (std::uint64_t I = 0; I < Calls; ++I)
+      Body();
+    const std::chrono::duration<double, std::nano> Elapsed =
+        std::chrono::steady_clock::now() - T0;
+    Samples.push_back(Elapsed.count() / static_cast<double>(Calls));
+  }
+  std::nth_element(Samples.begin(), Samples.begin() + Repeats / 2,
+                   Samples.end());
+  return Samples[Repeats / 2];
+}
 
 //===----------------------------------------------------------------------===
 // Stack adapters (driver contract: apply + prefillOne)
@@ -239,14 +261,16 @@ struct CombiningStackAdapter {
   CombiningStack<> Stack;
 };
 
-/// Four Figure 3 shards behind a bag facade with elimination balancing
-/// (perf/ShardedStack.h).
-struct ShardedStackAdapter {
-  static constexpr const char *Name = "sharded(4xfig3)";
-  ShardedStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity - Capacity % 4,
+/// N Figure 3 shards behind the bag facade with elimination balancing:
+/// the adaptive facade (perf/AdaptiveShardedStack.h) built at its full
+/// mask with the controller off, so the mask never moves. Capacity is
+/// rounded down to a multiple of N.
+template <std::uint32_t NumShards> struct StaticShardAdapter {
+  StaticShardAdapter(std::uint32_t Threads, std::uint32_t Capacity)
+      : Stack(Threads, Capacity - Capacity % NumShards,
+              /*InitialShards=*/NumShards,
               /*SlotCount=*/Threads > 2 ? Threads / 2 : 1,
-              /*SpinBudget=*/64) {}
+              /*SpinBudget=*/64, ShardControllerConfig{.TickOps = 0}) {}
   OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
                   std::uint64_t &) {
     return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
@@ -259,7 +283,7 @@ struct ShardedStackAdapter {
   // single terminal path would be ambiguous.
   obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
   std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  ShardedStack<4> Stack;
+  AdaptiveShardedStack<NumShards> Stack;
 };
 
 /// Adaptive mask over eight Figure 3 shards driven by the obs control
@@ -283,7 +307,7 @@ struct AdaptiveStackAdapter {
   }
   std::uint32_t activeShards() const { return Stack.activeShards(); }
   std::uint64_t reconfigEpoch() const { return Stack.reconfigEpoch(); }
-  // No lastPath, for the same reason as ShardedStackAdapter.
+  // No lastPath, for the same reason as StaticShardAdapter.
   obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
   std::size_t footprintBytes() const { return Stack.footprintBytes(); }
   AdaptiveShardedStack<8> Stack;

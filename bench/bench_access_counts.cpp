@@ -133,7 +133,9 @@ int main() {
            countAccesses([&] { (void)Stack.pop(0); }));
   }
   {
-    ShardedStack<4> Stack(4, 8);
+    AdaptiveShardedStack<4> Stack(4, 8, /*InitialShards=*/4, /*SlotCount=*/4,
+                                  /*SpinBudget=*/64,
+                                  ShardControllerConfig{.TickOps = 0});
     addRow(Table, "sharded stack (4xfig3)", "strong_push -> done",
            countAccesses([&] { (void)Stack.push(0, 1); }));
     addRow(Table, "sharded stack (4xfig3)", "strong_pop -> value",

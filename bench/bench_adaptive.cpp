@@ -6,15 +6,21 @@
 ///
 /// \file
 /// E18 — adaptive sharding vs every static shard count. A static
-/// ShardedStack<N> must pick N at construction: too few shards and the
+/// N-shard bag must pick N at construction: too few shards and the
 /// doorways absorb contention, too many and every operation pays the
 /// multi-shard probe (and the solo six-access bound is lost whenever the
 /// home shard is not the whole story at the boundary). The adaptive
 /// facade moves N at runtime off the obs layer's path deltas, so ONE
 /// object is measured against the whole static family:
 ///
-///  * static(1x..8x fig3)      ShardedStack<1|2|4|8>
+///  * static(1x..8x fig3)      AdaptiveShardedStack<1|2|4|8> at the
+///                             full mask, controller off
 ///  * adaptive(<=8xfig3)       AdaptiveShardedStack<8>, controller on
+///
+/// Every object holds the same 4096 elements, which each shard count
+/// divides evenly. The static rows are the same facade with the mask
+/// pinned, so the gap between them and the adaptive row is exactly what
+/// the controller adds.
 ///
 /// Sweeps threads x load phase (push-heavy / balanced / drain-heavy)
 /// under the default chaos level; every record carries the path
@@ -68,28 +74,6 @@ constexpr LoadPhase Phases[] = {
     {0, "push-heavy", 70},
     {1, "balanced", 50},
     {2, "drain-heavy", 30},
-};
-
-/// Static shard-count reference points sharing the adaptive facade's
-/// construction knobs (capacity rounded to a multiple of 8 so every
-/// object holds the same element count).
-template <std::uint32_t NumShards>
-struct StaticShardAdapter {
-  StaticShardAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity - Capacity % 8,
-              /*SlotCount=*/Threads > 2 ? Threads / 2 : 1,
-              /*SpinBudget=*/64) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  std::uint64_t exchanges() const {
-    return Stack.eliminationExchangesForTesting();
-  }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  ShardedStack<NumShards> Stack;
 };
 
 struct SweepOutput {

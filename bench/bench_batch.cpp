@@ -120,12 +120,11 @@ struct CombiningBatchAdapter {
   CombiningStack<> Stack;
 };
 
-struct ShardedBatchAdapter {
+/// The static four-shard bag (full mask, controller off) driven through
+/// its group operations.
+struct ShardedBatchAdapter : StaticShardAdapter<4> {
   static constexpr const char *Name = "sharded batch";
-  ShardedBatchAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity - Capacity % 4,
-              /*SlotCount=*/Threads > 2 ? Threads / 2 : 1,
-              /*SpinBudget=*/64) {}
+  using StaticShardAdapter::StaticShardAdapter;
   std::size_t pushBatch(std::uint32_t Tid, const std::uint32_t *Vs,
                         std::size_t N) {
     return Stack.push_all(Tid, Vs, N);
@@ -133,13 +132,6 @@ struct ShardedBatchAdapter {
   std::size_t popBatch(std::uint32_t Tid, std::uint32_t *Out, std::size_t N) {
     return Stack.pop_all(Tid, Out, N);
   }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  std::uint64_t exchanges() const {
-    return Stack.eliminationExchangesForTesting();
-  }
-  ShardedStack<4> Stack;
 };
 
 constexpr std::uint32_t Capacity = 4096;

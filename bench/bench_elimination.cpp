@@ -15,7 +15,8 @@
 ///  * shortcut + lock + round-robin TURN  (the paper's Figure 3)
 ///  * fig3 + gated elimination window     (perf/EliminatingStack.h)
 ///  * fig3 + flat-combining slow path     (perf/CombiningSlowPath.h)
-///  * 4x fig3 shards + elimination        (perf/ShardedStack.h)
+///  * 4x fig3 shards + elimination        (perf/AdaptiveShardedStack.h,
+///                                        full mask, controller off)
 ///
 /// Also reports what fraction of elimination-stack operations completed
 /// by pairing off without touching the central stack, and the same hit
@@ -73,7 +74,7 @@ int main() {
   addRows<CsStackAdapter>(Table, Json, "shortcut+lock (fig3)");
   addRows<EliminatingCsStackAdapter>(Table, Json, "eliminating(fig3+elim)");
   addRows<CombiningStackAdapter>(Table, Json, "combining(fig3+fc)");
-  addRows<ShardedStackAdapter>(Table, Json, "sharded(4xfig3)");
+  addRows<StaticShardAdapter<4>>(Table, Json, "sharded(4xfig3)");
   Table.print(std::cout);
 
   const std::string JsonPath = "BENCH_elimination.json";

@@ -31,11 +31,8 @@
 #include "runtime/Stats.h"
 #include "runtime/TablePrinter.h"
 
-#include <benchmark/benchmark.h>
-
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -44,32 +41,15 @@ namespace {
 
 using namespace csobj;
 
-bool quick() {
-  const char *Env = std::getenv("CSOBJ_BENCH_QUICK");
-  return Env != nullptr && Env[0] == '1';
-}
-
-template <typename L>
-void soloLockUnlock(benchmark::State &State) {
+/// Solo acquire+release time, one row per lock.
+template <typename L> void timeRow(TablePrinter &Table, const char *Name) {
   L Lock(8);
-  for (auto _ : State) {
+  const double Ns = bench::soloNsPerCall([&] {
     Lock.lock(0);
     Lock.unlock(0);
-  }
+  });
+  Table.addRow({Name, formatNs(Ns)});
 }
-
-BENCHMARK(soloLockUnlock<TasLock>)->Name("solo/tas");
-BENCHMARK(soloLockUnlock<TtasLock>)->Name("solo/ttas");
-BENCHMARK(soloLockUnlock<TicketLock>)->Name("solo/ticket");
-BENCHMARK(soloLockUnlock<McsLock>)->Name("solo/mcs");
-BENCHMARK(soloLockUnlock<ClhLock>)->Name("solo/clh");
-BENCHMARK(soloLockUnlock<AndersonLock>)->Name("solo/anderson");
-BENCHMARK(soloLockUnlock<TournamentLock>)->Name("solo/tournament");
-BENCHMARK(soloLockUnlock<LamportFastLock>)->Name("solo/lamport_fast");
-BENCHMARK(soloLockUnlock<StdMutexLock>)->Name("solo/std_mutex");
-BENCHMARK(soloLockUnlock<StarvationFreeLock<TasLock>>)->Name("solo/sf_tas");
-BENCHMARK(soloLockUnlock<StarvationFreeLock<LamportFastLock>>)
-    ->Name("solo/sf_lamport");
 
 /// Fixed-duration contention run; reports throughput + fairness.
 template <typename L>
@@ -96,7 +76,7 @@ void contendedRow(TablePrinter &Table, const char *Name,
     });
   Barrier.arriveAndWait();
   std::this_thread::sleep_for(
-      std::chrono::milliseconds(quick() ? 50 : 200));
+      std::chrono::milliseconds(bench::quickMode() ? 50 : 200));
   Stop.store(true);
   for (auto &W : Workers)
     W.join();
@@ -128,11 +108,26 @@ void accessRow(TablePrinter &Table, const char *Name) {
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   csobj::bench::printRegisterPolicy(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+
+  {
+    TablePrinter Table({"lock", "ns/lock+unlock"});
+    Table.setTitle("E6 solo: acquire+release time (steady_clock loop, "
+                   "median of 5 repeats)");
+    timeRow<TasLock>(Table, "tas");
+    timeRow<TtasLock>(Table, "ttas");
+    timeRow<TicketLock>(Table, "ticket");
+    timeRow<McsLock>(Table, "mcs");
+    timeRow<ClhLock>(Table, "clh");
+    timeRow<AndersonLock>(Table, "anderson");
+    timeRow<TournamentLock>(Table, "tournament");
+    timeRow<LamportFastLock>(Table, "lamport-fast");
+    timeRow<StdMutexLock>(Table, "std::mutex");
+    timeRow<StarvationFreeLock<TasLock>>(Table, "sf(tas)");
+    timeRow<StarvationFreeLock<LamportFastLock>>(Table, "sf(lamport)");
+    Table.print(std::cout);
+  }
 
   {
     TablePrinter Table({"lock", "solo-accesses", "reads", "writes",
@@ -157,7 +152,7 @@ int main(int argc, char **argv) {
                         "jain"});
     Table.setTitle("E6b: contended acquisitions and fairness (fixed "
                    "duration)");
-    const std::uint32_t Threads = quick() ? 2 : 4;
+    const std::uint32_t Threads = bench::quickMode() ? 2 : 4;
     contendedRow<TasLock>(Table, "tas", Threads);
     contendedRow<StarvationFreeLock<TasLock>>(Table, "sf(tas)", Threads);
     contendedRow<TtasLock>(Table, "ttas", Threads);

@@ -124,7 +124,7 @@ int main() {
   runRows<CsStackAdapter>(Out, "shortcut+lock (fig3)");
   runRows<EliminatingCsStackAdapter>(Out, "eliminating(fig3+elim)");
   runRows<CombiningStackAdapter>(Out, "combining(fig3+fc)");
-  runRows<ShardedStackAdapter>(Out, "sharded(4xfig3)");
+  runRows<StaticShardAdapter<4>>(Out, "sharded(4xfig3)");
   runRows<TreiberStackAdapter>(Out, "treiber");
   runRows<EliminationStackAdapter>(Out, "elimination");
 

@@ -8,10 +8,11 @@
 /// E5 — "the overhead introduced by locking is eliminated in the common
 /// cases". Two views:
 ///
-///  * a google-benchmark microbenchmark of the solo (contention-free)
-///    push+pop round trip for every implementation — the regime the
-///    paper optimizes; the Figure 3 stack should sit near the lock-free
-///    structures and clearly below every lock-based stack;
+///  * the solo (contention-free) push+pop round trip for every
+///    implementation, timed by a steady_clock loop (median of five
+///    repeats) — the regime the paper optimizes; the Figure 3 stack
+///    should sit near the lock-free structures and clearly below every
+///    lock-based stack;
 ///  * a custom thread sweep crossing implementation x think-time, where
 ///    think time dials the workload from the paper's contended regime to
 ///    its contention-free regime.
@@ -22,8 +23,6 @@
 
 #include "runtime/TablePrinter.h"
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 namespace {
@@ -31,37 +30,19 @@ namespace {
 using namespace csobj;
 using namespace csobj::bench;
 
+/// One solo round trip per call: push then pop on a one-thread object.
 template <typename AdapterT>
-void soloRoundTrip(benchmark::State &State) {
+void addSolo(TablePrinter &Table, const char *Name) {
   AdapterT Adapter(1, 1024);
   std::uint64_t Retries = 0;
   std::uint32_t V = 1;
-  for (auto _ : State) {
-    benchmark::DoNotOptimize(
-        Adapter.apply(0, /*IsPush=*/true, V, Retries));
-    benchmark::DoNotOptimize(
-        Adapter.apply(0, /*IsPush=*/false, V, Retries));
+  const double Ns = soloNsPerCall([&] {
+    (void)Adapter.apply(0, /*IsPush=*/true, V, Retries);
+    (void)Adapter.apply(0, /*IsPush=*/false, V, Retries);
     ++V;
-  }
-  State.SetItemsProcessed(State.iterations() * 2);
+  });
+  Table.addRow({Name, formatNs(Ns), formatRate(2e9 / Ns)});
 }
-
-BENCHMARK(soloRoundTrip<CsStackAdapter>)->Name("solo/cs_fig3");
-BENCHMARK(soloRoundTrip<WeakStackAdapter>)->Name("solo/abortable_fig1");
-BENCHMARK(soloRoundTrip<NonBlockingStackAdapter>)
-    ->Name("solo/non_blocking_fig2");
-BENCHMARK(soloRoundTrip<TreiberStackAdapter>)->Name("solo/treiber");
-BENCHMARK(soloRoundTrip<EliminationStackAdapter>)->Name("solo/elimination");
-BENCHMARK(soloRoundTrip<LockedStackAdapter<TasLock>>)
-    ->Name("solo/locked_tas");
-BENCHMARK(soloRoundTrip<LockedStackAdapter<TtasLock>>)
-    ->Name("solo/locked_ttas");
-BENCHMARK(soloRoundTrip<LockedStackAdapter<TicketLock>>)
-    ->Name("solo/locked_ticket");
-BENCHMARK(soloRoundTrip<LockedStackAdapter<McsLock>>)
-    ->Name("solo/locked_mcs");
-BENCHMARK(soloRoundTrip<LockedStackAdapter<StdMutexLock>>)
-    ->Name("solo/locked_stdmutex");
 
 template <typename AdapterT>
 void addSweep(TablePrinter &Table, const char *Name) {
@@ -77,15 +58,29 @@ void addSweep(TablePrinter &Table, const char *Name) {
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   csobj::bench::printRegisterPolicy(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+
+  {
+    TablePrinter Table({"stack", "ns/push+pop", "ops/s"});
+    Table.setTitle("E5a: solo push+pop round trip (steady_clock loop, "
+                   "median of 5 repeats)");
+    addSolo<CsStackAdapter>(Table, "cs(fig3)");
+    addSolo<WeakStackAdapter>(Table, "abortable(fig1)");
+    addSolo<NonBlockingStackAdapter>(Table, "non-blocking(fig2)");
+    addSolo<TreiberStackAdapter>(Table, "treiber");
+    addSolo<EliminationStackAdapter>(Table, "elimination");
+    addSolo<LockedStackAdapter<TasLock>>(Table, "locked(tas)");
+    addSolo<LockedStackAdapter<TtasLock>>(Table, "locked(ttas)");
+    addSolo<LockedStackAdapter<TicketLock>>(Table, "locked(ticket)");
+    addSolo<LockedStackAdapter<McsLock>>(Table, "locked(mcs)");
+    addSolo<LockedStackAdapter<StdMutexLock>>(Table, "locked(mutex)");
+    Table.print(std::cout);
+  }
 
   TablePrinter Table({"stack", "threads", "think-ns", "throughput",
                       "aborts"});
-  Table.setTitle("E5: throughput sweep — implementation x threads x "
+  Table.setTitle("E5b: throughput sweep — implementation x threads x "
                  "think time (50/50)");
   addSweep<CsStackAdapter>(Table, "cs(fig3)");
   addSweep<NonBlockingStackAdapter>(Table, "non-blocking(fig2)");

@@ -38,7 +38,7 @@ public:
 
   /// \p NumThreads sizes the lock's per-process state; zero would build
   /// an unusable guard, so it is rejected outright (hard check — the
-  /// same audit as ShardedStack/SkipListCore construction).
+  /// same audit as AdaptiveShardedStack/SkipListCore construction).
   LockedMap(std::uint32_t NumThreads, std::uint32_t Capacity)
       : Guard(checkedThreads(NumThreads)), CapacityK(Capacity) {
     Entries.reserve(Capacity);

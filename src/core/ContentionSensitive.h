@@ -61,6 +61,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 
 namespace csobj {
 
@@ -88,11 +89,11 @@ class ContentionSensitive {
 public:
   using RegisterPolicy = Policy;
 
-  /// \p NumThreads is the paper's n; thread ids are 0..n-1.
+  /// \p NumThreads is the paper's n; thread ids are 0..n-1. Zero throws
+  /// std::invalid_argument (a hard check, kept under NDEBUG).
   explicit ContentionSensitive(std::uint32_t NumThreads)
-      : N(NumThreads), Arbiter(NumThreads), Guard(NumThreads) {
-    assert(NumThreads >= 1 && "need at least one process");
-  }
+      : N(checkedThreads(NumThreads)), Arbiter(NumThreads),
+        Guard(NumThreads) {}
 
   /// strong_push_or_pop(par) for a generic operation. \p WeakOp is
   /// invoked with no arguments and returns std::optional<R>: nullopt
@@ -239,6 +240,16 @@ public:
   }
 
 private:
+  /// Runs before any member is sized: a zero process count would size
+  /// the per-process arrays empty, and the first operation would index
+  /// past them.
+  static std::uint32_t checkedThreads(std::uint32_t NumThreads) {
+    if (NumThreads < 1)
+      throw std::invalid_argument(
+          "ContentionSensitive: need at least one process");
+    return NumThreads;
+  }
+
   /// Lines 04-13: the doorway, the lock, and the protected retry.
   template <typename WeakOpFn>
   auto slowApply(std::uint32_t Tid, WeakOpFn &WeakOp)
@@ -282,10 +293,10 @@ class SimplifiedContentionSensitive {
 public:
   using RegisterPolicy = Policy;
 
+  /// Zero \p NumThreads throws std::invalid_argument, as for
+  /// ContentionSensitive.
   explicit SimplifiedContentionSensitive(std::uint32_t NumThreads)
-      : N(NumThreads), Guard(NumThreads) {
-    assert(NumThreads >= 1 && "need at least one process");
-  }
+      : N(checkedThreads(NumThreads)), Guard(NumThreads) {}
 
   /// strong_push_or_pop(par) without the doorway (paper §4.1 Remark).
   template <typename WeakOpFn>
@@ -388,6 +399,16 @@ public:
   }
 
 private:
+  /// Runs before any member is sized: a zero process count would size
+  /// the per-process arrays empty, and the first operation would index
+  /// past them.
+  static std::uint32_t checkedThreads(std::uint32_t NumThreads) {
+    if (NumThreads < 1)
+      throw std::invalid_argument(
+          "SimplifiedContentionSensitive: need at least one process");
+    return NumThreads;
+  }
+
   const std::uint32_t N;
   CacheLinePadded<AtomicRegister<std::uint8_t, Policy>> Contention;
   StarvationFreeLockT Guard;

@@ -26,22 +26,31 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace csobj {
 
 /// Starvation-free contention-sensitive double-ended queue. \p SkeletonT
-/// defaults to the paper's Figure 3 skeleton; the flat-combining skeleton
-/// (perf/CombiningSlowPath.h) plugs in the same way.
+/// defaults to the paper's Figure 3 skeleton; the flat-combining and
+/// crash-tolerant skeletons plug in the same way (see
+/// ContentionSensitiveStack for the contract).
 template <typename Lock = TasLock,
           typename SkeletonT = ContentionSensitive<Lock>>
 class ContentionSensitiveDeque {
 public:
   using Value = ObstructionFreeDeque::Value;
+  using Skeleton = SkeletonT;
 
+  /// \p NumThreads is the paper's n; \p Capacity and \p InitialLeftSlots
+  /// as in ObstructionFreeDeque. Trailing arguments go to the skeleton
+  /// after NumThreads (e.g. the crash-tolerant skeleton's patience).
+  template <typename... SkeletonArgs>
   ContentionSensitiveDeque(std::uint32_t NumThreads, std::uint32_t Capacity,
-                           std::uint32_t InitialLeftSlots = ~std::uint32_t{0})
-      : Weak(Capacity, InitialLeftSlots), Strong(NumThreads) {}
+                           std::uint32_t InitialLeftSlots = ~std::uint32_t{0},
+                           SkeletonArgs &&...Args)
+      : Weak(Capacity, InitialLeftSlots),
+        Strong(NumThreads, std::forward<SkeletonArgs>(Args)...) {}
 
   PushResult pushLeft(std::uint32_t Tid, Value V) {
     return strongPush(Tid, [this, V] { return Weak.tryPushLeft(V); });
@@ -121,8 +130,15 @@ public:
   }
 
   std::uint32_t capacity() const { return Weak.capacity(); }
+  std::uint32_t numThreads() const { return Strong.numThreads(); }
   std::uint32_t sizeForTesting() const { return Weak.sizeForTesting(); }
+
+  /// The underlying HLM object (test/debug aid).
   ObstructionFreeDeque &abortable() { return Weak; }
+
+  /// The strong-operation skeleton (test/debug/stats aid).
+  SkeletonT &skeleton() { return Strong; }
+  const SkeletonT &skeleton() const { return Strong; }
 
   /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
   obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }

@@ -24,13 +24,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace csobj {
 
 /// Starvation-free contention-sensitive bounded FIFO queue. \p SkeletonT
-/// defaults to the paper's Figure 3 skeleton; the flat-combining skeleton
-/// (perf/CombiningSlowPath.h) plugs in the same way.
+/// defaults to the paper's Figure 3 skeleton; the flat-combining and
+/// crash-tolerant skeletons plug in the same way (see
+/// ContentionSensitiveStack for the contract).
 template <typename Config = Compact64, typename Lock = TasLock,
           ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy,
@@ -39,9 +41,16 @@ class ContentionSensitiveQueue {
 public:
   using Value = typename Config::Value;
   using RegisterPolicy = Policy;
+  using Skeleton = SkeletonT;
 
-  ContentionSensitiveQueue(std::uint32_t NumThreads, std::uint32_t Capacity)
-      : Weak(Capacity), Strong(NumThreads) {}
+  /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k.
+  /// Trailing arguments go to the skeleton after NumThreads (e.g. the
+  /// crash-tolerant skeleton's patience).
+  template <typename... SkeletonArgs>
+  ContentionSensitiveQueue(std::uint32_t NumThreads, std::uint32_t Capacity,
+                           SkeletonArgs &&...Args)
+      : Weak(Capacity),
+        Strong(NumThreads, std::forward<SkeletonArgs>(Args)...) {}
 
   /// strong_enqueue(v): Done or Full, never Abort; always terminates.
   PushResult enqueue(std::uint32_t Tid, Value V) {
@@ -134,8 +143,12 @@ public:
   std::uint32_t numThreads() const { return Strong.numThreads(); }
   std::uint32_t sizeForTesting() const { return Weak.sizeForTesting(); }
 
+  /// The underlying Figure 1 object (test/debug aid).
   AbortableQueue<Config, Policy> &abortable() { return Weak; }
+
+  /// The strong-operation skeleton (test/debug/stats aid).
   SkeletonT &skeleton() { return Strong; }
+  const SkeletonT &skeleton() const { return Strong; }
 
   /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
   obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }

@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace csobj {
@@ -42,8 +43,12 @@ namespace csobj {
 /// \tparam Policy   register policy (Instrumented / Fast).
 /// \tparam SkeletonT the strong-operation skeleton. The default is the
 ///         paper's Figure 3; any type with the same constructor and
-///         strongApply contract plugs in (e.g. the flat-combining
-///         skeleton in perf/CombiningSlowPath.h).
+///         strongApply contract plugs in (the flat-combining skeleton in
+///         perf/CombiningSlowPath.h, the crash-tolerant one in
+///         core/CrashTolerant.h). The group operations also need
+///         strongApplyBatch and footprintBytes needs heapBytes; a member
+///         is compiled only when called, so a skeleton without them
+///         still serves push/pop.
 template <typename Config = Compact64, typename Lock = TasLock,
           ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy,
@@ -52,11 +57,17 @@ class ContentionSensitiveStack {
 public:
   using Value = typename Config::Value;
   using RegisterPolicy = Policy;
+  using Skeleton = SkeletonT;
   static constexpr Value Bottom = AbortableStack<Config, Policy>::Bottom;
 
   /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k.
-  ContentionSensitiveStack(std::uint32_t NumThreads, std::uint32_t Capacity)
-      : Weak(Capacity), Strong(NumThreads) {}
+  /// Trailing arguments go to the skeleton after NumThreads (e.g. the
+  /// crash-tolerant skeleton's patience).
+  template <typename... SkeletonArgs>
+  ContentionSensitiveStack(std::uint32_t NumThreads, std::uint32_t Capacity,
+                           SkeletonArgs &&...Args)
+      : Weak(Capacity),
+        Strong(NumThreads, std::forward<SkeletonArgs>(Args)...) {}
 
   /// strong_push(v): Done or Full, never Abort; always terminates.
   PushResult push(std::uint32_t Tid, Value V) {
@@ -155,8 +166,9 @@ public:
   /// The underlying Figure 1 object (test/debug aid).
   AbortableStack<Config, Policy> &abortable() { return Weak; }
 
-  /// The strong-operation skeleton (test/debug aid).
+  /// The strong-operation skeleton (test/debug/stats aid).
   SkeletonT &skeleton() { return Strong; }
+  const SkeletonT &skeleton() const { return Strong; }
 
   /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
   obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }

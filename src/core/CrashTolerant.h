@@ -60,6 +60,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 
 namespace csobj {
 
@@ -105,13 +106,14 @@ public:
 
   /// \p NumThreads is the paper's n; \p Patience bounds, in consecutive
   /// observations of an unchanged doorway turn or lock lease, how long a
-  /// slow-path operation waits before suspecting and degrading.
+  /// slow-path operation waits before suspecting and degrading. Zero
+  /// \p NumThreads throws std::invalid_argument (a hard check, kept
+  /// under NDEBUG).
   explicit CrashTolerantContentionSensitive(
       std::uint32_t NumThreads, std::uint32_t Patience = DefaultPatience)
-      : N(NumThreads), Patience(Patience), Suspects(NumThreads),
-        Arbiter(NumThreads, Suspects), Guard(NumThreads, &Suspects) {
-    assert(NumThreads >= 1 && "need at least one process");
-  }
+      : N(checkedThreads(NumThreads)), Patience(Patience),
+        Suspects(NumThreads), Arbiter(NumThreads, Suspects),
+        Guard(NumThreads, &Suspects) {}
 
   /// strong_push_or_pop(par) with graceful degradation. Same contract as
   /// ContentionSensitive::strongApply — never returns bottom, always
@@ -197,6 +199,16 @@ public:
   LeasedLockT<Policy> &guard() { return Guard; }
 
 private:
+  /// Runs before any member is sized: a zero process count would size
+  /// the per-process arrays empty, and the first operation would index
+  /// past them.
+  static std::uint32_t checkedThreads(std::uint32_t NumThreads) {
+    if (NumThreads < 1)
+      throw std::invalid_argument(
+          "CrashTolerantContentionSensitive: need at least one process");
+    return NumThreads;
+  }
+
   /// Degraded mode: the Figure 2 non-blocking retry loop. Lock-free —
   /// a weak attempt only aborts because a rival operation's C&S
   /// succeeded, so system-wide progress is preserved even with the lock

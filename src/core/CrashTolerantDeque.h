@@ -18,16 +18,17 @@
 /// can abort each other indefinitely under an adversarial schedule, so
 /// lock-freedom here really does lean on a rival completing.
 ///
+/// ContentionSensitiveDeque with the crash-tolerant skeleton plugged in;
+/// the argument after InitialLeftSlots is the skeleton's patience. See
+/// core/CrashTolerantStack.h for the members it lacks.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSOBJ_CORE_CRASHTOLERANTDEQUE_H
 #define CSOBJ_CORE_CRASHTOLERANTDEQUE_H
 
+#include "core/ContentionSensitiveDeque.h"
 #include "core/CrashTolerant.h"
-#include "core/ObstructionFreeDeque.h"
-
-#include <cstdint>
-#include <optional>
 
 namespace csobj {
 
@@ -40,74 +41,9 @@ namespace csobj {
 ///         instrumented-by-default like the rest of the deque family).
 template <ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy>
-class CrashTolerantDeque {
-public:
-  using Value = ObstructionFreeDeque::Value;
-  using Skeleton = CrashTolerantContentionSensitive<Manager, Policy>;
-  using RegisterPolicy = Policy;
-
-  /// \p NumThreads is the paper's n; \p Capacity and \p InitialLeftSlots
-  /// as in ObstructionFreeDeque; \p Patience bounds slow-path waiting.
-  CrashTolerantDeque(std::uint32_t NumThreads, std::uint32_t Capacity,
-                     std::uint32_t InitialLeftSlots = ~std::uint32_t{0},
-                     std::uint32_t Patience = Skeleton::DefaultPatience)
-      : Weak(Capacity, InitialLeftSlots), Strong(NumThreads, Patience) {}
-
-  PushResult pushLeft(std::uint32_t Tid, Value V) {
-    return strongPush(Tid, [this, V] { return Weak.tryPushLeft(V); });
-  }
-  PushResult pushRight(std::uint32_t Tid, Value V) {
-    return strongPush(Tid, [this, V] { return Weak.tryPushRight(V); });
-  }
-  PopResult<Value> popLeft(std::uint32_t Tid) {
-    return strongPop(Tid, [this] { return Weak.tryPopLeft(); });
-  }
-  PopResult<Value> popRight(std::uint32_t Tid) {
-    return strongPop(Tid, [this] { return Weak.tryPopRight(); });
-  }
-
-  std::uint32_t capacity() const { return Weak.capacity(); }
-  std::uint32_t numThreads() const { return Strong.numThreads(); }
-  std::uint32_t sizeForTesting() const { return Weak.sizeForTesting(); }
-
-  /// The underlying HLM object (test/debug aid).
-  ObstructionFreeDeque &abortable() { return Weak; }
-
-  /// The crash-tolerant skeleton (test/debug/stats aid).
-  Skeleton &skeleton() { return Strong; }
-  const Skeleton &skeleton() const { return Strong; }
-
-  /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
-  obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }
-  obs::Path lastPath(std::uint32_t Tid) const {
-    return Strong.metrics().lastPath(Tid);
-  }
-
-private:
-  template <typename AttemptFn>
-  PushResult strongPush(std::uint32_t Tid, AttemptFn Attempt) {
-    return Strong.strongApply(Tid, [&]() -> std::optional<PushResult> {
-      const PushResult Res = Attempt();
-      if (Res == PushResult::Abort)
-        return std::nullopt; // res = bottom
-      return Res;
-    });
-  }
-
-  template <typename AttemptFn>
-  PopResult<Value> strongPop(std::uint32_t Tid, AttemptFn Attempt) {
-    return Strong.strongApply(
-        Tid, [&]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Attempt();
-          if (Res.isAbort())
-            return std::nullopt; // res = bottom
-          return Res;
-        });
-  }
-
-  ObstructionFreeDeque Weak;
-  Skeleton Strong;
-};
+using CrashTolerantDeque =
+    ContentionSensitiveDeque<TasLock,
+                             CrashTolerantContentionSensitive<Manager, Policy>>;
 
 } // namespace csobj
 

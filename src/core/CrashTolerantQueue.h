@@ -16,16 +16,17 @@
 /// degrading starvation-freedom to lock-freedom instead of losing
 /// progress altogether.
 ///
+/// ContentionSensitiveQueue with the crash-tolerant skeleton plugged in;
+/// see core/CrashTolerantStack.h for the constructor and the members it
+/// lacks.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSOBJ_CORE_CRASHTOLERANTQUEUE_H
 #define CSOBJ_CORE_CRASHTOLERANTQUEUE_H
 
-#include "core/AbortableQueue.h"
+#include "core/ContentionSensitiveQueue.h"
 #include "core/CrashTolerant.h"
-
-#include <cstdint>
-#include <optional>
 
 namespace csobj {
 
@@ -37,63 +38,9 @@ namespace csobj {
 /// \tparam Policy  register policy (Instrumented / Fast).
 template <typename Config = Compact64, ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy>
-class CrashTolerantQueue {
-public:
-  using Value = typename Config::Value;
-  using Skeleton = CrashTolerantContentionSensitive<Manager, Policy>;
-  using RegisterPolicy = Policy;
-  static constexpr Value Bottom = AbortableQueue<Config, Policy>::Bottom;
-
-  /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k;
-  /// \p Patience bounds slow-path waiting (see CrashTolerant.h).
-  CrashTolerantQueue(std::uint32_t NumThreads, std::uint32_t Capacity,
-                     std::uint32_t Patience = Skeleton::DefaultPatience)
-      : Weak(Capacity), Strong(NumThreads, Patience) {}
-
-  /// strong_enqueue(v): Done or Full, never Abort; terminates even when
-  /// other processes crash mid-operation.
-  PushResult enqueue(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(Tid, [this, V]() -> std::optional<PushResult> {
-      const PushResult Res = Weak.weakEnqueue(V);
-      if (Res == PushResult::Abort)
-        return std::nullopt; // res = bottom
-      return Res;
-    });
-  }
-
-  /// strong_dequeue(): the oldest value or Empty, never Abort;
-  /// terminates even when other processes crash mid-operation.
-  PopResult<Value> dequeue(std::uint32_t Tid) {
-    return Strong.strongApply(
-        Tid, [this]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakDequeue();
-          if (Res.isAbort())
-            return std::nullopt; // res = bottom
-          return Res;
-        });
-  }
-
-  std::uint32_t capacity() const { return Weak.capacity(); }
-  std::uint32_t numThreads() const { return Strong.numThreads(); }
-  std::uint32_t sizeForTesting() const { return Weak.sizeForTesting(); }
-
-  /// The underlying Figure 1 object (test/debug aid).
-  AbortableQueue<Config, Policy> &abortable() { return Weak; }
-
-  /// The crash-tolerant skeleton (test/debug/stats aid).
-  Skeleton &skeleton() { return Strong; }
-  const Skeleton &skeleton() const { return Strong; }
-
-  /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
-  obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }
-  obs::Path lastPath(std::uint32_t Tid) const {
-    return Strong.metrics().lastPath(Tid);
-  }
-
-private:
-  AbortableQueue<Config, Policy> Weak;
-  Skeleton Strong;
-};
+using CrashTolerantQueue =
+    ContentionSensitiveQueue<Config, TasLock, Manager, Policy,
+                             CrashTolerantContentionSensitive<Manager, Policy>>;
 
 } // namespace csobj
 

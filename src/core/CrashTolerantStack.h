@@ -15,16 +15,21 @@
 /// progress degrades from starvation-free to lock-free instead of
 /// vanishing, and every degradation is counted.
 ///
+/// Only the skeleton differs from ContentionSensitiveStack, so this is
+/// that wrapper with the crash-tolerant skeleton plugged in, as
+/// perf/CombiningObjects.h does for combining; the wrapper's Lock
+/// parameter is vestigial (the skeleton holds its own leased lock). A
+/// third constructor argument is the skeleton's patience. The group
+/// operations and footprintBytes are not available: the crash-tolerant
+/// skeleton has no group seam and does not report its heap.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSOBJ_CORE_CRASHTOLERANTSTACK_H
 #define CSOBJ_CORE_CRASHTOLERANTSTACK_H
 
-#include "core/AbortableStack.h"
+#include "core/ContentionSensitiveStack.h"
 #include "core/CrashTolerant.h"
-
-#include <cstdint>
-#include <optional>
 
 namespace csobj {
 
@@ -36,63 +41,9 @@ namespace csobj {
 /// \tparam Policy  register policy (Instrumented / Fast).
 template <typename Config = Compact64, ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy>
-class CrashTolerantStack {
-public:
-  using Value = typename Config::Value;
-  using Skeleton = CrashTolerantContentionSensitive<Manager, Policy>;
-  using RegisterPolicy = Policy;
-  static constexpr Value Bottom = AbortableStack<Config, Policy>::Bottom;
-
-  /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k;
-  /// \p Patience bounds slow-path waiting (see CrashTolerant.h).
-  CrashTolerantStack(std::uint32_t NumThreads, std::uint32_t Capacity,
-                     std::uint32_t Patience = Skeleton::DefaultPatience)
-      : Weak(Capacity), Strong(NumThreads, Patience) {}
-
-  /// strong_push(v): Done or Full, never Abort; terminates even when
-  /// other processes crash mid-operation.
-  PushResult push(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(Tid, [this, V]() -> std::optional<PushResult> {
-      const PushResult Res = Weak.weakPush(V);
-      if (Res == PushResult::Abort)
-        return std::nullopt; // res = bottom
-      return Res;
-    });
-  }
-
-  /// strong_pop(): a value or Empty, never Abort; terminates even when
-  /// other processes crash mid-operation.
-  PopResult<Value> pop(std::uint32_t Tid) {
-    return Strong.strongApply(
-        Tid, [this]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakPop();
-          if (Res.isAbort())
-            return std::nullopt; // res = bottom
-          return Res;
-        });
-  }
-
-  std::uint32_t capacity() const { return Weak.capacity(); }
-  std::uint32_t numThreads() const { return Strong.numThreads(); }
-  std::uint32_t sizeForTesting() const { return Weak.sizeForTesting(); }
-
-  /// The underlying Figure 1 object (test/debug aid).
-  AbortableStack<Config, Policy> &abortable() { return Weak; }
-
-  /// The crash-tolerant skeleton (test/debug/stats aid).
-  Skeleton &skeleton() { return Strong; }
-  const Skeleton &skeleton() const { return Strong; }
-
-  /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
-  obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }
-  obs::Path lastPath(std::uint32_t Tid) const {
-    return Strong.metrics().lastPath(Tid);
-  }
-
-private:
-  AbortableStack<Config, Policy> Weak;
-  Skeleton Strong;
-};
+using CrashTolerantStack =
+    ContentionSensitiveStack<Config, TasLock, Manager, Policy,
+                             CrashTolerantContentionSensitive<Manager, Policy>>;
 
 } // namespace csobj
 

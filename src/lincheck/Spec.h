@@ -87,8 +87,8 @@ private:
 
 /// Sequential bounded *bag* (pool): pop returns some pushed-but-unpopped
 /// element, with no ordering constraint. This is the specification of
-/// the sharded stack (perf/ShardedStack.h), whose pops follow per-shard
-/// LIFO order but not a global one. State = sorted multiset, which is
+/// the sharded stack (perf/AdaptiveShardedStack.h), whose pops follow
+/// per-shard LIFO order but not a global one. State = sorted multiset, which is
 /// also its canonical memo key.
 class BoundedBagSpec {
 public:

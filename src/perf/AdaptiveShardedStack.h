@@ -5,21 +5,65 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A runtime-sharded facade over per-shard Figure 3 stacks: the static
-/// ShardedStack<N> splits contention N ways but pays the multi-shard
-/// probe forever, even solo. Here the shard *mask* adapts: `Active` of
-/// the MaxShards constructed shards accept traffic, and a ShardController
-/// samples PathSnapshot deltas to grow the mask under lock-path pressure,
-/// shrink it back when the delta is shortcut-dominant, and retune the
-/// elimination gate's spin budget from the pairing rate. At Active == 1
-/// every operation is a plain Figure 3 operation on shard 0 — exactly six
-/// shared accesses solo, oracle-checked (perf_test, E18).
+/// N Figure 3 stacks (each with its own TOP, CONTENTION, doorway and
+/// lock) behind one push/pop facade, with an elimination array balancing
+/// load between them. The shard *mask* adapts: `Active` of the MaxShards
+/// constructed shards accept traffic, and a ShardController samples
+/// PathSnapshot deltas to grow the mask under lock-path pressure, shrink
+/// it back when the delta is shortcut-dominant, and retune the
+/// elimination gate's spin budget from the pairing rate. Threads start
+/// probing at their home shard (Tid mod Active), so at low thread counts
+/// each shard behaves like a solo Figure 3 stack — six shared accesses,
+/// no lock — while at high thread counts contention splits Active ways.
+/// At Active == 1 every operation is a plain Figure 3 operation on
+/// shard 0 — exactly six shared accesses solo, oracle-checked
+/// (perf_test, E18).
 ///
-/// Semantics are ShardedStack's bag with one sharpening: observable
-/// capacity is ALWAYS TotalCapacity. A push that finds every *active*
-/// shard full does not certify Full while growth is possible — it
-/// activates another shard and re-probes; Full can only be certified at
-/// the full mask.
+/// The static N-shard bag is this facade built at the full mask
+/// (InitialShards == MaxShards == N) with the controller off
+/// (ShardControllerConfig::TickOps == 0). A push grows only below the
+/// full mask and nothing ticks, so the mask and the epoch never move; the
+/// probe order, both elimination seams and the Full/Empty double collect
+/// are then those of a fixed N-shard bag. The configuration words add
+/// only loads of plain atomics, which the access oracle does not see. It
+/// pays the multi-shard probe on every boundary answer, even solo; E18
+/// compares it with the adaptive mask.
+///
+/// Semantics: a *bag* (pool) with capacity TotalCapacity, not a LIFO
+/// stack — pops return some pushed-but-unpopped element (per-shard LIFO
+/// order only). This is the standard trade for sharding; the conformance
+/// battery checks it against BoundedBagSpec, and stress tests check
+/// element conservation. Observable capacity is ALWAYS TotalCapacity: a
+/// push that finds every *active* shard full does not certify Full while
+/// growth is possible — it activates another shard and re-probes; Full
+/// can only be certified at the full mask. Full/Empty answers remain
+/// total and linearizable:
+///
+///  * push returns Full only on an *all-full simultaneous witness*: the
+///    packed TOP words of all shards (each carrying a sequence number
+///    bumped by every successful operation) are collected twice; if the
+///    second collect equals the first word-for-word and every word shows
+///    index == k/N, then no successful operation executed anywhere in
+///    the window, so there is an instant at which every shard — hence
+///    the bag — was full. Eliminated pairs do not bump TOP but are
+///    net-zero (a push immediately consumed by a pop), so they cannot
+///    invalidate the witness. Pop's Empty answer is symmetric.
+///  * a matched elimination pair linearizes push;pop at the matcher's
+///    gate read of the home shard's TOP showing index < k/N — a
+///    bag-not-full witness (see perf/EliminatingStack.h; the argument
+///    carries over verbatim because a bag push only needs "not full").
+///
+/// The elimination array is armed at TWO seams. The home-shard probe
+/// runs through the shard skeleton's rescue window
+/// (strongApplyWithRescue): when the shortcut fails — CONTENTION up or
+/// a weak attempt aborted — the op tries to pair with an inverse op
+/// *before* competing for the shard's lock. This is the inter-shard
+/// balancer: it fires under ordinary mixed load, not only at capacity
+/// boundaries. The facade seam additionally tries elimination after
+/// every active shard answered Full/Empty, before growing or
+/// certifying. Early versions armed only the facade seam, and E12
+/// measured elimination_exchanges == 0 — the boundary is never reached
+/// in a half-full bag, so the balancer never ran.
 ///
 /// Reconfiguration protocol (all configuration words — Active, Epoch,
 /// the controller tick counter — are plain std::atomics, the same
@@ -46,12 +90,21 @@
 /// was empty, which a mask-only collect cannot do while retirement is
 /// lazy (a straggler in a retired shard would be invisible to it).
 ///
-/// Progress: as ShardedStack — per-shard operations are starvation-free,
-/// boundary answers are obstruction-free (re-probe on movement, now also
-/// on reconfiguration), and failed boundary rounds take the same
-/// randomized backoff so a chaser surrenders its timeslice instead of
-/// hot-spinning through the churn. DESIGN.md "Adaptive sharding control
-/// loop".
+/// Progress: each shard operation is starvation-free (Theorem 1 applies
+/// per shard), but the outer probe loop restarts when the double collect
+/// detects movement or reconfiguration, so the facade as a whole is only
+/// obstruction-free at the boundary cases — against a storm of
+/// successful operations on other shards, a Full/Empty answer can be
+/// deferred indefinitely. In return, non-boundary operations never help
+/// and never wait on other shards. DESIGN.md places this on the
+/// progress-downgrade lattice ("Adaptive sharding control loop").
+/// Failed boundary rounds back off (randomized exponential, yielding
+/// past the cap): on an oversubscribed host the chaser's hot spin is
+/// precisely what starves the operations that would quiesce the bag, so
+/// surrendering the timeslice is both a courtesy and the fastest route
+/// to a stable witness. The soak harness's per-op watchdog caught the
+/// unthrottled loop chasing a churning near-boundary bag past its
+/// deadline; the backoff is off the solo path (first probe succeeds).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,8 +146,9 @@ public:
 
   /// \p TotalCapacity must divide evenly across MaxShards and give each
   /// shard at least one slot; \p InitialShards must lie in
-  /// [1, MaxShards]. Violations throw std::invalid_argument (hard
-  /// checks, as ShardedStack).
+  /// [1, MaxShards]. Violations throw std::invalid_argument — hard
+  /// checks, not asserts, because an NDEBUG build would otherwise
+  /// silently construct a zero-capacity or capacity-losing bag.
   AdaptiveShardedStack(std::uint32_t NumThreads, std::uint32_t TotalCapacity,
                        std::uint32_t InitialShards = 1,
                        std::uint32_t SlotCount = 4,
@@ -125,10 +179,13 @@ public:
     return Res;
   }
 
-  /// Group push over the active mask: each active shard applies a chunk
-  /// through its own group seam, leftovers fall back to the facade's
-  /// per-element push (booked as group work, as ShardedStack). Returns
-  /// the number pushed.
+  /// Group push over the active mask: each active shard applies its
+  /// chunk through its own group seam (one lock tenure per shard
+  /// touched, not per element). Leftovers (every active shard answered
+  /// Full mid-batch) fall back to the facade's per-element push, so
+  /// elimination, growth and the all-full certificate still apply;
+  /// stops at the first total Full answer. Returns the number pushed (a
+  /// prefix of Vs lands in the bag).
   std::size_t push_all(std::uint32_t Tid, const Value *Vs,
                        std::size_t Count) {
     const std::uint32_t A = activeShards();
@@ -194,12 +251,13 @@ public:
 
   const ShardController &controller() const { return Ctl; }
 
-  /// Test knob: route facade ops through the elimination array first
-  /// (as ShardedStack::forceBalancerForTesting).
+  /// Test knob: route every facade op through the elimination array
+  /// first, so a directed schedule can force an exchange without racing
+  /// the shards.
   void forceBalancerForTesting(bool Force) { ForceBalance = Force; }
 
-  /// Exposes the slot-probe hint stream (two-instance divergence
-  /// regression).
+  /// Exposes the slot-probe hint stream so the two-instance divergence
+  /// regression can observe it without racing the rendezvous machinery.
   std::uint64_t slotHintForTesting(std::uint32_t Tid) {
     return slotHint(Tid);
   }
@@ -228,9 +286,10 @@ public:
   }
 
   /// Facade sink + every shard skeleton, retired shards included (their
-  /// history must stay counted across reconfigurations). As with
-  /// ShardedStack, Ops >= the harness's op count (one facade op may
-  /// enter several shard skeletons); conservation holds per sink.
+  /// history must stay counted across reconfigurations). One facade op
+  /// may enter several shard skeletons, so Ops here is >= the harness's
+  /// op count; the conservation law (Ops == Σ paths) still holds because
+  /// each sink's entries and exits balance independently.
   obs::PathSnapshot pathSnapshot() const {
     obs::PathSnapshot Total = Sink.snapshot();
     for (std::uint32_t S = 0; S < MaxShards; ++S)
@@ -302,9 +361,11 @@ private:
       if (certify(/*WantFull=*/true, Straggler) == Witness::Certified)
         return PushResult::Full;
       // Movement or reconfiguration raced the witness: re-probe after a
-      // randomized backoff (as ShardedStack — the boundary witness is
-      // only obstruction-free, and hot-spinning through the churn is
-      // what starves the ops that would quiesce the bag).
+      // randomized backoff (the boundary witness is only
+      // obstruction-free, and hot-spinning through the churn is what
+      // starves the ops that would quiesce the bag). The backoff is
+      // built lazily: the solo path never gets here, and construction
+      // draws a per-thread RNG seed.
       if (!Boundary)
         Boundary.emplace();
       Boundary->onFailure();
@@ -355,9 +416,14 @@ private:
     }
   }
 
-  /// Home-shard probe with the balancer armed as the skeleton's rescue
-  /// window (as ShardedStack::balancedPush — the solo fast path never
-  /// invokes the rescue, preserving the six-access bound).
+  /// Home-shard probe with the inter-shard balancer armed as the
+  /// skeleton's rescue window: a failed shortcut tries to hand the value
+  /// to a concurrent pop before competing for the shard's lock. The
+  /// contention-free execution is untouched (rescue never invoked), so
+  /// the solo six-access bound is preserved. Pairing books into the
+  /// shard skeleton's sink — strongApplyWithRescue books the Eliminated
+  /// path, the rescue lambda books the matching event, so per-sink
+  /// conservation stays exact.
   PushResult balancedPush(std::uint32_t Tid, std::uint32_t S, Value V) {
     Shard &Sh = shard(S);
     return Sh.skeleton().strongApplyWithRescue(
@@ -413,9 +479,14 @@ private:
     Sink.onEvent(Tid, E);
   }
 
-  /// Books batch elements that landed through the per-element fallback
-  /// as facade-level group work (same fix and rationale as
-  /// ShardedStack::bookBatchFallback).
+  /// Books \p Fallback batch elements that landed through the facade's
+  /// per-element boundary loop instead of a shard group seam. The shard
+  /// skeletons already retired those entries on their own (non-batched)
+  /// paths, so without this the group's path_batched / group-size
+  /// histogram under-report exactly the fallback suffix; one facade-level
+  /// group booking restores "every element of a group API call is
+  /// counted as group work" while keeping each sink's conservation law
+  /// intact (ops and paths are added in balance).
   void bookBatchFallback(std::uint32_t Tid, std::size_t Fallback) {
     if (Fallback == 0)
       return;
@@ -536,8 +607,11 @@ private:
     TickBusy.store(false, std::memory_order_release);
   }
 
-  /// Slot-probe hint, per-instance decorrelated (see
-  /// ShardedStack::slotHint).
+  /// Slot-probe hint: home-biased by Tid, advanced per probe, and
+  /// decorrelated between facade instances by the per-object nonce (the
+  /// bare thread_local counter restarts identically in every fresh
+  /// thread, so without the nonce two unrelated facades probe the same
+  /// slot sequence).
   std::uint64_t slotHint(std::uint32_t Tid) {
     static thread_local std::uint64_t Counter = 0;
     return (static_cast<std::uint64_t>(Tid) << 32) ^ SlotNonce ^ Counter++;

@@ -71,6 +71,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 namespace csobj {
 
@@ -84,11 +85,13 @@ public:
   using RegisterPolicy = Policy;
 
   /// \p NumThreads is the paper's n. \p CombineRounds is how many sweeps
-  /// over the publication list a combiner performs before retiring.
+  /// over the publication list a combiner performs before retiring. Zero
+  /// \p NumThreads throws std::invalid_argument (a hard check, kept under
+  /// NDEBUG).
   explicit CombiningContentionSensitive(std::uint32_t NumThreads,
                                         std::uint32_t CombineRounds = 2)
-      : N(NumThreads), Rounds(CombineRounds), Records(new Record[NumThreads]) {
-    assert(NumThreads >= 1 && "need at least one process");
+      : N(checkedThreads(NumThreads)), Rounds(CombineRounds),
+        Records(new Record[NumThreads]) {
     assert(CombineRounds >= 1 && "combiner must sweep at least once");
   }
 
@@ -239,6 +242,16 @@ public:
   };
 
 private:
+  /// Runs before any member is sized: a zero process count would size
+  /// the per-process arrays empty, and the first operation would index
+  /// past them.
+  static std::uint32_t checkedThreads(std::uint32_t NumThreads) {
+    if (NumThreads < 1)
+      throw std::invalid_argument(
+          "CombiningContentionSensitive: need at least one process");
+    return NumThreads;
+  }
+
   enum : std::uint8_t { EmptyRec = 0, Pending = 1, Ready = 2 };
 
   /// Type-erased request: lives on the publisher's stack; the publisher

@@ -32,7 +32,6 @@
 #include "memory/ChaosHook.h"
 #include "perf/AdaptiveShardedStack.h"
 #include "perf/CombiningObjects.h"
-#include "perf/ShardedStack.h"
 #include "runtime/SpinBarrier.h"
 #include "sched/InterleaveScheduler.h"
 #include "support/SplitMix64.h"
@@ -566,8 +565,13 @@ TEST(BatchAccounting, ConservationHoldsUnderMixedChaosCombining) {
 // Sharded facade: batches fan out across shards, leftovers stay correct
 //===----------------------------------------------------------------------===
 
+/// The static bag is the sharded facade at its full mask with this
+/// controller: no auto-ticks, so the mask never moves.
+constexpr ShardControllerConfig ControllerOff{.TickOps = 0};
+
 TEST(BatchSharded, BatchFansOutAcrossShardsAndConserves) {
-  ShardedStack<2> S(2, 8, /*SlotCount=*/1, /*SpinBudget=*/4);
+  AdaptiveShardedStack<2> S(2, 8, /*InitialShards=*/2, /*SlotCount=*/1,
+                            /*SpinBudget=*/4, ControllerOff);
   std::uint32_t Vs[10];
   for (std::uint32_t I = 0; I < 10; ++I)
     Vs[I] = I + 1;
@@ -599,7 +603,8 @@ TEST(BatchSharded, BatchFansOutAcrossShardsAndConserves) {
 /// and the group histogram while conservation still held — so this test
 /// pins the group-accounting claim itself, not just conserves().
 TEST(BatchSharded, FallbackSuffixIsBookedAsGroupWork) {
-  ShardedStack<2> S(2, 4, /*SlotCount=*/1, /*SpinBudget=*/8);
+  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
+                            /*SpinBudget=*/8, ControllerOff);
   S.forceBalancerForTesting(true);
   std::optional<PushResult> Pushed;
   std::uint32_t Out[2] = {};
@@ -639,8 +644,8 @@ TEST(BatchSharded, FallbackSuffixIsBookedAsGroupWork) {
   }
 }
 
-/// The same accounting seam on the adaptive facade (its push_all/pop_all
-/// share the fix).
+/// The same accounting seam below the full mask, where the fallback
+/// pushes grow the mask.
 TEST(BatchSharded, AdaptiveFacadeBatchesFanOutAndConserve) {
   AdaptiveShardedStack<2> S(2, 8, /*InitialShards=*/1, /*SlotCount=*/1,
                             /*SpinBudget=*/4);
@@ -704,7 +709,8 @@ TEST(BatchAccessCounts, SoloQueueCounterShardedBatchesMatchSoloRates) {
   EXPECT_EQ(countAccesses([&] { (void)C.add_all(0, Deltas, 4); }).total(),
             12u)
       << "counter solo ops cost 3 accesses each";
-  ShardedStack<2> Sh(2, 8);
+  AdaptiveShardedStack<2> Sh(2, 8, /*InitialShards=*/2, /*SlotCount=*/4,
+                             /*SpinBudget=*/64, ControllerOff);
   // The whole batch fits the home shard: six accesses per element.
   EXPECT_EQ(countAccesses([&] { (void)Sh.push_all(0, Vs, 4); }).total(),
             24u);

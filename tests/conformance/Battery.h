@@ -71,7 +71,6 @@
 #include "perf/AdaptiveShardedStack.h"
 #include "perf/CombiningObjects.h"
 #include "perf/EliminatingStack.h"
-#include "perf/ShardedStack.h"
 #include "locks/LockTraits.h"
 #include "locks/StarvationFreeLock.h"
 #include "locks/TasLock.h"
@@ -639,13 +638,16 @@ struct CombiningDequeAdapter {
   }
 };
 
+/// The static two-shard bag: the adaptive facade at its full mask with
+/// the controller off, so the mask and the epoch never move.
 struct ShardedStackAdapter {
-  using Object = ShardedStack<2>;
+  using Object = AdaptiveShardedStack<2>;
   static constexpr bool Strong = true;
   static std::unique_ptr<Object> make(std::uint32_t Threads,
                                       std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity, /*SlotCount=*/1,
-                                    /*SpinBudget=*/8);
+    return std::make_unique<Object>(Threads, Capacity, /*InitialShards=*/2,
+                                    /*SlotCount=*/1, /*SpinBudget=*/8,
+                                    ShardControllerConfig{.TickOps = 0});
   }
   static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
     return O.push(Tid, V);

@@ -35,6 +35,8 @@
 #include "core/AbortableStack.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/CrashTolerant.h"
+#include "core/CrashTolerantDeque.h"
+#include "core/CrashTolerantQueue.h"
 #include "core/CrashTolerantStack.h"
 #include "lincheck/Checker.h"
 #include "lincheck/History.h"
@@ -534,6 +536,24 @@ TEST(CrashTolerantTest, FastPathKeepsTheSixAccessBound) {
   EXPECT_EQ(Stats.DoorwayTimeouts, 0u);
   EXPECT_EQ(Stats.LeaseTimeouts, 0u);
   EXPECT_EQ(Stats.ProtectedOps, 0u);
+}
+
+/// The crash-tolerant objects are the contention-sensitive wrappers with
+/// this skeleton plugged in: the constructor argument after the wrapper's
+/// own reaches the skeleton as its patience, and leaving it out keeps the
+/// skeleton's default.
+TEST(CrashTolerantTest, WrappersForwardPatienceToTheSkeleton) {
+  EXPECT_EQ(CrashTolerantStack<>(2, 8, /*Patience=*/5).skeleton().patience(),
+            5u);
+  EXPECT_EQ(CrashTolerantQueue<>(2, 8, /*Patience=*/6).skeleton().patience(),
+            6u);
+  EXPECT_EQ(CrashTolerantDeque<>(2, 8, /*InitialLeftSlots=*/4,
+                                 /*Patience=*/7)
+                .skeleton()
+                .patience(),
+            7u);
+  EXPECT_EQ(CrashTolerantStack<>(2, 8).skeleton().patience(),
+            CrashTolerantContentionSensitive<>::DefaultPatience);
 }
 
 TEST(CrashTolerantTest, ForcedSlowPathCompletesProtected) {

@@ -14,9 +14,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "baselines/LockedMap.h"
+#include "core/CrashTolerantStack.h"
 #include "core/SkipListCore.h"
 #include "faults/FaultInjector.h"
 #include "faults/FaultPlan.h"
+#include "locks/TicketLock.h"
 #include "memory/AccessCounter.h"
 #include "memory/ChaosHook.h"
 #include "perf/AdaptiveShardedStack.h"
@@ -24,7 +26,6 @@
 #include "perf/EliminatingStack.h"
 #include "perf/EliminationArray.h"
 #include "perf/ShardController.h"
-#include "perf/ShardedStack.h"
 #include "runtime/SpinBarrier.h"
 #include "sched/InterleaveScheduler.h"
 #include "support/CacheLine.h"
@@ -226,8 +227,14 @@ TEST(Combining, CounterExactSumUnderThreads) {
 // Sharded stack: bag semantics at the boundaries
 //===----------------------------------------------------------------------===
 
+/// The static N-shard bag is the sharded facade built at its full mask
+/// (InitialShards == N) with this controller: no auto-ticks, so the mask
+/// and the epoch never move.
+constexpr ShardControllerConfig ControllerOff{.TickOps = 0};
+
 TEST(ShardedStack, SoloFillDrainCrossesBothEdges) {
-  ShardedStack<2> S(2, 4, /*SlotCount=*/1, /*SpinBudget=*/4);
+  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
+                            /*SpinBudget=*/4, ControllerOff);
   EXPECT_EQ(S.capacity(), 4u);
   EXPECT_EQ(S.shardCapacity(), 2u);
   for (std::uint32_t V = 1; V <= 4; ++V)
@@ -252,7 +259,8 @@ TEST(ShardedStack, SoloFillDrainCrossesBothEdges) {
 }
 
 TEST(ShardedStack, OverflowSpillsToNeighbourShard) {
-  ShardedStack<2> S(2, 4, 1, 4);
+  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
+                            /*SpinBudget=*/4, ControllerOff);
   // All pushes from thread 0 (home shard 0): the third and fourth must
   // spill into shard 1.
   for (std::uint32_t V = 1; V <= 4; ++V)
@@ -264,7 +272,9 @@ TEST(ShardedStack, OverflowSpillsToNeighbourShard) {
 TEST(ShardedStack, StressConservesElements) {
   constexpr std::uint32_t Threads = 4;
   constexpr std::uint32_t OpsPerThread = 512;
-  ShardedStack<2> S(Threads, 8, /*SlotCount=*/2, /*SpinBudget=*/16);
+  AdaptiveShardedStack<2> S(Threads, 8, /*InitialShards=*/2,
+                            /*SlotCount=*/2, /*SpinBudget=*/16,
+                            ControllerOff);
   std::vector<std::int64_t> Balance(Threads, 0);
   SpinBarrier Barrier(Threads);
   std::vector<std::thread> Workers;
@@ -292,6 +302,15 @@ TEST(ShardedStack, StressConservesElements) {
   ASSERT_GE(Net, 0);
   EXPECT_EQ(S.sizeForTesting(), static_cast<std::uint32_t>(Net))
       << "pushes minus pops must equal the residual size";
+  // The controller stayed off: a change to the control loop must not
+  // start moving the static rows of E12 and E18.
+  EXPECT_EQ(S.activeShards(), 2u);
+  EXPECT_EQ(S.reconfigEpoch(), 0u);
+  const obs::PathSnapshot Snap = S.pathSnapshot();
+  EXPECT_EQ(Snap.event(obs::Event::ShardGrow), 0u);
+  EXPECT_EQ(Snap.event(obs::Event::ShardShrink), 0u);
+  EXPECT_EQ(Snap.event(obs::Event::GateWiden), 0u);
+  EXPECT_EQ(Snap.event(obs::Event::GateNarrow), 0u);
 }
 
 //===----------------------------------------------------------------------===
@@ -302,7 +321,8 @@ TEST(ShardedStack, StressConservesElements) {
 /// value in the elimination slot, then the pop matches it — the pair
 /// never touches any shard. This is the facade seam in isolation.
 TEST(ShardedBalancer, ForcedDirectedPairExchanges) {
-  ShardedStack<2> S(2, 4, /*SlotCount=*/1, /*SpinBudget=*/8);
+  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
+                            /*SpinBudget=*/8, ControllerOff);
   S.forceBalancerForTesting(true);
   std::optional<PushResult> Pushed;
   PopResult<std::uint32_t> Popped = PopResult<std::uint32_t>::empty();
@@ -349,7 +369,8 @@ TEST(ShardedBalancer, ForcedDirectedPairExchanges) {
 /// full nor empty), so the old boundary-only seam would never fire —
 /// this is the regression test for the E12 "0 exchanges" finding.
 TEST(ShardedBalancer, RescueWindowDirectedPairExchanges) {
-  ShardedStack<1> S(3, 4, /*SlotCount=*/1, /*SpinBudget=*/8);
+  AdaptiveShardedStack<1> S(3, 4, /*InitialShards=*/1, /*SlotCount=*/1,
+                            /*SpinBudget=*/8, ControllerOff);
   ASSERT_EQ(S.push(0, 5), PushResult::Done);
   ASSERT_EQ(S.push(0, 6), PushResult::Done);
   PopResult<std::uint32_t> Pop0 = PopResult<std::uint32_t>::empty();
@@ -415,7 +436,9 @@ TEST(ShardedBalancer, RescueWindowDirectedPairExchanges) {
 TEST(ShardedBalancer, RescueWindowExchangesUnderChaosLoad) {
   for (std::uint32_t Round = 0; Round < 20; ++Round) {
     constexpr std::uint32_t Threads = 4;
-    ShardedStack<2> S(Threads, 8, /*SlotCount=*/2, /*SpinBudget=*/64);
+    AdaptiveShardedStack<2> S(Threads, 8, /*InitialShards=*/2,
+                              /*SlotCount=*/2, /*SpinBudget=*/64,
+                              ControllerOff);
     SpinBarrier Barrier(Threads);
     std::vector<std::thread> Workers;
     for (std::uint32_t T = 0; T < Threads; ++T)
@@ -464,7 +487,8 @@ TEST(SoloAccessCounts, CombiningObjectsMatchFigureThree) {
 }
 
 TEST(SoloAccessCounts, ShardedStackStaysAtSix) {
-  ShardedStack<2> S(2, 4);
+  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/4,
+                            /*SpinBudget=*/64, ControllerOff);
   EXPECT_EQ(countAccesses([&] { (void)S.push(0, 7); }).total(), 6u);
   EXPECT_EQ(countAccesses([&] { (void)S.pop(0); }).total(), 6u);
 }
@@ -476,10 +500,8 @@ TEST(SoloAccessCounts, ShardedStackStaysAtSix) {
 
 TEST(CtorChecks, ShardedFacadesRejectBadGeometry) {
   // Capacity not divisible across shards.
-  EXPECT_THROW(ShardedStack<2>(2, 5), std::invalid_argument);
-  // Zero capacity per shard.
-  EXPECT_THROW(ShardedStack<4>(2, 0), std::invalid_argument);
   EXPECT_THROW(AdaptiveShardedStack<2>(2, 5), std::invalid_argument);
+  // Zero capacity per shard.
   EXPECT_THROW(AdaptiveShardedStack<4>(2, 0), std::invalid_argument);
   // Initial mask outside [1, MaxShards].
   EXPECT_THROW(AdaptiveShardedStack<2>(2, 4, /*InitialShards=*/0),
@@ -497,6 +519,17 @@ TEST(CtorChecks, CoreAndBaselineCtorsRejectBadGeometry) {
   EXPECT_THROW(SkipListCore<>(2, SkipListCore<>::NilIdx),
                std::invalid_argument);
   EXPECT_THROW(LockedMap<>(0, 8), std::invalid_argument);
+  // Every strong-operation skeleton rejects a zero process count before
+  // sizing its doorway, lock or records: an assert alone vanishes under
+  // NDEBUG, where the object would construct and its first operation
+  // would index past the empty per-process arrays.
+  EXPECT_THROW(ContentionSensitive<>(0), std::invalid_argument);
+  EXPECT_THROW(SimplifiedContentionSensitive<TicketLock>(0),
+               std::invalid_argument);
+  EXPECT_THROW(CrashTolerantContentionSensitive<>(0), std::invalid_argument);
+  EXPECT_THROW(CombiningContentionSensitive<>(0), std::invalid_argument);
+  EXPECT_THROW(ContentionSensitiveStack<>(0, 8), std::invalid_argument);
+  EXPECT_THROW(CrashTolerantStack<>(0, 8), std::invalid_argument);
 }
 
 //===----------------------------------------------------------------------===
@@ -518,11 +551,9 @@ TEST(SlotHints, StreamsDivergeAcrossInstances) {
     Observer.join();
     return Hints;
   };
-  ShardedStack<2> A(2, 4), B(2, 4);
+  AdaptiveShardedStack<2> A(2, 4), B(2, 4);
   EXPECT_NE(Collect(A), Collect(B))
       << "two facades probed the same slot sequence";
-  AdaptiveShardedStack<2> C(2, 4), D(2, 4);
-  EXPECT_NE(Collect(C), Collect(D));
 }
 
 //===----------------------------------------------------------------------===
