@@ -251,9 +251,11 @@ struct CombiningStackAdapter {
     return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
   }
   void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  std::uint64_t batches() { return Stack.skeleton().batchesForTesting(); }
+  std::uint64_t batches() {
+    return Stack.skeleton().slowPath().batchesForTesting();
+  }
   std::uint64_t combinedOps() {
-    return Stack.skeleton().combinedOpsForTesting();
+    return Stack.skeleton().slowPath().combinedOpsForTesting();
   }
   obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
   obs::Path lastPath(std::uint32_t Tid) const { return Stack.lastPath(Tid); }
@@ -328,7 +330,9 @@ struct CrashTolerantStackAdapter {
     return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
   }
   void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  DegradationStats stats() const { return Stack.skeleton().statsForTesting(); }
+  DegradationStats stats() const {
+    return Stack.skeleton().slowPath().lock().statsForTesting();
+  }
   obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
   obs::Path lastPath(std::uint32_t Tid) const { return Stack.lastPath(Tid); }
   CrashTolerantStack<> Stack;

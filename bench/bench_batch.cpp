@@ -116,7 +116,9 @@ struct CombiningBatchAdapter {
   void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
   obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
   std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  std::uint64_t batches() { return Stack.skeleton().batchesForTesting(); }
+  std::uint64_t batches() {
+    return Stack.skeleton().slowPath().batchesForTesting();
+  }
   CombiningStack<> Stack;
 };
 

@@ -110,7 +110,7 @@ void addOutageRow(csobj::TablePrinter &Table,
   std::thread Saboteur;
   if (HoldNs > 0)
     Saboteur = std::thread([&] {
-      auto &Guard = Adapter.Stack.skeleton().guard();
+      auto &Guard = Adapter.Stack.skeleton().slowPath().lock().inner();
       while (!Stop.load(std::memory_order_relaxed)) {
         if (Guard.lockBounded(SaboteurTid, BenchPatience) ==
             LeaseAcquire::Acquired) {

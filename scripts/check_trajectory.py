@@ -9,10 +9,12 @@ can refuse perf-regressing changes the way it refuses failing tests.
 
 Matching: records are paired by their identity fields — every
 string-valued field plus a fixed set of integer sweep keys (threads,
-push_percent, workers, keys, ...). A baseline record with no candidate
-partner is a failure (a vanished sweep cell is a regression in
-coverage); extra candidate records are informational (new cells are how
-the trajectory grows).
+push_percent, batch_size, hold_ns, chaos_permille, ...). A baseline
+record with no candidate partner is a failure (a vanished sweep cell is
+a regression in coverage); extra candidate records are informational
+(new cells are how the trajectory grows). Two records of one file that
+share an identity are an error: they could only be paired arbitrarily,
+so the sweep key that tells them apart is missing from the list below.
 
 Gating: only fields whose names classify as higher-is-better
 (throughput, exchanges, completed...) or lower-is-worse (latency,
@@ -50,10 +52,14 @@ KEY_FIELDS = {
     "shards",
     "slots",
     "batch",
+    "batch_size",
     "group",
     "phase",
     "key_range",
     "read_percent",
+    "hold_ns",
+    "gap_ns",
+    "chaos_permille",
 }
 
 # Substrings classifying a metric's bad direction. First match wins;
@@ -119,7 +125,7 @@ def identity(record):
 def check_pair(name, baseline, candidate, tolerance, failures):
     """Compares one matched record pair, appending failure strings."""
     for key, base in baseline.items():
-        direction = classify(key)
+        direction = None if key in KEY_FIELDS else classify(key)
         if direction is None or key not in candidate:
             continue
         cand = candidate[key]
@@ -159,9 +165,17 @@ def check_file(base_path, cand_path, tolerance, failures, errors):
         errors.append(f"{base_path}: expected a JSON array of records")
         return 0
 
-    cand_index = {}
-    for record in candidate:
-        cand_index.setdefault(identity(record), record)
+    for path, records in ((base_path, baseline), (cand_path, candidate)):
+        seen = set()
+        for record in records:
+            ident = identity(record)
+            if ident in seen:
+                errors.append(f"{path}: two records share the identity "
+                              f"{dict(ident)}")
+                return 0
+            seen.add(ident)
+
+    cand_index = {identity(record): record for record in candidate}
 
     matched = 0
     fname = os.path.basename(base_path)

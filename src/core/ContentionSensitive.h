@@ -8,23 +8,44 @@
 /// Figure 3: the generic contention-sensitive, starvation-free
 /// construction. Given *any* abortable object operation (a callable that
 /// either returns a non-bottom result or reports abort), strongApply runs
-/// the paper's strong_push_or_pop(par):
+/// the paper's strong_push_or_pop(par).
 ///
-///   lines 01-03 (the lock-free "shortcut"): if CONTENTION is false, try
-///     the weak operation once; a non-bottom result returns immediately.
-///     In a contention-free context this is the whole execution — one
-///     read of CONTENTION plus the weak operation's accesses (six total
-///     for the stack), and no lock.
-///   lines 04-06 (the doorway): FLAG[i] <- true, wait for priority
-///     (TURN = i or FLAG[TURN] = false), then take the deadlock-free lock.
-///   lines 07-13 (the protected retry): raise CONTENTION, repeat the weak
-///     operation until it succeeds, lower CONTENTION, release the doorway
-///     and the lock, return the result.
+/// The paper already splits the figure in two. Lines 01-03 are a
+/// lock-free shortcut that can sit in front of *any* starvation-free
+/// lock (§4.1's Remark: with such a lock FLAG and TURN "become
+/// useless"), and §4.4 shows that FLAG/TURN wrapped around a
+/// deadlock-free lock *is* such a lock. This file follows that split:
 ///
-/// The template is the paper's remark made code: contention-sensitiveness
-/// is independent of which operation (push or pop — or enqueue, dequeue,
-/// increment ...) is being strengthened, so the adapter works for any
-/// abortable object. Starvation-freedom follows from Lemmas 1-3.
+///   ContentionSensitiveSkeleton — written once: CONTENTION, the metric
+///     sink, the process-count check, lines 01-03 (the shortcut: if
+///     CONTENTION is false, try the weak operation once; a non-bottom
+///     result returns immediately — one read of CONTENTION plus the weak
+///     operation's accesses, six in total for the stack, and no lock),
+///     the rescue window and the per-element batch prefix. Everything
+///     past a failed shortcut goes to a pluggable slow path, which
+///     receives the skeleton's CONTENTION register and sink.
+///   LockRetrySlowPath — lines 06-09 and 12-13 over any starvation-free
+///     lock: take the lock, raise CONTENTION, repeat the weak operation
+///     until it succeeds (paced by a ContentionManager), lower
+///     CONTENTION, release. The doorway (lines 04-05 and 10-11) lives in
+///     the lock: StarvationFreeLock (locks/StarvationFreeLock.h) is the
+///     §4.4 transform. A lock whose acquisition is bounded
+///     (StarvationFreeLock<Leasable>) may time out instead; the
+///     operation then completes through the Figure 2 retry loop.
+///   CombiningSlowPath (perf/CombiningSlowPath.h) — flat combining.
+///
+/// The four skeletons the library names are aliases over those parts:
+///
+///   ContentionSensitive<L>            shortcut + StarvationFreeLock<L>
+///   SimplifiedContentionSensitive<L>  shortcut + L (L starvation-free)
+///   CrashTolerantContentionSensitive  shortcut + StarvationFreeLock<
+///                                     LeasableTag>, degrading on timeout
+///   CombiningContentionSensitive      shortcut + the flat combiner
+///
+/// ContentionSensitive<L> performs the paper's access sequence access for
+/// access: CONTENTION read, weak attempt, enter, lock, CONTENTION up,
+/// retries, CONTENTION down, exitAndAdvance, unlock. Starvation-freedom
+/// follows from Lemmas 1-3.
 ///
 /// Two perf-relevant refinements over the paper-literal transcription:
 ///  * CONTENTION sits on its own cache line, as do TURN (inside the
@@ -50,7 +71,9 @@
 #ifndef CSOBJ_CORE_CONTENTIONSENSITIVE_H
 #define CSOBJ_CORE_CONTENTIONSENSITIVE_H
 
-#include "locks/RoundRobinArbiter.h"
+#include "core/Results.h"
+#include "locks/LockTraits.h"
+#include "locks/StarvationFreeLock.h"
 #include "locks/TasLock.h"
 #include "memory/AtomicRegister.h"
 #include "obs/PathCounters.h"
@@ -62,6 +85,9 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace csobj {
 
@@ -73,56 +99,55 @@ inline constexpr std::size_t BatchInlineCapacity = 64;
 
 /// The Figure 3 execution skeleton. One instance guards one abortable
 /// object; all strong operations on that object must go through the same
-/// instance (they share CONTENTION, FLAG, TURN and LOCK).
+/// instance (they share CONTENTION and the slow path).
 ///
-/// \tparam Lock a deadlock-free lock (LockConcept). Starvation-freedom of
-///         the whole construction does NOT require the lock itself to be
-///         starvation-free — that is the point of the doorway. TasLock is
-///         the default to exercise exactly the paper's assumption.
-/// \tparam Manager ContentionManager pacing the protected retry of
-///         line 08. NoBackoff reproduces the seed behaviour (the retry
-///         is already lock-protected, so immediate retry is sound).
-/// \tparam Policy register policy (Instrumented / Fast).
-template <typename Lock = TasLock, ContentionManager Manager = NoBackoff,
-          typename Policy = DefaultRegisterPolicy>
-class ContentionSensitive {
+/// \tparam SlowPathT what runs once the shortcut fails: constructed from
+///         (NumThreads, trailing constructor arguments), it provides
+///           apply(Tid, Contention, Sink, WeakOp) -> result
+///           applyBatch(Tid, Contention, Sink, I, Count, WeakAt, Stop,
+///                      Out) -> ops applied so far
+///           heapBytes()
+///         and keeps the line-07/09 invariant: CONTENTION is raised only
+///         by whoever serializes the contended operations.
+/// \tparam Policy register policy (Instrumented / Fast) of CONTENTION.
+template <typename SlowPathT, typename Policy = DefaultRegisterPolicy>
+class ContentionSensitiveSkeleton {
 public:
   using RegisterPolicy = Policy;
+  using SlowPath = SlowPathT;
 
   /// \p NumThreads is the paper's n; thread ids are 0..n-1. Zero throws
-  /// std::invalid_argument (a hard check, kept under NDEBUG).
-  explicit ContentionSensitive(std::uint32_t NumThreads)
-      : N(checkedThreads(NumThreads)), Arbiter(NumThreads),
-        Guard(NumThreads) {}
+  /// std::invalid_argument (a hard check, kept under NDEBUG). Trailing
+  /// arguments go to the slow path (e.g. the leased lock's patience).
+  template <typename... SlowPathArgs>
+  explicit ContentionSensitiveSkeleton(std::uint32_t NumThreads,
+                                       SlowPathArgs &&...Args)
+      : N(checkedThreads(NumThreads)),
+        Slow(NumThreads, std::forward<SlowPathArgs>(Args)...) {}
 
   /// strong_push_or_pop(par) for a generic operation. \p WeakOp is
   /// invoked with no arguments and returns std::optional<R>: nullopt
   /// encodes the paper's bottom (the attempt aborted; it had no effect),
   /// any value is a final non-bottom result (including full/empty style
   /// answers). Never returns bottom; always terminates (starvation-free,
-  /// Theorem 1).
+  /// Theorem 1, over a starvation-free slow path).
   template <typename WeakOpFn>
   auto strongApply(std::uint32_t Tid, WeakOpFn WeakOp)
       -> typename std::invoke_result_t<WeakOpFn>::value_type {
     assert(Tid < N && "thread id out of range");
     Sink.onOp(Tid);
-    if (Contention.value().read(std::memory_order_acquire) == 0) { // line 01
-      if (auto Res = WeakOp()) {             // line 02
-        Sink.onPath(Tid, obs::Path::Shortcut);
-        return *Res;
-      }
-      Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-    }
-    return slowApply(Tid, WeakOp);           // lines 04-13
+    if (auto Res = shortcut(Tid, WeakOp)) // lines 01-03
+      return *Res;
+    return Slow.apply(Tid, Contention.value(), Sink, WeakOp);
   }
 
   /// strongApply with an acceleration window between the paper's
-  /// shortcut and the doorway: when the fast path fails (CONTENTION was
-  /// raised, or the weak attempt aborted), \p Rescue gets one chance to
-  /// finish the operation without competing for the lock — e.g. by
+  /// shortcut and the slow path: when the fast path fails (CONTENTION
+  /// was raised, or the weak attempt aborted), \p Rescue gets one chance
+  /// to finish the operation without competing for the lock — e.g. by
   /// pairing with an inverse operation in an elimination array. Rescue
   /// returns the same optional as WeakOp; nullopt falls through to the
-  /// unchanged lines 04-13. The contention-free execution is untouched
+  /// unchanged slow path. The contention-free execution is untouched
   /// (one CONTENTION read plus one weak attempt, Rescue never invoked),
   /// so the 6-shared-access solo bound of the stack is preserved.
   /// Starvation-freedom is preserved too: Rescue is attempted exactly
@@ -134,18 +159,13 @@ public:
       -> typename std::invoke_result_t<WeakOpFn>::value_type {
     assert(Tid < N && "thread id out of range");
     Sink.onOp(Tid);
-    if (Contention.value().read(std::memory_order_acquire) == 0) { // line 01
-      if (auto Res = WeakOp()) {             // line 02
-        Sink.onPath(Tid, obs::Path::Shortcut);
-        return *Res;
-      }
-      Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-    }
-    if (auto Res = Rescue()) {               // acceleration window
+    if (auto Res = shortcut(Tid, WeakOp)) // lines 01-03
+      return *Res;
+    if (auto Res = Rescue()) {            // acceleration window
       Sink.onPath(Tid, obs::Path::Eliminated);
       return *Res;
     }
-    return slowApply(Tid, WeakOp);           // lines 04-13
+    return Slow.apply(Tid, Contention.value(), Sink, WeakOp);
   }
 
   /// Group form of strongApply: applies ops 0..Count-1 as one batch.
@@ -159,13 +179,13 @@ public:
   /// Cost shape: while CONTENTION stays down each element runs the
   /// line-01-03 shortcut individually (the paper's six-access bound per
   /// element, no lock). At the first shortcut failure the *entire
-  /// remainder* cuts over to one doorway entry + one lock acquisition,
-  /// under which the remaining elements are applied back to back with
-  /// the line-08 protected retry, then one release. That is the k-ops/
-  /// one-lock amortization flat combining promises, available even on
-  /// the plain Fig-3 skeleton. Starvation-freedom is unchanged: the
-  /// batch holds the lock for a bounded number of its own steps (Count
-  /// is finite, each retry is Manager-paced exactly like strongApply).
+  /// remainder* cuts over to the slow path's group form — one lock
+  /// acquisition (or one combiner record) under which the remaining
+  /// elements are applied back to back, then one release. That is the
+  /// k-ops/one-lock amortization flat combining promises, available
+  /// even on the plain Fig-3 skeleton. Starvation-freedom is unchanged:
+  /// the batch holds the lock for a bounded number of its own steps
+  /// (Count is finite, each retry is Manager-paced like strongApply).
   template <typename WeakAtFn, typename StopFn, typename R>
   std::size_t strongApplyBatch(std::uint32_t Tid, std::size_t Count,
                                WeakAtFn WeakAt, StopFn Stop, R *Out) {
@@ -173,49 +193,18 @@ public:
     std::size_t I = 0;
     while (I < Count) {                        // per-element shortcut
       Sink.onOp(Tid);
-      if (Contention.value().read(std::memory_order_acquire) != 0)
+      auto Res = shortcut(Tid, [&] { return WeakAt(I); });
+      if (!Res)
         break;                                 // element I stays counted
-      auto Res = WeakAt(I);
-      if (!Res) {
-        Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-        break;                                 // adaptive cutover
-      }
       Out[I] = *Res;
-      Sink.onPath(Tid, obs::Path::Shortcut);
       ++I;
       if (Stop(Out[I - 1]))
         return I;
     }
     if (I == Count)
       return I;
-    // Group phase: one doorway, one lock, k sequential applies, one
-    // release. Element I was already op-counted by the loop above.
-    Arbiter.enter(Tid);
-    Guard.lock(Tid);
-    Contention.value().write(1, std::memory_order_release);
-    Manager Mgr;
-    std::uint64_t Applied = 0;
-    bool Stopped = false;
-    for (; I < Count && !Stopped; ++I) {
-      if (Applied != 0)
-        Sink.onOp(Tid);
-      auto Res = WeakAt(I);
-      while (!Res) {
-        Sink.onEvent(Tid, obs::Event::ProtectedRetry);
-        Mgr.onAbort();
-        Res = WeakAt(I);
-      }
-      Mgr.onSuccess();
-      Out[I] = *Res;
-      ++Applied;
-      Stopped = Stop(Out[I]);
-    }
-    Contention.value().write(0, std::memory_order_release);
-    Arbiter.exitAndAdvance(Tid);
-    Guard.unlock(Tid);
-    Sink.onPath(Tid, obs::Path::Batched, Applied);
-    Sink.onBatch(Tid, Applied);
-    return I;
+    return Slow.applyBatch(Tid, Contention.value(), Sink, I, Count, WeakAt,
+                           Stop, Out);
   }
 
   std::uint32_t numThreads() const { return N; }
@@ -230,14 +219,15 @@ public:
     return Contention.value().peekForTesting() != 0;
   }
 
-  /// The doorway (exposed for fairness tests).
-  RoundRobinArbiterT<Policy> &arbiter() { return Arbiter; }
+  /// The slow path: its lock (doorway, lease, suspects, tallies) or its
+  /// combiner (test/debug/stats aid).
+  SlowPathT &slowPath() { return Slow; }
+  const SlowPathT &slowPath() const { return Slow; }
 
-  /// Heap owned by the skeleton: the doorway's FLAG array plus the
-  /// metric sink's per-thread blocks (zero under CSOBJ_NO_METRICS).
-  std::size_t heapBytes() const {
-    return Arbiter.heapBytes() + Sink.heapBytes();
-  }
+  /// Heap owned by the skeleton: the slow path's (doorway FLAG array,
+  /// combiner records, ...) plus the metric sink's per-thread blocks
+  /// (zero under CSOBJ_NO_METRICS).
+  std::size_t heapBytes() const { return Slow.heapBytes() + Sink.heapBytes(); }
 
 private:
   /// Runs before any member is sized: a zero process count would size
@@ -250,170 +240,277 @@ private:
     return NumThreads;
   }
 
-  /// Lines 04-13: the doorway, the lock, and the protected retry.
+  /// Lines 01-03: when CONTENTION is down, one weak attempt. Returns its
+  /// result when it succeeded (line 03 returns it), nullopt when the
+  /// operation must go on (CONTENTION up, or the attempt drew bottom).
+  /// The likelihood marks keep the contention-free execution the
+  /// straight-line path once the slow path is inlined behind it.
   template <typename WeakOpFn>
-  auto slowApply(std::uint32_t Tid, WeakOpFn &WeakOp)
-      -> typename std::invoke_result_t<WeakOpFn>::value_type {
-    Arbiter.enter(Tid);                      // lines 04-05
-    Guard.lock(Tid);                         // line 06
-    Contention.value().write(1, std::memory_order_release); // line 07
+  auto shortcut(std::uint32_t Tid, WeakOpFn &&WeakOp) -> decltype(WeakOp()) {
+    if (Contention.value().read(std::memory_order_acquire) == 0) [[likely]] {
+      if (auto Res = WeakOp()) [[likely]] { // lines 01-02
+        Sink.onPath(Tid, obs::Path::Shortcut);
+        return Res;                        // line 03
+      }
+      Sink.onEvent(Tid, obs::Event::ShortcutAbort);
+    }
+    return std::nullopt;
+  }
+
+  const std::uint32_t N;
+  CacheLinePadded<AtomicRegister<std::uint8_t, Policy>> Contention;
+  /// Potentially overlapping, so the sink may sit in the slow path's
+  /// tail padding (the combiner's, whose padded word comes first).
+  [[no_unique_address]] SlowPathT Slow;
+  [[no_unique_address]] mutable obs::MetricSink Sink{N};
+};
+
+/// Lines 06-09 and 12-13 over any starvation-free lock: the protected
+/// retry, paced by \p Manager. With StarvationFreeLock<L> as \p Lock the
+/// doorway (lines 04-05, 10-11) runs inside lock()/unlock(), exactly
+/// where Figure 3 places it.
+///
+/// A lock whose acquisition is bounded (lockBounded(Tid), as
+/// StarvationFreeLock<Leasable> has) may time out instead. The paper's
+/// Section 5 concedes that Figure 3 "still works despite process crashes
+/// *if no process crashes while holding the lock*"; a timeout closes
+/// that boundary by downgrading the progress guarantee instead of
+/// hanging. The operation completes through the Figure 2 retry loop —
+/// lock-free (a weak attempt only aborts because a rival's C&S won) but
+/// no longer starvation-free — and books its one timeout cause (doorway
+/// or lease) beside its Degraded path:
+///
+///     no faults             -> starvation-free  (Theorem 1, unchanged)
+///     crash w/o lock        -> starvation-free  (Section 5, unchanged)
+///     crash waiting/holding -> lock-free        (degraded mode)
+///
+/// Safety never degrades: every linearization point lies in a weak-object
+/// C&S, so shortcut, protected and degraded completions interleave into
+/// linearizable histories (checked in tests/faults_test.cpp). CONTENTION
+/// left raised by a corpse heals in one round: the first degraded
+/// survivor revokes the lease; the next slow-path operation acquires the
+/// freed lock, completes its protected retry and lowers CONTENTION on
+/// line 09 as usual.
+template <typename Lock, ContentionManager Manager = NoBackoff>
+class LockRetrySlowPath {
+public:
+  using LockType = Lock;
+
+  /// Trailing arguments go to the lock (e.g. the leased lock's patience).
+  template <typename... LockArgs>
+  explicit LockRetrySlowPath(std::uint32_t NumThreads, LockArgs &&...Args)
+      : Guard(NumThreads, std::forward<LockArgs>(Args)...) {}
+
+  template <typename Register, typename WeakOpFn>
+  auto apply(std::uint32_t Tid, Register &Contention, obs::MetricSink &Sink,
+             WeakOpFn &WeakOp) ->
+      typename std::invoke_result_t<WeakOpFn &>::value_type {
+    if (const auto Timeout = acquire(Tid))         // lines 04-06
+      return degradedApply(Tid, Sink, *Timeout, WeakOp);
+    Contention.write(1, std::memory_order_release); // line 07
     Manager Mgr;
-    auto Res = WeakOp();                     // line 08 (repeat ... until)
+    auto Res = retryProtected(Tid, Sink, Mgr, WeakOp); // line 08
+    Contention.write(0, std::memory_order_release); // line 09
+    Guard.unlock(Tid);                              // lines 10-12
+    Sink.onPath(Tid, obs::Path::Lock);
+    return Res;                                     // line 13
+  }
+
+  /// Group phase: one acquisition, the remaining elements I..Count-1
+  /// applied back to back under it, one release. Element I was already
+  /// op-counted by the skeleton's prefix. A timed-out acquisition
+  /// completes the remainder element by element through the degraded
+  /// loop, each booked Degraded with the round's timeout cause.
+  template <typename Register, typename WeakAtFn, typename StopFn,
+            typename R>
+  std::size_t applyBatch(std::uint32_t Tid, Register &Contention,
+                         obs::MetricSink &Sink, std::size_t I,
+                         std::size_t Count, WeakAtFn &WeakAt, StopFn &Stop,
+                         R *Out) {
+    if (const auto Timeout = acquire(Tid)) {
+      for (const std::size_t First = I; I < Count;) {
+        if (I != First)
+          Sink.onOp(Tid);
+        Out[I] = degradedApply(Tid, Sink, *Timeout, [&] { return WeakAt(I); });
+        if (Stop(Out[I++]))
+          break;
+      }
+      return I;
+    }
+    Contention.write(1, std::memory_order_release);
+    Manager Mgr;
+    const std::size_t First = I;
+    bool Stopped = false;
+    for (; I < Count && !Stopped; ++I) {
+      if (I != First)
+        Sink.onOp(Tid);
+      Out[I] = retryProtected(Tid, Sink, Mgr, [&] { return WeakAt(I); });
+      Stopped = Stop(Out[I]);
+    }
+    Contention.write(0, std::memory_order_release);
+    Guard.unlock(Tid);
+    Sink.onPath(Tid, obs::Path::Batched, I - First);
+    Sink.onBatch(Tid, I - First);
+    return I;
+  }
+
+  /// The lock (test/debug/stats aid): the doorway, the lease, the
+  /// suspect set and the degradation tallies are reached through it.
+  Lock &lock() { return Guard; }
+  const Lock &lock() const { return Guard; }
+
+  /// Heap owned by the lock (its doorway FLAG array, when it has one).
+  std::size_t heapBytes() const {
+    if constexpr (requires { Guard.heapBytes(); })
+      return Guard.heapBytes();
+    return 0;
+  }
+
+private:
+  /// Takes the lock. Returns nullopt once held, or — only for a lock
+  /// with bounded acquisition — the timeout event of a round that gave
+  /// up.
+  std::optional<obs::Event> acquire(std::uint32_t Tid) {
+    if constexpr (requires { Guard.lockBounded(Tid); }) {
+      switch (Guard.lockBounded(Tid)) {
+      case LeaseAcquire::Acquired:
+        return std::nullopt;
+      case LeaseAcquire::DoorwayTimedOut:
+        return obs::Event::DoorwayTimeout;
+      case LeaseAcquire::TimedOut:
+        break;
+      }
+      return obs::Event::LeaseTimeout;
+    } else {
+      Guard.lock(Tid);
+      return std::nullopt;
+    }
+  }
+
+  /// Line 08: repeat the weak operation until it succeeds. Unbounded
+  /// retry is sound because CONTENTION is up and the lock is held, so
+  /// interference is transient.
+  template <typename WeakOpFn>
+  static auto retryProtected(std::uint32_t Tid, obs::MetricSink &Sink,
+                             Manager &Mgr, WeakOpFn &&WeakOp) {
+    auto Res = WeakOp();
     while (!Res) {
       Sink.onEvent(Tid, obs::Event::ProtectedRetry);
       Mgr.onAbort();
       Res = WeakOp();
     }
     Mgr.onSuccess();
-    Contention.value().write(0, std::memory_order_release); // line 09
-    Arbiter.exitAndAdvance(Tid);             // lines 10-11
-    Guard.unlock(Tid);                       // line 12
-    Sink.onPath(Tid, obs::Path::Lock);
-    return *Res;                             // line 13
+    return *Res;
   }
 
-  const std::uint32_t N;
-  CacheLinePadded<AtomicRegister<std::uint8_t, Policy>> Contention;
-  RoundRobinArbiterT<Policy> Arbiter;
+  /// Degraded mode: the Figure 2 non-blocking retry loop, after a
+  /// timed-out acquisition whose cause is \p Timeout.
+  template <typename WeakOpFn>
+  static auto degradedApply(std::uint32_t Tid, obs::MetricSink &Sink,
+                            obs::Event Timeout, WeakOpFn &&WeakOp) {
+    Sink.onEvent(Tid, Timeout);
+    Manager Mgr;
+    while (true) {
+      if (auto Res = WeakOp()) {
+        Mgr.onSuccess();
+        Sink.onPath(Tid, obs::Path::Degraded);
+        return *Res;
+      }
+      Sink.onEvent(Tid, obs::Event::DegradedRetry);
+      Mgr.onAbort();
+    }
+  }
+
   Lock Guard;
-  [[no_unique_address]] mutable obs::MetricSink Sink{N};
 };
+
+/// Figure 3 over a deadlock-free lock: the shortcut in front of the §4.4
+/// starvation-free lock built from it.
+///
+/// \tparam Lock a deadlock-free lock (LockConcept). Starvation-freedom of
+///         the whole construction does NOT require the lock itself to be
+///         starvation-free — that is the point of the doorway. TasLock is
+///         the default to exercise exactly the paper's assumption.
+/// \tparam Manager ContentionManager pacing the protected retry of
+///         line 08. NoBackoff reproduces the seed behaviour (the retry
+///         is already lock-protected, so immediate retry is sound).
+/// \tparam Policy register policy (Instrumented / Fast) of CONTENTION and
+///         the doorway.
+template <typename Lock = TasLock, ContentionManager Manager = NoBackoff,
+          typename Policy = DefaultRegisterPolicy>
+using ContentionSensitive = ContentionSensitiveSkeleton<
+    LockRetrySlowPath<StarvationFreeLock<Lock, Policy>, Manager>, Policy>;
 
 /// The paper's Section 4.1 Remark, as code: "If the lock is
 /// starvation-free (...) the array FLAG[1..n] and the register TURN
 /// become useless and consequently the lines 04-05 and 10-11 can be
-/// suppressed from the algorithm." This variant keeps only lines 01-03
-/// and 06-09/12-13 and must be instantiated with a lock that is itself
-/// starvation-free (ticket, MCS, CLH, Anderson, tournament, or any
-/// StarvationFreeLock<...>). Tested equivalent to the full construction.
+/// suppressed from the algorithm." The shortcut directly in front of a
+/// lock that must itself be starvation-free (ticket, MCS, CLH, Anderson,
+/// tournament, or any StarvationFreeLock<...>). Tested equivalent to the
+/// full construction.
 template <typename StarvationFreeLockT,
           ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy>
-class SimplifiedContentionSensitive {
-public:
-  using RegisterPolicy = Policy;
+using SimplifiedContentionSensitive =
+    ContentionSensitiveSkeleton<LockRetrySlowPath<StarvationFreeLockT, Manager>,
+                                Policy>;
 
-  /// Zero \p NumThreads throws std::invalid_argument, as for
-  /// ContentionSensitive.
-  explicit SimplifiedContentionSensitive(std::uint32_t NumThreads)
-      : N(checkedThreads(NumThreads)), Guard(NumThreads) {}
+/// Figure 3 with graceful degradation: the shortcut in front of the
+/// crash-recoverable starvation-free lock (recoverable doorway over a
+/// leased lock, locks/StarvationFreeLock.h). The fast path is access for
+/// access that of ContentionSensitive. A trailing constructor argument
+/// sets the lock's patience; its default, 4096 observations, is generous
+/// enough that wall-clock false suspicions are rare and small enough
+/// that a corpse is detected in bounded logical time.
+///
+/// \tparam Manager ContentionManager pacing both the protected retry and
+///         the degraded retry loop.
+/// \tparam Policy register policy (Instrumented / Fast).
+template <ContentionManager Manager = NoBackoff,
+          typename Policy = DefaultRegisterPolicy>
+using CrashTolerantContentionSensitive = ContentionSensitiveSkeleton<
+    LockRetrySlowPath<StarvationFreeLock<LeasableTag<1u << 12>, Policy>,
+                      Manager>,
+    Policy>;
 
-  /// strong_push_or_pop(par) without the doorway (paper §4.1 Remark).
-  template <typename WeakOpFn>
-  auto strongApply(std::uint32_t Tid, WeakOpFn WeakOp)
-      -> typename std::invoke_result_t<WeakOpFn>::value_type {
-    assert(Tid < N && "thread id out of range");
-    Sink.onOp(Tid);
-    if (Contention.value().read(std::memory_order_acquire) == 0) { // line 01
-      if (auto Res = WeakOp()) {             // line 02
-        Sink.onPath(Tid, obs::Path::Shortcut);
-        return *Res;
-      }
-      Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-    }
-    Guard.lock(Tid);                         // line 06
-    Contention.value().write(1, std::memory_order_release); // line 07
-    Manager Mgr;
-    auto Res = WeakOp();                     // line 08
-    while (!Res) {
-      Sink.onEvent(Tid, obs::Event::ProtectedRetry);
-      Mgr.onAbort();
-      Res = WeakOp();
-    }
-    Mgr.onSuccess();
-    Contention.value().write(0, std::memory_order_release); // line 09
-    Guard.unlock(Tid);                       // line 12
-    Sink.onPath(Tid, obs::Path::Lock);
-    return *Res;                             // line 13
+/// The wrappers' group operations (push_all, pop_all, add_all, ...):
+/// applies \p WeakAt(0..Count) — weak attempts with strongApply's optional
+/// contract — through \p Strong's batch seam, stopping at the first Full
+/// or Empty answer so the object takes a prefix of the group. Each
+/// applied answer other than that stop is handed to \p Take(K, Answer),
+/// K counting from 0; returns how many were. The per-element answers
+/// live on the caller's stack up to BatchInlineCapacity and in one heap
+/// block beyond.
+template <typename SkeletonT, typename WeakAtFn, typename TakeFn>
+std::size_t strongGroup(SkeletonT &Strong, std::uint32_t Tid,
+                        std::size_t Count, WeakAtFn WeakAt, TakeFn Take) {
+  using Answer =
+      typename std::invoke_result_t<WeakAtFn &, std::size_t>::value_type;
+  auto Stops = [](const Answer &A) {
+    if constexpr (std::is_same_v<Answer, PushResult>)
+      return A == PushResult::Full;
+    else if constexpr (requires { A.isEmpty(); })
+      return A.isEmpty();
+    else
+      return false;
+  };
+  if (Count == 0)
+    return 0;
+  Answer Inline[BatchInlineCapacity];
+  std::vector<Answer> Heap;
+  Answer *Answers = Inline;
+  if (Count > BatchInlineCapacity) {
+    Heap.resize(Count);
+    Answers = Heap.data();
   }
-
-  /// Group form (see ContentionSensitive::strongApplyBatch): per-element
-  /// shortcut, then the whole remainder under one lock acquisition. Same
-  /// contract, minus the suppressed doorway lines.
-  template <typename WeakAtFn, typename StopFn, typename R>
-  std::size_t strongApplyBatch(std::uint32_t Tid, std::size_t Count,
-                               WeakAtFn WeakAt, StopFn Stop, R *Out) {
-    assert(Tid < N && "thread id out of range");
-    std::size_t I = 0;
-    while (I < Count) {
-      Sink.onOp(Tid);
-      if (Contention.value().read(std::memory_order_acquire) != 0)
-        break;
-      auto Res = WeakAt(I);
-      if (!Res) {
-        Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-        break;
-      }
-      Out[I] = *Res;
-      Sink.onPath(Tid, obs::Path::Shortcut);
-      ++I;
-      if (Stop(Out[I - 1]))
-        return I;
-    }
-    if (I == Count)
-      return I;
-    Guard.lock(Tid);
-    Contention.value().write(1, std::memory_order_release);
-    Manager Mgr;
-    std::uint64_t Applied = 0;
-    bool Stopped = false;
-    for (; I < Count && !Stopped; ++I) {
-      if (Applied != 0)
-        Sink.onOp(Tid);
-      auto Res = WeakAt(I);
-      while (!Res) {
-        Sink.onEvent(Tid, obs::Event::ProtectedRetry);
-        Mgr.onAbort();
-        Res = WeakAt(I);
-      }
-      Mgr.onSuccess();
-      Out[I] = *Res;
-      ++Applied;
-      Stopped = Stop(Out[I]);
-    }
-    Contention.value().write(0, std::memory_order_release);
-    Guard.unlock(Tid);
-    Sink.onPath(Tid, obs::Path::Batched, Applied);
-    Sink.onBatch(Tid, Applied);
-    return I;
-  }
-
-  std::uint32_t numThreads() const { return N; }
-
-  /// Path-attributed metrics (obs/PathCounters.h).
-  obs::MetricSink &metrics() const { return Sink; }
-  obs::PathSnapshot pathSnapshot() const { return Sink.snapshot(); }
-
-  bool contentionForTesting() const {
-    return Contention.value().peekForTesting() != 0;
-  }
-
-  /// Heap owned by the skeleton: the starvation-free lock's arbiter FLAG
-  /// array (when the plugged lock owns heap) plus the metric sink's
-  /// blocks.
-  std::size_t heapBytes() const {
-    std::size_t Bytes = Sink.heapBytes();
-    if constexpr (requires { Guard.heapBytes(); })
-      Bytes += Guard.heapBytes();
-    return Bytes;
-  }
-
-private:
-  /// Runs before any member is sized: a zero process count would size
-  /// the per-process arrays empty, and the first operation would index
-  /// past them.
-  static std::uint32_t checkedThreads(std::uint32_t NumThreads) {
-    if (NumThreads < 1)
-      throw std::invalid_argument(
-          "SimplifiedContentionSensitive: need at least one process");
-    return NumThreads;
-  }
-
-  const std::uint32_t N;
-  CacheLinePadded<AtomicRegister<std::uint8_t, Policy>> Contention;
-  StarvationFreeLockT Guard;
-  [[no_unique_address]] mutable obs::MetricSink Sink{N};
-};
+  const std::size_t Applied =
+      Strong.strongApplyBatch(Tid, Count, WeakAt, Stops, Answers);
+  std::size_t Taken = 0;
+  for (std::size_t I = 0; I < Applied; ++I)
+    if (!Stops(Answers[I]))
+      Take(Taken++, Answers[I]);
+  return Taken;
+}
 
 } // namespace csobj
 

@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 namespace csobj {
 
@@ -75,23 +74,13 @@ public:
   std::size_t add_all(std::uint32_t Tid, const std::uint64_t *Deltas,
                       std::size_t Count,
                       std::uint64_t *NewValues = nullptr) {
-    if (Count == 0)
-      return 0;
-    std::uint64_t Inline[BatchInlineCapacity];
-    std::vector<std::uint64_t> Heap;
-    std::uint64_t *Out = NewValues;
-    if (!Out) {
-      if (Count <= BatchInlineCapacity) {
-        Out = Inline;
-      } else {
-        Heap.resize(Count);
-        Out = Heap.data();
-      }
-    }
-    return Strong.strongApplyBatch(
-        Tid, Count,
+    return strongGroup(
+        Strong, Tid, Count,
         [this, Deltas](std::size_t I) { return Weak.weakAdd(Deltas[I]); },
-        [](std::uint64_t) { return false; }, Out);
+        [NewValues](std::size_t K, std::uint64_t V) {
+          if (NewValues)
+            NewValues[K] = V;
+        });
   }
 
   std::uint64_t valueForTesting() const { return Weak.valueForTesting(); }

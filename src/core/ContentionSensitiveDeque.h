@@ -25,9 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
-#include <vector>
 
 namespace csobj {
 
@@ -44,7 +42,7 @@ public:
 
   /// \p NumThreads is the paper's n; \p Capacity and \p InitialLeftSlots
   /// as in ObstructionFreeDeque. Trailing arguments go to the skeleton
-  /// after NumThreads (e.g. the crash-tolerant skeleton's patience).
+  /// after NumThreads (e.g. the crash-tolerant skeleton's lock patience).
   template <typename... SkeletonArgs>
   ContentionSensitiveDeque(std::uint32_t NumThreads, std::uint32_t Capacity,
                            std::uint32_t InitialLeftSlots = ~std::uint32_t{0},
@@ -53,16 +51,20 @@ public:
         Strong(NumThreads, std::forward<SkeletonArgs>(Args)...) {}
 
   PushResult pushLeft(std::uint32_t Tid, Value V) {
-    return strongPush(Tid, [this, V] { return Weak.tryPushLeft(V); });
+    return Strong.strongApply(
+        Tid, [this, V] { return unlessAbort(Weak.tryPushLeft(V)); });
   }
   PushResult pushRight(std::uint32_t Tid, Value V) {
-    return strongPush(Tid, [this, V] { return Weak.tryPushRight(V); });
+    return Strong.strongApply(
+        Tid, [this, V] { return unlessAbort(Weak.tryPushRight(V)); });
   }
   PopResult<Value> popLeft(std::uint32_t Tid) {
-    return strongPop(Tid, [this] { return Weak.tryPopLeft(); });
+    return Strong.strongApply(
+        Tid, [this] { return unlessAbort(Weak.tryPopLeft()); });
   }
   PopResult<Value> popRight(std::uint32_t Tid) {
-    return strongPop(Tid, [this] { return Weak.tryPopRight(); });
+    return Strong.strongApply(
+        Tid, [this] { return unlessAbort(Weak.tryPopRight()); });
   }
 
   /// Group push on the right end: pushes Vs[0..Count) in index order as
@@ -70,58 +72,23 @@ public:
   /// prefix of Vs). Returns the number pushed.
   std::size_t push_all(std::uint32_t Tid, const Value *Vs,
                        std::size_t Count) {
-    if (Count == 0)
-      return 0;
-    PushResult Inline[BatchInlineCapacity];
-    std::vector<PushResult> Heap;
-    PushResult *Results = Inline;
-    if (Count > BatchInlineCapacity) {
-      Heap.resize(Count);
-      Results = Heap.data();
-    }
-    const std::size_t Applied = Strong.strongApplyBatch(
-        Tid, Count,
-        [this, Vs](std::size_t I) -> std::optional<PushResult> {
-          const PushResult Res = Weak.tryPushRight(Vs[I]);
-          if (Res == PushResult::Abort)
-            return std::nullopt;
-          return Res;
-        },
-        [](PushResult R) { return R == PushResult::Full; },
-        Results);
-    return Applied != 0 && Results[Applied - 1] == PushResult::Full
-               ? Applied - 1
-               : Applied;
+    return strongGroup(Strong, Tid, Count,
+                       [this, Vs](std::size_t I) {
+                         return unlessAbort(Weak.tryPushRight(Vs[I]));
+                       },
+                       [](std::size_t, PushResult) {});
   }
 
   /// Group pop from the right end (LIFO relative to push_all): pops up
   /// to \p MaxCount values into Out[0..], stopping at the first Empty
   /// answer. Returns the number popped.
   std::size_t pop_all(std::uint32_t Tid, Value *Out, std::size_t MaxCount) {
-    if (MaxCount == 0)
-      return 0;
-    PopResult<Value> Inline[BatchInlineCapacity];
-    std::vector<PopResult<Value>> Heap;
-    PopResult<Value> *Results = Inline;
-    if (MaxCount > BatchInlineCapacity) {
-      Heap.resize(MaxCount);
-      Results = Heap.data();
-    }
-    const std::size_t Applied = Strong.strongApplyBatch(
-        Tid, MaxCount,
-        [this](std::size_t) -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.tryPopRight();
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        },
-        [](const PopResult<Value> &R) { return R.isEmpty(); },
-        Results);
-    std::size_t Got = 0;
-    for (std::size_t I = 0; I < Applied; ++I)
-      if (Results[I].isValue())
-        Out[Got++] = Results[I].value();
-    return Got;
+    return strongGroup(
+        Strong, Tid, MaxCount,
+        [this](std::size_t) { return unlessAbort(Weak.tryPopRight()); },
+        [Out](std::size_t K, const PopResult<Value> &R) {
+          Out[K] = R.value();
+        });
   }
 
   /// Drains the right end: pop_all bounded by the caller's buffer.
@@ -159,28 +126,6 @@ public:
   }
 
 private:
-  template <typename AttemptFn>
-  PushResult strongPush(std::uint32_t Tid, AttemptFn Attempt) {
-    return Strong.strongApply(
-        Tid, [&]() -> std::optional<PushResult> {
-          const PushResult Res = Attempt();
-          if (Res == PushResult::Abort)
-            return std::nullopt;
-          return Res;
-        });
-  }
-
-  template <typename AttemptFn>
-  PopResult<Value> strongPop(std::uint32_t Tid, AttemptFn Attempt) {
-    return Strong.strongApply(
-        Tid, [&]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Attempt();
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        });
-  }
-
   ObstructionFreeDeque Weak;
   SkeletonT Strong;
 };

@@ -23,9 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
-#include <vector>
 
 namespace csobj {
 
@@ -45,7 +43,7 @@ public:
 
   /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k.
   /// Trailing arguments go to the skeleton after NumThreads (e.g. the
-  /// crash-tolerant skeleton's patience).
+  /// crash-tolerant skeleton's lock patience).
   template <typename... SkeletonArgs>
   ContentionSensitiveQueue(std::uint32_t NumThreads, std::uint32_t Capacity,
                            SkeletonArgs &&...Args)
@@ -54,23 +52,14 @@ public:
 
   /// strong_enqueue(v): Done or Full, never Abort; always terminates.
   PushResult enqueue(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(Tid, [this, V]() -> std::optional<PushResult> {
-      const PushResult Res = Weak.weakEnqueue(V);
-      if (Res == PushResult::Abort)
-        return std::nullopt;
-      return Res;
-    });
+    return Strong.strongApply(
+        Tid, [this, V] { return unlessAbort(Weak.weakEnqueue(V)); });
   }
 
   /// strong_dequeue(): a value or Empty, never Abort; always terminates.
   PopResult<Value> dequeue(std::uint32_t Tid) {
     return Strong.strongApply(
-        Tid, [this]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakDequeue();
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        });
+        Tid, [this] { return unlessAbort(Weak.weakDequeue()); });
   }
 
   /// Group enqueue: enqueues Vs[0..Count) in index order as one batch
@@ -79,28 +68,11 @@ public:
   /// number of values enqueued.
   std::size_t enqueue_all(std::uint32_t Tid, const Value *Vs,
                           std::size_t Count) {
-    if (Count == 0)
-      return 0;
-    PushResult Inline[BatchInlineCapacity];
-    std::vector<PushResult> Heap;
-    PushResult *Results = Inline;
-    if (Count > BatchInlineCapacity) {
-      Heap.resize(Count);
-      Results = Heap.data();
-    }
-    const std::size_t Applied = Strong.strongApplyBatch(
-        Tid, Count,
-        [this, Vs](std::size_t I) -> std::optional<PushResult> {
-          const PushResult Res = Weak.weakEnqueue(Vs[I]);
-          if (Res == PushResult::Abort)
-            return std::nullopt;
-          return Res;
-        },
-        [](PushResult R) { return R == PushResult::Full; },
-        Results);
-    return Applied != 0 && Results[Applied - 1] == PushResult::Full
-               ? Applied - 1
-               : Applied;
+    return strongGroup(Strong, Tid, Count,
+                       [this, Vs](std::size_t I) {
+                         return unlessAbort(Weak.weakEnqueue(Vs[I]));
+                       },
+                       [](std::size_t, PushResult) {});
   }
 
   /// Group dequeue: dequeues up to \p MaxCount values into Out[0..] in
@@ -108,30 +80,12 @@ public:
   /// of values dequeued.
   std::size_t dequeue_all(std::uint32_t Tid, Value *Out,
                           std::size_t MaxCount) {
-    if (MaxCount == 0)
-      return 0;
-    PopResult<Value> Inline[BatchInlineCapacity];
-    std::vector<PopResult<Value>> Heap;
-    PopResult<Value> *Results = Inline;
-    if (MaxCount > BatchInlineCapacity) {
-      Heap.resize(MaxCount);
-      Results = Heap.data();
-    }
-    const std::size_t Applied = Strong.strongApplyBatch(
-        Tid, MaxCount,
-        [this](std::size_t) -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakDequeue();
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        },
-        [](const PopResult<Value> &R) { return R.isEmpty(); },
-        Results);
-    std::size_t Got = 0;
-    for (std::size_t I = 0; I < Applied; ++I)
-      if (Results[I].isValue())
-        Out[Got++] = Results[I].value();
-    return Got;
+    return strongGroup(
+        Strong, Tid, MaxCount,
+        [this](std::size_t) { return unlessAbort(Weak.weakDequeue()); },
+        [Out](std::size_t K, const PopResult<Value> &R) {
+          Out[K] = R.value();
+        });
   }
 
   /// Drains the queue: dequeue_all bounded by the caller's buffer.

@@ -29,9 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
-#include <vector>
 
 namespace csobj {
 
@@ -42,13 +40,12 @@ namespace csobj {
 /// \tparam Manager  ContentionManager pacing the lock-protected retry.
 /// \tparam Policy   register policy (Instrumented / Fast).
 /// \tparam SkeletonT the strong-operation skeleton. The default is the
-///         paper's Figure 3; any type with the same constructor and
-///         strongApply contract plugs in (the flat-combining skeleton in
-///         perf/CombiningSlowPath.h, the crash-tolerant one in
-///         core/CrashTolerant.h). The group operations also need
-///         strongApplyBatch and footprintBytes needs heapBytes; a member
-///         is compiled only when called, so a skeleton without them
-///         still serves push/pop.
+///         paper's Figure 3; the crash-tolerant and flat-combining
+///         skeletons (core/ContentionSensitive.h, perf/CombiningSlowPath.h)
+///         plug in the same way, as does any type with the same
+///         constructor, strongApply, strongApplyBatch and heapBytes. A
+///         member is compiled only when called, so a skeleton with only
+///         strongApply still serves push/pop.
 template <typename Config = Compact64, typename Lock = TasLock,
           ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy,
@@ -62,7 +59,7 @@ public:
 
   /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k.
   /// Trailing arguments go to the skeleton after NumThreads (e.g. the
-  /// crash-tolerant skeleton's patience).
+  /// crash-tolerant skeleton's lock patience).
   template <typename... SkeletonArgs>
   ContentionSensitiveStack(std::uint32_t NumThreads, std::uint32_t Capacity,
                            SkeletonArgs &&...Args)
@@ -71,23 +68,14 @@ public:
 
   /// strong_push(v): Done or Full, never Abort; always terminates.
   PushResult push(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(Tid, [this, V]() -> std::optional<PushResult> {
-      const PushResult Res = Weak.weakPush(V); // weak_push_or_pop(par)
-      if (Res == PushResult::Abort)
-        return std::nullopt; // res = bottom
-      return Res;
-    });
+    return Strong.strongApply(
+        Tid, [this, V] { return unlessAbort(Weak.weakPush(V)); });
   }
 
   /// strong_pop(): a value or Empty, never Abort; always terminates.
   PopResult<Value> pop(std::uint32_t Tid) {
-    return Strong.strongApply(
-        Tid, [this]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakPop();
-          if (Res.isAbort())
-            return std::nullopt; // res = bottom
-          return Res;
-        });
+    return Strong.strongApply(Tid,
+                              [this] { return unlessAbort(Weak.weakPop()); });
   }
 
   /// Group push: pushes Vs[0..Count) in index order as one batch through
@@ -98,58 +86,22 @@ public:
   /// actually pushed.
   std::size_t push_all(std::uint32_t Tid, const Value *Vs,
                        std::size_t Count) {
-    if (Count == 0)
-      return 0;
-    PushResult Inline[BatchInlineCapacity];
-    std::vector<PushResult> Heap;
-    PushResult *Results = Inline;
-    if (Count > BatchInlineCapacity) {
-      Heap.resize(Count);
-      Results = Heap.data();
-    }
-    const std::size_t Applied = Strong.strongApplyBatch(
-        Tid, Count,
-        [this, Vs](std::size_t I) -> std::optional<PushResult> {
-          const PushResult Res = Weak.weakPush(Vs[I]);
-          if (Res == PushResult::Abort)
-            return std::nullopt;
-          return Res;
-        },
-        [](PushResult R) { return R == PushResult::Full; },
-        Results);
-    return Applied != 0 && Results[Applied - 1] == PushResult::Full
-               ? Applied - 1
-               : Applied;
+    return strongGroup(
+        Strong, Tid, Count,
+        [this, Vs](std::size_t I) { return unlessAbort(Weak.weakPush(Vs[I])); },
+        [](std::size_t, PushResult) {});
   }
 
   /// Group pop: pops up to \p MaxCount values into Out[0..] in pop
   /// order, stopping at the first Empty answer. Returns the number of
   /// values popped.
   std::size_t pop_all(std::uint32_t Tid, Value *Out, std::size_t MaxCount) {
-    if (MaxCount == 0)
-      return 0;
-    PopResult<Value> Inline[BatchInlineCapacity];
-    std::vector<PopResult<Value>> Heap;
-    PopResult<Value> *Results = Inline;
-    if (MaxCount > BatchInlineCapacity) {
-      Heap.resize(MaxCount);
-      Results = Heap.data();
-    }
-    const std::size_t Applied = Strong.strongApplyBatch(
-        Tid, MaxCount,
-        [this](std::size_t) -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakPop();
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        },
-        [](const PopResult<Value> &R) { return R.isEmpty(); },
-        Results);
-    std::size_t Got = 0;
-    for (std::size_t I = 0; I < Applied; ++I)
-      if (Results[I].isValue())
-        Out[Got++] = Results[I].value();
-    return Got;
+    return strongGroup(
+        Strong, Tid, MaxCount,
+        [this](std::size_t) { return unlessAbort(Weak.weakPop()); },
+        [Out](std::size_t K, const PopResult<Value> &R) {
+          Out[K] = R.value();
+        });
   }
 
   /// Drains the stack: pop_all bounded by the caller's buffer. A single

@@ -7,7 +7,8 @@
 /// \file
 /// The HLM obstruction-free deque (core/ObstructionFreeDeque.h, the
 /// paper's reference [8]) strengthened through the crash-tolerant
-/// skeleton (core/CrashTolerant.h). ContentionSensitiveDeque already
+/// skeleton (CrashTolerantContentionSensitive, core/ContentionSensitive.h).
+/// ContentionSensitiveDeque already
 /// lifts the deque from obstruction-free to starvation-free; this variant
 /// keeps that lift while surviving the Section 5 crash boundary: a
 /// process dying in the doorway or with the lease held is suspected,
@@ -19,8 +20,8 @@
 /// lock-freedom here really does lean on a rival completing.
 ///
 /// ContentionSensitiveDeque with the crash-tolerant skeleton plugged in;
-/// the argument after InitialLeftSlots is the skeleton's patience. See
-/// core/CrashTolerantStack.h for the members it lacks.
+/// the argument after InitialLeftSlots is the lock's patience. See
+/// core/CrashTolerantStack.h for the group operations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +29,6 @@
 #define CSOBJ_CORE_CRASHTOLERANTDEQUE_H
 
 #include "core/ContentionSensitiveDeque.h"
-#include "core/CrashTolerant.h"
 
 namespace csobj {
 

@@ -7,7 +7,8 @@
 /// \file
 /// The FIFO companion of core/CrashTolerantStack.h: the abortable bounded
 /// queue (core/AbortableQueue.h) strengthened through the crash-tolerant
-/// skeleton (core/CrashTolerant.h). Linearizable and contention-sensitive
+/// skeleton (CrashTolerantContentionSensitive, core/ContentionSensitive.h).
+/// Linearizable and contention-sensitive
 /// like ContentionSensitiveQueue — an uncontended enqueue keeps the
 /// seven-access bound (one CONTENTION read plus the weak attempt) — but a
 /// process crashing while competing for or holding the slow-path lock no
@@ -17,8 +18,8 @@
 /// progress altogether.
 ///
 /// ContentionSensitiveQueue with the crash-tolerant skeleton plugged in;
-/// see core/CrashTolerantStack.h for the constructor and the members it
-/// lacks.
+/// see core/CrashTolerantStack.h for the constructor and the group
+/// operations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +27,6 @@
 #define CSOBJ_CORE_CRASHTOLERANTQUEUE_H
 
 #include "core/ContentionSensitiveQueue.h"
-#include "core/CrashTolerant.h"
 
 namespace csobj {
 

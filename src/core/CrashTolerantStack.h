@@ -6,7 +6,8 @@
 ///
 /// \file
 /// The headline stack rebuilt on the crash-tolerant skeleton
-/// (core/CrashTolerant.h): linearizable and contention-sensitive like
+/// (CrashTolerantContentionSensitive, core/ContentionSensitive.h):
+/// linearizable and contention-sensitive like
 /// ContentionSensitiveStack — an uncontended operation is lock-free and
 /// performs the same six shared-memory accesses — but a process crashing
 /// while competing for or holding the slow-path lock no longer wedges
@@ -19,9 +20,10 @@
 /// that wrapper with the crash-tolerant skeleton plugged in, as
 /// perf/CombiningObjects.h does for combining; the wrapper's Lock
 /// parameter is vestigial (the skeleton holds its own leased lock). A
-/// third constructor argument is the skeleton's patience. The group
-/// operations and footprintBytes are not available: the crash-tolerant
-/// skeleton has no group seam and does not report its heap.
+/// third constructor argument is the lock's patience. The group
+/// operations (push_all/pop_all/drain) run through the same slow path:
+/// a group whose acquisition times out completes element by element
+/// through the degraded loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +31,6 @@
 #define CSOBJ_CORE_CRASHTOLERANTSTACK_H
 
 #include "core/ContentionSensitiveStack.h"
-#include "core/CrashTolerant.h"
 
 namespace csobj {
 

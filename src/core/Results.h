@@ -16,6 +16,7 @@
 #define CSOBJ_CORE_RESULTS_H
 
 #include <cassert>
+#include <optional>
 
 namespace csobj {
 
@@ -64,6 +65,24 @@ private:
   Kind K;
   ValueT V;
 };
+
+/// A weak attempt's answer in the form the Figure 3 skeletons take:
+/// Abort becomes nullopt (the paper's bottom), any other answer is final.
+/// Both take the answer by value: passed by reference, GCC kept the
+/// two-word PopResult in memory and spilled it through the stack on the
+/// shortcut of every pop.
+inline std::optional<PushResult> unlessAbort(PushResult R) {
+  if (R == PushResult::Abort)
+    return std::nullopt;
+  return R;
+}
+
+template <typename ValueT>
+std::optional<PopResult<ValueT>> unlessAbort(PopResult<ValueT> R) {
+  if (R.isAbort())
+    return std::nullopt;
+  return R;
+}
 
 } // namespace csobj
 

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <type_traits>
 
 namespace csobj {
@@ -49,11 +50,14 @@ namespace csobj {
 /// starvation-free, using announcements instead of a lock.
 class TimestampBoost {
 public:
+  /// Zero \p NumThreads throws std::invalid_argument (a hard check,
+  /// kept under NDEBUG: the announcement array would be empty).
   explicit TimestampBoost(std::uint32_t NumThreads)
       : N(NumThreads),
         Announce(new CacheLinePadded<AtomicRegister<std::uint64_t>>[
             NumThreads]) {
-    assert(NumThreads >= 1 && "need at least one process");
+    if (NumThreads < 1)
+      throw std::invalid_argument("TimestampBoost: need at least one process");
     for (std::uint32_t I = 0; I < NumThreads; ++I)
       Announce[I].value().write(Inactive);
   }
@@ -128,22 +132,13 @@ public:
       : Weak(Capacity), Boost(NumThreads) {}
 
   PushResult push(std::uint32_t Tid, Value V) {
-    return Boost.strongApply(Tid, [this, V]() -> std::optional<PushResult> {
-      const PushResult Res = Weak.weakPush(V);
-      if (Res == PushResult::Abort)
-        return std::nullopt;
-      return Res;
-    });
+    return Boost.strongApply(
+        Tid, [this, V] { return unlessAbort(Weak.weakPush(V)); });
   }
 
   PopResult<Value> pop(std::uint32_t Tid) {
-    return Boost.strongApply(
-        Tid, [this]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakPop();
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        });
+    return Boost.strongApply(Tid,
+                             [this] { return unlessAbort(Weak.weakPop()); });
   }
 
   std::uint32_t capacity() const { return Weak.capacity(); }

@@ -57,7 +57,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 
 namespace csobj {
 
@@ -374,24 +373,15 @@ public:
 
   /// strong_enqueue(v): Done or Full (envelope only), never Abort.
   PushResult enqueue(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(
-        Tid, [this, Tid, V]() -> std::optional<PushResult> {
-          const PushResult Res = Weak.weakEnqueue(Tid, V);
-          if (Res == PushResult::Abort)
-            return std::nullopt;
-          return Res;
-        });
+    return Strong.strongApply(Tid, [this, Tid, V] {
+      return unlessAbort(Weak.weakEnqueue(Tid, V));
+    });
   }
 
   /// strong_dequeue(): a value or Empty, never Abort.
   PopResult<Value> dequeue(std::uint32_t Tid) {
     return Strong.strongApply(
-        Tid, [this, Tid]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakDequeue(Tid);
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        });
+        Tid, [this, Tid] { return unlessAbort(Weak.weakDequeue(Tid)); });
   }
 
   std::uint32_t capacity() const { return Weak.capacity(); }

@@ -66,7 +66,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 namespace csobj {
 
@@ -348,23 +347,13 @@ public:
   /// strong_push(v): Done or Full (envelope only), never Abort.
   PushResult push(std::uint32_t Tid, Value V) {
     return Strong.strongApply(
-        Tid, [this, Tid, V]() -> std::optional<PushResult> {
-          const PushResult Res = Weak.weakPush(Tid, V);
-          if (Res == PushResult::Abort)
-            return std::nullopt;
-          return Res;
-        });
+        Tid, [this, Tid, V] { return unlessAbort(Weak.weakPush(Tid, V)); });
   }
 
   /// strong_pop(): a value or Empty, never Abort.
   PopResult<Value> pop(std::uint32_t Tid) {
     return Strong.strongApply(
-        Tid, [this, Tid]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Weak.weakPop(Tid);
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        });
+        Tid, [this, Tid] { return unlessAbort(Weak.weakPop(Tid)); });
   }
 
   std::uint32_t capacity() const { return Weak.capacity(); }

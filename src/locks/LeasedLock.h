@@ -54,8 +54,10 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 
 namespace csobj {
 
@@ -68,11 +70,14 @@ class SuspectSetT {
 public:
   using RegisterPolicy = Policy;
 
+  /// Zero \p NumThreads throws std::invalid_argument (a hard check,
+  /// kept under NDEBUG: the register array would be empty).
   explicit SuspectSetT(std::uint32_t NumThreads)
       : N(NumThreads),
         Suspected(new CacheLinePadded<
                   AtomicRegister<std::uint8_t, Policy>>[NumThreads]) {
-    assert(NumThreads >= 1 && "need at least one process");
+    if (NumThreads < 1)
+      throw std::invalid_argument("SuspectSet: need at least one process");
   }
 
   bool isSuspect(std::uint32_t I) const {
@@ -100,6 +105,12 @@ public:
     return Suspected[I].value().peekForTesting() != 0;
   }
 
+  /// Heap owned by the set: the padded per-thread registers.
+  std::size_t heapBytes() const {
+    return std::size_t{N} *
+           sizeof(CacheLinePadded<AtomicRegister<std::uint8_t, Policy>>);
+  }
+
 private:
   const std::uint32_t N;
   std::unique_ptr<CacheLinePadded<AtomicRegister<std::uint8_t, Policy>>[]>
@@ -110,8 +121,10 @@ using SuspectSet = SuspectSetT<>;
 
 /// Outcome of a bounded lock acquisition attempt.
 enum class LeaseAcquire : std::uint8_t {
-  Acquired, ///< The caller holds the lock.
-  TimedOut  ///< Patience exhausted; the caller must not enter.
+  Acquired,       ///< The caller holds the lock.
+  TimedOut,       ///< Patience exhausted on the lease; must not enter.
+  DoorwayTimedOut ///< Patience exhausted in a doorway in front of the
+                  ///< lease (StarvationFreeLock<Leasable> only).
 };
 
 /// Deadlock-free lock with revocable leases (see file comment).
@@ -129,11 +142,15 @@ public:
   /// Patience used by the LockConcept-shaped lock() entry point.
   static constexpr std::uint32_t DefaultPatience = 1u << 14;
 
+  /// \p NumThreads outside [1, 64] throws std::invalid_argument (a hard
+  /// check, kept under NDEBUG: the per-thread lease notes are a fixed
+  /// array of 64).
   explicit LeasedLockT(std::uint32_t NumThreads, SuspectSetT<Policy> *Set =
                                                      nullptr)
       : N(NumThreads), Suspects(Set) {
-    assert(NumThreads >= 1 && NumThreads <= MaxThreads &&
-           "leased lock supports 1..64 processes");
+    if (NumThreads < 1 || NumThreads > MaxThreads)
+      throw std::invalid_argument(
+          "LeasedLock: supports 1..64 processes");
   }
 
   /// Bounded acquisition: spins until the lock is taken or the patience

@@ -43,8 +43,10 @@
 #include "support/SpinWait.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 
 namespace csobj {
 
@@ -55,11 +57,15 @@ class RecoverableArbiterT {
 public:
   using RegisterPolicy = Policy;
 
+  /// Zero \p NumThreads throws std::invalid_argument (a hard check,
+  /// kept under NDEBUG: the FLAG array would be empty).
   RecoverableArbiterT(std::uint32_t NumThreads, SuspectSetT<Policy> &Set)
       : N(NumThreads), Suspects(Set),
         Flag(new CacheLinePadded<
              AtomicRegister<std::uint8_t, Policy>>[NumThreads]) {
-    assert(NumThreads >= 1 && "arbiter needs at least one process");
+    if (NumThreads < 1)
+      throw std::invalid_argument(
+          "RecoverableArbiter: need at least one process");
   }
 
   /// Bounded doorway entry (lines 04-05 with recovery). Returns true
@@ -134,6 +140,12 @@ public:
   bool flagForTesting(std::uint32_t I) const {
     assert(I < N && "thread id out of range");
     return Flag[I].value().peekForTesting() != 0;
+  }
+
+  /// Heap owned by the arbiter: the padded per-thread FLAG array.
+  std::size_t heapBytes() const {
+    return std::size_t{N} *
+           sizeof(CacheLinePadded<AtomicRegister<std::uint8_t, Policy>>);
   }
 
 private:

@@ -45,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 
 namespace csobj {
 
@@ -58,12 +59,16 @@ public:
   using RegisterPolicy = Policy;
 
   /// \p NumThreads is the paper's n; ids are 0..n-1. The initial TURN is
-  /// arbitrary per the paper; 0 is used.
+  /// arbitrary per the paper; 0 is used. Zero \p NumThreads throws
+  /// std::invalid_argument (a hard check, kept under NDEBUG: the FLAG
+  /// array would be empty).
   explicit RoundRobinArbiterT(std::uint32_t NumThreads)
       : N(NumThreads),
         Flag(new CacheLinePadded<
              AtomicRegister<std::uint8_t, Policy>>[NumThreads]) {
-    assert(NumThreads >= 1 && "arbiter needs at least one process");
+    if (NumThreads < 1)
+      throw std::invalid_argument(
+          "RoundRobinArbiter: need at least one process");
   }
 
   /// Lines 04-05: announce interest, then wait until this process has

@@ -20,22 +20,32 @@
 /// advanced past the leaving process. Experiment E6 measures the bounded
 /// acquisition-count spread this buys over the raw inner lock.
 ///
+/// This is the only place the doorway meets a lock: Figure 3
+/// (core/ContentionSensitive.h) is its lines 01-03 shortcut in front of
+/// this lock, which is exactly how §4.1's Remark and §4.4 read together.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSOBJ_LOCKS_STARVATIONFREELOCK_H
 #define CSOBJ_LOCKS_STARVATIONFREELOCK_H
 
+#include "locks/LeasedLock.h"
 #include "locks/LockTraits.h"
 #include "locks/RecoverableArbiter.h"
 #include "locks/RoundRobinArbiter.h"
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
 namespace csobj {
 
 /// Starvation-free lock from a deadlock-free one (paper Section 4.4).
-template <typename InnerLock>
+///
+/// \tparam InnerLock the deadlock-free lock behind the doorway.
+/// \tparam Policy    register policy of the doorway's FLAG/TURN registers
+///                   (the inner lock keeps its own).
+template <typename InnerLock, typename Policy = DefaultRegisterPolicy>
 class StarvationFreeLock {
 public:
   static constexpr const char *Name = "starvation-free";
@@ -57,14 +67,28 @@ public:
   InnerLock &inner() { return Inner; }
 
   /// The doorway (exposed for the fairness tests).
-  RoundRobinArbiter &arbiter() { return Arbiter; }
+  RoundRobinArbiterT<Policy> &arbiter() { return Arbiter; }
 
   /// Heap owned by the lock: the doorway's FLAG array.
   std::size_t heapBytes() const { return Arbiter.heapBytes(); }
 
 private:
-  RoundRobinArbiter Arbiter;
+  RoundRobinArbiterT<Policy> Arbiter;
   InnerLock Inner;
+};
+
+/// Value snapshot of a leasable lock's tallies (harness accounting, not
+/// algorithm state). A timed-out lockBounded round sends its caller to a
+/// lock-free fallback, so Degradations counts those rounds; a group
+/// operation's single round counts once however many elements it
+/// carried.
+struct DegradationStats {
+  std::uint64_t Degradations = 0;    ///< Rounds that timed out.
+  std::uint64_t DoorwayTimeouts = 0; ///< ... in the doorway.
+  std::uint64_t LeaseTimeouts = 0;   ///< ... waiting on the lease.
+  std::uint64_t ProtectedOps = 0;    ///< Tenures released through unlock.
+  std::uint64_t Revocations = 0; ///< Leases revoked from suspected holders.
+  std::uint64_t LostLeases = 0;  ///< Holder-side C&S releases that failed.
 };
 
 /// Crash-recoverable starvation-free lock: the Section 4.4 transform
@@ -83,8 +107,8 @@ private:
 /// a live holder costs fairness — a lost lease — never safety here,
 /// because the revoking waiter reports TimedOut and re-rounds rather
 /// than entering).
-template <std::uint32_t PatienceV>
-class StarvationFreeLock<LeasableTag<PatienceV>> {
+template <std::uint32_t PatienceV, typename Policy>
+class StarvationFreeLock<LeasableTag<PatienceV>, Policy> {
 public:
   static constexpr const char *Name = "starvation-free(leased)";
 
@@ -93,20 +117,27 @@ public:
   static constexpr std::uint32_t DefaultPatience =
       PatienceV == 0 ? LeasedLock::DefaultPatience : PatienceV;
 
-  explicit StarvationFreeLock(std::uint32_t NumThreads)
-      : Suspects(NumThreads), Arbiter(NumThreads, Suspects),
-        Inner(NumThreads, &Suspects) {}
+  /// \p Patience bounds, in consecutive observations of an unchanged
+  /// doorway turn or lease, how long one round waits before suspecting
+  /// the blocker.
+  explicit StarvationFreeLock(std::uint32_t NumThreads,
+                              std::uint32_t Patience = DefaultPatience)
+      : Patience(Patience), Suspects(NumThreads),
+        Arbiter(NumThreads, Suspects), Inner(NumThreads, &Suspects) {}
 
   /// One bounded acquisition round: doorway entry (lines 04-05) then the
-  /// lease (line 06), each bounded by \p Patience. TimedOut means the
+  /// lease (line 06), each bounded by the patience. On a timeout the
   /// caller must not enter — its flag has been withdrawn, and when the
   /// blocker was suspected its stale lease/turn has been revoked/skipped
-  /// so a later round finds the lock healed.
-  LeaseAcquire lockBounded(std::uint32_t Tid,
-                           std::uint32_t Patience = DefaultPatience) {
-    if (!Arbiter.enterBounded(Tid, Patience))
-      return LeaseAcquire::TimedOut;
+  /// so a later round finds the lock healed. The answer names the side
+  /// that timed out: DoorwayTimedOut or TimedOut (the lease).
+  LeaseAcquire lockBounded(std::uint32_t Tid) {
+    if (!Arbiter.enterBounded(Tid, Patience)) {
+      DoorwayTimeouts.fetch_add(1, std::memory_order_relaxed);
+      return LeaseAcquire::DoorwayTimedOut;
+    }
     if (Inner.lockBounded(Tid, Patience) != LeaseAcquire::Acquired) {
+      LeaseTimeouts.fetch_add(1, std::memory_order_relaxed);
       Arbiter.withdraw(Tid);
       return LeaseAcquire::TimedOut;
     }
@@ -126,21 +157,49 @@ public:
   void unlock(std::uint32_t Tid) {
     Arbiter.exitAndAdvance(Tid); // lines 10-11
     Inner.unlock(Tid);           // line 12
+    ProtectedOps.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  std::uint32_t patience() const { return Patience; }
+
+  /// Aggregated tallies (approximate under concurrency, exact once
+  /// quiescent).
+  DegradationStats statsForTesting() const {
+    DegradationStats S;
+    S.DoorwayTimeouts = DoorwayTimeouts.load(std::memory_order_relaxed);
+    S.LeaseTimeouts = LeaseTimeouts.load(std::memory_order_relaxed);
+    S.Degradations = S.DoorwayTimeouts + S.LeaseTimeouts;
+    S.ProtectedOps = ProtectedOps.load(std::memory_order_relaxed);
+    S.Revocations = Inner.revocations();
+    S.LostLeases = Inner.lostLeases();
+    return S;
   }
 
   /// The leased inner lock (revocation/lost-lease counters live here).
-  LeasedLock &inner() { return Inner; }
+  LeasedLockT<Policy> &inner() { return Inner; }
 
   /// The recoverable doorway (exposed for the fairness tests).
-  RecoverableArbiter &arbiter() { return Arbiter; }
+  RecoverableArbiterT<Policy> &arbiter() { return Arbiter; }
 
   /// The failure detector shared by doorway and lock.
-  SuspectSet &suspects() { return Suspects; }
+  SuspectSetT<Policy> &suspects() { return Suspects; }
+
+  /// Heap owned by the lock: the suspect registers and the doorway's
+  /// FLAG array.
+  std::size_t heapBytes() const {
+    return Suspects.heapBytes() + Arbiter.heapBytes();
+  }
 
 private:
-  SuspectSet Suspects;
-  RecoverableArbiter Arbiter;
-  LeasedLock Inner;
+  const std::uint32_t Patience;
+  /// Harness-side tallies, deliberately uninstrumented. They share the
+  /// set's read-mostly header line, ahead of the padded doorway.
+  std::atomic<std::uint64_t> DoorwayTimeouts{0};
+  std::atomic<std::uint64_t> LeaseTimeouts{0};
+  std::atomic<std::uint64_t> ProtectedOps{0};
+  SuspectSetT<Policy> Suspects;
+  RecoverableArbiterT<Policy> Arbiter;
+  LeasedLockT<Policy> Inner;
 };
 
 } // namespace csobj

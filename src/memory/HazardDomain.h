@@ -54,6 +54,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 namespace csobj {
@@ -66,14 +67,18 @@ public:
   /// the pool (or other owner) the object returns to.
   using RecycleFn = void (*)(void *Obj, void *Ctx);
 
+  /// Zero \p NumThreads or \p SlotsPerThread throws
+  /// std::invalid_argument (a hard check, kept under NDEBUG: the hazard
+  /// table would have no slots for the first protect() to index).
   HazardDomain(std::uint32_t NumThreads, std::uint32_t SlotsPerThread)
       : N(NumThreads), Slots(SlotsPerThread),
         Stride(roundUpToLine(SlotsPerThread)),
         Hazards(std::make_unique<std::atomic<const void *>[]>(
             static_cast<std::size_t>(NumThreads) * Stride)),
         Retired(NumThreads) {
-    assert(NumThreads >= 1 && "need at least one thread");
-    assert(SlotsPerThread >= 1 && "need at least one hazard slot");
+    if (NumThreads < 1 || SlotsPerThread < 1)
+      throw std::invalid_argument(
+          "HazardDomain: need at least one thread and one slot");
     for (std::size_t I = 0; I < static_cast<std::size_t>(N) * Stride; ++I)
       Hazards[I].store(nullptr, std::memory_order_relaxed);
   }

@@ -31,8 +31,9 @@
 ///
 /// Counter placement vs. the six-access proof: the blocks are plain
 /// `std::atomic` relaxed counters in per-thread cache-line-padded slots —
-/// the same convention as DegradationCounters (core/CrashTolerant.h):
-/// harness accounting, not algorithm state. They never pass through
+/// the same convention as the leased lock's DegradationStats tallies
+/// (locks/StarvationFreeLock.h): harness accounting, not algorithm
+/// state. They never pass through
 /// AtomicRegister, so they are invisible to the access counter and the
 /// schedule explorer, and the solo fast path still *measures* exactly six
 /// shared accesses with metrics enabled (bench_access_counts, battery

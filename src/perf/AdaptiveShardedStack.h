@@ -428,12 +428,7 @@ private:
     Shard &Sh = shard(S);
     return Sh.skeleton().strongApplyWithRescue(
         Tid,
-        [&Sh, V]() -> std::optional<PushResult> {
-          const PushResult Res = Sh.abortable().weakPush(V);
-          if (Res == PushResult::Abort)
-            return std::nullopt;
-          return Res;
-        },
+        [&Sh, V] { return unlessAbort(Sh.abortable().weakPush(V)); },
         [this, &Sh, Tid, V]() -> std::optional<PushResult> {
           if (Elim.tryGive(static_cast<std::uint32_t>(V), slotHint(Tid),
                            notFullGate(Tid))) {
@@ -449,12 +444,7 @@ private:
     Shard &Sh = shard(S);
     return Sh.skeleton().strongApplyWithRescue(
         Tid,
-        [&Sh]() -> std::optional<PopResult<Value>> {
-          const PopResult<Value> Res = Sh.abortable().weakPop();
-          if (Res.isAbort())
-            return std::nullopt;
-          return Res;
-        },
+        [&Sh] { return unlessAbort(Sh.abortable().weakPop()); },
         [this, &Sh, Tid]() -> std::optional<PopResult<Value>> {
           if (auto V = Elim.tryTake(slotHint(Tid), notFullGate(Tid))) {
             Sh.skeleton().metrics().onEvent(Tid, obs::Event::EliminatedPop);

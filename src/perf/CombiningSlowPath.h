@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A drop-in alternative to the Figure 3 skeleton that replaces the
-/// doorway + lock slow path with flat combining (Hendler, Incze, Shavit
+/// A drop-in alternative to the Figure 3 slow path that replaces the
+/// doorway + lock with flat combining (Hendler, Incze, Shavit
 /// & Tzafrir, SPAA'10): contended operations publish a request record;
 /// one thread — the combiner — wins a dedicated C&S word and executes
 /// the whole batch serially, so a batch of b contended operations costs
@@ -14,8 +14,9 @@
 /// cache lines of the object stay resident in one core's cache while the
 /// batch runs.
 ///
-/// The fast path is byte-identical to Figure 3 lines 01-03: one acquire
-/// read of CONTENTION, one weak attempt. A contention-free stack
+/// The fast path is Figure 3 lines 01-03 — the skeleton's own shortcut
+/// (core/ContentionSensitive.h), which this slow path plugs into: one
+/// acquire read of CONTENTION, one weak attempt. A contention-free stack
 /// operation therefore still performs exactly six shared-memory
 /// accesses — the whole point of the paper's construction — and the
 /// conformance battery's access bounds enforce it.
@@ -42,7 +43,7 @@
 ///    fields are always separated by this State acquire/release
 ///    handshake, so the protocol is TSan-clean.
 ///
-/// Batch records (strongApplyBatch): a group API publishes its whole
+/// Batch records (applyBatch): a group API publishes its whole
 /// contended remainder as ONE record whose trampoline applies k ops with
 /// a resume cursor — one publication, one handoff and one Ready store
 /// amortized over k elements. See the method comment for the contract.
@@ -59,6 +60,7 @@
 #ifndef CSOBJ_PERF_COMBININGSLOWPATH_H
 #define CSOBJ_PERF_COMBININGSLOWPATH_H
 
+#include "core/ContentionSensitive.h"
 #include "memory/AtomicRegister.h"
 #include "obs/PathCounters.h"
 #include "support/CacheLine.h"
@@ -71,80 +73,55 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 
 namespace csobj {
 
-/// Flat-combining strong-operation skeleton. Same constructor and
-/// strongApply contract as ContentionSensitive, so every wrapper object
-/// (stack, queue, deque, counter) accepts it as SkeletonT.
+/// Flat-combining slow path for the Figure 3 skeleton
+/// (core/ContentionSensitive.h): once the shortcut fails, the operation
+/// is published and served by a combiner instead of taking a lock. The
+/// skeleton owns CONTENTION and the sink and hands both in.
+///
+/// \tparam Manager ContentionManager pacing the combiner's retry of its
+///         own request.
+/// \tparam Policy register policy of the publication records and the
+///         combiner word.
 template <ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy>
-class CombiningContentionSensitive {
+class CombiningSlowPath {
 public:
-  using RegisterPolicy = Policy;
-
-  /// \p NumThreads is the paper's n. \p CombineRounds is how many sweeps
-  /// over the publication list a combiner performs before retiring. Zero
-  /// \p NumThreads throws std::invalid_argument (a hard check, kept under
-  /// NDEBUG).
-  explicit CombiningContentionSensitive(std::uint32_t NumThreads,
-                                        std::uint32_t CombineRounds = 2)
-      : N(checkedThreads(NumThreads)), Rounds(CombineRounds),
+  /// \p NumThreads is the paper's n (checked by the skeleton).
+  /// \p CombineRounds is how many sweeps over the publication list a
+  /// combiner performs before retiring.
+  explicit CombiningSlowPath(std::uint32_t NumThreads,
+                             std::uint32_t CombineRounds = 2)
+      : N(NumThreads), Rounds(CombineRounds),
         Records(new Record[NumThreads]) {
     assert(CombineRounds >= 1 && "combiner must sweep at least once");
   }
 
-  /// strong_push_or_pop(par), flat-combining flavour. Same contract as
-  /// ContentionSensitive::strongApply: \p WeakOp returns std::optional,
-  /// nullopt meaning the attempt aborted with no effect.
-  template <typename WeakOpFn>
-  auto strongApply(std::uint32_t Tid, WeakOpFn WeakOp)
-      -> typename std::invoke_result_t<WeakOpFn>::value_type {
-    using Result = typename std::invoke_result_t<WeakOpFn>::value_type;
-    assert(Tid < N && "thread id out of range");
-    Sink.onOp(Tid);
-    if (Contention.value().read(std::memory_order_acquire) == 0) { // line 01
-      if (auto Res = WeakOp()) {             // line 02
-        Sink.onPath(Tid, obs::Path::Shortcut);
-        return *Res;
-      }
-      Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-    }
-
-    // Publish, then wait-or-combine.
+  /// Publish, then wait-or-combine. Same contract as the skeleton's
+  /// strongApply: \p WeakOp returns std::optional, nullopt meaning the
+  /// attempt aborted with no effect.
+  template <typename Register, typename WeakOpFn>
+  auto apply(std::uint32_t Tid, Register &Contention, obs::MetricSink &Sink,
+             WeakOpFn &WeakOp) ->
+      typename std::invoke_result_t<WeakOpFn &>::value_type {
+    using Result = typename std::invoke_result_t<WeakOpFn &>::value_type;
     CombineRequest<WeakOpFn, Result> Req{WeakOp, std::nullopt};
-    Record &Mine = Records[Tid];
-    Mine.Req = &Req;
-    Mine.Run = &CombineRequest<WeakOpFn, Result>::run;
-    Mine.State.write(Pending, std::memory_order_release);
-
-    SpinWait Waiter;
-    while (Mine.State.read(std::memory_order_acquire) == Pending) {
-      if (CombinerBusy.value().compareAndSwap(0, 1,
-                                              std::memory_order_acq_rel)) {
-        combine(Tid);
-        CombinerBusy.value().write(0, std::memory_order_release);
-        continue; // re-check State: the combiner always finishes its own.
-      }
-      Waiter.once();
-    }
-    Mine.State.write(EmptyRec, std::memory_order_release);
+    publishAndWait(Tid, Contention, Sink, &Req,
+                   &CombineRequest<WeakOpFn, Result>::run);
     Sink.onPath(Tid, obs::Path::Combined);
     return *Req.Out;
   }
 
-  /// Group form of strongApply — the reason this skeleton exists. The
-  /// per-element shortcut prefix is identical to the Fig-3 batch (six
-  /// accesses per uncontended element), but on cutover the *entire
-  /// remainder* is published as ONE combiner record carrying k ops: the
-  /// combiner applies all k back to back under a single CombinerBusy
-  /// tenure (one handoff amortized over k elements, object lines hot in
-  /// one core's cache) and the publisher receives the batched results
-  /// through the same State handshake as a single op. \p WeakAt(I)
-  /// attempts op I; \p Stop(R) is the terminal answer that rejects the
-  /// batch's remainder (partial-batch rejection for bounded objects);
-  /// results land in Out[0..applied). Returns the number applied.
+  /// Group form — the reason this slow path exists. On cutover the
+  /// *entire remainder* is published as ONE combiner record carrying k
+  /// ops: the combiner applies all k back to back under a single
+  /// CombinerBusy tenure (one handoff amortized over k elements, object
+  /// lines hot in one core's cache) and the publisher receives the
+  /// batched results through the same State handshake as a single op.
+  /// Same contract as the skeleton's strongApplyBatch; element I was
+  /// op-counted by the skeleton's shortcut prefix.
   ///
   /// A batch record can be applied across combiner visits: if op I
   /// aborts against a straggler, run() returns false with ops 0..I-1
@@ -152,49 +129,17 @@ public:
   /// accesses are ordered by the CombinerBusy/State protocol, so the
   /// resume cursor needs no atomics). Progress is unchanged:
   /// deadlock-free, not starvation-free.
-  template <typename WeakAtFn, typename StopFn, typename R>
-  std::size_t strongApplyBatch(std::uint32_t Tid, std::size_t Count,
-                               WeakAtFn WeakAt, StopFn Stop, R *Out) {
-    assert(Tid < N && "thread id out of range");
-    std::size_t I = 0;
-    while (I < Count) {                        // per-element shortcut
-      Sink.onOp(Tid);
-      if (Contention.value().read(std::memory_order_acquire) != 0)
-        break;                                 // element I stays counted
-      auto Res = WeakAt(I);
-      if (!Res) {
-        Sink.onEvent(Tid, obs::Event::ShortcutAbort);
-        break;                                 // adaptive cutover
-      }
-      Out[I] = *Res;
-      Sink.onPath(Tid, obs::Path::Shortcut);
-      ++I;
-      if (Stop(Out[I - 1]))
-        return I;
-    }
-    if (I == Count)
-      return I;
-
-    // Publish the remainder as a single k-op record.
+  template <typename Register, typename WeakAtFn, typename StopFn,
+            typename R>
+  std::size_t applyBatch(std::uint32_t Tid, Register &Contention,
+                         obs::MetricSink &Sink, std::size_t I,
+                         std::size_t Count, WeakAtFn &WeakAt, StopFn &Stop,
+                         R *Out) {
     BatchRequest<WeakAtFn, StopFn, R> Req{WeakAt, Stop, Out, I, Count};
-    Record &Mine = Records[Tid];
-    Mine.Req = &Req;
-    Mine.Run = &BatchRequest<WeakAtFn, StopFn, R>::run;
-    Mine.State.write(Pending, std::memory_order_release);
+    publishAndWait(Tid, Contention, Sink, &Req,
+                   &BatchRequest<WeakAtFn, StopFn, R>::run);
 
-    SpinWait Waiter;
-    while (Mine.State.read(std::memory_order_acquire) == Pending) {
-      if (CombinerBusy.value().compareAndSwap(0, 1,
-                                              std::memory_order_acq_rel)) {
-        combine(Tid);
-        CombinerBusy.value().write(0, std::memory_order_release);
-        continue;
-      }
-      Waiter.once();
-    }
-    Mine.State.write(EmptyRec, std::memory_order_release);
-
-    // Book the group: element I was op-counted by the shortcut loop;
+    // Book the group: element I was op-counted by the shortcut prefix;
     // the combiner counted the whole record as one served request, so
     // credit the remaining k-1 ops to the combined-op tallies here.
     const std::uint64_t Grouped = Req.Next - I;
@@ -204,16 +149,6 @@ public:
     Sink.onEvent(Tid, obs::Event::CombinedOp, Grouped - 1);
     CombinedOps.fetch_add(Grouped - 1, std::memory_order_relaxed);
     return Req.Next;
-  }
-
-  std::uint32_t numThreads() const { return N; }
-
-  /// Path-attributed metrics (obs/PathCounters.h).
-  obs::MetricSink &metrics() const { return Sink; }
-  obs::PathSnapshot pathSnapshot() const { return Sink.snapshot(); }
-
-  bool contentionForTesting() const {
-    return Contention.value().peekForTesting() != 0;
   }
 
   /// Completed combiner tenures / operations completed by combiners
@@ -226,11 +161,8 @@ public:
     return CombinedOps.load(std::memory_order_relaxed);
   }
 
-  /// Heap owned by the skeleton: the per-thread publication records plus
-  /// the metric sink's blocks.
-  std::size_t heapBytes() const {
-    return std::size_t{N} * sizeof(Record) + Sink.heapBytes();
-  }
+  /// Heap owned by the slow path: the per-thread publication records.
+  std::size_t heapBytes() const { return std::size_t{N} * sizeof(Record); }
 
   /// One publication record. Cache-line-aligned so a publisher storing
   /// Pending never invalidates a neighbour's line; exposed for the
@@ -242,16 +174,6 @@ public:
   };
 
 private:
-  /// Runs before any member is sized: a zero process count would size
-  /// the per-process arrays empty, and the first operation would index
-  /// past them.
-  static std::uint32_t checkedThreads(std::uint32_t NumThreads) {
-    if (NumThreads < 1)
-      throw std::invalid_argument(
-          "CombiningContentionSensitive: need at least one process");
-    return NumThreads;
-  }
-
   enum : std::uint8_t { EmptyRec = 0, Pending = 1, Ready = 2 };
 
   /// Type-erased request: lives on the publisher's stack; the publisher
@@ -271,11 +193,11 @@ private:
     }
   };
 
-  /// Type-erased k-op request (strongApplyBatch). Next is the resume
-  /// cursor: ops [Begin, Next) are applied, run() continues from Next.
-  /// Only the thread holding CombinerBusy (or, between visits, nobody)
-  /// touches the plain fields — the State handshake separates them from
-  /// the publisher's reads, exactly like CombineRequest.
+  /// Type-erased k-op request (applyBatch). Next is the resume cursor:
+  /// ops [Begin, Next) are applied, run() continues from Next. Only the
+  /// thread holding CombinerBusy (or, between visits, nobody) touches
+  /// the plain fields — the State handshake separates them from the
+  /// publisher's reads, exactly like CombineRequest.
   template <typename WeakAtFn, typename StopFn, typename R>
   struct BatchRequest {
     WeakAtFn &At;
@@ -299,9 +221,34 @@ private:
     }
   };
 
+  /// Publishes \p Req in this thread's record, then waits until it is
+  /// served, combining whenever the combiner word is free.
+  template <typename Register>
+  void publishAndWait(std::uint32_t Tid, Register &Contention,
+                      obs::MetricSink &Sink, void *Req, bool (*Run)(void *)) {
+    Record &Mine = Records[Tid];
+    Mine.Req = Req;
+    Mine.Run = Run;
+    Mine.State.write(Pending, std::memory_order_release);
+
+    SpinWait Waiter;
+    while (Mine.State.read(std::memory_order_acquire) == Pending) {
+      if (CombinerBusy.value().compareAndSwap(0, 1,
+                                              std::memory_order_acq_rel)) {
+        combine(Tid, Contention, Sink);
+        CombinerBusy.value().write(0, std::memory_order_release);
+        continue; // re-check State: the combiner always finishes its own.
+      }
+      Waiter.once();
+    }
+    Mine.State.write(EmptyRec, std::memory_order_release);
+  }
+
   /// The combiner's tenure. Caller holds CombinerBusy.
-  void combine(std::uint32_t Tid) {
-    Contention.value().write(1, std::memory_order_release);
+  template <typename Register>
+  void combine(std::uint32_t Tid, Register &Contention,
+               obs::MetricSink &Sink) {
+    Contention.write(1, std::memory_order_release);
     std::uint64_t Served = 0;
     for (std::uint32_t Round = 0; Round < Rounds; ++Round)
       for (std::uint32_t I = 0; I < N; ++I)
@@ -322,22 +269,29 @@ private:
       Mine.State.write(Ready, std::memory_order_release);
       ++Served;
     }
-    Contention.value().write(0, std::memory_order_release);
+    Contention.write(0, std::memory_order_release);
     Batches.fetch_add(1, std::memory_order_relaxed);
     CombinedOps.fetch_add(Served, std::memory_order_relaxed);
     Sink.onEvent(Tid, obs::Event::CombinerBatch);
     Sink.onEvent(Tid, obs::Event::CombinedOp, Served);
   }
 
+  CacheLinePadded<AtomicRegister<std::uint8_t, Policy>> CombinerBusy;
   const std::uint32_t N;
   const std::uint32_t Rounds;
-  CacheLinePadded<AtomicRegister<std::uint8_t, Policy>> Contention;
-  CacheLinePadded<AtomicRegister<std::uint8_t, Policy>> CombinerBusy;
   std::unique_ptr<Record[]> Records;
   std::atomic<std::uint64_t> Batches{0};
   std::atomic<std::uint64_t> CombinedOps{0};
-  [[no_unique_address]] mutable obs::MetricSink Sink{N};
 };
+
+/// The Figure 3 shortcut in front of the flat combiner. Same constructor
+/// (plus an optional CombineRounds) and strongApply contract as
+/// ContentionSensitive, so every wrapper object (stack, queue, deque,
+/// counter) accepts it as SkeletonT.
+template <ContentionManager Manager = NoBackoff,
+          typename Policy = DefaultRegisterPolicy>
+using CombiningContentionSensitive =
+    ContentionSensitiveSkeleton<CombiningSlowPath<Manager, Policy>, Policy>;
 
 } // namespace csobj
 

@@ -82,12 +82,7 @@ public:
 
   /// strong_push(v): Done or Full, never Abort; always terminates.
   PushResult push(std::uint32_t Tid, Value V) {
-    auto WeakOp = [this, V]() -> std::optional<PushResult> {
-      const PushResult Res = Weak.weakPush(V);
-      if (Res == PushResult::Abort)
-        return std::nullopt;
-      return Res;
-    };
+    auto WeakOp = [this, V] { return unlessAbort(Weak.weakPush(V)); };
     auto Rescue = [this, Tid, V]() -> std::optional<PushResult> {
       if (Elim.tryGive(static_cast<std::uint32_t>(V), slotHint(Tid),
                        notFullGate())) {
@@ -111,12 +106,7 @@ public:
 
   /// strong_pop(): a value or Empty, never Abort; always terminates.
   PopResult<Value> pop(std::uint32_t Tid) {
-    auto WeakOp = [this]() -> std::optional<PopResult<Value>> {
-      const PopResult<Value> Res = Weak.weakPop();
-      if (Res.isAbort())
-        return std::nullopt;
-      return Res;
-    };
+    auto WeakOp = [this] { return unlessAbort(Weak.weakPop()); };
     auto Rescue = [this, Tid]() -> std::optional<PopResult<Value>> {
       if (auto V = Elim.tryTake(slotHint(Tid), notFullGate())) {
         Strong.metrics().onEvent(Tid, obs::Event::EliminatedPop);

@@ -471,9 +471,9 @@ TEST(BatchAccounting, CombiningSeamPublishesOneRecordForTheGroup) {
       });
   EXPECT_EQ(Pushed, 4u);
   EXPECT_EQ(S.sizeForTesting(), 5u);
-  EXPECT_EQ(S.skeleton().batchesForTesting(), 1u)
+  EXPECT_EQ(S.skeleton().slowPath().batchesForTesting(), 1u)
       << "one combiner tenure served the whole group";
-  EXPECT_EQ(S.skeleton().combinedOpsForTesting(), 4u)
+  EXPECT_EQ(S.skeleton().slowPath().combinedOpsForTesting(), 4u)
       << "all four group elements count as combined ops";
   EXPECT_FALSE(S.skeleton().contentionForTesting());
   if constexpr (obs::MetricsEnabled) {

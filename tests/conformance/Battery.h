@@ -50,7 +50,6 @@
 #include "core/ContentionSensitiveMap.h"
 #include "core/ContentionSensitiveQueue.h"
 #include "core/ContentionSensitiveStack.h"
-#include "core/CrashTolerant.h"
 #include "core/CrashTolerantDeque.h"
 #include "core/CrashTolerantQueue.h"
 #include "core/CrashTolerantStack.h"
@@ -1341,16 +1340,17 @@ template <typename CT> void crashTolerantSweepCell() {
         },
         K);
     auto &Skel = CT::skeleton(*Obj);
-    const bool CorpseHeldLock = Skel.guard().holderForTesting() == 1;
+    auto &Lock = Skel.slowPath().lock();
+    const bool CorpseHeldLock = Lock.inner().holderForTesting() == 1;
 
     const PushResult First = Skel.strongApply(1, CT::forcedSlow(*Obj, 99));
     ASSERT_EQ(First, PushResult::Done) << "crash point " << K;
 
-    const DegradationStats Stats = Skel.statsForTesting();
+    const DegradationStats Stats = Lock.statsForTesting();
     if (CorpseHeldLock) {
       EXPECT_EQ(Stats.Degradations, 1u) << "crash point " << K;
       EXPECT_EQ(Stats.Revocations, 1u) << "crash point " << K;
-      EXPECT_TRUE(Skel.suspects().isSuspectForTesting(0))
+      EXPECT_TRUE(Lock.suspects().isSuspectForTesting(0))
           << "crash point " << K;
     } else {
       EXPECT_EQ(Stats.Degradations, 0u) << "crash point " << K;
@@ -1359,9 +1359,9 @@ template <typename CT> void crashTolerantSweepCell() {
 
     const PushResult Second = Skel.strongApply(1, CT::forcedSlow(*Obj, 100));
     ASSERT_EQ(Second, PushResult::Done) << "crash point " << K;
-    EXPECT_GE(Skel.statsForTesting().ProtectedOps, 1u) << "crash point " << K;
+    EXPECT_GE(Lock.statsForTesting().ProtectedOps, 1u) << "crash point " << K;
     EXPECT_FALSE(Skel.contentionForTesting()) << "crash point " << K;
-    EXPECT_EQ(Skel.guard().holderForTesting(), 0u) << "crash point " << K;
+    EXPECT_EQ(Lock.inner().holderForTesting(), 0u) << "crash point " << K;
     EXPECT_GE(CT::drainCount(*Obj), 2u) << "crash point " << K;
   }
 }
@@ -2245,7 +2245,7 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
         "cs-stack", {"ContentionSensitiveStack.h", "ContentionSensitive.h"},
         /*Exhaustive=*/false, AccessBounds{6, 6, true}));
     R.push_back(pushPopEntry<CtStackAdapter>(
-        "ct-stack", {"CrashTolerantStack.h", "CrashTolerant.h"},
+        "ct-stack", {"CrashTolerantStack.h"},
         /*Exhaustive=*/false, AccessBounds{6, 6, true},
         [] { crashTolerantSweepCell<CtStackAdapter>(); }));
     R.push_back(pushPopEntry<UnboundedStackAdapter>(

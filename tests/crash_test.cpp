@@ -19,13 +19,16 @@
 ///  * For the *plain* Figure 3, crashing while competing (FLAG raised)
 ///    or holding the lock is NOT tolerated — TURN can stick on the
 ///    crashed process. That is the paper's own caveat.
-///  * The crash-tolerant variant (core/CrashTolerant.h) closes that
-///    boundary: the sweeps at the bottom of this file crash a slow-path
-///    operation at EVERY one of its shared-access points — including
-///    flag-raised and lock-holding prefixes — and assert that a survivor
-///    always completes, degrading to the lock-free fallback exactly when
+///  * The crash-tolerant variant (CrashTolerantContentionSensitive in
+///    core/ContentionSensitive.h) closes that boundary: the sweeps at
+///    the bottom of this file crash a slow-path operation at EVERY one
+///    of its shared-access points — including flag-raised and
+///    lock-holding prefixes — and assert that a survivor always
+///    completes, degrading to the lock-free fallback exactly when
 ///    the corpse held the lease and staying on the starvation-free path
-///    otherwise.
+///    otherwise. The group operations get the same sweep: a contended
+///    push_all/pop_all victim is crashed at every access of its group
+///    phase by a FaultPlan.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,16 +39,20 @@
 #include "core/AbortableQueue.h"
 #include "core/AbortableStack.h"
 #include "core/ContentionSensitiveStack.h"
-#include "core/CrashTolerant.h"
 #include "core/CrashTolerantStack.h"
 #include "core/ObstructionFreeDeque.h"
+#include "faults/FaultInjector.h"
+#include "faults/FaultPlan.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 namespace csobj {
 namespace {
@@ -301,7 +308,8 @@ TEST(CrashTest, CrashTolerantSlowPathSurvivesCrashAtEveryPoint) {
     // flag, a parked TURN, a held lease, a raised CONTENTION bit.
     runAndCrashAt(
         [&] { (void)Skeleton.strongApply(0, forcedSlowPush(Stack, 7)); }, K);
-    const bool CorpseHeldLock = Skeleton.guard().holderForTesting() == 1;
+    auto &Lock = Skeleton.slowPath().lock();
+    const bool CorpseHeldLock = Lock.inner().holderForTesting() == 1;
 
     // Liveness oracle: the survivor (process 1), also forced onto the
     // slow path, must complete regardless of where the victim died...
@@ -312,11 +320,11 @@ TEST(CrashTest, CrashTolerantSlowPathSurvivesCrashAtEveryPoint) {
     // held the lease, and staying on the starvation-free protected path
     // otherwise (the acceptance criterion's "nonzero exactly in those
     // runs").
-    const DegradationStats Stats = Skeleton.statsForTesting();
+    const DegradationStats Stats = Lock.statsForTesting();
     if (CorpseHeldLock) {
       EXPECT_EQ(Stats.Degradations, 1u) << "crash point " << K;
       EXPECT_EQ(Stats.Revocations, 1u) << "crash point " << K;
-      EXPECT_TRUE(Skeleton.suspects().isSuspectForTesting(0));
+      EXPECT_TRUE(Lock.suspects().isSuspectForTesting(0));
     } else {
       EXPECT_EQ(Stats.Degradations, 0u) << "crash point " << K;
       EXPECT_EQ(Stats.ProtectedOps, 1u) << "crash point " << K;
@@ -327,10 +335,10 @@ TEST(CrashTest, CrashTolerantSlowPathSurvivesCrashAtEveryPoint) {
     // the whole slow path is back to starvation-free service.
     const PushResult R2 = Skeleton.strongApply(1, forcedSlowPush(Stack, 100));
     ASSERT_EQ(R2, PushResult::Done) << "crash point " << K;
-    EXPECT_GE(Skeleton.statsForTesting().ProtectedOps, 1u)
+    EXPECT_GE(Lock.statsForTesting().ProtectedOps, 1u)
         << "crash point " << K;
     EXPECT_FALSE(Skeleton.contentionForTesting()) << "crash point " << K;
-    EXPECT_EQ(Skeleton.guard().holderForTesting(), 0u)
+    EXPECT_EQ(Lock.inner().holderForTesting(), 0u)
         << "crash point " << K;
 
     // The values of completed pushes are all present (the victim's push
@@ -354,8 +362,251 @@ TEST(CrashTest, CrashTolerantStackSurvivesFastPathCrash) {
     ASSERT_TRUE(R.isValue());
     ASSERT_EQ(R.value(), 99u);
     ASSERT_FALSE(Stack.skeleton().contentionForTesting());
-    EXPECT_EQ(Stack.skeleton().statsForTesting().Degradations, 0u);
+    EXPECT_EQ(
+        Stack.skeleton().slowPath().lock().statsForTesting().Degradations,
+        0u);
   }
+}
+
+//===----------------------------------------------------------------------===
+// Crash-tolerant group operations: crash a contended batch at EVERY access
+//===----------------------------------------------------------------------===
+
+/// The victim's CONTENTION read plus the four weak-stack accesses before
+/// its first TOP C&S: the victim parks there while the contender moves
+/// TOP, so element 0 aborts and the whole group cuts over to the slow
+/// path (one bounded acquisition of the leased lock for all of it).
+constexpr std::uint32_t GroupPreCas = 5;
+
+/// Values 1..GroupPrefill sit in the stack before each run, enough that
+/// the survivor and healer groups still pop values after the victim's.
+constexpr std::uint32_t GroupPrefill = 8;
+
+/// Base picking policy for the FaultPlan: victim (0) up to its first
+/// TOP C&S, then the contender (1) to completion, then the victim.
+InterleaveScheduler::PickFn contendedGroupPick() {
+  return [Grants0 = 0u](std::size_t,
+                        const std::vector<std::uint32_t> &Parked) mutable
+         -> std::uint32_t {
+    auto Has = [&](std::uint32_t T) {
+      return std::find(Parked.begin(), Parked.end(), T) != Parked.end();
+    };
+    if (Grants0 < GroupPreCas && Has(0)) {
+      ++Grants0;
+      return 0;
+    }
+    if (Has(1))
+      return 1;
+    return Parked.front();
+  };
+}
+
+/// A survivor's group attempt: the first call draws bottom without a
+/// shared access, so the group always takes the slow path (the batch
+/// twin of forcedSlowPush).
+template <typename AttemptFn> auto forcedSlowAt(AttemptFn Attempt) {
+  return [Attempt, First = true](std::size_t I) mutable {
+    if (std::exchange(First, false))
+      return decltype(Attempt(I)){};
+    return Attempt(I);
+  };
+}
+
+/// Now - Then, field by field: the operations retired in between.
+obs::PathSnapshot since(const obs::PathSnapshot &Now,
+                        const obs::PathSnapshot &Then) {
+  obs::PathSnapshot D = Now;
+  D.Ops -= Then.Ops;
+  D.OpsBefore -= Then.OpsBefore;
+  for (unsigned I = 0; I < obs::NumPaths; ++I)
+    D.Paths[I] -= Then.Paths[I];
+  for (unsigned I = 0; I < obs::NumEvents; ++I)
+    D.Events[I] -= Then.Events[I];
+  for (unsigned I = 0; I < obs::NumBatchBuckets; ++I)
+    D.BatchBuckets[I] -= Then.BatchBuckets[I];
+  D.BatchOps -= Then.BatchOps;
+  return D;
+}
+
+/// Crashes \p Victim (process 0's group operation on \p Stack, contended
+/// by process 1's push of 99) at every one of its accesses. After each
+/// crash process 1 runs two forced-slow groups, \p Survivor then
+/// \p Healer (each Survive(Tid) returns its values in completion order),
+/// and \p Check(Survivors, K) inspects what the object holds.
+/// Asserted here: both groups complete, the survivor degrades exactly
+/// when the corpse held the lease, the healer then completes protected
+/// and leaves the lock free, and the operations retired after the crash
+/// conserve while the corpse leaves at most its group in flight.
+template <typename VictimFn, typename SurviveFn, typename CheckFn>
+void crashTolerantGroupSweep(VictimFn Victim, SurviveFn Survive,
+                             CheckFn Check) {
+  std::uint32_t Crashes = 0, HeldLease = 0;
+  for (std::uint64_t K = 0;; ++K) {
+    ASSERT_LT(K, 400u) << "the victim's group never finished";
+    CrashTolerantStack<> Stack(2, 24, /*Patience=*/8);
+    for (std::uint32_t V = 1; V <= GroupPrefill; ++V)
+      ASSERT_EQ(Stack.push(1, V), PushResult::Done);
+    bool VictimDone = false;
+    InterleaveScheduler Scheduler(2);
+    Scheduler.run({[&] {
+                     Victim(Stack);
+                     VictimDone = true;
+                   },
+                   [&] { (void)Stack.push(1, 99); }},
+                  faultPlanPick(FaultPlan::crashAt(0, K),
+                                contendedGroupPick()));
+    if (VictimDone)
+      break; // K is past the victim's last access: the sweep is done.
+    ++Crashes;
+
+    auto &Skel = Stack.skeleton();
+    auto &Lock = Skel.slowPath().lock();
+    const bool CorpseHeldLock = Lock.inner().holderForTesting() == 1;
+    HeldLease += CorpseHeldLock;
+    const obs::PathSnapshot AtCrash = Stack.pathSnapshot();
+    EXPECT_LE(AtCrash.Ops - AtCrash.pathTotal(), 4u)
+        << "the corpse leaves at most its group in flight; crash point "
+        << K;
+
+    std::vector<std::uint32_t> Survivors = Survive(Stack);
+    const DegradationStats Stats = Lock.statsForTesting();
+    if (CorpseHeldLock) {
+      EXPECT_EQ(Stats.Degradations, 1u) << "crash point " << K;
+      EXPECT_EQ(Stats.Revocations, 1u) << "crash point " << K;
+      EXPECT_TRUE(Lock.suspects().isSuspectForTesting(0))
+          << "crash point " << K;
+    } else {
+      EXPECT_EQ(Stats.Degradations, 0u) << "crash point " << K;
+      EXPECT_EQ(Stats.ProtectedOps, 1u) << "crash point " << K;
+    }
+    if constexpr (obs::MetricsEnabled) {
+      const obs::PathSnapshot Survived =
+          since(Stack.pathSnapshot(), AtCrash);
+      EXPECT_EQ(Survived.path(obs::Path::Degraded), CorpseHeldLock ? 2u : 0u)
+          << "crash point " << K;
+    }
+
+    std::vector<std::uint32_t> Healed = Survive(Stack);
+    Survivors.insert(Survivors.end(), Healed.begin(), Healed.end());
+    EXPECT_GE(Lock.statsForTesting().ProtectedOps, 1u) << "crash point " << K;
+    EXPECT_FALSE(Skel.contentionForTesting()) << "crash point " << K;
+    EXPECT_EQ(Lock.inner().holderForTesting(), 0u) << "crash point " << K;
+
+    const obs::PathSnapshot Survived = since(Stack.pathSnapshot(), AtCrash);
+    EXPECT_TRUE(Survived.conserves()) << "crash point " << K;
+    if constexpr (obs::MetricsEnabled) {
+      EXPECT_EQ(Survived.Ops, 4u) << "crash point " << K;
+    }
+
+    Check(Stack, Survivors, K);
+  }
+  EXPECT_GT(Crashes, 10u) << "the sweep must reach well into the slow path";
+  EXPECT_GT(HeldLease, 0u) << "no crash point inside the lease tenure";
+  EXPECT_LT(HeldLease, Crashes) << "no crash point outside the lease";
+}
+
+/// The stack bottom to top when the victim's group starts: the prefill,
+/// then the contender's 99.
+std::vector<std::uint32_t> prefilledThenContended() {
+  std::vector<std::uint32_t> Values;
+  for (std::uint32_t V = 1; V <= GroupPrefill; ++V)
+    Values.push_back(V);
+  Values.push_back(99);
+  return Values;
+}
+
+/// Drains the weak stack solo (never aborts), top first.
+std::vector<std::uint32_t> drainWeak(CrashTolerantStack<> &Stack) {
+  std::vector<std::uint32_t> Drained;
+  while (true) {
+    const PopResult<std::uint32_t> R = Stack.abortable().weakPop();
+    EXPECT_FALSE(R.isAbort()) << "solo weak pop cannot abort";
+    if (!R.isValue())
+      return Drained;
+    Drained.push_back(R.value());
+  }
+}
+
+TEST(CrashTest, CrashTolerantPushAllSurvivesCrashAtEveryPoint) {
+  const std::uint32_t Vs[4] = {41, 42, 43, 44};
+  std::uint32_t Next = 100;
+  crashTolerantGroupSweep(
+      [&](CrashTolerantStack<> &Stack) {
+        EXPECT_EQ(Stack.push_all(0, Vs, 4), 4u);
+      },
+      [&](CrashTolerantStack<> &Stack) {
+        const std::uint32_t Mine[2] = {Next, Next + 1};
+        Next += 2;
+        PushResult Out[2] = {};
+        const std::size_t Applied = Stack.skeleton().strongApplyBatch(
+            1, 2, forcedSlowAt([&](std::size_t I) {
+              return unlessAbort(Stack.abortable().weakPush(Mine[I]));
+            }),
+            [](PushResult R) { return R == PushResult::Full; }, Out);
+        EXPECT_EQ(Applied, 2u);
+        EXPECT_EQ(Out[0], PushResult::Done);
+        EXPECT_EQ(Out[1], PushResult::Done);
+        return std::vector<std::uint32_t>(Mine, Mine + 2);
+      },
+      [&](CrashTolerantStack<> &Stack,
+          const std::vector<std::uint32_t> &Survivors, std::uint64_t K) {
+        // Bottom to top: the prefill, the contender's 99, a prefix of the
+        // victim's group, then the survivors' values.
+        std::vector<std::uint32_t> Drained = drainWeak(Stack);
+        std::reverse(Drained.begin(), Drained.end());
+        std::vector<std::uint32_t> Expected = prefilledThenContended();
+        ASSERT_GE(Drained.size(), Expected.size() + Survivors.size())
+            << "crash point " << K;
+        const std::size_t M =
+            Drained.size() - Expected.size() - Survivors.size();
+        ASSERT_LE(M, 4u) << "crash point " << K;
+        Expected.insert(Expected.end(), Vs, Vs + M);
+        Expected.insert(Expected.end(), Survivors.begin(), Survivors.end());
+        EXPECT_EQ(Drained, Expected)
+            << "crash point " << K << " lost, duplicated or reordered";
+      });
+}
+
+TEST(CrashTest, CrashTolerantPopAllSurvivesCrashAtEveryPoint) {
+  crashTolerantGroupSweep(
+      [](CrashTolerantStack<> &Stack) {
+        std::uint32_t Out[4] = {};
+        EXPECT_EQ(Stack.pop_all(0, Out, 4), 4u);
+      },
+      [](CrashTolerantStack<> &Stack) {
+        PopResult<std::uint32_t> Out[2];
+        const std::size_t Applied = Stack.skeleton().strongApplyBatch(
+            1, 2, forcedSlowAt([&](std::size_t) {
+              return unlessAbort(Stack.abortable().weakPop());
+            }),
+            [](const PopResult<std::uint32_t> &R) { return R.isEmpty(); },
+            Out);
+        EXPECT_EQ(Applied, 2u);
+        std::vector<std::uint32_t> Got;
+        for (const PopResult<std::uint32_t> &R : Out) {
+          EXPECT_TRUE(R.isValue());
+          if (R.isValue())
+            Got.push_back(R.value());
+        }
+        return Got;
+      },
+      [](CrashTolerantStack<> &Stack,
+         const std::vector<std::uint32_t> &Survivors, std::uint64_t K) {
+        // The victim removed the top M of the prefill and 99 (99 first);
+        // what the survivors popped and what is left are the rest, top
+        // first.
+        std::vector<std::uint32_t> Seen = Survivors;
+        const std::vector<std::uint32_t> Left = drainWeak(Stack);
+        Seen.insert(Seen.end(), Left.begin(), Left.end());
+        const std::vector<std::uint32_t> Full = prefilledThenContended();
+        ASSERT_LE(Seen.size(), Full.size()) << "crash point " << K;
+        const std::size_t M = Full.size() - Seen.size();
+        ASSERT_LE(M, 4u) << "crash point " << K;
+        std::vector<std::uint32_t> Expected(Full.begin(), Full.end() - M);
+        std::reverse(Expected.begin(), Expected.end());
+        EXPECT_EQ(Seen, Expected)
+            << "crash point " << K << " lost, duplicated or reordered";
+      });
 }
 
 } // namespace

@@ -7,7 +7,8 @@
 /// \file
 /// The fault-injection subsystem (faults/) and the crash-tolerant slow
 /// path built on it (locks/LeasedLock.h, locks/RecoverableArbiter.h,
-/// core/CrashTolerant.h, runtime/Watchdog.h):
+/// locks/StarvationFreeLock.h, core/ContentionSensitive.h,
+/// runtime/Watchdog.h):
 ///
 ///  * FaultPlan execution — the same declarative plan delivered through
 ///    the wall-clock SchedHook (FaultInjector) and through the explorer
@@ -34,7 +35,6 @@
 
 #include "core/AbortableStack.h"
 #include "core/ContentionSensitiveStack.h"
-#include "core/CrashTolerant.h"
 #include "core/CrashTolerantDeque.h"
 #include "core/CrashTolerantQueue.h"
 #include "core/CrashTolerantStack.h"
@@ -531,7 +531,8 @@ TEST(CrashTolerantTest, FastPathKeepsTheSixAccessBound) {
   const AccessCounts TolerantPop =
       countAccesses([&] { (void)Tolerant.pop(0); });
   EXPECT_EQ(TolerantPop.total(), 6u);
-  const DegradationStats Stats = Tolerant.skeleton().statsForTesting();
+  const DegradationStats Stats =
+      Tolerant.skeleton().slowPath().lock().statsForTesting();
   EXPECT_EQ(Stats.Degradations, 0u);
   EXPECT_EQ(Stats.DoorwayTimeouts, 0u);
   EXPECT_EQ(Stats.LeaseTimeouts, 0u);
@@ -540,56 +541,58 @@ TEST(CrashTolerantTest, FastPathKeepsTheSixAccessBound) {
 
 /// The crash-tolerant objects are the contention-sensitive wrappers with
 /// this skeleton plugged in: the constructor argument after the wrapper's
-/// own reaches the skeleton as its patience, and leaving it out keeps the
-/// skeleton's default.
+/// own reaches the skeleton's leased lock as its patience, and leaving it
+/// out keeps the default of 4096.
 TEST(CrashTolerantTest, WrappersForwardPatienceToTheSkeleton) {
-  EXPECT_EQ(CrashTolerantStack<>(2, 8, /*Patience=*/5).skeleton().patience(),
-            5u);
-  EXPECT_EQ(CrashTolerantQueue<>(2, 8, /*Patience=*/6).skeleton().patience(),
-            6u);
-  EXPECT_EQ(CrashTolerantDeque<>(2, 8, /*InitialLeftSlots=*/4,
-                                 /*Patience=*/7)
-                .skeleton()
-                .patience(),
+  auto PatienceOf = [](auto &&Obj) {
+    return Obj.skeleton().slowPath().lock().patience();
+  };
+  EXPECT_EQ(PatienceOf(CrashTolerantStack<>(2, 8, /*Patience=*/5)), 5u);
+  EXPECT_EQ(PatienceOf(CrashTolerantQueue<>(2, 8, /*Patience=*/6)), 6u);
+  EXPECT_EQ(PatienceOf(CrashTolerantDeque<>(2, 8, /*InitialLeftSlots=*/4,
+                                            /*Patience=*/7)),
             7u);
-  EXPECT_EQ(CrashTolerantStack<>(2, 8).skeleton().patience(),
-            CrashTolerantContentionSensitive<>::DefaultPatience);
+  using CtLock = CrashTolerantContentionSensitive<>::SlowPath::LockType;
+  EXPECT_EQ(CtLock::DefaultPatience, 4096u);
+  EXPECT_EQ(PatienceOf(CrashTolerantStack<>(2, 8)), CtLock::DefaultPatience);
 }
 
 TEST(CrashTolerantTest, ForcedSlowPathCompletesProtected) {
   CrashTolerantContentionSensitive<> Skeleton(2, /*Patience=*/8);
   AbortableStack<> Stack(8);
+  auto &Lock = Skeleton.slowPath().lock();
   const PushResult R = Skeleton.strongApply(0, forcedSlowPush(Stack, 7));
   EXPECT_EQ(R, PushResult::Done);
-  const DegradationStats Stats = Skeleton.statsForTesting();
+  const DegradationStats Stats = Lock.statsForTesting();
   EXPECT_EQ(Stats.ProtectedOps, 1u);
   EXPECT_EQ(Stats.Degradations, 0u);
   EXPECT_FALSE(Skeleton.contentionForTesting());
-  EXPECT_EQ(Skeleton.guard().holderForTesting(), 0u);
-  EXPECT_FALSE(Skeleton.arbiter().flagForTesting(0));
+  EXPECT_EQ(Lock.inner().holderForTesting(), 0u);
+  EXPECT_FALSE(Lock.arbiter().flagForTesting(0));
 }
 
 TEST(CrashTolerantTest, DegradesWhenTheLockNeverFrees) {
   CrashTolerantContentionSensitive<> Skeleton(2, /*Patience=*/8);
   AbortableStack<> Stack(8);
+  auto &Lock = Skeleton.slowPath().lock();
   // Occupy the lock out-of-band, simulating a holder that never returns.
-  ASSERT_EQ(Skeleton.guard().lockBounded(0, 100), LeaseAcquire::Acquired);
+  ASSERT_EQ(Lock.inner().lockBounded(0, 100), LeaseAcquire::Acquired);
   const PushResult R = Skeleton.strongApply(1, forcedSlowPush(Stack, 7));
   EXPECT_EQ(R, PushResult::Done);
-  const DegradationStats Stats = Skeleton.statsForTesting();
+  const DegradationStats Stats = Lock.statsForTesting();
   EXPECT_EQ(Stats.Degradations, 1u);
   EXPECT_EQ(Stats.LeaseTimeouts, 1u);
   EXPECT_EQ(Stats.Revocations, 1u);
-  EXPECT_TRUE(Skeleton.suspects().isSuspectForTesting(0));
+  EXPECT_TRUE(Lock.suspects().isSuspectForTesting(0));
   // The revocation freed the lock: the next slow operation completes
   // protected and the system is healed.
   const PushResult R2 = Skeleton.strongApply(1, forcedSlowPush(Stack, 8));
   EXPECT_EQ(R2, PushResult::Done);
-  EXPECT_EQ(Skeleton.statsForTesting().ProtectedOps, 1u);
-  EXPECT_EQ(Skeleton.guard().holderForTesting(), 0u);
+  EXPECT_EQ(Lock.statsForTesting().ProtectedOps, 1u);
+  EXPECT_EQ(Lock.inner().holderForTesting(), 0u);
   // The out-of-band "holder" discovers its lease is gone — harmlessly.
-  Skeleton.guard().unlock(0);
-  EXPECT_EQ(Skeleton.statsForTesting().LostLeases, 1u);
+  Lock.inner().unlock(0);
+  EXPECT_EQ(Lock.statsForTesting().LostLeases, 1u);
 }
 
 //===----------------------------------------------------------------------===

@@ -136,14 +136,19 @@ TEST(MapDirectedTest, ShortcutAbortFallsThroughToRegionLockExactlyOnce) {
 
   const obs::PathSnapshot S = M.pathSnapshot();
   EXPECT_TRUE(S.conserves());
-  EXPECT_EQ(S.Ops, 2u);
-  EXPECT_EQ(S.path(obs::Path::Shortcut), 1u) << "A must stay on the shortcut";
-  EXPECT_EQ(S.path(obs::Path::Lock), 1u)
-      << "B must retire through the region lock exactly once";
-  EXPECT_EQ(S.event(obs::Event::ShortcutAbort), 1u);
-  // B's lock-protected retry succeeds on its first attempt (A is done),
-  // so line 08 never re-spins.
-  EXPECT_EQ(S.event(obs::Event::ProtectedRetry), 0u);
+  if constexpr (obs::MetricsEnabled) {
+    EXPECT_EQ(S.Ops, 2u);
+    EXPECT_EQ(S.path(obs::Path::Shortcut), 1u)
+        << "A must stay on the shortcut";
+    EXPECT_EQ(S.path(obs::Path::Lock), 1u)
+        << "B must retire through the region lock exactly once";
+    EXPECT_EQ(S.event(obs::Event::ShortcutAbort), 1u);
+    // B's lock-protected retry succeeds on its first attempt (A is
+    // done), so line 08 never re-spins.
+    EXPECT_EQ(S.event(obs::Event::ProtectedRetry), 0u);
+  } else {
+    EXPECT_EQ(S.Ops, 0u) << "compiled-out sinks read zero";
+  }
 
   const PopResult<std::uint32_t> GA = M.get(0, KA);
   const PopResult<std::uint32_t> GB = M.get(0, KB);
@@ -216,12 +221,17 @@ TEST(MapDirectedTest, SecondWriterSerializesThroughDoorwayDuringLockTenure) {
 
   const obs::PathSnapshot S = M.pathSnapshot();
   EXPECT_TRUE(S.conserves());
-  EXPECT_EQ(S.Ops, 4u); // prefill + B + C1 + C2
-  EXPECT_EQ(S.path(obs::Path::Shortcut), 2u) << "prefill and C's first update";
-  EXPECT_EQ(S.path(obs::Path::Lock), 2u)
-      << "B's aborted update and C's contended one must both serialize";
-  EXPECT_EQ(S.event(obs::Event::ShortcutAbort), 1u)
-      << "C's second update must not even attempt the shortcut";
+  if constexpr (obs::MetricsEnabled) {
+    EXPECT_EQ(S.Ops, 4u); // prefill + B + C1 + C2
+    EXPECT_EQ(S.path(obs::Path::Shortcut), 2u)
+        << "prefill and C's first update";
+    EXPECT_EQ(S.path(obs::Path::Lock), 2u)
+        << "B's aborted update and C's contended one must both serialize";
+    EXPECT_EQ(S.event(obs::Event::ShortcutAbort), 1u)
+        << "C's second update must not even attempt the shortcut";
+  } else {
+    EXPECT_EQ(S.Ops, 0u) << "compiled-out sinks read zero";
+  }
 
   // C's second update entered the doorway after B, so it commits last.
   const PopResult<std::uint32_t> G = M.get(0, KA);
@@ -309,8 +319,12 @@ TEST(MapDirectedTest, ReaderCompletesWaitFreeDuringWriterLockTenure) {
 
   const obs::PathSnapshot S = M.pathSnapshot();
   EXPECT_TRUE(S.conserves());
-  EXPECT_EQ(S.path(obs::Path::Lock), 1u);
-  EXPECT_EQ(S.path(obs::Path::Shortcut), 4u); // prefill, H, R, final get
+  if constexpr (obs::MetricsEnabled) {
+    EXPECT_EQ(S.path(obs::Path::Lock), 1u);
+    EXPECT_EQ(S.path(obs::Path::Shortcut), 4u); // prefill, H, R, final get
+  } else {
+    EXPECT_EQ(S.Ops, 0u) << "compiled-out sinks read zero";
+  }
 }
 
 TEST(MapDirectedTest, CrashDuringUpdateFaultPlanIsAllOrNothing) {

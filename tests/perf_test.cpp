@@ -16,11 +16,18 @@
 #include "baselines/LockedMap.h"
 #include "core/CrashTolerantStack.h"
 #include "core/SkipListCore.h"
+#include "core/TimestampBoost.h"
+#include "core/UnboundedStack.h"
 #include "faults/FaultInjector.h"
 #include "faults/FaultPlan.h"
+#include "locks/LeasedLock.h"
+#include "locks/RecoverableArbiter.h"
+#include "locks/RoundRobinArbiter.h"
+#include "locks/StarvationFreeLock.h"
 #include "locks/TicketLock.h"
 #include "memory/AccessCounter.h"
 #include "memory/ChaosHook.h"
+#include "memory/HazardDomain.h"
 #include "perf/AdaptiveShardedStack.h"
 #include "perf/CombiningObjects.h"
 #include "perf/EliminatingStack.h"
@@ -51,7 +58,7 @@ namespace {
 static_assert(occupiesWholeCacheLines<EliminationArray::PaddedSlot>,
               "elimination slots must not share cache lines");
 static_assert(
-    occupiesWholeCacheLines<CombiningContentionSensitive<>::Record>,
+    occupiesWholeCacheLines<CombiningSlowPath<>::Record>,
     "combiner publication records must not share cache lines");
 // The skeleton-shared words (CONTENTION, CombinerBusy, the arbiter's TURN
 // and FLAG[] elements) all use CacheLinePadded; pin the predicate on the
@@ -189,8 +196,8 @@ TEST(Combining, AbortedFastPathBecomesCombiner) {
   EXPECT_EQ(*Res0, PushResult::Done);
   EXPECT_EQ(*Res1, PushResult::Done);
   EXPECT_EQ(S.sizeForTesting(), 2u);
-  EXPECT_EQ(S.skeleton().batchesForTesting(), 1u);
-  EXPECT_EQ(S.skeleton().combinedOpsForTesting(), 1u);
+  EXPECT_EQ(S.skeleton().slowPath().batchesForTesting(), 1u);
+  EXPECT_EQ(S.skeleton().slowPath().combinedOpsForTesting(), 1u);
   EXPECT_FALSE(S.skeleton().contentionForTesting())
       << "combiner must lower CONTENTION before retiring";
 }
@@ -530,6 +537,21 @@ TEST(CtorChecks, CoreAndBaselineCtorsRejectBadGeometry) {
   EXPECT_THROW(CombiningContentionSensitive<>(0), std::invalid_argument);
   EXPECT_THROW(ContentionSensitiveStack<>(0, 8), std::invalid_argument);
   EXPECT_THROW(CrashTolerantStack<>(0, 8), std::invalid_argument);
+  // The per-process arrays behind the skeleton's slow path check their
+  // own bounds. The leased lock keeps one lease note per process in a
+  // fixed array of 64: a 65th process would store past its end.
+  EXPECT_THROW(CrashTolerantStack<>(65, 8), std::invalid_argument);
+  EXPECT_THROW(StarvationFreeLock<Leasable>(65), std::invalid_argument);
+  EXPECT_THROW(LeasedLock(0), std::invalid_argument);
+  EXPECT_THROW(LeasedLock(65), std::invalid_argument);
+  EXPECT_NO_THROW(LeasedLock(64));
+  EXPECT_THROW(SuspectSet(0), std::invalid_argument);
+  EXPECT_THROW(RoundRobinArbiter(0), std::invalid_argument);
+  SuspectSet Suspects(1);
+  EXPECT_THROW(RecoverableArbiter(0, Suspects), std::invalid_argument);
+  EXPECT_THROW(TimestampBoost(0), std::invalid_argument);
+  EXPECT_THROW(HazardDomain(0, 1), std::invalid_argument);
+  EXPECT_THROW(UnboundedStack<>(0), std::invalid_argument);
 }
 
 //===----------------------------------------------------------------------===
@@ -691,14 +713,19 @@ TEST(AdaptiveStack, AutoTickShrinksUnderShortcutSoloLoad) {
     ASSERT_EQ(S.push(0, I + 1), PushResult::Done);
     ASSERT_TRUE(S.pop(0).isValue());
   }
-  EXPECT_EQ(S.activeShards(), 1u)
-      << "the control loop failed to shrink a shortcut-dominant mask";
-  EXPECT_GE(S.reconfigEpoch(), 1u);
-  EXPECT_EQ(countAccesses([&] { (void)S.push(0, 7); }).total(), 6u)
-      << "post-shrink solo cost must return to the paper's bound";
   if constexpr (obs::MetricsEnabled) {
+    EXPECT_EQ(S.activeShards(), 1u)
+        << "the control loop failed to shrink a shortcut-dominant mask";
+    EXPECT_GE(S.reconfigEpoch(), 1u);
     EXPECT_GE(S.pathSnapshot().event(obs::Event::ShardShrink), 1u);
+  } else {
+    // Compiled-out sinks read zero, so the controller never sees a
+    // window to act on: the mask and the epoch stay where they began.
+    EXPECT_EQ(S.activeShards(), 2u);
+    EXPECT_EQ(S.reconfigEpoch(), 0u);
   }
+  EXPECT_EQ(countAccesses([&] { (void)S.push(0, 7); }).total(), 6u)
+      << "solo cost must stay at the paper's bound";
 }
 
 TEST(AdaptiveStack, TickGrowsUnderForcedLockHeavySnapshot) {
