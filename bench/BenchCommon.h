@@ -25,7 +25,6 @@
 #include "core/ContentionSensitiveQueue.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/CrashTolerantStack.h"
-#include "core/UnboundedStack.h"
 #include "core/NonBlockingQueue.h"
 #include "core/NonBlockingStack.h"
 #include "locks/McsLock.h"
@@ -355,7 +354,7 @@ struct UnboundedCsStackAdapter {
   obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
   obs::Path lastPath(std::uint32_t Tid) const { return Stack.lastPath(Tid); }
   std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  HazardDomain &domain() { return Stack.unbounded().domain(); }
+  HazardDomain &domain() { return Stack.abortable().domain(); }
   ContentionSensitiveUnboundedStack<> Stack;
 };
 

@@ -63,6 +63,28 @@
 /// order over these four loads — exactly what seq_cst provides and
 /// acquire alone does not promise in the C++ abstract machine.
 ///
+/// ITEMS lives in a slot store (memory/SlotStore.h), as the stack's
+/// STACK[] does: FlatStore (the default) is the ring of Capacity + 1
+/// registers; ChunkedStore, spelled UnboundedQueue<>, spans the codec's
+/// whole index space (65536 positions for Compact64: capacity 65535)
+/// but keeps only the chunks covering the live window
+/// [FRONT .. next(REAR)] resident. An enqueue crossing into an absent
+/// chunk installs one; a dequeue whose FRONT crosses a chunk boundary
+/// trims everything outside the window. Solo costs stay at six accesses.
+///
+/// The queue's chunk rules differ from the stack's because of the
+/// generation certificate: a slot's sn must equal its occupancy count,
+/// and a chunk reinstalled with any other seed would fail every
+/// certificate on its slots forever (the strong wrapper would spin). So
+/// an installed chunk resumes the *exact* sequence run of the untrimmed
+/// ring: under the directory lock a fresh REAR read <r, s> fixes the seed
+/// — s for ring indices 1..r, which REAR's current pass has covered, s-1
+/// for the rest — and an install asked for any position but
+/// chunkOf(next(r)) is refused, which proves the requester's REAR view
+/// stale and turns its operation into the Abort its own REAR C&S would
+/// have produced. With exact resumption the ABA envelope is the flat
+/// ring's own: 2^16 occupancies of one slot.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSOBJ_CORE_ABORTABLEQUEUE_H
@@ -70,23 +92,29 @@
 
 #include "core/Results.h"
 #include "memory/AtomicRegister.h"
+#include "memory/SlotStore.h"
 #include "memory/TaggedValue.h"
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace csobj {
 
-/// Abortable, linearizable, lock-free bounded FIFO queue.
+/// Abortable, linearizable, lock-free FIFO queue.
 ///
 /// \tparam Policy register policy (Instrumented / Fast), see
 ///         memory/RegisterPolicy.h.
+/// \tparam Store  the slot store holding ITEMS: FlatStore (bounded,
+///         preallocated) or ChunkedStore (unbounded, reclaimed).
 template <typename Config = Compact64,
-          typename Policy = DefaultRegisterPolicy>
+          typename Policy = DefaultRegisterPolicy,
+          typename Store = FlatStore>
 class AbortableQueue {
+  using SlotsT = typename Store::template Slots<Config, Policy>;
+
 public:
   using TopC = typename Config::Top;   ///< Codec for REAR (a triple).
   using SlotC = typename Config::Slot; ///< Codec for ITEMS and FRONT.
@@ -95,26 +123,31 @@ public:
 
   static constexpr Value Bottom = TopC::Bottom;
 
-  /// Creates a queue holding up to \p Capacity elements. The ring has
-  /// Capacity + 1 slots, which must fit the REAR codec's index field;
-  /// otherwise (or for Capacity 0) throws std::invalid_argument, a hard
-  /// check kept under NDEBUG.
-  explicit AbortableQueue(std::uint32_t Capacity)
-      : K(checkedCapacity(Capacity)), Ring(Capacity + 1),
-        Items(new AtomicRegister<SlotWord, Policy>[Capacity + 1]) {
+  /// Identifies the calling thread to the slot store (see AbortableStack).
+  using Caller = typename SlotsT::Caller;
+
+  /// Over the flat store \p Size is the capacity: the ring has Size + 1
+  /// slots, which must fit the REAR codec's index field; otherwise (or
+  /// for Size 0) throws std::invalid_argument, a hard check kept under
+  /// NDEBUG. Over the chunked store \p Size is the thread count, which
+  /// sizes the hazard domain; the capacity is the codec's envelope.
+  explicit AbortableQueue(std::uint32_t Size)
+      : Slots(Store::Chunked ? Size : checkedCapacity(Size),
+              SlotC::pack({Bottom, TopC::seqAdd(0, -1)}),
+              SlotC::pack({Bottom, 0})) {
     Rear.write(TopC::pack({/*Index=*/0, /*Value=*/Bottom, /*Seq=*/0}));
     Front.write(SlotC::pack({/*Value=*/0, /*Seq=*/0}));
-    Items[0].write(SlotC::pack({Bottom, TopC::seqAdd(0, -1)}));
-    for (std::uint32_t X = 1; X < Ring; ++X)
-      Items[X].write(SlotC::pack({Bottom, 0}));
   }
 
   /// weak_enqueue(v): Done, Full, or Abort. Solo operations never abort.
-  PushResult weakEnqueue(Value V) {
+  PushResult weakEnqueue(Caller Tid, Value V) {
     assert(V != Bottom && "cannot enqueue the reserved bottom value");
     const TopWord RearW = Rear.read();
     const TopFields<Value> R = TopC::unpack(RearW);
-    helpRear(R);
+    Pin Help(Slots, Tid, 0);
+    if (!Help.pin(R.Index))
+      return PushResult::Abort; // stale REAR: its chunk was reclaimed
+    helpRear(Help.slot(), R);
     const SlotWord FrontW = Front.read();
     const std::uint32_t FrontIdx = frontIndex(FrontW);
     if (next(R.Index) == FrontIdx) {
@@ -126,8 +159,11 @@ public:
         return PushResult::Abort;
       return PushResult::Full;
     }
-    const SlotFields<Value> Next = SlotC::unpack(
-        Items[next(R.Index)].read(std::memory_order_acquire));
+    Pin Behind(Slots, Tid, 1);
+    if (!Behind.pinOrInstall(next(R.Index), *this))
+      return PushResult::Abort; // install refused: REAR view stale
+    const SlotFields<Value> Next =
+        SlotC::unpack(Behind.slot().read(std::memory_order_acquire));
     const TopWord NewRear =
         TopC::pack({next(R.Index), V, TopC::seqAdd(Next.Seq, +1)});
     if (Rear.compareAndSwap(RearW, NewRear, std::memory_order_acq_rel))
@@ -137,10 +173,13 @@ public:
 
   /// weak_dequeue(): the oldest value, Empty, or Abort. Solo operations
   /// never abort.
-  PopResult<Value> weakDequeue() {
+  PopResult<Value> weakDequeue(Caller Tid) {
     const TopWord RearW = Rear.read();
     const TopFields<Value> R = TopC::unpack(RearW);
-    helpRear(R);
+    Pin Help(Slots, Tid, 0);
+    if (!Help.pin(R.Index))
+      return PopResult<Value>::abort(); // stale REAR
+    helpRear(Help.slot(), R);
     const SlotWord FrontW = Front.read();
     const std::uint32_t FrontIdx = frontIndex(FrontW);
     if (FrontIdx == R.Index) {
@@ -154,8 +193,11 @@ public:
       return PopResult<Value>::empty();
     }
     const std::uint32_t OldestIdx = next(FrontIdx);
-    const SlotFields<Value> Oldest = SlotC::unpack(
-        Items[OldestIdx].read(std::memory_order_acquire));
+    Pin Head(Slots, Tid, 1);
+    if (!Head.pin(OldestIdx))
+      return PopResult<Value>::abort(); // stale FRONT
+    const SlotFields<Value> Oldest =
+        SlotC::unpack(Head.slot().read(std::memory_order_acquire));
     // Generation certificate (see file comment): with c completed ring
     // cycles recorded in FRONT, the oldest slot is in occupancy c + 1
     // and must carry exactly that sn.
@@ -170,37 +212,59 @@ public:
       const TopFields<Value> R2 = TopC::unpack(Rear.read());
       if (R2.Index != OldestIdx || R2.Seq != Expected)
         return PopResult<Value>::abort();
-      helpRear(R2);
+      helpRear(Head.slot(), R2);
       Out = R2.Value;
     }
     const SlotWord NewFront = SlotC::pack(
         {static_cast<Value>(OldestIdx),
          OldestIdx == 0 ? TopC::seqAdd(Cycle, +1) : Cycle});
-    if (Front.compareAndSwap(FrontW, NewFront, std::memory_order_acq_rel))
+    if (Front.compareAndSwap(FrontW, NewFront, std::memory_order_acq_rel)) {
+      Slots.trim(Tid, FrontIdx, OldestIdx, *this);
       return PopResult<Value>::value(Out);
+    }
     return PopResult<Value>::abort();
   }
 
-  std::uint32_t capacity() const { return K; }
-
-  /// Heap owned by the queue: the ITEMS ring (k + 1 slots).
-  std::size_t heapBytes() const {
-    return std::size_t{Ring} * sizeof(AtomicRegister<SlotWord, Policy>);
+  /// The flat store's Tid-free spellings.
+  PushResult weakEnqueue(Value V) requires(!Store::Chunked) {
+    return weakEnqueue(0, V);
   }
+  PopResult<Value> weakDequeue() requires(!Store::Chunked) {
+    return weakDequeue(0);
+  }
+
+  std::uint32_t capacity() const { return Slots.lastIndex(); }
+
+  /// Heap owned by the queue: the slot store's (the ITEMS ring, or every
+  /// chunk ever allocated plus the hazard domain).
+  std::size_t heapBytes() const { return Slots.heapBytes(); }
 
   /// Quiescent-only element count (test/debug aid).
   std::uint32_t sizeForTesting() const {
     const std::uint32_t R = TopC::unpack(Rear.peekForTesting()).Index;
     const std::uint32_t F = frontIndex(Front.peekForTesting());
-    return (R + Ring - F) % Ring;
+    return (R + ring() - F) % ring();
   }
+
+  /// The chunked store's oracles (test/bench aids): chunks installed now
+  /// and ever allocated, and the reclamation domain.
+  std::uint32_t installedChunksForTesting() const {
+    return Slots.installedChunksForTesting();
+  }
+  std::size_t allocatedChunksForTesting() const {
+    return Slots.allocatedChunksForTesting();
+  }
+  HazardDomain &domain() { return Slots.domain(); }
 
 private:
   using TopWord = typename TopC::Word;
   using SlotWord = typename SlotC::Word;
+  using Pin = typename SlotsT::Pin;
 
+  /// Number of ring slots (capacity + 1).
+  std::uint32_t ring() const { return Slots.lastIndex() + 1; }
   std::uint32_t next(std::uint32_t Index) const {
-    return (Index + 1) % Ring;
+    return (Index + 1) % ring();
   }
 
   static std::uint32_t frontIndex(SlotWord W) {
@@ -212,13 +276,15 @@ private:
   }
 
   /// Completes the lazy ITEMS write of the last enqueue recorded in REAR
-  /// (identical to the stack's help, lines 15-16 of Figure 1).
-  void helpRear(const TopFields<Value> &R) {
-    const SlotFields<Value> Cur = SlotC::unpack(
-        Items[R.Index].read(std::memory_order_acquire));
-    Items[R.Index].compareAndSwap(
-        SlotC::pack({Cur.Value, TopC::seqAdd(R.Seq, -1)}),
-        SlotC::pack({R.Value, R.Seq}), std::memory_order_acq_rel);
+  /// into its pinned register \p S (identical to the stack's help, lines
+  /// 15-16 of Figure 1).
+  static void helpRear(AtomicRegister<SlotWord, Policy> &S,
+                       const TopFields<Value> &R) {
+    const SlotFields<Value> Cur =
+        SlotC::unpack(S.read(std::memory_order_acquire));
+    S.compareAndSwap(SlotC::pack({Cur.Value, TopC::seqAdd(R.Seq, -1)}),
+                     SlotC::pack({R.Value, R.Seq}),
+                     std::memory_order_acq_rel);
   }
 
   static std::uint32_t checkedCapacity(std::uint32_t Capacity) {
@@ -230,12 +296,49 @@ private:
     return Capacity;
   }
 
-  const std::uint32_t K;
-  const std::uint32_t Ring; ///< Number of slots (K + 1).
+  // The queue's chunk rules, which the chunked store calls under its
+  // directory lock (see memory/SlotStore.h).
+  friend SlotsT;
+
+  /// Install rule: only the growth position chunkOf(next(REAR)) may be
+  /// installed, seeded to resume the untrimmed ring's sequence run.
+  /// Per-slot seed = genuine occupancies completed: with REAR at <r, s>
+  /// (slot r in its s-th occupancy), REAR's current pass has covered
+  /// ring indices 1..r, which carry s; the rest — including slot 0,
+  /// permanently one occupancy behind from the dummy-init absorption, so
+  /// the pass boundary sits between slot 0 and slot 1 — carry s-1.
+  template <typename FillFn> bool seedChunk(std::uint32_t Pos, FillFn Fill) {
+    const TopFields<Value> R = TopC::unpack(Rear.readReclaim());
+    if (Pos != SlotsT::chunkOf(next(R.Index)))
+      return false;
+    Fill([R](std::uint32_t Index) {
+      return SlotC::pack({Bottom, Index >= 1 && Index <= R.Index
+                                      ? R.Seq
+                                      : TopC::seqAdd(R.Seq, -1)});
+    });
+    return true;
+  }
+
+  /// Trim rule: keep the live window [chunkOf(FRONT) ..
+  /// chunkOf(next(REAR))], a ring interval, read on the reclamation
+  /// channel.
+  std::pair<std::uint32_t, std::uint32_t> liveChunks() const {
+    const std::uint32_t F = frontIndex(Front.readReclaim());
+    const std::uint32_t Rr = TopC::unpack(Rear.readReclaim()).Index;
+    return {SlotsT::chunkOf(F), SlotsT::chunkOf(next(Rr))};
+  }
+
   AtomicRegister<TopWord, Policy> Rear;
   AtomicRegister<SlotWord, Policy> Front;
-  std::unique_ptr<AtomicRegister<SlotWord, Policy>[]> Items;
+  SlotsT Slots;
 };
+
+/// The queue over the chunked, hazard-reclaimed slot store: the
+/// unbounded abortable FIFO. Construct with the thread count n; the weak
+/// operations take the caller's id.
+template <typename Config = Compact64,
+          typename Policy = DefaultRegisterPolicy>
+using UnboundedQueue = AbortableQueue<Config, Policy, ChunkedStore>;
 
 } // namespace csobj
 

@@ -39,6 +39,26 @@
 /// reuse. No operation relies on the relative order of *other* threads'
 /// independent accesses, so seq_cst is not required.
 ///
+/// Where STACK[x] lives is the slot store's business (memory/SlotStore.h);
+/// the algorithm is written once over it:
+///  * FlatStore (the default): the k+1 registers, allocated up front.
+///  * ChunkedStore, spelled UnboundedStack<>: the paper's infinite array
+///    as 64-slot chunks installed as TOP climbs and retired as TOP falls,
+///    so resident memory tracks the live population. Full is answered
+///    only at the TOP codec's index envelope (65535 for Compact64). A TOP
+///    view whose chunk was already reclaimed is stale, so the operation
+///    answers Abort — what its own TOP C&S would have answered. The chunk
+///    machinery is uncounted: a solo weak operation still performs the
+///    five accesses above.
+///
+/// The stack's own chunk rules sit at the end of the class. Each install
+/// re-seeds the chunk's sequence numbers from a per-position counter
+/// advanced by an odd stride, so a recycled chunk never resumes the
+/// sequence run of its previous incarnation — a sleeping thread is fooled
+/// only across ~2^16 reuses of one slot, the flat store's own envelope.
+/// A pop that crosses a chunk boundary downward trims every chunk above
+/// the hysteresis line chunkOf(TOP) + 1.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSOBJ_CORE_ABORTABLESTACK_H
@@ -46,25 +66,31 @@
 
 #include "core/Results.h"
 #include "memory/AtomicRegister.h"
+#include "memory/SlotStore.h"
 #include "memory/TaggedValue.h"
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace csobj {
 
-/// Figure 1: an abortable, linearizable, lock-free bounded stack.
+/// Figure 1: an abortable, linearizable, lock-free stack.
 ///
 /// \tparam Config a codec family (Compact64 or Wide128) fixing the packed
 ///         layout of TOP and STACK[x] and the payload type.
 /// \tparam Policy register policy (Instrumented / Fast), see
 ///         memory/RegisterPolicy.h.
+/// \tparam Store  the slot store holding STACK[0..]: FlatStore (bounded,
+///         preallocated) or ChunkedStore (unbounded, reclaimed).
 template <typename Config = Compact64,
-          typename Policy = DefaultRegisterPolicy>
+          typename Policy = DefaultRegisterPolicy,
+          typename Store = FlatStore>
 class AbortableStack {
+  using SlotsT = typename Store::template Slots<Config, Policy>;
+
 public:
   using TopC = typename Config::Top;
   using SlotC = typename Config::Slot;
@@ -74,24 +100,30 @@ public:
   /// The reserved bottom payload; pushing it is a precondition violation.
   static constexpr Value Bottom = TopC::Bottom;
 
-  /// Creates a stack of capacity \p Capacity (the paper's k). Entry 0 of
-  /// the backing array is the dummy slot, so Capacity must be at least 1
-  /// and small enough for the index field of the TOP codec; otherwise
-  /// throws std::invalid_argument (a hard check, kept under NDEBUG).
-  explicit AbortableStack(std::uint32_t Capacity)
-      : K(checkedCapacity(Capacity)),
-        Slots(new AtomicRegister<SlotWord, Policy>[Capacity + 1]) {
-    // TOP <- <0, bottom, 0>; STACK[0] <- <bottom, -1>; STACK[x] <- <bottom, 0>.
+  /// Identifies the calling thread to the slot store: its id, which names
+  /// its hazard slots in the chunked store; over the flat store an empty
+  /// tag any id converts to.
+  using Caller = typename SlotsT::Caller;
+
+  /// Over the flat store \p Size is the capacity k. Entry 0 of the
+  /// backing array is the dummy slot, so k must be at least 1 and small
+  /// enough for the index field of the TOP codec; otherwise throws
+  /// std::invalid_argument (a hard check, kept under NDEBUG). Over the
+  /// chunked store \p Size is the paper's n, which sizes the hazard
+  /// domain; the capacity is the codec's envelope.
+  explicit AbortableStack(std::uint32_t Size)
+      // STACK[0] <- <bottom, -1>; STACK[x] <- <bottom, 0>.
+      : Slots(Store::Chunked ? Size : checkedCapacity(Size),
+              SlotC::pack({Bottom, TopC::seqAdd(0, -1)}),
+              SlotC::pack({Bottom, 0})) {
+    // TOP <- <0, bottom, 0>.
     Top.write(TopC::pack({/*Index=*/0, /*Value=*/Bottom, /*Seq=*/0}));
-    Slots[0].write(SlotC::pack({Bottom, TopC::seqAdd(0, -1)}));
-    for (std::uint32_t X = 1; X <= Capacity; ++X)
-      Slots[X].write(SlotC::pack({Bottom, 0}));
   }
 
   /// weak_push(v), lines 01-07. Returns Done, Full, or Abort (bottom).
   /// \p V must not be the reserved Bottom payload and must fit the codec's
   /// value field.
-  PushResult weakPush(Value V) {
+  PushResult weakPush(Caller Tid, Value V) {
     assert(V != Bottom && "cannot push the reserved bottom value");
     assert((V & static_cast<Value>(TopC::Bottom)) == V &&
            "value exceeds the codec's value field");
@@ -99,11 +131,17 @@ public:
     // whose outcome we observe (see file comment).
     const TopWord Observed = Top.read(std::memory_order_acquire); // line 01
     const TopFields<Value> Cur = TopC::unpack(Observed);
-    help(Cur);                                                  // line 02
-    if (Cur.Index == K)                                         // line 03
+    Pin Help(Slots, Tid, 0);
+    if (!Help.pin(Cur.Index))
+      return PushResult::Abort; // stale TOP: its chunk was reclaimed
+    help(Help.slot(), Cur);                                     // line 02
+    if (Cur.Index == Slots.lastIndex())                         // line 03
       return PushResult::Full;
+    Pin Above(Slots, Tid, 1);
+    if (!Above.pinOrInstall(Cur.Index + 1, *this))
+      return PushResult::Abort;
     const SlotFields<Value> Next = SlotC::unpack(
-        Slots[Cur.Index + 1].read(std::memory_order_acquire));  // line 04
+        Above.slot().read(std::memory_order_acquire));          // line 04
     const TopWord NewTop = TopC::pack(
         {Cur.Index + 1, V, TopC::seqAdd(Next.Seq, +1)});        // line 05
     // Acq_rel: the release publishes this operation (and the help write
@@ -115,30 +153,42 @@ public:
   }
 
   /// weak_pop(), lines 08-14. Returns the popped value, Empty, or Abort.
-  PopResult<Value> weakPop() {
+  PopResult<Value> weakPop(Caller Tid) {
     const TopWord Observed = Top.read(std::memory_order_acquire); // line 08
     const TopFields<Value> Cur = TopC::unpack(Observed);
-    help(Cur);                                                  // line 09
+    Pin Help(Slots, Tid, 0);
+    if (!Help.pin(Cur.Index))
+      return PopResult<Value>::abort(); // stale TOP
+    help(Help.slot(), Cur);                                     // line 09
     if (Cur.Index == 0)                                         // line 10
       return PopResult<Value>::empty();
-    const SlotFields<Value> Below = SlotC::unpack(
-        Slots[Cur.Index - 1].read(std::memory_order_acquire));  // line 11
+    Pin Below(Slots, Tid, 1);
+    if (!Below.pin(Cur.Index - 1))
+      return PopResult<Value>::abort(); // stale TOP
+    const SlotFields<Value> Under = SlotC::unpack(
+        Below.slot().read(std::memory_order_acquire));          // line 11
     const TopWord NewTop = TopC::pack(
-        {Cur.Index - 1, Below.Value, TopC::seqAdd(Below.Seq, +1)}); // line 12
+        {Cur.Index - 1, Under.Value, TopC::seqAdd(Under.Seq, +1)}); // line 12
     if (Top.compareAndSwap(Observed, NewTop,
-                           std::memory_order_acq_rel))          // line 13
+                           std::memory_order_acq_rel)) {        // line 13
+      Slots.trim(Tid, Cur.Index, Cur.Index - 1, *this);
       return PopResult<Value>::value(Cur.Value);
+    }
     return PopResult<Value>::abort();                           // line 14
   }
 
-  /// The paper's k.
-  std::uint32_t capacity() const { return K; }
-
-  /// Heap owned by the stack: the STACK[0..k] slot array (k + 1 entries;
-  /// slot 0 holds the initial sentinel).
-  std::size_t heapBytes() const {
-    return (std::size_t{K} + 1) * sizeof(AtomicRegister<SlotWord, Policy>);
+  /// The flat store's Tid-free spellings.
+  PushResult weakPush(Value V) requires(!Store::Chunked) {
+    return weakPush(0, V);
   }
+  PopResult<Value> weakPop() requires(!Store::Chunked) { return weakPop(0); }
+
+  /// The paper's k (over the chunked store, the codec's envelope).
+  std::uint32_t capacity() const { return Slots.lastIndex(); }
+
+  /// Heap owned by the stack: the slot store's (the STACK[0..k] array, or
+  /// every chunk ever allocated plus the hazard domain).
+  std::size_t heapBytes() const { return Slots.heapBytes(); }
 
   /// One instrumented acquire read of TOP, decoded. The acceleration
   /// layer (perf/) uses this as a not-full / not-empty witness: a single
@@ -165,27 +215,39 @@ public:
     return TopC::unpack(Top.peekForTesting());
   }
 
-  /// Decoded STACK[x] register (test/debug aid, uninstrumented).
+  /// Decoded STACK[x] register of the flat store (test/debug aid,
+  /// uninstrumented).
   SlotFields<Value> slotForTesting(std::uint32_t X) const {
-    assert(X <= K && "slot index out of range");
-    return SlotC::unpack(Slots[X].peekForTesting());
+    assert(X <= capacity() && "slot index out of range");
+    return SlotC::unpack(Slots.peekForTesting(X));
   }
+
+  /// The chunked store's oracles (test/bench aids): chunks installed now
+  /// and ever allocated, and the reclamation domain.
+  std::uint32_t installedChunksForTesting() const {
+    return Slots.installedChunksForTesting();
+  }
+  std::size_t allocatedChunksForTesting() const {
+    return Slots.allocatedChunksForTesting();
+  }
+  HazardDomain &domain() { return Slots.domain(); }
 
 private:
   using TopWord = typename TopC::Word;
   using SlotWord = typename SlotC::Word;
+  using Pin = typename SlotsT::Pin;
 
   /// procedure help(index, value, seqnb), lines 15-16: complete the lazy
-  /// write of the previous non-aborted operation into STACK[index]. The
-  /// C&S succeeds only if that write has not been done yet (expected
-  /// sequence number seqnb - 1).
-  void help(const TopFields<Value> &T) {
-    const SlotFields<Value> Cur = SlotC::unpack(
-        Slots[T.Index].read(std::memory_order_acquire));        // line 15
-    Slots[T.Index].compareAndSwap(
-        SlotC::pack({Cur.Value, TopC::seqAdd(T.Seq, -1)}),
-        SlotC::pack({T.Value, T.Seq}),
-        std::memory_order_acq_rel);                             // line 16
+  /// write of the previous non-aborted operation into STACK[index], the
+  /// pinned register \p S. The C&S succeeds only if that write has not
+  /// been done yet (expected sequence number seqnb - 1).
+  static void help(AtomicRegister<SlotWord, Policy> &S,
+                   const TopFields<Value> &T) {
+    const SlotFields<Value> Cur =
+        SlotC::unpack(S.read(std::memory_order_acquire));       // line 15
+    S.compareAndSwap(SlotC::pack({Cur.Value, TopC::seqAdd(T.Seq, -1)}),
+                     SlotC::pack({T.Value, T.Seq}),
+                     std::memory_order_acq_rel);                // line 16
   }
 
   static std::uint32_t checkedCapacity(std::uint32_t Capacity) {
@@ -197,10 +259,46 @@ private:
     return Capacity;
   }
 
-  const std::uint32_t K;
+  // The stack's chunk rules, which the chunked store calls under its
+  // directory lock (see memory/SlotStore.h).
+  friend SlotsT;
+
+  /// Seed stride between incarnations of one directory position: odd
+  /// (coprime to the 2^SeqBits sequence space), so successive
+  /// incarnations start their sequence runs at distinct offsets.
+  static constexpr std::uint32_t SeedStride = 257;
+
+  /// Install rule: never refuses; every slot of the new incarnation
+  /// starts at the position's next seed.
+  template <typename FillFn> bool seedChunk(std::uint32_t Pos, FillFn Fill) {
+    const std::uint32_t Seed = SeqSeed[Pos] & TopC::SeqMask;
+    SeqSeed[Pos] += SeedStride;
+    Fill([Seed](std::uint32_t) { return SlotC::pack({Bottom, Seed}); });
+    return true;
+  }
+
+  /// Trim rule: keep chunk 0 through the hysteresis line chunkOf(TOP)+1.
+  /// TOP is read on the reclamation channel, so the whole trim is
+  /// invisible to the oracles.
+  std::pair<std::uint32_t, std::uint32_t> liveChunks() const {
+    const std::uint32_t TopIdx = TopC::unpack(Top.readReclaim()).Index;
+    return {0, SlotsT::chunkOf(TopIdx) + 1};
+  }
+
   AtomicRegister<TopWord, Policy> Top;
-  std::unique_ptr<AtomicRegister<SlotWord, Policy>[]> Slots;
+  SlotsT Slots;
+  /// Per-position incarnation seeds of the chunked store, guarded by its
+  /// directory lock; no bytes over the flat store.
+  [[no_unique_address]] typename SlotsT::template PerChunk<std::uint32_t>
+      SeqSeed{};
 };
+
+/// Figure 1 over the chunked, hazard-reclaimed slot store: the unbounded
+/// abortable stack. Construct with the thread count n; the weak
+/// operations take the caller's id.
+template <typename Config = Compact64,
+          typename Policy = DefaultRegisterPolicy>
+using UnboundedStack = AbortableStack<Config, Policy, ChunkedStore>;
 
 } // namespace csobj
 

@@ -359,7 +359,8 @@ public:
   Lock &lock() { return Guard; }
   const Lock &lock() const { return Guard; }
 
-  /// Heap owned by the lock (its doorway FLAG array, when it has one).
+  /// Heap owned by the lock (doorway FLAG array, per-process nodes or
+  /// slots), when it owns any.
   std::size_t heapBytes() const {
     if constexpr (requires { Guard.heapBytes(); })
       return Guard.heapBytes();

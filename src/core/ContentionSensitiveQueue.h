@@ -12,6 +12,9 @@
 /// CONTENTION plus the six of the weak queue operation) and takes no
 /// lock; starvation-freedom is inherited from the Figure 3 skeleton.
 ///
+/// Over the chunked slot store (memory/SlotStore.h) the same class is the
+/// unbounded queue, ContentionSensitiveUnboundedQueue.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSOBJ_CORE_CONTENTIONSENSITIVEQUEUE_H
@@ -30,16 +33,18 @@ namespace csobj {
 /// Starvation-free contention-sensitive bounded FIFO queue. \p SkeletonT
 /// defaults to the paper's Figure 3 skeleton; the flat-combining and
 /// crash-tolerant skeletons plug in the same way (see
-/// ContentionSensitiveStack for the contract).
+/// ContentionSensitiveStack for the contract, and for \p Store).
 template <typename Config = Compact64, typename Lock = TasLock,
           ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy,
-          typename SkeletonT = ContentionSensitive<Lock, Manager, Policy>>
+          typename SkeletonT = ContentionSensitive<Lock, Manager, Policy>,
+          typename Store = FlatStore>
 class ContentionSensitiveQueue {
 public:
   using Value = typename Config::Value;
   using RegisterPolicy = Policy;
   using Skeleton = SkeletonT;
+  using Abortable = AbortableQueue<Config, Policy, Store>;
 
   /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k.
   /// Trailing arguments go to the skeleton after NumThreads (e.g. the
@@ -47,19 +52,28 @@ public:
   template <typename... SkeletonArgs>
   ContentionSensitiveQueue(std::uint32_t NumThreads, std::uint32_t Capacity,
                            SkeletonArgs &&...Args)
+    requires(!Store::Chunked)
       : Weak(Capacity),
         Strong(NumThreads, std::forward<SkeletonArgs>(Args)...) {}
 
+  /// Over the chunked store there is no capacity to choose (it is the
+  /// codec's envelope), and n also sizes the hazard domain.
+  explicit ContentionSensitiveQueue(std::uint32_t NumThreads)
+    requires(Store::Chunked)
+      : Weak(NumThreads), Strong(NumThreads) {}
+
   /// strong_enqueue(v): Done or Full, never Abort; always terminates.
   PushResult enqueue(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(
-        Tid, [this, V] { return unlessAbort(Weak.weakEnqueue(V)); });
+    return Strong.strongApply(Tid, [this, Id = Caller(Tid), V] {
+      return unlessAbort(Weak.weakEnqueue(Id, V));
+    });
   }
 
   /// strong_dequeue(): a value or Empty, never Abort; always terminates.
   PopResult<Value> dequeue(std::uint32_t Tid) {
-    return Strong.strongApply(
-        Tid, [this] { return unlessAbort(Weak.weakDequeue()); });
+    return Strong.strongApply(Tid, [this, Id = Caller(Tid)] {
+      return unlessAbort(Weak.weakDequeue(Id));
+    });
   }
 
   /// Group enqueue: enqueues Vs[0..Count) in index order as one batch
@@ -69,8 +83,8 @@ public:
   std::size_t enqueue_all(std::uint32_t Tid, const Value *Vs,
                           std::size_t Count) {
     return strongGroup(Strong, Tid, Count,
-                       [this, Vs](std::size_t I) {
-                         return unlessAbort(Weak.weakEnqueue(Vs[I]));
+                       [this, Id = Caller(Tid), Vs](std::size_t I) {
+                         return unlessAbort(Weak.weakEnqueue(Id, Vs[I]));
                        },
                        [](std::size_t, PushResult) {});
   }
@@ -82,7 +96,9 @@ public:
                           std::size_t MaxCount) {
     return strongGroup(
         Strong, Tid, MaxCount,
-        [this](std::size_t) { return unlessAbort(Weak.weakDequeue()); },
+        [this, Id = Caller(Tid)](std::size_t) {
+          return unlessAbort(Weak.weakDequeue(Id));
+        },
         [Out](std::size_t K, const PopResult<Value> &R) {
           Out[K] = R.value();
         });
@@ -97,8 +113,8 @@ public:
   std::uint32_t numThreads() const { return Strong.numThreads(); }
   std::uint32_t sizeForTesting() const { return Weak.sizeForTesting(); }
 
-  /// The underlying Figure 1 object (test/debug aid).
-  AbortableQueue<Config, Policy> &abortable() { return Weak; }
+  /// The underlying abortable queue (test/debug aid).
+  Abortable &abortable() { return Weak; }
 
   /// The strong-operation skeleton (test/debug/stats aid).
   SkeletonT &skeleton() { return Strong; }
@@ -123,9 +139,23 @@ public:
   }
 
 private:
-  AbortableQueue<Config, Policy> Weak;
+  /// The weak operations' caller identity (see ContentionSensitiveStack).
+  using Caller = typename Abortable::Caller;
+
+  Abortable Weak;
   SkeletonT Strong;
 };
+
+/// Figure 3 over the unbounded queue (the chunked slot store): a
+/// starvation-free contention-sensitive FIFO whose resident memory
+/// tracks the live population. Construct with the thread count n.
+template <typename Config = Compact64, typename Lock = TasLock,
+          ContentionManager Manager = NoBackoff,
+          typename Policy = DefaultRegisterPolicy,
+          typename SkeletonT = ContentionSensitive<Lock, Manager, Policy>>
+using ContentionSensitiveUnboundedQueue =
+    ContentionSensitiveQueue<Config, Lock, Manager, Policy, SkeletonT,
+                             ChunkedStore>;
 
 } // namespace csobj
 

@@ -18,6 +18,10 @@
 ///    conflicting operations and the FLAG/TURN doorway makes the whole
 ///    construction starvation-free.
 ///
+/// Over the chunked slot store (memory/SlotStore.h) the same class is the
+/// unbounded stack, ContentionSensitiveUnboundedStack: resident memory
+/// tracks the live population and the six-access bound is unchanged.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSOBJ_CORE_CONTENTIONSENSITIVESTACK_H
@@ -46,16 +50,19 @@ namespace csobj {
 ///         constructor, strongApply, strongApplyBatch and heapBytes. A
 ///         member is compiled only when called, so a skeleton with only
 ///         strongApply still serves push/pop.
+/// \tparam Store    the weak stack's slot store (FlatStore / ChunkedStore).
 template <typename Config = Compact64, typename Lock = TasLock,
           ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy,
-          typename SkeletonT = ContentionSensitive<Lock, Manager, Policy>>
+          typename SkeletonT = ContentionSensitive<Lock, Manager, Policy>,
+          typename Store = FlatStore>
 class ContentionSensitiveStack {
 public:
   using Value = typename Config::Value;
   using RegisterPolicy = Policy;
   using Skeleton = SkeletonT;
-  static constexpr Value Bottom = AbortableStack<Config, Policy>::Bottom;
+  using Abortable = AbortableStack<Config, Policy, Store>;
+  static constexpr Value Bottom = Abortable::Bottom;
 
   /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k.
   /// Trailing arguments go to the skeleton after NumThreads (e.g. the
@@ -63,19 +70,28 @@ public:
   template <typename... SkeletonArgs>
   ContentionSensitiveStack(std::uint32_t NumThreads, std::uint32_t Capacity,
                            SkeletonArgs &&...Args)
+    requires(!Store::Chunked)
       : Weak(Capacity),
         Strong(NumThreads, std::forward<SkeletonArgs>(Args)...) {}
 
+  /// Over the chunked store there is no capacity to choose (it is the
+  /// codec's envelope), and n also sizes the hazard domain.
+  explicit ContentionSensitiveStack(std::uint32_t NumThreads)
+    requires(Store::Chunked)
+      : Weak(NumThreads), Strong(NumThreads) {}
+
   /// strong_push(v): Done or Full, never Abort; always terminates.
   PushResult push(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(
-        Tid, [this, V] { return unlessAbort(Weak.weakPush(V)); });
+    return Strong.strongApply(Tid, [this, Id = Caller(Tid), V] {
+      return unlessAbort(Weak.weakPush(Id, V));
+    });
   }
 
   /// strong_pop(): a value or Empty, never Abort; always terminates.
   PopResult<Value> pop(std::uint32_t Tid) {
-    return Strong.strongApply(Tid,
-                              [this] { return unlessAbort(Weak.weakPop()); });
+    return Strong.strongApply(Tid, [this, Id = Caller(Tid)] {
+      return unlessAbort(Weak.weakPop(Id));
+    });
   }
 
   /// Group push: pushes Vs[0..Count) in index order as one batch through
@@ -88,7 +104,9 @@ public:
                        std::size_t Count) {
     return strongGroup(
         Strong, Tid, Count,
-        [this, Vs](std::size_t I) { return unlessAbort(Weak.weakPush(Vs[I])); },
+        [this, Id = Caller(Tid), Vs](std::size_t I) {
+          return unlessAbort(Weak.weakPush(Id, Vs[I]));
+        },
         [](std::size_t, PushResult) {});
   }
 
@@ -98,7 +116,9 @@ public:
   std::size_t pop_all(std::uint32_t Tid, Value *Out, std::size_t MaxCount) {
     return strongGroup(
         Strong, Tid, MaxCount,
-        [this](std::size_t) { return unlessAbort(Weak.weakPop()); },
+        [this, Id = Caller(Tid)](std::size_t) {
+          return unlessAbort(Weak.weakPop(Id));
+        },
         [Out](std::size_t K, const PopResult<Value> &R) {
           Out[K] = R.value();
         });
@@ -116,7 +136,7 @@ public:
   std::uint32_t sizeForTesting() const { return Weak.sizeForTesting(); }
 
   /// The underlying Figure 1 object (test/debug aid).
-  AbortableStack<Config, Policy> &abortable() { return Weak; }
+  Abortable &abortable() { return Weak; }
 
   /// The strong-operation skeleton (test/debug/stats aid).
   SkeletonT &skeleton() { return Strong; }
@@ -141,9 +161,24 @@ public:
   }
 
 private:
-  AbortableStack<Config, Policy> Weak;
+  /// The weak operations' caller identity: the thread id, or nothing
+  /// over the flat store, so its closures match the plain array code's.
+  using Caller = typename Abortable::Caller;
+
+  Abortable Weak;
   SkeletonT Strong;
 };
+
+/// Figure 3 over the unbounded Figure 1 (the chunked slot store): a
+/// starvation-free contention-sensitive stack whose resident memory
+/// tracks the live population. Construct with the thread count n.
+template <typename Config = Compact64, typename Lock = TasLock,
+          ContentionManager Manager = NoBackoff,
+          typename Policy = DefaultRegisterPolicy,
+          typename SkeletonT = ContentionSensitive<Lock, Manager, Policy>>
+using ContentionSensitiveUnboundedStack =
+    ContentionSensitiveStack<Config, Lock, Manager, Policy, SkeletonT,
+                             ChunkedStore>;
 
 } // namespace csobj
 

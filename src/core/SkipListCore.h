@@ -74,6 +74,7 @@
 #include "core/Results.h"
 #include "memory/AtomicRegister.h"
 #include "memory/HazardDomain.h"
+#include "memory/NodePool.h"
 #include "memory/TaggedValue.h"
 
 #include <atomic>
@@ -430,15 +431,6 @@ private:
 
   struct Segment {
     Node Nodes[SegmentNodes];
-  };
-
-  struct SpinGuard {
-    explicit SpinGuard(std::atomic_flag &F) : F(F) {
-      while (F.test_and_set(std::memory_order_acquire))
-        ;
-    }
-    ~SpinGuard() { F.clear(std::memory_order_release); }
-    std::atomic_flag &F;
   };
 
   /// Clears every hazard slot of the thread on scope exit — including

@@ -20,6 +20,7 @@
 #include "support/SpinWait.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -54,6 +55,14 @@ public:
   void unlock(std::uint32_t Tid) {
     assert(Tid < N && "thread id out of range");
     Slots[(Holding[Tid] + 1) % N].value().write(1);
+  }
+
+  /// Heap owned by the lock: the padded grant slots and the per-process
+  /// slot indices.
+  std::size_t heapBytes() const {
+    return std::size_t{N} *
+           (sizeof(CacheLinePadded<AtomicRegister<std::uint8_t>>) +
+            sizeof(std::uint32_t));
   }
 
 private:

@@ -21,6 +21,7 @@
 #include "support/SpinWait.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -67,6 +68,14 @@ public:
     // guaranteed quiescent once I saw its flag drop.
     Owned[Tid] = Watching[Tid];
     Flags[Mine].value().write(0);
+  }
+
+  /// Heap owned by the lock: the N + 1 padded queue nodes and the two
+  /// per-process node indices.
+  std::size_t heapBytes() const {
+    return (std::size_t{N} + 1) *
+               sizeof(CacheLinePadded<AtomicRegister<std::uint8_t>>) +
+           2 * std::size_t{N} * sizeof(std::uint32_t);
   }
 
 private:

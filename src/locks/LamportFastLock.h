@@ -24,6 +24,7 @@
 #include "support/SpinWait.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -80,6 +81,12 @@ public:
     assert(Tid < N && "thread id out of range");
     Y.write(0);
     B[Tid].value().write(0);
+  }
+
+  /// Heap owned by the lock: the padded per-process B[] flags.
+  std::size_t heapBytes() const {
+    return std::size_t{N} *
+           sizeof(CacheLinePadded<AtomicRegister<std::uint8_t>>);
   }
 
 private:

@@ -31,6 +31,7 @@
 #include "support/SpinWait.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -83,6 +84,11 @@ public:
     Nodes[Mine.Next.read(std::memory_order_acquire) - 1]
         .value()
         .MustWait.write(0, std::memory_order_release);
+  }
+
+  /// Heap owned by the lock: the padded per-process queue nodes.
+  std::size_t heapBytes() const {
+    return std::size_t{N} * sizeof(CacheLinePadded<Node>);
   }
 
 private:

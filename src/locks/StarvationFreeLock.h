@@ -69,8 +69,13 @@ public:
   /// The doorway (exposed for the fairness tests).
   RoundRobinArbiterT<Policy> &arbiter() { return Arbiter; }
 
-  /// Heap owned by the lock: the doorway's FLAG array.
-  std::size_t heapBytes() const { return Arbiter.heapBytes(); }
+  /// Heap owned by the lock: the doorway's FLAG array plus whatever the
+  /// inner lock keeps per process (MCS nodes, CLH/Anderson slots, ...).
+  std::size_t heapBytes() const {
+    if constexpr (requires { Inner.heapBytes(); })
+      return Arbiter.heapBytes() + Inner.heapBytes();
+    return Arbiter.heapBytes();
+  }
 
 private:
   RoundRobinArbiterT<Policy> Arbiter;

@@ -22,6 +22,7 @@
 #include "support/SpinWait.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -60,6 +61,11 @@ public:
   }
 
   std::uint32_t levels() const { return Levels; }
+
+  /// Heap owned by the lock: one padded node per game of the tree.
+  std::size_t heapBytes() const {
+    return std::size_t{nodeCount(Levels)} * sizeof(CacheLinePadded<Node>);
+  }
 
 private:
   struct Node {

@@ -7,11 +7,11 @@
 /// \file
 /// Safe-memory-reclamation substrate (Michael's hazard pointers, adapted
 /// to this library's logical-thread-id world). The unbounded objects
-/// (core/UnboundedStack.h, core/UnboundedQueue.h) and the reclaiming
-/// skip list (core/SkipListCore.h) retire storage through a HazardDomain
-/// instead of freeing it, and readers publish the pointer they are about
-/// to dereference into a per-thread hazard slot first; a retired object
-/// is recycled only once no slot names it.
+/// (the stack and queue over memory/SlotStore.h's chunked store) and the
+/// reclaiming skip list (core/SkipListCore.h) retire storage through a
+/// HazardDomain instead of freeing it, and readers publish the pointer
+/// they are about to dereference into a per-thread hazard slot first; a
+/// retired object is recycled only once no slot names it.
 ///
 /// Everything here lives on the *reclamation channel*: plain std::atomic
 /// operations, invisible to the AccessCounter oracle and the

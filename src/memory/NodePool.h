@@ -41,6 +41,24 @@
 
 namespace csobj {
 
+/// Scoped test-and-set spinlock on the reclamation channel: a plain
+/// std::atomic_flag, so taking it is no shared-memory access of the
+/// algorithms and no fault injector can fire inside it. Guards rare,
+/// short bookkeeping (pool free lists, chunk directories).
+class SpinGuard {
+public:
+  explicit SpinGuard(std::atomic_flag &F) : F(F) {
+    while (F.test_and_set(std::memory_order_acquire))
+      ;
+  }
+  SpinGuard(const SpinGuard &) = delete;
+  SpinGuard &operator=(const SpinGuard &) = delete;
+  ~SpinGuard() { F.clear(std::memory_order_release); }
+
+private:
+  std::atomic_flag &F;
+};
+
 /// Growable pool of default-constructed \p T nodes with pointer-stable
 /// storage. Recycled nodes are handed back as-is: the caller re-
 /// initialises what it needs (through the registers' reclamation-channel
@@ -108,15 +126,6 @@ public:
   }
 
 private:
-  struct SpinGuard {
-    explicit SpinGuard(std::atomic_flag &F) : F(F) {
-      while (F.test_and_set(std::memory_order_acquire))
-        ;
-    }
-    ~SpinGuard() { F.clear(std::memory_order_release); }
-    std::atomic_flag &F;
-  };
-
   mutable std::atomic_flag Lock = ATOMIC_FLAG_INIT;
   std::vector<std::unique_ptr<T>> Registry;
   std::vector<T *> Free;

@@ -7,9 +7,11 @@
 /// \file
 /// A generic elimination array: inverse operations (give/take) rendezvous
 /// in CASable slots and cancel out without touching the central object.
-/// The slot state machine is the HSY one (Empty -> WaitingGive/WaitingTake
-/// -> Done -> Empty, ABA-tagged; see baselines/EliminationBackoffStack.h),
-/// generalized in three ways for the acceleration layer:
+/// The slot state machine is Hendler, Shavit & Yerushalmi's (Empty ->
+/// WaitingGive/WaitingTake -> Done -> Empty, ABA-tagged), which the HSY
+/// baseline (baselines/EliminationBackoffStack.h) runs with an
+/// always-true gate. Over the original it adds three things for the
+/// acceleration layer:
 ///
 ///  * policy-templated and hook-routed: every slot access goes through
 ///    AtomicRegister<_, Policy>, so rendezvous runs under the wall-clock

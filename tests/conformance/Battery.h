@@ -59,8 +59,6 @@
 #include "core/Results.h"
 #include "core/SkipListCore.h"
 #include "core/TimestampBoost.h"
-#include "core/UnboundedQueue.h"
-#include "core/UnboundedStack.h"
 #include "core/WaitFreeUniversal.h"
 #include "faults/FaultInjector.h"
 #include "faults/FaultPlan.h"
@@ -308,7 +306,7 @@ struct UnboundedStackAdapter {
     return O.weakPop(Tid);
   }
   static BoundedStackSpec makeSpec() {
-    return BoundedStackSpec(Object::EnvelopeIndex);
+    return BoundedStackSpec(Object::TopC::MaxIndex);
   }
 };
 
@@ -326,7 +324,7 @@ struct UnboundedCsStackAdapter {
     return O.pop(Tid);
   }
   static BoundedStackSpec makeSpec() {
-    return BoundedStackSpec(UnboundedStack<>::EnvelopeIndex);
+    return BoundedStackSpec(UnboundedStack<>::TopC::MaxIndex);
   }
 };
 
@@ -433,7 +431,7 @@ struct UnboundedQueueAdapter {
     return O.weakDequeue(Tid);
   }
   static BoundedQueueSpec makeSpec() {
-    return BoundedQueueSpec(Object::EnvelopeCapacity);
+    return BoundedQueueSpec(Object::TopC::MaxIndex);
   }
 };
 
@@ -451,7 +449,7 @@ struct UnboundedCsQueueAdapter {
     return O.dequeue(Tid);
   }
   static BoundedQueueSpec makeSpec() {
-    return BoundedQueueSpec(UnboundedQueue<>::EnvelopeCapacity);
+    return BoundedQueueSpec(UnboundedQueue<>::TopC::MaxIndex);
   }
 };
 
@@ -2249,7 +2247,7 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
         /*Exhaustive=*/false, AccessBounds{6, 6, true},
         [] { crashTolerantSweepCell<CtStackAdapter>(); }));
     R.push_back(pushPopEntry<UnboundedStackAdapter>(
-        "unbounded-stack", {"UnboundedStack.h"}, /*Exhaustive=*/false,
+        "unbounded-stack", {"AbortableStack.h"}, /*Exhaustive=*/false,
         AccessBounds{5, 5, true},
         [] { crashSweepCell<UnboundedStackAdapter>(); }));
     R.push_back(pushPopEntry<UnboundedCsStackAdapter>(
@@ -2287,7 +2285,7 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
         AccessBounds{7, 7, true},
         [] { crashTolerantSweepCell<CtQueueAdapter>(); }));
     R.push_back(pushPopEntry<UnboundedQueueAdapter>(
-        "unbounded-queue", {"UnboundedQueue.h"}, /*Exhaustive=*/false,
+        "unbounded-queue", {"AbortableQueue.h"}, /*Exhaustive=*/false,
         AccessBounds{6, 6, true},
         [] { crashSweepCell<UnboundedQueueAdapter>(); }));
     R.push_back(pushPopEntry<UnboundedCsQueueAdapter>(

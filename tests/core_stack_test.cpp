@@ -7,9 +7,15 @@
 #include "core/AbortableStack.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/NonBlockingStack.h"
+#include "locks/AndersonLock.h"
+#include "locks/ClhLock.h"
+#include "locks/LamportFastLock.h"
+#include "locks/McsLock.h"
 #include "locks/TicketLock.h"
+#include "locks/TournamentLock.h"
 #include "memory/AccessCounter.h"
 #include "runtime/SpinBarrier.h"
+#include "support/CacheLine.h"
 #include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
@@ -389,6 +395,34 @@ TEST(ContentionSensitiveStackTest, WorksWithTicketLock) {
   auto R = Stack.pop(1);
   ASSERT_TRUE(R.isValue());
   EXPECT_EQ(R.value(), 5u);
+}
+
+/// footprintBytes() of a 64-slot stack whose skeleton is \p SkeletonT.
+template <typename SkeletonT> std::size_t footprintWith(std::uint32_t N) {
+  return ContentionSensitiveStack<Compact64, TasLock, NoBackoff,
+                                  DefaultRegisterPolicy, SkeletonT>(N, 64)
+      .footprintBytes();
+}
+
+TEST(ContentionSensitiveStackTest, FootprintCountsTheLocksPerProcessHeap) {
+  // Each of these locks keeps at least one cache-line-padded register or
+  // node per process (the tournament one per game: N - 1 of them), so
+  // over TasLock, which keeps none, the footprint must grow by at least
+  // N - 1 lines — behind the doorway and as a bare starvation-free lock.
+  constexpr std::uint32_t N = 64;
+  constexpr std::size_t Lines = (N - 1) * CacheLineSize;
+  const std::size_t Tas = footprintWith<ContentionSensitive<TasLock>>(N);
+  EXPECT_GE(footprintWith<ContentionSensitive<McsLock>>(N), Tas + Lines);
+  EXPECT_GE(footprintWith<ContentionSensitive<ClhLock>>(N), Tas + Lines);
+  EXPECT_GE(footprintWith<ContentionSensitive<AndersonLock>>(N), Tas + Lines);
+  EXPECT_GE(footprintWith<ContentionSensitive<TournamentLock>>(N),
+            Tas + Lines);
+  EXPECT_GE(footprintWith<ContentionSensitive<LamportFastLock>>(N),
+            Tas + Lines);
+  const std::size_t Ticket =
+      footprintWith<SimplifiedContentionSensitive<TicketLock>>(N);
+  EXPECT_GE(footprintWith<SimplifiedContentionSensitive<McsLock>>(N),
+            Ticket + Lines);
 }
 
 } // namespace

@@ -14,10 +14,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "baselines/LockedMap.h"
+#include "core/AbortableStack.h"
 #include "core/CrashTolerantStack.h"
 #include "core/SkipListCore.h"
 #include "core/TimestampBoost.h"
-#include "core/UnboundedStack.h"
 #include "faults/FaultInjector.h"
 #include "faults/FaultPlan.h"
 #include "locks/LeasedLock.h"

@@ -19,22 +19,28 @@
 ///    double-free, leak unboundedly, or wedge the backlog (the retire
 ///    list follows the thread id, so a resurrected worker drains its
 ///    predecessor's backlog);
-///  * NodePool type-stability and recycling.
+///  * NodePool type-stability and recycling;
+///  * the unbounded objects' chunk lifecycle — a drained stack returns
+///    to its hysteresis floor, the queue wraps its ring inside its live
+///    window, neither allocates once trimmed chunks recycle, and group
+///    operations crossing chunk boundaries conserve every element.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/ContentionSensitiveQueue.h"
+#include "core/ContentionSensitiveStack.h"
 #include "core/SkipListCore.h"
-#include "core/UnboundedQueue.h"
-#include "core/UnboundedStack.h"
 #include "faults/FaultInjector.h"
 #include "faults/FaultPlan.h"
 #include "memory/HazardDomain.h"
 #include "memory/NodePool.h"
 #include "memory/SchedHook.h"
+#include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -235,6 +241,155 @@ TEST(NodePoolTest, RecyclesStorageTypeStably) {
   // The HazardDomain-compatible recycler is just release().
   NodePool<Counted>::recycle(B, &Pool);
   EXPECT_EQ(Pool.freeCount(), 1u);
+}
+
+//===----------------------------------------------------------------------===
+// Chunk lifecycle of the unbounded objects: memory is given back
+//===----------------------------------------------------------------------===
+
+/// Slots per directory chunk of the unbounded objects' chunked store.
+constexpr std::uint32_t ChunkSlots = 64;
+
+TEST(ChunkLifecycleTest, DrainedStackReturnsToTheHysteresisFloor) {
+  constexpr std::uint32_t Depth = 5 * ChunkSlots + 10; // spans 6 chunks
+  UnboundedStack<> S(1);
+  std::size_t AllocatedAfterFirstCycle = 0;
+  for (std::uint32_t Cycle = 0; Cycle < 4; ++Cycle) {
+    for (std::uint32_t V = 1; V <= Depth; ++V)
+      ASSERT_EQ(S.weakPush(0, V), PushResult::Done) << "cycle " << Cycle;
+    // A push installs the chunk of the slot it fills: chunks 0..Depth/64.
+    EXPECT_EQ(S.installedChunksForTesting(), Depth / ChunkSlots + 1)
+        << "cycle " << Cycle;
+    for (std::uint32_t V = Depth; V >= 1; --V) {
+      const PopResult<std::uint32_t> R = S.weakPop(0);
+      ASSERT_TRUE(R.isValue()) << "cycle " << Cycle;
+      ASSERT_EQ(R.value(), V) << "LIFO order, cycle " << Cycle;
+    }
+    ASSERT_TRUE(S.weakPop(0).isEmpty());
+    // Empty: only chunk 0 and the chunk above it (the hysteresis line)
+    // stay installed.
+    EXPECT_EQ(S.installedChunksForTesting(), 2u) << "cycle " << Cycle;
+    S.domain().quiescentScanAll();
+    EXPECT_EQ(S.domain().retireBacklog(), 0u);
+    if (Cycle == 0) {
+      AllocatedAfterFirstCycle = S.allocatedChunksForTesting();
+    } else {
+      EXPECT_EQ(S.allocatedChunksForTesting(), AllocatedAfterFirstCycle)
+          << "cycle " << Cycle << " allocated fresh chunks instead of "
+          << "reusing the trimmed ones";
+    }
+  }
+  EXPECT_EQ(AllocatedAfterFirstCycle, Depth / ChunkSlots + 1);
+}
+
+TEST(ChunkLifecycleTest, QueueWrapsTheRingWithinItsLiveWindow) {
+  // The ring spans the codec's whole index space; the queue keeps Live
+  // elements and alternates enqueue/dequeue until it has wrapped more
+  // than once.
+  constexpr std::uint32_t Ring = Compact64::Top::MaxIndex + 1;
+  constexpr std::uint32_t Live = 100;
+  constexpr std::uint32_t Steps = Ring + Ring / 2;
+  // The live window [FRONT .. next(REAR)] holds Live + 2 consecutive
+  // positions, which touch at most ceil((Live + 2) / 64) + 1 chunks; a
+  // trim leaves nothing else installed.
+  constexpr std::uint32_t WindowChunks =
+      (Live + 2 + ChunkSlots - 1) / ChunkSlots + 1;
+  UnboundedQueue<> Q(1);
+  std::uint32_t NextIn = 1, NextOut = 1;
+  for (std::uint32_t I = 0; I < Live; ++I)
+    ASSERT_EQ(Q.weakEnqueue(0, NextIn++), PushResult::Done);
+  std::size_t AllocatedAfterFirstWrap = 0;
+  for (std::uint32_t Step = 0; Step < Steps; ++Step) {
+    ASSERT_EQ(Q.weakEnqueue(0, NextIn++), PushResult::Done) << Step;
+    const PopResult<std::uint32_t> R = Q.weakDequeue(0);
+    ASSERT_TRUE(R.isValue()) << Step;
+    ASSERT_EQ(R.value(), NextOut++) << "FIFO order at step " << Step;
+    if (Step % 16 == 0) {
+      ASSERT_LE(Q.installedChunksForTesting(), WindowChunks) << Step;
+    }
+    if (Step == Ring)
+      AllocatedAfterFirstWrap = Q.allocatedChunksForTesting();
+  }
+  EXPECT_EQ(Q.sizeForTesting(), Live);
+  EXPECT_LE(Q.installedChunksForTesting(), WindowChunks);
+  EXPECT_EQ(Q.allocatedChunksForTesting(), AllocatedAfterFirstWrap)
+      << "allocation kept growing after the first wrap";
+  // Steady state recycles: far fewer chunks than the ring's 1024.
+  EXPECT_LE(AllocatedAfterFirstWrap,
+            WindowChunks + Q.domain().scanThreshold());
+}
+
+/// Three threads put and take groups of up to 2.5 chunks through one
+/// unbounded wrapper's group operations, so groups cross chunk
+/// boundaries in both directions and install and trim chunks
+/// mid-group; a final drain must then account for every value exactly
+/// once, and every entered operation must have retired through one path.
+template <typename Obj, typename PutAllFn, typename TakeAllFn>
+void groupChurn(Obj &O, PutAllFn PutAll, TakeAllFn TakeAll) {
+  constexpr std::uint32_t Threads = 3;
+  constexpr std::uint32_t Rounds = 200;
+  constexpr std::uint32_t MaxGroup = 2 * ChunkSlots + ChunkSlots / 2;
+  constexpr std::uint32_t Stride = 1u << 20; // per-thread value range
+  std::vector<std::uint32_t> PutCount(Threads, 0);
+  std::vector<std::vector<std::uint32_t>> Taken(Threads);
+  std::vector<std::thread> Workers;
+  for (std::uint32_t Tid = 0; Tid < Threads; ++Tid)
+    Workers.emplace_back([&, Tid] {
+      SplitMix64 Rng(0x6e0c5ull + Tid);
+      std::vector<std::uint32_t> Buf(MaxGroup);
+      for (std::uint32_t Round = 0; Round < Rounds; ++Round) {
+        const std::size_t K = 1 + Rng.below(MaxGroup);
+        for (std::size_t I = 0; I < K; ++I)
+          Buf[I] = Tid * Stride + ++PutCount[Tid];
+        EXPECT_EQ(PutAll(O, Tid, Buf.data(), K), K) << "unbounded: no Full";
+        const std::size_t Want = 1 + Rng.below(MaxGroup);
+        const std::size_t Got = TakeAll(O, Tid, Buf.data(), Want);
+        Taken[Tid].insert(Taken[Tid].end(), Buf.begin(), Buf.begin() + Got);
+      }
+    });
+  for (std::thread &T : Workers)
+    T.join();
+
+  std::vector<std::uint32_t> Rest(O.sizeForTesting());
+  EXPECT_EQ(TakeAll(O, 0, Rest.data(), Rest.size()), Rest.size());
+  EXPECT_EQ(O.sizeForTesting(), 0u);
+  std::vector<std::uint32_t> Seen(Threads * Stride, 0);
+  for (const std::vector<std::uint32_t> &Values : Taken)
+    for (std::uint32_t V : Values)
+      ++Seen[V];
+  for (std::uint32_t V : Rest)
+    ++Seen[V];
+  for (std::uint32_t Tid = 0; Tid < Threads; ++Tid)
+    for (std::uint32_t I = 1; I <= PutCount[Tid]; ++I)
+      ASSERT_EQ(Seen[Tid * Stride + I], 1u)
+          << "value " << Tid * Stride + I << " lost or duplicated";
+  EXPECT_TRUE(O.pathSnapshot().conserves());
+  O.abortable().domain().quiescentScanAll();
+  EXPECT_EQ(O.abortable().domain().retireBacklog(), 0u);
+}
+
+TEST(ChunkLifecycleTest, UnboundedStackGroupsConserveAcrossChunks) {
+  ContentionSensitiveUnboundedStack<> S(3);
+  groupChurn(
+      S,
+      [](auto &O, std::uint32_t Tid, const std::uint32_t *Vs, std::size_t K) {
+        return O.push_all(Tid, Vs, K);
+      },
+      [](auto &O, std::uint32_t Tid, std::uint32_t *Out, std::size_t K) {
+        return O.pop_all(Tid, Out, K);
+      });
+}
+
+TEST(ChunkLifecycleTest, UnboundedQueueGroupsConserveAcrossChunks) {
+  ContentionSensitiveUnboundedQueue<> Q(3);
+  groupChurn(
+      Q,
+      [](auto &O, std::uint32_t Tid, const std::uint32_t *Vs, std::size_t K) {
+        return O.enqueue_all(Tid, Vs, K);
+      },
+      [](auto &O, std::uint32_t Tid, std::uint32_t *Out, std::size_t K) {
+        return O.dequeue_all(Tid, Out, K);
+      });
 }
 
 //===----------------------------------------------------------------------===
