@@ -17,9 +17,11 @@ share an identity are an error: they could only be paired arbitrarily,
 so the sweep key that tells them apart is missing from the list below.
 
 Gating: only fields whose names classify as higher-is-better
-(throughput, exchanges, completed...) or lower-is-worse (latency,
-retries, stuck, shed...) are gated, each in its bad direction only — a
-candidate that got *faster* never fails. Boolean health fields
+(throughput, completed...) or lower-is-worse (latency, retries, stuck,
+shed...) are gated, each in its bad direction only — a candidate that
+got *faster* never fails. Elimination exchanges are a layer's share of
+the work, not a rate: an object that needs to eliminate less moves them
+down while getting faster, so they are not gated. Boolean health fields
 (slo_pass, conserve*) must not flip true -> false. Nested arrays (the
 soak window time-series) are never gated: windows are wall-clock noisy
 by construction; the stable top-level aggregates are the trajectory.
@@ -68,7 +70,6 @@ KEY_FIELDS = {
 LOWER_IS_WORSE = (  # regression = candidate value DROPS
     "throughput",
     "ops_per_sec",
-    "exchanges",
     "total_completed",
     "jain_fairness",
 )

@@ -54,6 +54,33 @@
 /// descending through the node at that level falls back to the head
 /// instead of following a rotting pointer.
 ///
+/// **The sweep descends from the erase's own search window.** After
+/// marking, the remover walks down from `Preds[H-1]` of the `find` that
+/// located the node, snipping the node (and any other marked node met)
+/// at each level. Each level's walk starts at the last node below the
+/// key that the level above met, steps through every node of the key
+/// (the node can sit anywhere among them: a newer shadow in front, an
+/// older node not yet marked behind) and stops at the first larger key;
+/// a level restarts from the head only when its predecessor turns out
+/// marked. Lanes are sorted, so an erase's tail is O(height), not O(n).
+/// Hazard-slot map, per thread: slots 2L and 2L+1 hold level L's (pred,
+/// candidate) in both `find` and the sweep — a carried pred stays pinned
+/// in a higher level's slot, or in the next level's pred slot once the
+/// walk steps onto the key — and slot 2·MaxLevel holds the node an
+/// insert is publishing.
+///
+/// **A late lane link cannot outlive the retire.** The lane CASes run
+/// after the level-0 link, so an erase can linearize, sweep and retire
+/// the node before one of them lands. The inserter therefore pins its
+/// node before the level-0 link (the pin is visible to every scan that
+/// could follow the retire, so the node cannot be recycled), and once
+/// its lane loop ends — by return or by the unwind of an injected
+/// crash — it re-reads the node's state and, if the node died, marks
+/// and sweeps it again before the pin clears. Only the inserter links a
+/// node into a lane without expecting it as a successor, so after that
+/// last sweep the node stays unreachable: the retire precondition holds
+/// from the moment any scan can recycle it.
+///
 /// Solo (contention-free) counted access costs are unchanged for get
 /// (8 miss / 9 hit), update and erase-hit (11 each through the Fig-3
 /// wrapper) and lower for fresh insert (15 -> 11: the capacity counter
@@ -83,6 +110,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace csobj {
@@ -103,8 +131,9 @@ public:
   static constexpr std::uint32_t NilIdx = 0x7FFFFFFFu;
   static constexpr std::uint32_t MarkBit = 0x80000000u;
   /// Hazard slots per thread: a (pred, succ) pair per level, so a
-  /// find's whole window stays pinned until the caller's link CASes.
-  static constexpr std::uint32_t HazardSlots = 2 * MaxLevel;
+  /// find's whole window stays pinned until the caller's link CASes,
+  /// plus one for the node an insert is publishing.
+  static constexpr std::uint32_t HazardSlots = 2 * MaxLevel + 1;
   /// Nodes per pool segment (segments are pointer-stable; the directory
   /// publishes them once).
   static constexpr std::uint32_t SegmentNodes = 64;
@@ -305,6 +334,9 @@ public:
         ValCodec::pack({Live, V, ValCodec::seqAdd(OldVal.Seq, 1)}));
     for (std::uint32_t L = 0; L < Height; ++L)
       Fresh.Next[L].writeReclaim(F.Succs[L]);
+    // Pinned before it becomes reachable, so no scan that could follow
+    // an erase's retire misses the pin while a lane CAS is pending.
+    Domain.protect(Tid, FreshSlot, &Fresh);
     // The linearization point: publish at level 0. Success proves the
     // window [pred, succ) was still intact, so no live node with key K
     // existed anywhere in the (complete) level-0 list at this instant.
@@ -314,6 +346,8 @@ public:
     }
     Spare[Tid] = NilIdx;
     bumpLive(+1);
+    // Destroyed before Scope, so it sweeps before the pins clear.
+    const LateLinkSweep Sweep(*this, Tid, Idx, F);
     // Express lanes: one attempt per level. A lost race marks the lane
     // dead in the node's own word — the node stays reachable through
     // lower levels, and descents through the dead lane fall back to the
@@ -347,7 +381,7 @@ public:
     // remover and retirer of this node.
     bumpLive(-1);
     markLanes(Target);
-    sweepOut(Tid, K, F.Found);
+    sweepOut(Tid, F.Found, F);
     Domain.retire(Tid, &Target, &SkipListCore::recycleNode, this);
     return PopResult<Value>::value(Fields.Value);
   }
@@ -382,6 +416,47 @@ public:
     return NextFresh;
   }
 
+  /// Structure oracle, by uninstrumented walks: every lane ends within
+  /// NodeBudget steps with strictly increasing keys; no node reached on
+  /// a lane has that lane's word marked; every node reached is Live, and
+  /// every node on a lane above 0 is also on lane 0. Returns "" when all
+  /// hold, else the first violation. Quiescent only.
+  std::string checkLanesForTesting() const {
+    const std::uint32_t Allocated = allocatedNodesForTesting();
+    std::vector<bool> OnLane0(Allocated, false);
+    for (std::uint32_t L = 0; L < MaxLevel; ++L) {
+      std::uint32_t W = node(0).Next[L].peekForTesting();
+      Key Prev = 0;
+      for (std::uint32_t Step = 0; W != NilIdx; ++Step) {
+        const auto Fail = [&](const std::string &What) {
+          return "lane " + std::to_string(L) + ", step " +
+                 std::to_string(Step) + ": " + What;
+        };
+        if ((W & MarkBit) != 0)
+          return Fail("marked word");
+        if (W == 0 || W >= Allocated)
+          return Fail("links node " + std::to_string(W) + " of " +
+                      std::to_string(Allocated) + " allocated");
+        if (Step == NodeBudget)
+          return Fail("no end within the node budget");
+        const Node &X = node(W);
+        const Key K = X.Key.load(std::memory_order_relaxed);
+        if (Step > 0 && K <= Prev)
+          return Fail("key " + std::to_string(K) + " after key " +
+                      std::to_string(Prev));
+        if (ValCodec::unpack(X.ValState.peekForTesting()).Index != Live)
+          return Fail("key " + std::to_string(K) + " is not Live");
+        if (L == 0)
+          OnLane0[W] = true;
+        else if (!OnLane0[W])
+          return Fail("key " + std::to_string(K) + " is not on lane 0");
+        Prev = K;
+        W = X.Next[L].peekForTesting();
+      }
+    }
+    return {};
+  }
+
   /// Nodes currently on the free list. Quiescent only.
   std::uint32_t freeNodesForTesting() const {
     SpinGuard G(PoolLock);
@@ -405,6 +480,10 @@ public:
   }
 
 private:
+  /// The hazard slot an insert pins its own node in, from before the
+  /// level-0 link until its lane loop has ended; no level's walk uses it.
+  static constexpr std::uint32_t FreshSlot = 2 * MaxLevel;
+
   /// Runs before any member is sized: a bad capacity must not allocate
   /// a directory for ~2^31 nodes on its way to being rejected.
   static std::uint32_t checkedCapacity(std::uint32_t NumThreads,
@@ -504,58 +583,91 @@ private:
     }
   }
 
-  /// Removes \p XIdx from every lane: sweeps each level (snipping any
-  /// marked node met, helping other removers) until a full pass never
-  /// encounters it. A pass that completes without meeting X proves no
-  /// lane still links to it — the retire precondition.
-  void sweepOut(std::uint32_t Tid, Key K, std::uint32_t XIdx) {
+  /// Removes the marked node \p XIdx from every lane by one descent
+  /// from \p Window, a search window for its key K. Each level's walk
+  /// starts at the last node below K that the level above met (at the
+  /// top, Window.Preds[H-1], still pinned by find), snips every marked
+  /// node it meets, X included, and steps through every node of key K
+  /// — X can sit anywhere among them — until it reaches a key above K.
+  /// Lanes are sorted, so that walk proves the level no longer links X:
+  /// the retire precondition, up to a late lane link (LateLinkSweep). A
+  /// marked predecessor, carried or re-read after a failed snip, sends
+  /// the level back to the head. Level L's pred and candidate use
+  /// hazard slots 2L and 2L+1; the next level's start stays pinned in
+  /// a higher slot, or in slot 2L-2 once the walk steps onto key K.
+  void sweepOut(std::uint32_t Tid, std::uint32_t XIdx,
+                const FindResult &Window) {
+    const Key K = node(XIdx).Key.load(std::memory_order_relaxed);
     const std::uint32_t H =
         node(XIdx).Height.load(std::memory_order_relaxed);
-    bool Encountered = true;
-    while (Encountered) {
-      Encountered = false;
-      for (std::int32_t L = static_cast<std::int32_t>(H) - 1; L >= 0; --L)
-        Encountered |=
-            sweepLevel(Tid, K, XIdx, static_cast<std::uint32_t>(L));
+    std::uint32_t Below = Window.Preds[H - 1];
+    for (std::uint32_t L = H; L-- > 0;) {
+      std::uint32_t Pred = Below;
+      std::uint32_t W = node(Pred).Next[L].readReclaim();
+      while (true) {
+        if ((W & MarkBit) != 0) {
+          Pred = Below = 0; // the head's lanes are never marked
+          W = node(Pred).Next[L].readReclaim();
+        }
+        const std::uint32_t Cur = W;
+        if (Cur == NilIdx)
+          break;
+        Domain.protect(Tid, 2 * L + 1, &node(Cur));
+        const std::uint32_t Seen = node(Pred).Next[L].readReclaim();
+        if (Seen != W) {
+          W = Seen;
+          continue;
+        }
+        const std::uint32_t NW = node(Cur).Next[L].readReclaim();
+        if ((NW & MarkBit) != 0) {
+          const std::uint32_t Succ = NW & ~MarkBit;
+          W = node(Pred).Next[L].compareAndSwapReclaim(W, Succ)
+                  ? Succ
+                  : node(Pred).Next[L].readReclaim();
+          continue;
+        }
+        const Key CK = node(Cur).Key.load(std::memory_order_relaxed);
+        if (CK > K)
+          break;
+        if (CK == K && Pred == Below && L > 0)
+          Domain.protect(Tid, 2 * L - 2, &node(Below));
+        Domain.protect(Tid, 2 * L, &node(Cur));
+        Pred = Cur;
+        W = NW;
+        if (CK < K)
+          Below = Cur;
+      }
     }
   }
 
-  /// One uncounted pass over level \p L. Returns whether X was seen.
-  bool sweepLevel(std::uint32_t Tid, Key K, std::uint32_t XIdx,
-                  std::uint32_t L) {
-  Restart:
-    bool Saw = false;
-    std::uint32_t Pred = 0;
-    std::uint32_t W = node(Pred).Next[L].readReclaim();
-    while (true) {
-      if ((W & MarkBit) != 0)
-        goto Restart; // pred died under us
-      const std::uint32_t Cur = W & ~MarkBit;
-      if (Cur == NilIdx)
-        return Saw;
-      Domain.protect(Tid, 1, &node(Cur));
-      if (node(Pred).Next[L].readReclaim() != W)
-        goto Restart;
-      const Key CK = node(Cur).Key.load(std::memory_order_relaxed);
-      const std::uint32_t NW = node(Cur).Next[L].readReclaim();
-      if ((NW & MarkBit) != 0) {
-        if (Cur == XIdx)
-          Saw = true;
-        if (!node(Pred).Next[L].compareAndSwapReclaim(W, NW & ~MarkBit))
-          goto Restart;
-        W = NW & ~MarkBit;
-        continue;
-      }
-      if (CK < K || (CK == K && Cur != XIdx)) {
-        Domain.protect(Tid, 0, &node(Cur));
-        Pred = Cur;
-        W = NW;
-        continue;
-      }
-      // CK > K: X (which sorts at K and is marked) cannot be ahead.
-      return Saw;
+  /// Held by an insert across its lane loop. Should the node have died
+  /// by then — an erase can linearize, sweep and retire it while a lane
+  /// CAS is pending, which then links it late — the destructor marks
+  /// and sweeps it out again, before the insert's pins clear. It runs
+  /// on the unwind of an injected crash too, since the lane CASes are
+  /// counted accesses; everything it does is uncounted, so no injector
+  /// fires inside it.
+  class LateLinkSweep {
+  public:
+    LateLinkSweep(SkipListCore &List, std::uint32_t Tid, std::uint32_t Idx,
+                  const FindResult &Window)
+        : List(List), Tid(Tid), Idx(Idx), Window(Window) {}
+    LateLinkSweep(const LateLinkSweep &) = delete;
+    LateLinkSweep &operator=(const LateLinkSweep &) = delete;
+    ~LateLinkSweep() {
+      Node &X = List.node(Idx);
+      if (ValCodec::unpack(X.ValState.readReclaim()).Index == Live)
+        return; // its eraser, if any, sweeps after every lane CAS
+      List.markLanes(X);
+      List.sweepOut(Tid, Idx, Window);
     }
-  }
+
+  private:
+    SkipListCore &List;
+    std::uint32_t Tid;
+    std::uint32_t Idx;
+    const FindResult &Window;
+  };
 
   /// HazardDomain recycler: the storage returns to the free list.
   static void recycleNode(void *Obj, void *Ctx) {

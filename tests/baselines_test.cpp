@@ -70,7 +70,7 @@ TEST(IndexPoolTest, ConcurrentAcquireReleaseLosesNothing) {
   SpinBarrier Barrier(Threads);
   std::vector<std::thread> Workers;
   for (int T = 0; T < Threads; ++T)
-    Workers.emplace_back([&] {
+    Workers.emplace_back([&, T] {
       SplitMix64 Rng(T + 1);
       Barrier.arriveAndWait();
       for (int I = 0; I < 5000; ++I) {

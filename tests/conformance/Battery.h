@@ -1801,6 +1801,9 @@ template <typename A> void mapStressRounds(AsyncMode Mode) {
     for (auto &Th : Threads)
       Th.join();
 
+    if constexpr (requires { Obj->core().checkLanesForTesting(); }) {
+      ASSERT_EQ(Obj->core().checkLanesForTesting(), "") << "round " << Round;
+    }
     assertPathConservation(
         *Obj, Round,
         static_cast<std::uint64_t>(StressThreads) * StressOpsPerThread);

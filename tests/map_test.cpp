@@ -22,7 +22,10 @@
 ///    region's update path — reads and other regions stay live (the
 ///    documented stall-only progress class);
 ///  * solo access counts are exact under Instrumented and invisible
-///    under Fast.
+///    under Fast;
+///  * an insert's late express-lane link of a node that an erase has
+///    already swept and retired leaves every lane sorted and finite,
+///    whether the insert returns or is killed between its lane CASes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -410,6 +413,122 @@ TEST(MapDirectedTest, CrashedLockHolderStallsOnlyItsRegionsWriters) {
   ASSERT_TRUE(M.erase(2, KOdd).isValue());
 }
 
+/// Four keys of one tower height, ascending: the late-lane-link
+/// geometry.
+struct LaneRaceKeys {
+  std::uint32_t Low, Left, Mid, Right;
+};
+
+/// The four smallest keys of tower height \p H.
+LaneRaceKeys laneRaceKeys(std::uint32_t H) {
+  std::vector<std::uint32_t> Keys;
+  for (std::uint32_t K = 0; Keys.size() < 4; ++K)
+    if (SkipListCore<>::heightOf(K) == H)
+      Keys.push_back(K);
+  return {Keys[0], Keys[1], Keys[2], Keys[3]};
+}
+
+/// Drives the late-lane-link schedule on \p L (two threads, Left and
+/// Right prefilled). Thread 1's insert of Mid is granted up to, not
+/// through, its level-1 lane CAS. Thread 0 then erases Mid — the node
+/// is on level 0 only, so the sweep leaves level 1 alone and the node
+/// is retired — and inserts Low, whose allocation scans thread 0's
+/// retire list and would reuse the node if nothing pinned it. Thread 1
+/// resumes and its level-1 CAS links the erased node late. With
+/// \p KillAtLevel2, thread 1 is killed at its level-2 lane CAS instead.
+void runLateLaneLink(SkipListCore<> &L, const LaneRaceKeys &K,
+                     bool KillAtLevel2) {
+  const std::uint32_t H = SkipListCore<>::heightOf(K.Mid);
+  ASSERT_GE(H, KillAtLevel2 ? 3u : 2u);
+  std::size_t ToFirstLane = 0;
+  {
+    SkipListCore<> Probe(2, Cap);
+    ASSERT_EQ(Probe.weakInsert(0, K.Left, 1), PushResult::Done);
+    ASSERT_EQ(Probe.weakInsert(0, K.Right, 2), PushResult::Done);
+    // The last H - 1 accesses of a solo insert are its lane CASes.
+    ToFirstLane =
+        accessesOf([&] { (void)Probe.weakInsert(1, K.Mid, 3); }) - (H - 1);
+  }
+  ASSERT_EQ(L.weakInsert(0, K.Left, 1), PushResult::Done);
+  ASSERT_EQ(L.weakInsert(0, K.Right, 2), PushResult::Done);
+
+  std::optional<PushResult> MidRes, LowRes;
+  std::optional<PopResult<std::uint32_t>> EraseRes;
+  std::size_t Grants1 = 0;
+  bool Killed = false;
+  InterleaveScheduler Scheduler(2);
+  Scheduler.run(
+      {[&] {
+         EraseRes = L.weakErase(0, K.Mid);
+         LowRes = L.weakInsert(0, K.Low, 4);
+       },
+       [&] { MidRes = L.weakInsert(1, K.Mid, 3); }},
+      [&](std::size_t, const std::vector<std::uint32_t> &Parked)
+          -> std::uint32_t {
+        if (Grants1 < ToFirstLane && parked(Parked, 1)) {
+          ++Grants1;
+          return 1;
+        }
+        if (parked(Parked, 0))
+          return 0;
+        if (KillAtLevel2 && Grants1 == ToFirstLane + 1) {
+          Killed = true;
+          return 1u | InterleaveScheduler::KillFlag;
+        }
+        ++Grants1;
+        return Parked.front();
+      });
+
+  ASSERT_TRUE(EraseRes.has_value());
+  ASSERT_TRUE(EraseRes->isValue()) << "the erase missed the linked node";
+  EXPECT_EQ(EraseRes->value(), 3u);
+  ASSERT_TRUE(LowRes.has_value());
+  EXPECT_EQ(*LowRes, PushResult::Done);
+  if (KillAtLevel2) {
+    EXPECT_TRUE(Killed) << "thread 1 never reached its level-2 lane CAS";
+    EXPECT_FALSE(MidRes.has_value());
+  } else {
+    ASSERT_TRUE(MidRes.has_value());
+    EXPECT_EQ(*MidRes, PushResult::Done);
+  }
+}
+
+/// The state the late-lane-link schedule must leave. The lanes are
+/// checked by a bounded walk first: a get over a cyclic lane never
+/// returns.
+void expectLateLinkSweptOut(SkipListCore<> &L, const LaneRaceKeys &K) {
+  ASSERT_EQ(L.checkLanesForTesting(), "");
+  const PopResult<std::uint32_t> GRight = L.get(0, K.Right);
+  ASSERT_TRUE(GRight.isValue());
+  EXPECT_EQ(GRight.value(), 2u);
+  const PopResult<std::uint32_t> GLow = L.get(0, K.Low);
+  ASSERT_TRUE(GLow.isValue());
+  EXPECT_EQ(GLow.value(), 4u);
+  EXPECT_TRUE(L.get(0, K.Mid).isEmpty());
+  // Once its pins clear, the erased node is recycled: reusing it must
+  // not reach any lane through a stale link.
+  L.domain().quiescentScanAll();
+  EXPECT_EQ(L.domain().retireBacklog(), 0u);
+  ASSERT_EQ(L.weakInsert(0, K.Mid, 5), PushResult::Done);
+  EXPECT_EQ(L.checkLanesForTesting(), "");
+}
+
+TEST(MapLaneRaceTest, LateLaneLinkOfAnErasedNodeIsSweptOut) {
+  const LaneRaceKeys K = laneRaceKeys(2);
+  SkipListCore<> L(2, Cap);
+  ASSERT_NO_FATAL_FAILURE(runLateLaneLink(L, K, /*KillAtLevel2=*/false));
+  expectLateLinkSweptOut(L, K);
+}
+
+TEST(MapLaneRaceTest, KilledInsertStillSweepsOutItsLateLaneLink) {
+  // A fix that swept only on a normal return would leave the dead node
+  // linked on level 1 when the insert dies at its level-2 lane CAS.
+  const LaneRaceKeys K = laneRaceKeys(3);
+  SkipListCore<> L(2, Cap);
+  ASSERT_NO_FATAL_FAILURE(runLateLaneLink(L, K, /*KillAtLevel2=*/true));
+  expectLateLinkSweptOut(L, K);
+}
+
 TEST(MapAccessCountTest, SoloCountsAreExactUnderInstrumented) {
   Map M(2, Cap, /*RegionCount=*/2);
   const std::uint32_t K = heightOneKey(0);
@@ -455,6 +574,7 @@ TEST(MapCapacityTest, EraseFreesCapacityAcrossManyDistinctKeys) {
   }
   EXPECT_EQ(M.core().liveCountForTesting(), 0u);
   EXPECT_EQ(M.core().liveCounterForTesting(), 0u);
+  EXPECT_EQ(M.core().checkLanesForTesting(), "");
   // 256 distinct keys churned through a pool that never grew past a
   // handful of nodes (head + the recycled one + scan-timing slack).
   EXPECT_LE(M.core().allocatedNodesForTesting(), 1u + SmallCap + 4u)
@@ -486,6 +606,7 @@ TEST(MapCapacityTest, LiveCountCapacityBoundary) {
   ASSERT_TRUE(G.isValue());
   EXPECT_EQ(G.value(), 55u);
   EXPECT_EQ(M.core().liveCountForTesting(), SmallCap);
+  EXPECT_EQ(M.core().checkLanesForTesting(), "");
 }
 
 TEST(MapAccessCountTest, FastPolicyIsInvisibleToTheOracle) {

@@ -19,6 +19,9 @@
 ///    double-free, leak unboundedly, or wedge the backlog (the retire
 ///    list follows the thread id, so a resurrected worker drains its
 ///    predecessor's backlog);
+///  * skip-list churn on a few tall keys — every erase's sweep, racing
+///    other sweeps, inserts of the same key and late lane links, leaves
+///    each lane finite, sorted and free of erased nodes;
 ///  * NodePool type-stability and recycling;
 ///  * the unbounded objects' chunk lifecycle — a drained stack returns
 ///    to its hysteresis floor, the queue wraps its ring inside its live
@@ -32,6 +35,7 @@
 #include "core/SkipListCore.h"
 #include "faults/FaultInjector.h"
 #include "faults/FaultPlan.h"
+#include "memory/ChaosHook.h"
 #include "memory/HazardDomain.h"
 #include "memory/NodePool.h"
 #include "memory/SchedHook.h"
@@ -475,6 +479,50 @@ TEST(ReclamationCrashTest, UnboundedQueueSurvivesCrashCampaign) {
       4);
 }
 
+TEST(SkipListChurnTest, TallKeyChurnLeavesEveryLaneSorted) {
+  // Two threads insert and erase four keys of tower height >= 2, so
+  // erases race inserts of the same key: a node of the key can sit on
+  // either side of the one being swept, and inserts link lanes late. A
+  // sweep that leaves an erased node linked lets it be recycled while
+  // reachable; the lanes then gain a cycle, and this test hangs or the
+  // oracle below fails.
+  std::vector<std::uint32_t> Keys;
+  for (std::uint32_t K = 0; Keys.size() < 4; ++K)
+    if (SkipListCore<>::heightOf(K) >= 2)
+      Keys.push_back(K);
+  constexpr std::uint32_t Threads = 2;
+  constexpr std::uint32_t Rounds = 200;
+  constexpr std::uint32_t OpsPerThread = 2000;
+  for (std::uint32_t Round = 0; Round < Rounds; ++Round) {
+    SkipListCore<> L(Threads, static_cast<std::uint32_t>(Keys.size()));
+    std::vector<std::thread> Workers;
+    for (std::uint32_t Tid = 0; Tid < Threads; ++Tid)
+      Workers.emplace_back([&, Tid] {
+        ChaosHook Hook(0xC4A05ull * (Round + 1) + Tid, /*YieldPermille=*/100);
+        SchedHookScope Scope(Hook);
+        SplitMix64 Rng(0x5EEDull * (Round + 1) + Tid);
+        for (std::uint32_t I = 0; I < OpsPerThread; ++I) {
+          const std::uint32_t K = Keys[Rng.below(Keys.size())];
+          switch (Rng.below(4)) {
+          case 0:
+          case 1:
+            (void)L.weakInsert(Tid, K, I + 1);
+            break;
+          case 2:
+            (void)L.weakErase(Tid, K);
+            break;
+          default:
+            (void)L.get(Tid, K);
+            break;
+          }
+        }
+      });
+    for (std::thread &T : Workers)
+      T.join();
+    ASSERT_EQ(L.checkLanesForTesting(), "") << "round " << Round;
+  }
+}
+
 TEST(ReclamationCrashTest, SkipListSurvivesCrashCampaign) {
   // Map churn with crashes: the erase tail (mark/sweep/retire) is
   // crash-atomic with its ValState C&S because injectors fire only at
@@ -527,6 +575,7 @@ TEST(ReclamationCrashTest, SkipListSurvivesCrashCampaign) {
   const std::uint32_t Diff = Walk > Ctr ? Walk - Ctr : Ctr - Walk;
   EXPECT_LE(Diff, Crashes.load()) << "walk " << Walk << " vs counter "
                                   << Ctr;
+  EXPECT_EQ(L.checkLanesForTesting(), "");
   L.domain().quiescentScanAll();
   EXPECT_EQ(L.domain().retireBacklog(), 0u);
   EXPECT_LE(L.domain().retireHighWater(), L.domain().scanThreshold());
