@@ -231,7 +231,7 @@ struct EliminatingCsStackAdapter {
   }
   void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
   std::uint64_t exchanges() const {
-    return Stack.eliminationExchangesForTesting();
+    return Stack.rescue().array().exchangesForTesting();
   }
   obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
   obs::Path lastPath(std::uint32_t Tid) const { return Stack.lastPath(Tid); }

@@ -87,15 +87,8 @@
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace csobj {
-
-/// Batches up to this size keep their per-element result scratch on the
-/// caller's stack; larger groups fall back to one heap allocation. The
-/// wrappers' group operations (push_all/pop_all/drain) use it so common
-/// batch sizes add zero allocator traffic to the operation path.
-inline constexpr std::size_t BatchInlineCapacity = 64;
 
 /// The Figure 3 execution skeleton. One instance guards one abortable
 /// object; all strong operations on that object must go through the same
@@ -131,39 +124,33 @@ public:
   /// any value is a final non-bottom result (including full/empty style
   /// answers). Never returns bottom; always terminates (starvation-free,
   /// Theorem 1, over a starvation-free slow path).
-  template <typename WeakOpFn>
-  auto strongApply(std::uint32_t Tid, WeakOpFn WeakOp)
+  ///
+  /// \p Rescue, when given (at most one), opens an acceleration window
+  /// between the shortcut and the slow path: when the shortcut fails
+  /// (CONTENTION was raised, or the weak attempt aborted), Rescue gets one
+  /// chance to finish the operation without competing for the lock — e.g.
+  /// by pairing with an inverse operation in an elimination array
+  /// (perf/EliminationArray.h). It returns the same optional as WeakOp;
+  /// nullopt falls through to the unchanged slow path. The
+  /// contention-free execution never invokes it, so the stack's
+  /// six-access solo bound holds. An omitted rescue adds no parameter and
+  /// no code, so a call without one compiles to lines 01-03 and the slow
+  /// path alone. Rescue runs at most once, so every operation still
+  /// reaches the doorway after a bounded number of its own steps:
+  /// Lemmas 1-3 apply verbatim.
+  template <typename WeakOpFn, typename... RescueFn>
+    requires(sizeof...(RescueFn) <= 1)
+  auto strongApply(std::uint32_t Tid, WeakOpFn WeakOp, RescueFn... Rescue)
       -> typename std::invoke_result_t<WeakOpFn>::value_type {
     assert(Tid < N && "thread id out of range");
     Sink.onOp(Tid);
     if (auto Res = shortcut(Tid, WeakOp)) // lines 01-03
       return *Res;
-    return Slow.apply(Tid, Contention.value(), Sink, WeakOp);
-  }
-
-  /// strongApply with an acceleration window between the paper's
-  /// shortcut and the slow path: when the fast path fails (CONTENTION
-  /// was raised, or the weak attempt aborted), \p Rescue gets one chance
-  /// to finish the operation without competing for the lock — e.g. by
-  /// pairing with an inverse operation in an elimination array. Rescue
-  /// returns the same optional as WeakOp; nullopt falls through to the
-  /// unchanged slow path. The contention-free execution is untouched
-  /// (one CONTENTION read plus one weak attempt, Rescue never invoked),
-  /// so the 6-shared-access solo bound of the stack is preserved.
-  /// Starvation-freedom is preserved too: Rescue is attempted exactly
-  /// once, so every operation still reaches the doorway after a bounded
-  /// number of its own steps (Lemmas 1-3 apply verbatim).
-  template <typename WeakOpFn, typename RescueFn>
-  auto strongApplyWithRescue(std::uint32_t Tid, WeakOpFn WeakOp,
-                             RescueFn Rescue)
-      -> typename std::invoke_result_t<WeakOpFn>::value_type {
-    assert(Tid < N && "thread id out of range");
-    Sink.onOp(Tid);
-    if (auto Res = shortcut(Tid, WeakOp)) // lines 01-03
-      return *Res;
-    if (auto Res = Rescue()) {            // acceleration window
-      Sink.onPath(Tid, obs::Path::Eliminated);
-      return *Res;
+    if constexpr (sizeof...(Rescue) == 1) {
+      if (auto Res = (Rescue(), ...)) {   // acceleration window
+        Sink.onPath(Tid, obs::Path::Eliminated);
+        return *Res;
+      }
     }
     return Slow.apply(Tid, Contention.value(), Sink, WeakOp);
   }
@@ -473,45 +460,6 @@ using CrashTolerantContentionSensitive = ContentionSensitiveSkeleton<
     LockRetrySlowPath<StarvationFreeLock<LeasableTag<1u << 12>, Policy>,
                       Manager>,
     Policy>;
-
-/// The wrappers' group operations (push_all, pop_all, add_all, ...):
-/// applies \p WeakAt(0..Count) — weak attempts with strongApply's optional
-/// contract — through \p Strong's batch seam, stopping at the first Full
-/// or Empty answer so the object takes a prefix of the group. Each
-/// applied answer other than that stop is handed to \p Take(K, Answer),
-/// K counting from 0; returns how many were. The per-element answers
-/// live on the caller's stack up to BatchInlineCapacity and in one heap
-/// block beyond.
-template <typename SkeletonT, typename WeakAtFn, typename TakeFn>
-std::size_t strongGroup(SkeletonT &Strong, std::uint32_t Tid,
-                        std::size_t Count, WeakAtFn WeakAt, TakeFn Take) {
-  using Answer =
-      typename std::invoke_result_t<WeakAtFn &, std::size_t>::value_type;
-  auto Stops = [](const Answer &A) {
-    if constexpr (std::is_same_v<Answer, PushResult>)
-      return A == PushResult::Full;
-    else if constexpr (requires { A.isEmpty(); })
-      return A.isEmpty();
-    else
-      return false;
-  };
-  if (Count == 0)
-    return 0;
-  Answer Inline[BatchInlineCapacity];
-  std::vector<Answer> Heap;
-  Answer *Answers = Inline;
-  if (Count > BatchInlineCapacity) {
-    Heap.resize(Count);
-    Answers = Heap.data();
-  }
-  const std::size_t Applied =
-      Strong.strongApplyBatch(Tid, Count, WeakAt, Stops, Answers);
-  std::size_t Taken = 0;
-  for (std::size_t I = 0; I < Applied; ++I)
-    if (!Stops(Answers[I]))
-      Take(Taken++, Answers[I]);
-  return Taken;
-}
 
 } // namespace csobj
 

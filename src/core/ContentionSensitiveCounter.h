@@ -18,11 +18,13 @@
 #define CSOBJ_CORE_CONTENTIONSENSITIVECOUNTER_H
 
 #include "core/ContentionSensitive.h"
+#include "core/ContentionSensitiveObject.h"
 #include "memory/AtomicRegister.h"
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <tuple>
 
 namespace csobj {
 
@@ -54,16 +56,19 @@ private:
 /// way (perf/CombiningSlowPath.h).
 template <typename Lock = TasLock,
           typename SkeletonT = ContentionSensitive<Lock>>
-class ContentionSensitiveCounter {
+class ContentionSensitiveCounter
+    : public ContentionSensitiveObject<AbortableCounter, SkeletonT> {
+  using Base = ContentionSensitiveObject<AbortableCounter, SkeletonT>;
+
 public:
   explicit ContentionSensitiveCounter(std::uint32_t NumThreads)
-      : Strong(NumThreads) {}
+      : Base(NumThreads, std::tuple{}) {}
 
   /// Adds \p Delta and returns the new value. Never fails, always
   /// terminates.
   std::uint64_t add(std::uint32_t Tid, std::uint64_t Delta) {
-    return Strong.strongApply(
-        Tid, [this, Delta] { return Weak.weakAdd(Delta); });
+    return this->strong(Tid,
+                        [this, Delta] { return this->Weak.weakAdd(Delta); });
   }
 
   /// Group add: applies Deltas[0..Count) in index order as one batch
@@ -74,40 +79,18 @@ public:
   std::size_t add_all(std::uint32_t Tid, const std::uint64_t *Deltas,
                       std::size_t Count,
                       std::uint64_t *NewValues = nullptr) {
-    return strongGroup(
-        Strong, Tid, Count,
-        [this, Deltas](std::size_t I) { return Weak.weakAdd(Deltas[I]); },
+    return this->group(
+        Tid, Count,
+        [this, Deltas](std::size_t I) { return this->Weak.weakAdd(Deltas[I]); },
         [NewValues](std::size_t K, std::uint64_t V) {
           if (NewValues)
             NewValues[K] = V;
         });
   }
 
-  std::uint64_t valueForTesting() const { return Weak.valueForTesting(); }
-
-  AbortableCounter &abortable() { return Weak; }
-
-  /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
-  obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }
-
-  /// Resident bytes of the whole object: the header plus the weak
-  /// object's slot array and the skeleton's heap (doorway FLAG array,
-  /// combiner records, metric blocks). Feeds the bytes_per_element bench
-  /// column (obs/MetricsJson.h).
-  std::size_t footprintBytes() const {
-    std::size_t Bytes = sizeof(*this) + Strong.heapBytes();
-    if constexpr (requires { Weak.heapBytes(); })
-      Bytes += Weak.heapBytes();
-    return Bytes;
+  std::uint64_t valueForTesting() const {
+    return this->Weak.valueForTesting();
   }
-
-  obs::Path lastPath(std::uint32_t Tid) const {
-    return Strong.metrics().lastPath(Tid);
-  }
-
-private:
-  AbortableCounter Weak;
-  SkeletonT Strong;
 };
 
 } // namespace csobj

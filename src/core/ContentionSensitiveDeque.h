@@ -20,11 +20,13 @@
 #define CSOBJ_CORE_CONTENTIONSENSITIVEDEQUE_H
 
 #include "core/ContentionSensitive.h"
+#include "core/ContentionSensitiveObject.h"
 #include "core/ObstructionFreeDeque.h"
 #include "locks/TasLock.h"
 
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <utility>
 
 namespace csobj {
@@ -35,10 +37,12 @@ namespace csobj {
 /// ContentionSensitiveStack for the contract).
 template <typename Lock = TasLock,
           typename SkeletonT = ContentionSensitive<Lock>>
-class ContentionSensitiveDeque {
+class ContentionSensitiveDeque
+    : public ContentionSensitiveObject<ObstructionFreeDeque, SkeletonT> {
+  using Base = ContentionSensitiveObject<ObstructionFreeDeque, SkeletonT>;
+
 public:
   using Value = ObstructionFreeDeque::Value;
-  using Skeleton = SkeletonT;
 
   /// \p NumThreads is the paper's n; \p Capacity and \p InitialLeftSlots
   /// as in ObstructionFreeDeque. Trailing arguments go to the skeleton
@@ -47,24 +51,24 @@ public:
   ContentionSensitiveDeque(std::uint32_t NumThreads, std::uint32_t Capacity,
                            std::uint32_t InitialLeftSlots = ~std::uint32_t{0},
                            SkeletonArgs &&...Args)
-      : Weak(Capacity, InitialLeftSlots),
-        Strong(NumThreads, std::forward<SkeletonArgs>(Args)...) {}
+      : Base(NumThreads, std::tuple{Capacity, InitialLeftSlots},
+             std::forward<SkeletonArgs>(Args)...) {}
 
   PushResult pushLeft(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(
-        Tid, [this, V] { return unlessAbort(Weak.tryPushLeft(V)); });
+    return this->strong(
+        Tid, [this, V] { return unlessAbort(this->Weak.tryPushLeft(V)); });
   }
   PushResult pushRight(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(
-        Tid, [this, V] { return unlessAbort(Weak.tryPushRight(V)); });
+    return this->strong(
+        Tid, [this, V] { return unlessAbort(this->Weak.tryPushRight(V)); });
   }
   PopResult<Value> popLeft(std::uint32_t Tid) {
-    return Strong.strongApply(
-        Tid, [this] { return unlessAbort(Weak.tryPopLeft()); });
+    return this->strong(
+        Tid, [this] { return unlessAbort(this->Weak.tryPopLeft()); });
   }
   PopResult<Value> popRight(std::uint32_t Tid) {
-    return Strong.strongApply(
-        Tid, [this] { return unlessAbort(Weak.tryPopRight()); });
+    return this->strong(
+        Tid, [this] { return unlessAbort(this->Weak.tryPopRight()); });
   }
 
   /// Group push on the right end: pushes Vs[0..Count) in index order as
@@ -72,9 +76,9 @@ public:
   /// prefix of Vs). Returns the number pushed.
   std::size_t push_all(std::uint32_t Tid, const Value *Vs,
                        std::size_t Count) {
-    return strongGroup(Strong, Tid, Count,
+    return this->group(Tid, Count,
                        [this, Vs](std::size_t I) {
-                         return unlessAbort(Weak.tryPushRight(Vs[I]));
+                         return unlessAbort(this->Weak.tryPushRight(Vs[I]));
                        },
                        [](std::size_t, PushResult) {});
   }
@@ -83,9 +87,9 @@ public:
   /// to \p MaxCount values into Out[0..], stopping at the first Empty
   /// answer. Returns the number popped.
   std::size_t pop_all(std::uint32_t Tid, Value *Out, std::size_t MaxCount) {
-    return strongGroup(
-        Strong, Tid, MaxCount,
-        [this](std::size_t) { return unlessAbort(Weak.tryPopRight()); },
+    return this->group(
+        Tid, MaxCount,
+        [this](std::size_t) { return unlessAbort(this->Weak.tryPopRight()); },
         [Out](std::size_t K, const PopResult<Value> &R) {
           Out[K] = R.value();
         });
@@ -95,39 +99,6 @@ public:
   std::size_t drain(std::uint32_t Tid, Value *Out, std::size_t MaxOut) {
     return pop_all(Tid, Out, MaxOut);
   }
-
-  std::uint32_t capacity() const { return Weak.capacity(); }
-  std::uint32_t numThreads() const { return Strong.numThreads(); }
-  std::uint32_t sizeForTesting() const { return Weak.sizeForTesting(); }
-
-  /// The underlying HLM object (test/debug aid).
-  ObstructionFreeDeque &abortable() { return Weak; }
-
-  /// The strong-operation skeleton (test/debug/stats aid).
-  SkeletonT &skeleton() { return Strong; }
-  const SkeletonT &skeleton() const { return Strong; }
-
-  /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
-  obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }
-
-  /// Resident bytes of the whole object: the header plus the weak
-  /// object's slot array and the skeleton's heap (doorway FLAG array,
-  /// combiner records, metric blocks). Feeds the bytes_per_element bench
-  /// column (obs/MetricsJson.h).
-  std::size_t footprintBytes() const {
-    std::size_t Bytes = sizeof(*this) + Strong.heapBytes();
-    if constexpr (requires { Weak.heapBytes(); })
-      Bytes += Weak.heapBytes();
-    return Bytes;
-  }
-
-  obs::Path lastPath(std::uint32_t Tid) const {
-    return Strong.metrics().lastPath(Tid);
-  }
-
-private:
-  ObstructionFreeDeque Weak;
-  SkeletonT Strong;
 };
 
 } // namespace csobj

@@ -22,10 +22,12 @@
 
 #include "core/AbortableQueue.h"
 #include "core/ContentionSensitive.h"
+#include "core/ContentionSensitiveObject.h"
 #include "locks/TasLock.h"
 
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <utility>
 
 namespace csobj {
@@ -39,12 +41,17 @@ template <typename Config = Compact64, typename Lock = TasLock,
           typename Policy = DefaultRegisterPolicy,
           typename SkeletonT = ContentionSensitive<Lock, Manager, Policy>,
           typename Store = FlatStore>
-class ContentionSensitiveQueue {
+class ContentionSensitiveQueue
+    : public ContentionSensitiveObject<AbortableQueue<Config, Policy, Store>,
+                                       SkeletonT> {
+  using Base = ContentionSensitiveObject<AbortableQueue<Config, Policy, Store>,
+                                         SkeletonT>;
+  /// The weak operations' caller identity (see ContentionSensitiveStack).
+  using Caller = typename Base::Abortable::Caller;
+
 public:
   using Value = typename Config::Value;
   using RegisterPolicy = Policy;
-  using Skeleton = SkeletonT;
-  using Abortable = AbortableQueue<Config, Policy, Store>;
 
   /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k.
   /// Trailing arguments go to the skeleton after NumThreads (e.g. the
@@ -53,26 +60,26 @@ public:
   ContentionSensitiveQueue(std::uint32_t NumThreads, std::uint32_t Capacity,
                            SkeletonArgs &&...Args)
     requires(!Store::Chunked)
-      : Weak(Capacity),
-        Strong(NumThreads, std::forward<SkeletonArgs>(Args)...) {}
+      : Base(NumThreads, std::tuple{Capacity},
+             std::forward<SkeletonArgs>(Args)...) {}
 
   /// Over the chunked store there is no capacity to choose (it is the
   /// codec's envelope), and n also sizes the hazard domain.
   explicit ContentionSensitiveQueue(std::uint32_t NumThreads)
     requires(Store::Chunked)
-      : Weak(NumThreads), Strong(NumThreads) {}
+      : Base(NumThreads, std::tuple{NumThreads}) {}
 
   /// strong_enqueue(v): Done or Full, never Abort; always terminates.
   PushResult enqueue(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(Tid, [this, Id = Caller(Tid), V] {
-      return unlessAbort(Weak.weakEnqueue(Id, V));
+    return this->strong(Tid, [this, Id = Caller(Tid), V] {
+      return unlessAbort(this->Weak.weakEnqueue(Id, V));
     });
   }
 
   /// strong_dequeue(): a value or Empty, never Abort; always terminates.
   PopResult<Value> dequeue(std::uint32_t Tid) {
-    return Strong.strongApply(Tid, [this, Id = Caller(Tid)] {
-      return unlessAbort(Weak.weakDequeue(Id));
+    return this->strong(Tid, [this, Id = Caller(Tid)] {
+      return unlessAbort(this->Weak.weakDequeue(Id));
     });
   }
 
@@ -82,9 +89,9 @@ public:
   /// number of values enqueued.
   std::size_t enqueue_all(std::uint32_t Tid, const Value *Vs,
                           std::size_t Count) {
-    return strongGroup(Strong, Tid, Count,
+    return this->group(Tid, Count,
                        [this, Id = Caller(Tid), Vs](std::size_t I) {
-                         return unlessAbort(Weak.weakEnqueue(Id, Vs[I]));
+                         return unlessAbort(this->Weak.weakEnqueue(Id, Vs[I]));
                        },
                        [](std::size_t, PushResult) {});
   }
@@ -94,10 +101,10 @@ public:
   /// of values dequeued.
   std::size_t dequeue_all(std::uint32_t Tid, Value *Out,
                           std::size_t MaxCount) {
-    return strongGroup(
-        Strong, Tid, MaxCount,
+    return this->group(
+        Tid, MaxCount,
         [this, Id = Caller(Tid)](std::size_t) {
-          return unlessAbort(Weak.weakDequeue(Id));
+          return unlessAbort(this->Weak.weakDequeue(Id));
         },
         [Out](std::size_t K, const PopResult<Value> &R) {
           Out[K] = R.value();
@@ -108,42 +115,6 @@ public:
   std::size_t drain(std::uint32_t Tid, Value *Out, std::size_t MaxOut) {
     return dequeue_all(Tid, Out, MaxOut);
   }
-
-  std::uint32_t capacity() const { return Weak.capacity(); }
-  std::uint32_t numThreads() const { return Strong.numThreads(); }
-  std::uint32_t sizeForTesting() const { return Weak.sizeForTesting(); }
-
-  /// The underlying abortable queue (test/debug aid).
-  Abortable &abortable() { return Weak; }
-
-  /// The strong-operation skeleton (test/debug/stats aid).
-  SkeletonT &skeleton() { return Strong; }
-  const SkeletonT &skeleton() const { return Strong; }
-
-  /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
-  obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }
-
-  /// Resident bytes of the whole object: the header plus the weak
-  /// object's slot array and the skeleton's heap (doorway FLAG array,
-  /// combiner records, metric blocks). Feeds the bytes_per_element bench
-  /// column (obs/MetricsJson.h).
-  std::size_t footprintBytes() const {
-    std::size_t Bytes = sizeof(*this) + Strong.heapBytes();
-    if constexpr (requires { Weak.heapBytes(); })
-      Bytes += Weak.heapBytes();
-    return Bytes;
-  }
-
-  obs::Path lastPath(std::uint32_t Tid) const {
-    return Strong.metrics().lastPath(Tid);
-  }
-
-private:
-  /// The weak operations' caller identity (see ContentionSensitiveStack).
-  using Caller = typename Abortable::Caller;
-
-  Abortable Weak;
-  SkeletonT Strong;
 };
 
 /// Figure 3 over the unbounded queue (the chunked slot store): a

@@ -29,10 +29,12 @@
 
 #include "core/AbortableStack.h"
 #include "core/ContentionSensitive.h"
+#include "core/ContentionSensitiveObject.h"
 #include "locks/TasLock.h"
 
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <utility>
 
 namespace csobj {
@@ -46,52 +48,73 @@ namespace csobj {
 /// \tparam SkeletonT the strong-operation skeleton. The default is the
 ///         paper's Figure 3; the crash-tolerant and flat-combining
 ///         skeletons (core/ContentionSensitive.h, perf/CombiningSlowPath.h)
-///         plug in the same way, as does any type with the same
-///         constructor, strongApply, strongApplyBatch and heapBytes. A
-///         member is compiled only when called, so a skeleton with only
-///         strongApply still serves push/pop.
+///         plug in the same way, as does the timestamp boost
+///         (core/TimestampBoost.h), which has only strongApply and so
+///         serves push/pop.
 /// \tparam Store    the weak stack's slot store (FlatStore / ChunkedStore).
+/// \tparam RescueT  what a failed shortcut tries before the slow path:
+///         NoRescue, or an elimination rendezvous (EliminationRescue,
+///         perf/EliminationArray.h), whose gate reads this stack's TOP.
 template <typename Config = Compact64, typename Lock = TasLock,
           ContentionManager Manager = NoBackoff,
           typename Policy = DefaultRegisterPolicy,
           typename SkeletonT = ContentionSensitive<Lock, Manager, Policy>,
-          typename Store = FlatStore>
-class ContentionSensitiveStack {
+          typename Store = FlatStore, typename RescueT = NoRescue>
+class ContentionSensitiveStack
+    : public ContentionSensitiveObject<AbortableStack<Config, Policy, Store>,
+                                       SkeletonT, RescueT> {
+  using Base = ContentionSensitiveObject<AbortableStack<Config, Policy, Store>,
+                                         SkeletonT, RescueT>;
+  /// The weak operations' caller identity: the thread id, or nothing
+  /// over the flat store, so its closures match the plain array code's.
+  using Caller = typename Base::Abortable::Caller;
+
 public:
   using Value = typename Config::Value;
   using RegisterPolicy = Policy;
-  using Skeleton = SkeletonT;
-  using Abortable = AbortableStack<Config, Policy, Store>;
-  static constexpr Value Bottom = Abortable::Bottom;
+  static constexpr Value Bottom = Base::Abortable::Bottom;
 
   /// \p NumThreads is the paper's n (ids 0..n-1); \p Capacity is k.
   /// Trailing arguments go to the skeleton after NumThreads (e.g. the
-  /// crash-tolerant skeleton's lock patience).
-  template <typename... SkeletonArgs>
+  /// crash-tolerant skeleton's lock patience), or to the rescue when
+  /// there is one (e.g. the elimination array's size).
+  template <typename... Trailing>
   ContentionSensitiveStack(std::uint32_t NumThreads, std::uint32_t Capacity,
-                           SkeletonArgs &&...Args)
+                           Trailing &&...Args)
     requires(!Store::Chunked)
-      : Weak(Capacity),
-        Strong(NumThreads, std::forward<SkeletonArgs>(Args)...) {}
+      : Base(NumThreads, std::tuple{Capacity},
+             std::forward<Trailing>(Args)...) {}
 
   /// Over the chunked store there is no capacity to choose (it is the
   /// codec's envelope), and n also sizes the hazard domain.
   explicit ContentionSensitiveStack(std::uint32_t NumThreads)
     requires(Store::Chunked)
-      : Weak(NumThreads), Strong(NumThreads) {}
+      : Base(NumThreads, std::tuple{NumThreads}) {}
 
-  /// strong_push(v): Done or Full, never Abort; always terminates.
+  /// strong_push(v): Done or Full, never Abort; always terminates. A
+  /// rescue gives \p V to a concurrent pop.
   PushResult push(std::uint32_t Tid, Value V) {
-    return Strong.strongApply(Tid, [this, Id = Caller(Tid), V] {
-      return unlessAbort(Weak.weakPush(Id, V));
-    });
+    return this->strong(
+        Tid,
+        [this, Id = Caller(Tid), V] {
+          return unlessAbort(this->Weak.weakPush(Id, V));
+        },
+        [Tid, V](auto &Rescuer, auto &Guarded, auto &Sink) {
+          return Rescuer.give(Tid, Guarded, Sink, V);
+        });
   }
 
-  /// strong_pop(): a value or Empty, never Abort; always terminates.
+  /// strong_pop(): a value or Empty, never Abort; always terminates. A
+  /// rescue takes the value of a concurrent push.
   PopResult<Value> pop(std::uint32_t Tid) {
-    return Strong.strongApply(Tid, [this, Id = Caller(Tid)] {
-      return unlessAbort(Weak.weakPop(Id));
-    });
+    return this->strong(
+        Tid,
+        [this, Id = Caller(Tid)] {
+          return unlessAbort(this->Weak.weakPop(Id));
+        },
+        [Tid](auto &Rescuer, auto &Guarded, auto &Sink) {
+          return Rescuer.take(Tid, Guarded, Sink);
+        });
   }
 
   /// Group push: pushes Vs[0..Count) in index order as one batch through
@@ -102,10 +125,10 @@ public:
   /// actually pushed.
   std::size_t push_all(std::uint32_t Tid, const Value *Vs,
                        std::size_t Count) {
-    return strongGroup(
-        Strong, Tid, Count,
+    return this->group(
+        Tid, Count,
         [this, Id = Caller(Tid), Vs](std::size_t I) {
-          return unlessAbort(Weak.weakPush(Id, Vs[I]));
+          return unlessAbort(this->Weak.weakPush(Id, Vs[I]));
         },
         [](std::size_t, PushResult) {});
   }
@@ -114,10 +137,10 @@ public:
   /// order, stopping at the first Empty answer. Returns the number of
   /// values popped.
   std::size_t pop_all(std::uint32_t Tid, Value *Out, std::size_t MaxCount) {
-    return strongGroup(
-        Strong, Tid, MaxCount,
+    return this->group(
+        Tid, MaxCount,
         [this, Id = Caller(Tid)](std::size_t) {
-          return unlessAbort(Weak.weakPop(Id));
+          return unlessAbort(this->Weak.weakPop(Id));
         },
         [Out](std::size_t K, const PopResult<Value> &R) {
           Out[K] = R.value();
@@ -130,43 +153,6 @@ public:
   std::size_t drain(std::uint32_t Tid, Value *Out, std::size_t MaxOut) {
     return pop_all(Tid, Out, MaxOut);
   }
-
-  std::uint32_t capacity() const { return Weak.capacity(); }
-  std::uint32_t numThreads() const { return Strong.numThreads(); }
-  std::uint32_t sizeForTesting() const { return Weak.sizeForTesting(); }
-
-  /// The underlying Figure 1 object (test/debug aid).
-  Abortable &abortable() { return Weak; }
-
-  /// The strong-operation skeleton (test/debug/stats aid).
-  SkeletonT &skeleton() { return Strong; }
-  const SkeletonT &skeleton() const { return Strong; }
-
-  /// Path-attributed metrics of the skeleton (obs/PathCounters.h).
-  obs::PathSnapshot pathSnapshot() const { return Strong.pathSnapshot(); }
-
-  /// Resident bytes of the whole object: the header plus the weak
-  /// object's slot array and the skeleton's heap (doorway FLAG array,
-  /// combiner records, metric blocks). Feeds the bytes_per_element bench
-  /// column (obs/MetricsJson.h).
-  std::size_t footprintBytes() const {
-    std::size_t Bytes = sizeof(*this) + Strong.heapBytes();
-    if constexpr (requires { Weak.heapBytes(); })
-      Bytes += Weak.heapBytes();
-    return Bytes;
-  }
-
-  obs::Path lastPath(std::uint32_t Tid) const {
-    return Strong.metrics().lastPath(Tid);
-  }
-
-private:
-  /// The weak operations' caller identity: the thread id, or nothing
-  /// over the flat store, so its closures match the plain array code's.
-  using Caller = typename Abortable::Caller;
-
-  Abortable Weak;
-  SkeletonT Strong;
 };
 
 /// Figure 3 over the unbounded Figure 1 (the chunked slot store): a

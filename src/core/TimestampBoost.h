@@ -31,7 +31,7 @@
 #ifndef CSOBJ_CORE_TIMESTAMPBOOST_H
 #define CSOBJ_CORE_TIMESTAMPBOOST_H
 
-#include "core/AbortableStack.h"
+#include "core/ContentionSensitiveStack.h"
 #include "core/Results.h"
 #include "memory/AtomicRegister.h"
 #include "support/CacheLine.h"
@@ -122,33 +122,12 @@ private:
 };
 
 /// TimestampBoost applied to the abortable stack: the lock-free
-/// starvation-free stack (ablation counterpart of Figure 3).
+/// starvation-free stack (ablation counterpart of Figure 3) — the Figure 3
+/// stack with the boost as its skeleton. Construct with (n, k).
 template <typename Config = Compact64>
-class BoostedStack {
-public:
-  using Value = typename Config::Value;
-
-  BoostedStack(std::uint32_t NumThreads, std::uint32_t Capacity)
-      : Weak(Capacity), Boost(NumThreads) {}
-
-  PushResult push(std::uint32_t Tid, Value V) {
-    return Boost.strongApply(
-        Tid, [this, V] { return unlessAbort(Weak.weakPush(V)); });
-  }
-
-  PopResult<Value> pop(std::uint32_t Tid) {
-    return Boost.strongApply(Tid,
-                             [this] { return unlessAbort(Weak.weakPop()); });
-  }
-
-  std::uint32_t capacity() const { return Weak.capacity(); }
-  std::uint32_t sizeForTesting() const { return Weak.sizeForTesting(); }
-  TimestampBoost &skeleton() { return Boost; }
-
-private:
-  AbortableStack<Config> Weak;
-  TimestampBoost Boost;
-};
+using BoostedStack =
+    ContentionSensitiveStack<Config, TasLock, NoBackoff,
+                             DefaultRegisterPolicy, TimestampBoost>;
 
 } // namespace csobj
 

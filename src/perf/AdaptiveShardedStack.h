@@ -49,19 +49,23 @@
 ///    net-zero (a push immediately consumed by a pop), so they cannot
 ///    invalidate the witness. Pop's Empty answer is symmetric.
 ///  * a matched elimination pair linearizes push;pop at the matcher's
-///    gate read of the home shard's TOP showing index < k/N — a
-///    bag-not-full witness (see perf/EliminatingStack.h; the argument
-///    carries over verbatim because a bag push only needs "not full").
+///    gate read of one shard's TOP showing index < k/N — a bag-not-full
+///    witness, since room in any shard is room in the bag (see
+///    EliminationRescue in perf/EliminationArray.h; the argument carries
+///    over verbatim because a bag push only needs "not full").
 ///
-/// The elimination array is armed at TWO seams. The home-shard probe
-/// runs through the shard skeleton's rescue window
-/// (strongApplyWithRescue): when the shortcut fails — CONTENTION up or
-/// a weak attempt aborted — the op tries to pair with an inverse op
-/// *before* competing for the shard's lock. This is the inter-shard
-/// balancer: it fires under ordinary mixed load, not only at capacity
-/// boundaries. The facade seam additionally tries elimination after
-/// every active shard answered Full/Empty, before growing or
-/// certifying. Early versions armed only the facade seam, and E12
+/// The one elimination array is armed at TWO seams. Every shard is the
+/// Figure 3 stack with EliminationRescue over this shared array, so
+/// every shard probe — home or not — runs through its skeleton's rescue
+/// window: when the shortcut fails (CONTENTION up or a weak attempt
+/// aborted) the op tries once to pair with an inverse op *before*
+/// competing for that shard's lock, gated on that shard's TOP. Sharing
+/// the array makes this the inter-shard balancer: a push homed on one
+/// shard pairs with a pop homed on another, under ordinary mixed load,
+/// not only at capacity boundaries. The facade seam additionally tries
+/// elimination after every active shard answered Full/Empty, before
+/// growing or certifying, through the home shard's rescue gated on the
+/// home shard's TOP. Early versions armed only the facade seam, and E12
 /// measured elimination_exchanges == 0 — the boundary is never reached
 /// in a half-full bag, so the balancer never ran.
 ///
@@ -136,13 +140,15 @@ template <std::uint32_t MaxShards = 8, typename Config = Compact64,
           typename Policy = DefaultRegisterPolicy>
 class AdaptiveShardedStack {
 public:
-  using Shard = ContentionSensitiveStack<Config, Lock, Manager, Policy>;
+  /// One shard: the Figure 3 stack whose rescue shares the facade's
+  /// elimination array.
+  using Shard = ContentionSensitiveStack<
+      Config, Lock, Manager, Policy, ContentionSensitive<Lock, Manager, Policy>,
+      FlatStore, EliminationRescue<Policy, EliminationArrayT<Policy> &>>;
   using Value = typename Config::Value;
   using RegisterPolicy = Policy;
 
   static_assert(MaxShards >= 1, "need at least one shard");
-  static_assert(sizeof(Value) <= sizeof(std::uint32_t),
-                "elimination slots carry 32-bit payloads");
 
   /// \p TotalCapacity must divide evenly across MaxShards and give each
   /// shard at least one slot; \p InitialShards must lie in
@@ -158,7 +164,7 @@ public:
         Elim(SlotCount, SpinBudget), Ctl(Controller),
         Active(checkedInitial(InitialShards)) {
     for (std::uint32_t S = 0; S < MaxShards; ++S)
-      Shards[S].emplace(NumThreads, PerShard);
+      Shards[S].emplace(NumThreads, PerShard, Elim);
   }
 
   /// Bag push: Done, or Full only at the full mask on an epoch-stable
@@ -251,15 +257,19 @@ public:
 
   const ShardController &controller() const { return Ctl; }
 
-  /// Test knob: route every facade op through the elimination array
-  /// first, so a directed schedule can force an exchange without racing
-  /// the shards.
-  void forceBalancerForTesting(bool Force) { ForceBalance = Force; }
+  /// Test knob: every shard probe tries the elimination array first
+  /// (its rescue's force-first knob), so a directed schedule can force an
+  /// exchange without racing the shards.
+  void forceBalancerForTesting(bool Force) {
+    for (std::uint32_t S = 0; S < MaxShards; ++S)
+      shard(S).rescue().forceFirstForTesting(Force);
+  }
 
-  /// Exposes the slot-probe hint stream so the two-instance divergence
-  /// regression can observe it without racing the rendezvous machinery.
+  /// Exposes the home shard's slot-hint stream so the two-instance
+  /// divergence regression can observe it without racing the rendezvous
+  /// machinery.
   std::uint64_t slotHintForTesting(std::uint32_t Tid) {
-    return slotHint(Tid);
+    return shard(Tid % activeShards()).rescue().slotHintForTesting(Tid);
   }
 
   //===--------------------------------------------------------------===//
@@ -327,32 +337,22 @@ private:
   }
 
   PushResult pushImpl(std::uint32_t Tid, Value V) {
-    if (ForceBalance) {
-      if (Elim.tryGive(static_cast<std::uint32_t>(V), slotHint(Tid),
-                       notFullGate(Tid))) {
-        bookEliminated(Tid, obs::Event::EliminatedPush);
-        return PushResult::Done;
-      }
-    }
     std::optional<ExponentialBackoff> Boundary;
     while (true) {
       const std::uint32_t A = activeShards();
       const std::uint32_t Home = Tid % A;
-      for (std::uint32_t I = 0; I < A; ++I) {
-        const std::uint32_t S = (Home + I) % A;
-        const PushResult Res = I == 0 ? balancedPush(Tid, S, V)
-                                      : shard(S).push(Tid, V);
-        if (Res == PushResult::Done)
+      for (std::uint32_t I = 0; I < A; ++I)
+        if (shard((Home + I) % A).push(Tid, V) == PushResult::Done)
           return PushResult::Done;
-      }
       // Every active shard answered Full. Pair with a concurrent pop if
-      // one is parked, else grow the mask (never certify Full while
-      // growth is possible — observable capacity is TotalCapacity).
-      if (Elim.tryGive(static_cast<std::uint32_t>(V), slotHint(Tid),
-                       notFullGate(Tid))) {
-        bookEliminated(Tid, obs::Event::EliminatedPush);
-        return PushResult::Done;
-      }
+      // one is parked (the boundary seam: the home shard's rescue, run
+      // outside its skeleton, so this sink books the op), else grow the
+      // mask (never certify Full while growth is possible — observable
+      // capacity is TotalCapacity).
+      Shard &H = shard(Home);
+      if (const auto Res = Shard::Rescue::alone(
+              Tid, Sink, H.rescue().give(Tid, H.abortable(), Sink, V)))
+        return *Res;
       if (A < MaxShards) {
         grow(Tid);
         continue;
@@ -373,27 +373,19 @@ private:
   }
 
   PopResult<Value> popImpl(std::uint32_t Tid) {
-    if (ForceBalance) {
-      if (auto V = Elim.tryTake(slotHint(Tid), notFullGate(Tid))) {
-        bookEliminated(Tid, obs::Event::EliminatedPop);
-        return PopResult<Value>::value(static_cast<Value>(*V));
-      }
-    }
     std::optional<ExponentialBackoff> Boundary;
     while (true) {
       const std::uint32_t A = activeShards();
       const std::uint32_t Home = Tid % A;
       for (std::uint32_t I = 0; I < A; ++I) {
-        const std::uint32_t S = (Home + I) % A;
-        const PopResult<Value> Res =
-            I == 0 ? balancedPop(Tid, S) : shard(S).pop(Tid);
+        const PopResult<Value> Res = shard((Home + I) % A).pop(Tid);
         if (Res.isValue())
           return Res;
       }
-      if (auto V = Elim.tryTake(slotHint(Tid), notFullGate(Tid))) {
-        bookEliminated(Tid, obs::Event::EliminatedPop);
-        return PopResult<Value>::value(static_cast<Value>(*V));
-      }
+      Shard &H = shard(Home);
+      if (const auto Res = Shard::Rescue::alone(
+              Tid, Sink, H.rescue().take(Tid, H.abortable(), Sink)))
+        return *Res;
       std::uint32_t Straggler = 0;
       switch (certify(/*WantFull=*/false, Straggler)) {
       case Witness::Certified:
@@ -414,59 +406,6 @@ private:
         Boundary.emplace();
       Boundary->onFailure();
     }
-  }
-
-  /// Home-shard probe with the inter-shard balancer armed as the
-  /// skeleton's rescue window: a failed shortcut tries to hand the value
-  /// to a concurrent pop before competing for the shard's lock. The
-  /// contention-free execution is untouched (rescue never invoked), so
-  /// the solo six-access bound is preserved. Pairing books into the
-  /// shard skeleton's sink — strongApplyWithRescue books the Eliminated
-  /// path, the rescue lambda books the matching event, so per-sink
-  /// conservation stays exact.
-  PushResult balancedPush(std::uint32_t Tid, std::uint32_t S, Value V) {
-    Shard &Sh = shard(S);
-    return Sh.skeleton().strongApplyWithRescue(
-        Tid,
-        [&Sh, V] { return unlessAbort(Sh.abortable().weakPush(V)); },
-        [this, &Sh, Tid, V]() -> std::optional<PushResult> {
-          if (Elim.tryGive(static_cast<std::uint32_t>(V), slotHint(Tid),
-                           notFullGate(Tid))) {
-            Sh.skeleton().metrics().onEvent(Tid,
-                                            obs::Event::EliminatedPush);
-            return PushResult::Done;
-          }
-          return std::nullopt;
-        });
-  }
-
-  PopResult<Value> balancedPop(std::uint32_t Tid, std::uint32_t S) {
-    Shard &Sh = shard(S);
-    return Sh.skeleton().strongApplyWithRescue(
-        Tid,
-        [&Sh] { return unlessAbort(Sh.abortable().weakPop()); },
-        [this, &Sh, Tid]() -> std::optional<PopResult<Value>> {
-          if (auto V = Elim.tryTake(slotHint(Tid), notFullGate(Tid))) {
-            Sh.skeleton().metrics().onEvent(Tid, obs::Event::EliminatedPop);
-            return PopResult<Value>::value(static_cast<Value>(*V));
-          }
-          return std::nullopt;
-        });
-  }
-
-  /// Bag-not-full gate for the matcher: one instrumented read of the
-  /// caller's current home shard's TOP showing room (conservative).
-  auto notFullGate(std::uint32_t Tid) {
-    return [this, Tid] {
-      const std::uint32_t Home = Tid % activeShards();
-      return shard(Home).abortable().readTop().Index < PerShard;
-    };
-  }
-
-  void bookEliminated(std::uint32_t Tid, obs::Event E) {
-    Sink.onOp(Tid);
-    Sink.onPath(Tid, obs::Path::Eliminated);
-    Sink.onEvent(Tid, E);
   }
 
   /// Books \p Fallback batch elements that landed through the facade's
@@ -597,16 +536,6 @@ private:
     TickBusy.store(false, std::memory_order_release);
   }
 
-  /// Slot-probe hint: home-biased by Tid, advanced per probe, and
-  /// decorrelated between facade instances by the per-object nonce (the
-  /// bare thread_local counter restarts identically in every fresh
-  /// thread, so without the nonce two unrelated facades probe the same
-  /// slot sequence).
-  std::uint64_t slotHint(std::uint32_t Tid) {
-    static thread_local std::uint64_t Counter = 0;
-    return (static_cast<std::uint64_t>(Tid) << 32) ^ SlotNonce ^ Counter++;
-  }
-
   using TopC = typename AbortableStack<Config, Policy>::TopC;
   using TopWord = typename TopC::Word;
 
@@ -616,7 +545,6 @@ private:
 
   const std::uint32_t N;
   const std::uint32_t PerShard;
-  const std::uint64_t SlotNonce = detail::deriveSlotNonce();
   std::array<std::optional<Shard>, MaxShards> Shards;
   EliminationArrayT<Policy> Elim;
   ShardController Ctl;
@@ -624,7 +552,6 @@ private:
   std::atomic<std::uint64_t> Epoch{0};
   std::atomic<std::uint64_t> TickCount{0};
   std::atomic<bool> TickBusy{false};
-  bool ForceBalance = false;
   [[no_unique_address]] mutable obs::MetricSink Sink{N};
 };
 

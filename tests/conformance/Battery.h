@@ -2031,7 +2031,7 @@ inline void mapCrashSweep() {
 /// pair linearizes as push immediately followed by pop at the matcher's
 /// gate read, the pop returns exactly the pushed value, and TOP is never
 /// touched (its <index, value, seqnb> triple is bit-identical before and
-/// after). forceRescueForTesting routes both operations through the
+/// after). The rescue's force-first knob routes both operations through the
 /// rendezvous first so the slot accesses are the leading accesses and
 /// the schedule below is exact: the popper gets two accesses (slot read,
 /// park C&S), then the pusher runs to completion (slot read sees the
@@ -2041,7 +2041,7 @@ inline void eliminationPairSpecPoint() {
   {
     Stack S(2, SmallCapacity, /*SlotCount=*/1, /*SpinBudget=*/8);
     ASSERT_EQ(S.push(0, 3), PushResult::Done); // seed: TOP = <1, 3, _>
-    S.forceRescueForTesting(true);
+    S.rescue().forceFirstForTesting(true);
     const auto Before = S.abortable().topForTesting();
 
     std::optional<PushResult> PushRes;
@@ -2072,7 +2072,7 @@ inline void eliminationPairSpecPoint() {
     EXPECT_EQ(PopRes->value(), 7u) << "pop must return the eliminated value";
     // Both operations finished via the rendezvous (the counter counts
     // operations, so a matched pair contributes two).
-    EXPECT_EQ(S.eliminationExchangesForTesting(), 2u);
+    EXPECT_EQ(S.rescue().array().exchangesForTesting(), 2u);
     const auto After = S.abortable().topForTesting();
     EXPECT_EQ(After.Index, Before.Index) << "eliminated pair touched TOP";
     EXPECT_EQ(After.Value, Before.Value) << "eliminated pair touched TOP";
@@ -2086,7 +2086,7 @@ inline void eliminationPairSpecPoint() {
   const auto Factory = [&TotalExchanges] {
     auto Obj = std::make_shared<Stack>(2, SmallCapacity, /*SlotCount=*/1,
                                        /*SpinBudget=*/8);
-    Obj->forceRescueForTesting(true);
+    Obj->rescue().forceFirstForTesting(true);
     auto Recs = std::make_shared<std::vector<HistoryRecorder>>();
     Recs->emplace_back(0);
     Recs->emplace_back(1);
@@ -2113,7 +2113,7 @@ inline void eliminationPairSpecPoint() {
         (*Recs)[1].recordPopEmpty(T0, T1);
     });
     Run.PostCheck = [Obj, Recs, Aborted, &TotalExchanges] {
-      TotalExchanges += Obj->eliminationExchangesForTesting();
+      TotalExchanges += Obj->rescue().array().exchangesForTesting();
       drainAndCheck<EliminatingCsStackAdapter>(*Obj, *Recs, *Aborted);
     };
     return Run;
@@ -2243,7 +2243,9 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
         AccessBounds{8, 8, false},
         [] { crashSweepCell<NonBlockingStackAdapter>(); }));
     R.push_back(pushPopEntry<CsStackAdapter>(
-        "cs-stack", {"ContentionSensitiveStack.h", "ContentionSensitive.h"},
+        "cs-stack",
+        {"ContentionSensitiveStack.h", "ContentionSensitive.h",
+         "ContentionSensitiveObject.h"},
         /*Exhaustive=*/false, AccessBounds{6, 6, true}));
     R.push_back(pushPopEntry<CtStackAdapter>(
         "ct-stack", {"CrashTolerantStack.h"},

@@ -251,7 +251,7 @@ TEST(PathAttribution, ForcedRescueBooksEliminated) {
   EliminatingContentionSensitiveStack<> S(/*NumThreads=*/2, /*Capacity=*/64,
                                           /*SlotCount=*/1,
                                           /*SpinBudget=*/4096);
-  S.forceRescueForTesting(true);
+  S.rescue().forceFirstForTesting(true);
   constexpr std::uint32_t Rounds = 400;
   SpinBarrier Barrier(2);
   std::thread Pusher([&] {

@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "baselines/EliminationBackoffStack.h"
 #include "baselines/LockedMap.h"
 #include "core/AbortableStack.h"
 #include "core/CrashTolerantStack.h"
@@ -436,6 +437,91 @@ TEST(ShardedBalancer, RescueWindowDirectedPairExchanges) {
   }
 }
 
+/// The same seam on a probe that is not the home shard's: every shard
+/// carries the rescue. T0's push finds its home shard 0 full and moves to
+/// shard 1, where id 3's completed pop invalidates both T0's push
+/// snapshot and id 1's pop snapshot; T0's failed shortcut parks its value
+/// in the slot via shard 1's rescue window, and id 1's failed shortcut
+/// takes it via its own. Shard 1's TOP gates the match: room there is
+/// room in the bag.
+TEST(ShardedBalancer, NonHomeRescueWindowPairExchanges) {
+  // Ids 0 and 2 are homed on shard 0, ids 1 and 3 on shard 1.
+  AdaptiveShardedStack<2> S(4, 4, /*InitialShards=*/2, /*SlotCount=*/1,
+                            /*SpinBudget=*/8, ControllerOff);
+  ASSERT_EQ(S.push(0, 5), PushResult::Done);
+  ASSERT_EQ(S.push(0, 6), PushResult::Done); // shard 0 is full
+  ASSERT_EQ(S.push(1, 7), PushResult::Done); // shard 1 holds one
+  using Top = std::vector<std::uint64_t>;
+  auto Tops = [&S] {
+    Top T;
+    for (std::uint32_t Sh = 0; Sh < 2; ++Sh) {
+      const auto F = S.shard(Sh).abortable().topForTesting();
+      T.insert(T.end(), {F.Index, F.Value, F.Seq});
+    }
+    return T;
+  };
+  std::optional<PushResult> Push0;
+  PopResult<std::uint32_t> Pop1 = PopResult<std::uint32_t>::empty();
+  PopResult<std::uint32_t> Pop3 = PopResult<std::uint32_t>::empty();
+  std::optional<Top> BeforePair;
+  std::uint32_t Grants0 = 0;
+  std::uint32_t Grants1 = 0;
+  InterleaveScheduler Scheduler(3);
+  Scheduler.run(
+      {[&] { Push0 = S.push(0, 9); }, [&] { Pop1 = S.pop(1); },
+       [&] { Pop3 = S.pop(3); }},
+      [&](std::size_t, const std::vector<std::uint32_t> &Parked)
+          -> std::uint32_t {
+        auto Has = [&](std::uint32_t Tid) {
+          return std::find(Parked.begin(), Parked.end(), Tid) !=
+                 Parked.end();
+        };
+        // T0's push answers Full on shard 0 (CONTENTION read, TOP read,
+        // help read and C&S), then parks just before its TOP C&S on
+        // shard 1 (the same four plus the slot read)...
+        if (Grants0 < 9 && Has(0)) {
+          ++Grants0;
+          return 0;
+        }
+        // ...id 1's pop parks just before its TOP C&S on shard 1...
+        if (Grants1 < 5 && Has(1)) {
+          ++Grants1;
+          return 1;
+        }
+        // ...id 3's pop completes on shard 1, invalidating both...
+        if (Has(2))
+          return 2;
+        if (!BeforePair)
+          BeforePair = Tops();
+        // ...T0's C&S fails; shard 1's rescue window parks 9 in the slot
+        // (failed C&S + slot read + park C&S)...
+        if (Grants0 < 12 && Has(0)) {
+          ++Grants0;
+          return 0;
+        }
+        // ...id 1's C&S fails; its rescue window matches (failed C&S +
+        // slot read + gate read + pair C&S) and the pop completes...
+        if (Has(1))
+          return 1;
+        // ...then T0 notices Done and completes its give.
+        return Parked.front();
+      });
+  ASSERT_TRUE(Push0.has_value());
+  EXPECT_EQ(*Push0, PushResult::Done) << "push eliminated via rescue";
+  ASSERT_TRUE(Pop1.isValue());
+  EXPECT_EQ(Pop1.value(), 9u) << "pop received the eliminated value";
+  ASSERT_TRUE(Pop3.isValue());
+  EXPECT_EQ(Pop3.value(), 7u);
+  EXPECT_EQ(S.eliminationExchangesForTesting(), 2u);
+  ASSERT_TRUE(BeforePair.has_value());
+  EXPECT_EQ(Tops(), *BeforePair)
+      << "the eliminated pair must not touch any shard's TOP";
+  EXPECT_TRUE(S.pathSnapshot().conserves());
+  if constexpr (obs::MetricsEnabled) {
+    EXPECT_EQ(S.pathSnapshot().path(obs::Path::Eliminated), 2u);
+  }
+}
+
 /// Wall-clock sanity for the same seam: chaos-injected preemption makes
 /// shortcut aborts (hence rescue windows) frequent; paired push/pop
 /// traffic through them must produce nonzero exchanges within a few
@@ -515,6 +601,11 @@ TEST(CtorChecks, ShardedFacadesRejectBadGeometry) {
                std::invalid_argument);
   EXPECT_THROW(AdaptiveShardedStack<2>(2, 4, /*InitialShards=*/3),
                std::invalid_argument);
+  // Zero elimination slots: the first rendezvous would pick a slot
+  // modulo zero.
+  EXPECT_THROW(AdaptiveShardedStack<2>(2, 4, /*InitialShards=*/1,
+                                       /*SlotCount=*/0),
+               std::invalid_argument);
 }
 
 TEST(CtorChecks, CoreAndBaselineCtorsRejectBadGeometry) {
@@ -552,6 +643,13 @@ TEST(CtorChecks, CoreAndBaselineCtorsRejectBadGeometry) {
   EXPECT_THROW(TimestampBoost(0), std::invalid_argument);
   EXPECT_THROW(HazardDomain(0, 1), std::invalid_argument);
   EXPECT_THROW(UnboundedStack<>(0), std::invalid_argument);
+  // An elimination array needs a slot: with none, the first rendezvous
+  // would pick one modulo zero (SIGFPE under NDEBUG).
+  EXPECT_THROW(EliminatingContentionSensitiveStack<>(2, 8, /*SlotCount=*/0,
+                                                     /*SpinBudget=*/8),
+               std::invalid_argument);
+  EXPECT_THROW(EliminationBackoffStack(8, /*SlotCount=*/0),
+               std::invalid_argument);
 }
 
 //===----------------------------------------------------------------------===
@@ -576,6 +674,9 @@ TEST(SlotHints, StreamsDivergeAcrossInstances) {
   AdaptiveShardedStack<2> A(2, 4), B(2, 4);
   EXPECT_NE(Collect(A), Collect(B))
       << "two facades probed the same slot sequence";
+  EliminatingContentionSensitiveStack<> C(2, 4), D(2, 4);
+  EXPECT_NE(Collect(C.rescue()), Collect(D.rescue()))
+      << "two eliminating stacks probed the same slot sequence";
 }
 
 //===----------------------------------------------------------------------===
