@@ -290,8 +290,9 @@ template <std::uint32_t NumShards> struct StaticShardAdapter {
 /// Adaptive mask over eight Figure 3 shards driven by the obs control
 /// loop (perf/AdaptiveShardedStack.h). Starts at one shard; the
 /// controller widens the mask under lock-path pressure and retires
-/// shards when the load goes shortcut-dominant, so E18 can compare one
-/// object against every static shard count across load phases.
+/// shards that sit idle while the load is shortcut-dominant, so E18 can
+/// compare one object against every static shard count across load
+/// phases.
 struct AdaptiveStackAdapter {
   static constexpr const char *Name = "adaptive(<=8xfig3)";
   AdaptiveStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)

@@ -204,6 +204,16 @@ public:
     return Top.read(std::memory_order_acquire);
   }
 
+  /// The raw packed TOP word by an uncounted relaxed load: a control-plane
+  /// read. The adaptive facade's controller compares it across ticks to
+  /// tell whether this stack completed a push or pop in between (every
+  /// success bumps the seq; Full, Empty and Abort leave the word alone).
+  /// It stays invisible to the access oracle, the explorer and the fault
+  /// injectors; never call it on an algorithm path.
+  typename TopC::Word controlReadTopWord() const {
+    return Top.readReclaim(std::memory_order_relaxed);
+  }
+
   /// Number of elements currently on the stack. Inherently racy under
   /// concurrency; exact when quiescent. Uninstrumented (test/debug aid).
   std::uint32_t sizeForTesting() const {

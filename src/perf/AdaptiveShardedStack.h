@@ -10,11 +10,12 @@
 /// load between them. The shard *mask* adapts: `Active` of the MaxShards
 /// constructed shards accept traffic, and a ShardController samples
 /// PathSnapshot deltas to grow the mask under lock-path pressure, shrink
-/// it back when the delta is shortcut-dominant, and retune the
-/// elimination gate's spin budget from the pairing rate. Threads start
-/// probing at their home shard (Tid mod Active), so at low thread counts
-/// each shard behaves like a solo Figure 3 stack — six shared accesses,
-/// no lock — while at high thread counts contention splits Active ways.
+/// it back when the delta is shortcut-dominant and some active shard
+/// completed no operation, and retune the elimination gate's spin budget
+/// from the pairing rate. Threads start probing at their home shard
+/// (Tid mod Active), so at low thread counts each shard behaves like a
+/// solo Figure 3 stack — six shared accesses, no lock — while at high
+/// thread counts contention splits Active ways.
 /// At Active == 1 every operation is a plain Figure 3 operation on
 /// shard 0 — exactly six shared accesses solo, oracle-checked
 /// (perf_test, E18).
@@ -70,11 +71,20 @@
 /// in a half-full bag, so the balancer never ran.
 ///
 /// Reconfiguration protocol (all configuration words — Active, Epoch,
-/// the controller tick counter — are plain std::atomics, the same
+/// the per-thread tick slots — are plain std::atomics, the same
 /// convention as the elimination exchange counter and the metric sinks:
 /// control state, not algorithm state, invisible to the access-count
-/// oracle, the explorer and the fault injectors):
+/// oracle, the explorer and the fault injectors; the tick reads each
+/// shard's TOP word on the same uncounted channel):
 ///
+///  * tick: each thread counts its own facade ops in a padded slot of
+///    its own and samples the controller after every TickOps of them, so
+///    no op writes a line another thread's op reads. A shared counter
+///    did: it sat beside Active, which every op loads first, and two
+///    threads on two shards passed that line back and forth on every op.
+///    The tick tells the controller how many active shards completed a
+///    push or pop since the last consumed sample — those whose TOP word
+///    moved — and the mask shrinks only if some shard did not.
 ///  * grow: CAS Active up, bump Epoch, book Event::ShardGrow.
 ///  * shrink: CAS Active down, bump Epoch, book Event::ShardShrink.
 ///    Retirement is LAZY — it moves no elements, so a crash cannot
@@ -120,6 +130,7 @@
 #include "perf/EliminationArray.h"
 #include "perf/ShardController.h"
 #include "support/Backoff.h"
+#include "support/CacheLine.h"
 
 #include <array>
 #include <atomic>
@@ -147,6 +158,9 @@ public:
       FlatStore, EliminationRescue<Policy, EliminationArrayT<Policy> &>>;
   using Value = typename Config::Value;
   using RegisterPolicy = Policy;
+  /// One thread's facade-op count toward its next control tick, alone on
+  /// its cache line.
+  using TickSlot = CacheLinePadded<std::atomic<std::uint32_t>>;
 
   static_assert(MaxShards >= 1, "need at least one shard");
 
@@ -162,9 +176,14 @@ public:
                        ShardControllerConfig Controller = {})
       : N(NumThreads), PerShard(checkedPerShard(TotalCapacity)),
         Elim(SlotCount, SpinBudget), Ctl(Controller),
+        Ticks(obs::MetricsEnabled && Controller.TickOps != 0
+                  ? std::make_unique<TickSlot[]>(NumThreads)
+                  : nullptr),
         Active(checkedInitial(InitialShards)) {
-    for (std::uint32_t S = 0; S < MaxShards; ++S)
+    for (std::uint32_t S = 0; S < MaxShards; ++S) {
       Shards[S].emplace(NumThreads, PerShard, Elim);
+      SeenTop[S] = shard(S).abortable().controlReadTopWord();
+    }
   }
 
   /// Bag push: Done, or Full only at the full mask on an epoch-stable
@@ -308,9 +327,10 @@ public:
   }
 
   /// Resident bytes: header (which embeds the shard objects), shard
-  /// heaps, balancer slots, facade sink blocks.
+  /// heaps, balancer slots, facade sink blocks, tick slots.
   std::size_t footprintBytes() const {
-    std::size_t Bytes = sizeof(*this) + Elim.heapBytes() + Sink.heapBytes();
+    std::size_t Bytes = sizeof(*this) + Elim.heapBytes() + Sink.heapBytes() +
+                        (Ticks ? std::size_t{N} * sizeof(TickSlot) : 0);
     for (std::uint32_t S = 0; S < MaxShards; ++S)
       Bytes += shardAt(S).footprintBytes() - sizeof(Shard);
     return Bytes;
@@ -487,30 +507,43 @@ private:
     return false;
   }
 
-  /// Op-cadence auto-tick. The counter is a plain relaxed atomic — like
-  /// every other configuration word here, it adds nothing to the solo
-  /// access count.
+  /// Op-cadence auto-tick: the caller's own slot counts its facade ops
+  /// and it ticks after every TickOps of them. Only thread Tid writes
+  /// slot Tid, so a load and a store suffice, and like every other
+  /// configuration word the slot adds nothing to the solo access count.
   void maybeTick(std::uint32_t Tid) {
-    const std::uint32_t Interval = Ctl.config().TickOps;
-    if (Interval == 0)
+    if (!Ticks)
       return;
-    if ((TickCount.fetch_add(1, std::memory_order_relaxed) + 1) % Interval ==
-        0)
+    std::atomic<std::uint32_t> &Count = Ticks[Tid].value();
+    const std::uint32_t Next = Count.load(std::memory_order_relaxed) + 1;
+    const bool Due = Next == Ctl.config().TickOps;
+    Count.store(Due ? 0 : Next, std::memory_order_relaxed);
+    if (Due)
       tick(Tid);
   }
 
   /// One control sample + application. Concurrent tickers skip (the
   /// controller's delta state wants a single writer); everything inside
-  /// runs on plain atomics and metric reads, so a tick cannot raise a
-  /// simulated crash or perturb a counted operation.
+  /// runs on plain atomics, metric reads and control-plane TOP reads, so
+  /// a tick cannot raise a simulated crash or perturb a counted
+  /// operation. Each sink is read once (pathSnapshot) and each TOP word
+  /// once.
   void tick(std::uint32_t Tid) {
     bool Busy = false;
     if (!TickBusy.compare_exchange_strong(Busy, true,
                                           std::memory_order_acquire))
       return;
+    const std::uint32_t A = activeShards();
+    std::array<TopWord, MaxShards> Tops{};
+    std::uint32_t Moved = 0;
+    for (std::uint32_t S = 0; S < MaxShards; ++S) {
+      Tops[S] = shard(S).abortable().controlReadTopWord();
+      Moved += S < A && Tops[S] != SeenTop[S];
+    }
     const ShardActions Act =
-        Ctl.sample(pathSnapshot(), activeShards(), MaxShards,
-                   Elim.spinBudget());
+        Ctl.sample(pathSnapshot(), Moved, A, MaxShards, Elim.spinBudget());
+    if (Act.Consumed)
+      SeenTop = Tops;
     switch (Act.Mask) {
     case ShardActions::MaskMove::Grow:
       grow(Tid);
@@ -548,9 +581,13 @@ private:
   std::array<std::optional<Shard>, MaxShards> Shards;
   EliminationArrayT<Policy> Elim;
   ShardController Ctl;
+  /// Per-thread tick slots; none when nothing ticks on its own (TickOps
+  /// == 0, or CSOBJ_NO_METRICS, where the controller has no signal).
+  const std::unique_ptr<TickSlot[]> Ticks;
+  /// Every shard's TOP word at the last consumed sample (tick-guarded).
+  std::array<TopWord, MaxShards> SeenTop{};
   std::atomic<std::uint32_t> Active;
   std::atomic<std::uint64_t> Epoch{0};
-  std::atomic<std::uint64_t> TickCount{0};
   std::atomic<bool> TickBusy{false};
   [[no_unique_address]] mutable obs::MetricSink Sink{N};
 };

@@ -13,9 +13,13 @@
 ///
 ///  * shard count: a high lock-path ratio means the active shards'
 ///    doorways are absorbing real contention, so activate another shard;
-///    a shortcut-dominant delta means the mask is wider than the load
-///    needs, so retire one (down to 1, where the facade's solo cost
-///    returns to the paper's exact six-access bound).
+///    a shortcut-dominant delta in which some active shard completed no
+///    push or pop means the mask is wider than the load needs, so retire
+///    one (down to 1, where the facade's solo cost returns to the paper's
+///    exact six-access bound). A mask whose every shard completes work
+///    does not shrink: shortcut dominance there is the mask keeping busy
+///    threads apart, and retiring a shard would put two of them back on
+///    one doorway. So the mask settles, and only lock pressure grows it.
 ///  * elimination gate: a high pairing rate means rendezvous windows are
 ///    productive, so widen the spin budget (more time parked for a
 ///    partner); a negligible rate means parked spins are wasted, so
@@ -47,15 +51,16 @@ namespace csobj {
 /// cadences; directed tests use aggressive settings (tiny TickOps /
 /// MinDeltaOps) to force decisions deterministically.
 struct ShardControllerConfig {
-  /// Facade operations between automatic control ticks; 0 disables
-  /// auto-ticking (manual tickForTesting only).
+  /// Facade operations per thread between that thread's automatic
+  /// control ticks; 0 disables auto-ticking (manual tickForTesting only).
   std::uint32_t TickOps = 256;
   /// Minimum op delta a sample must carry before any decision is made;
   /// smaller deltas accumulate into the next sample.
   std::uint64_t MinDeltaOps = 64;
   /// Lock-path fraction of the delta at/above which the mask grows.
   double GrowLockRatio = 0.05;
-  /// Shortcut fraction of the delta at/above which the mask shrinks.
+  /// Shortcut fraction of the delta at/above which the mask shrinks,
+  /// provided some active shard completed no operation in the window.
   double ShrinkShortcutRatio = 0.95;
   /// Eliminated fraction at/above which the gate spin budget doubles.
   double WidenPairRatio = 0.05;
@@ -66,12 +71,15 @@ struct ShardControllerConfig {
   std::uint32_t MaxSpinBudget = 4096;
 };
 
-/// One sample's verdict: at most one mask move and one gate move.
+/// One sample's verdict: at most one mask move and one gate move, and
+/// whether the sample was consumed (the next window starts at it) or
+/// left to accumulate.
 struct ShardActions {
   enum class MaskMove : std::uint8_t { Hold, Grow, Shrink };
   enum class GateMove : std::uint8_t { Hold, Widen, Narrow };
   MaskMove Mask = MaskMove::Hold;
   GateMove Gate = GateMove::Hold;
+  bool Consumed = false;
 };
 
 class ShardController {
@@ -82,11 +90,15 @@ public:
   const ShardControllerConfig &config() const { return Cfg; }
 
   /// Consumes the delta between \p Now and the previous consumed sample
-  /// and returns the actions the facade should apply. \p Active and
-  /// \p MaxShards bound the mask moves; \p SpinBudget bounds the gate
-  /// moves. Not thread-safe: the facade serializes callers.
-  ShardActions sample(const obs::PathSnapshot &Now, std::uint32_t Active,
-                      std::uint32_t MaxShards, std::uint32_t SpinBudget) {
+  /// and returns the actions the facade should apply. \p BusyShards is
+  /// how many of the \p Active shards completed a push or pop since the
+  /// previous consumed sample; the mask shrinks only if some did not.
+  /// \p Active and \p MaxShards bound the mask moves; \p SpinBudget
+  /// bounds the gate moves. Not thread-safe: the facade serializes
+  /// callers.
+  ShardActions sample(const obs::PathSnapshot &Now, std::uint32_t BusyShards,
+                      std::uint32_t Active, std::uint32_t MaxShards,
+                      std::uint32_t SpinBudget) {
     ShardActions Act;
     const std::uint64_t DeltaOps = Now.Ops - Last.Ops;
     if (DeltaOps < Cfg.MinDeltaOps)
@@ -102,10 +114,12 @@ public:
     const double PairRatio =
         static_cast<double>(delta(Now, obs::Path::Eliminated)) / Ops;
     Last = Now;
+    Act.Consumed = true;
 
     if (LockRatio >= Cfg.GrowLockRatio && Active < MaxShards)
       Act.Mask = ShardActions::MaskMove::Grow;
-    else if (ShortcutRatio >= Cfg.ShrinkShortcutRatio && Active > 1)
+    else if (ShortcutRatio >= Cfg.ShrinkShortcutRatio && Active > 1 &&
+             BusyShards < Active)
       Act.Mask = ShardActions::MaskMove::Shrink;
 
     if (PairRatio >= Cfg.WidenPairRatio &&

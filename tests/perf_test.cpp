@@ -67,6 +67,8 @@ static_assert(
 static_assert(occupiesWholeCacheLines<CacheLinePadded<
                   AtomicRegister<std::uint8_t, DefaultRegisterPolicy>>>,
               "padded register elements must round up to full lines");
+static_assert(occupiesWholeCacheLines<AdaptiveShardedStack<2>::TickSlot>,
+              "per-thread tick slots must not share cache lines");
 
 TEST(FalseSharing, AdjacentEliminationSlotsAreLineDisjoint) {
   EliminationArray A(/*SlotCount=*/4, /*SpinBudget=*/4);
@@ -699,33 +701,45 @@ obs::PathSnapshot controlWindow(std::uint64_t Shortcut, std::uint64_t Lock,
 TEST(ShardControllerLaw, GrowsOnLockHeavyDeltaUntilFullMask) {
   ShardController Ctl;
   const ShardActions Act =
-      Ctl.sample(controlWindow(900, 100, 0), /*Active=*/1, /*MaxShards=*/4,
-                 /*SpinBudget=*/64);
+      Ctl.sample(controlWindow(900, 100, 0), /*BusyShards=*/1, /*Active=*/1,
+                 /*MaxShards=*/4, /*SpinBudget=*/64);
   EXPECT_EQ(Act.Mask, ShardActions::MaskMove::Grow)
       << "a 10% lock-path window must widen the mask";
   // The same pressure at the full mask holds (nowhere to grow).
   obs::PathSnapshot Next = controlWindow(1800, 200, 0);
-  EXPECT_EQ(Ctl.sample(Next, 4, 4, 64).Mask, ShardActions::MaskMove::Hold);
+  EXPECT_EQ(Ctl.sample(Next, 4, 4, 4, 64).Mask, ShardActions::MaskMove::Hold);
 }
 
 TEST(ShardControllerLaw, ShrinksOnShortcutDominantDeltaToFloorOne) {
   ShardController Ctl;
-  EXPECT_EQ(Ctl.sample(controlWindow(990, 10, 0), 2, 4, 64).Mask,
+  EXPECT_EQ(Ctl.sample(controlWindow(990, 10, 0), /*BusyShards=*/1,
+                       /*Active=*/2, 4, 64)
+                .Mask,
             ShardActions::MaskMove::Shrink)
-      << "a 99% shortcut window must retire a shard";
-  EXPECT_EQ(Ctl.sample(controlWindow(1980, 20, 0), 1, 4, 64).Mask,
+      << "a 99% shortcut window with an idle shard must retire a shard";
+  EXPECT_EQ(Ctl.sample(controlWindow(1980, 20, 0), 0, 1, 4, 64).Mask,
             ShardActions::MaskMove::Hold)
       << "the mask never shrinks below one shard";
 }
 
+TEST(ShardControllerLaw, HoldsShortcutDominantMaskWhoseEveryShardMoved) {
+  ShardController Ctl;
+  const ShardActions Act = Ctl.sample(controlWindow(990, 10, 0),
+                                      /*BusyShards=*/2, /*Active=*/2, 4, 64);
+  EXPECT_EQ(Act.Mask, ShardActions::MaskMove::Hold)
+      << "a mask that keeps busy threads apart must not shrink";
+  EXPECT_TRUE(Act.Consumed);
+}
+
 TEST(ShardControllerLaw, SubThresholdDeltasAccumulate) {
   ShardController Ctl; // MinDeltaOps = 64.
-  EXPECT_EQ(Ctl.sample(controlWindow(2, 30, 0), 1, 4, 64).Mask,
-            ShardActions::MaskMove::Hold)
+  const ShardActions Small = Ctl.sample(controlWindow(2, 30, 0), 1, 1, 4, 64);
+  EXPECT_EQ(Small.Mask, ShardActions::MaskMove::Hold)
       << "a 32-op window is noise, not a signal";
+  EXPECT_FALSE(Small.Consumed);
   EXPECT_EQ(Ctl.lastSample().Ops, 0u)
       << "an unconsumed window must keep accumulating";
-  EXPECT_EQ(Ctl.sample(controlWindow(6, 90, 0), 1, 4, 64).Mask,
+  EXPECT_EQ(Ctl.sample(controlWindow(6, 90, 0), 1, 1, 4, 64).Mask,
             ShardActions::MaskMove::Grow)
       << "the accumulated 96-op window carries the decision";
   EXPECT_EQ(Ctl.lastSample().Ops, 96u);
@@ -733,16 +747,16 @@ TEST(ShardControllerLaw, SubThresholdDeltasAccumulate) {
 
 TEST(ShardControllerLaw, GateTracksPairingRateWithinClampBounds) {
   ShardController Ctl;
-  EXPECT_EQ(Ctl.sample(controlWindow(900, 0, 100), 1, 1, 64).Gate,
+  EXPECT_EQ(Ctl.sample(controlWindow(900, 0, 100), 1, 1, 1, 64).Gate,
             ShardActions::GateMove::Widen)
       << "a 10% pairing window doubles the spin budget";
-  EXPECT_EQ(Ctl.sample(controlWindow(1800, 0, 200), 1, 1, 4096).Gate,
+  EXPECT_EQ(Ctl.sample(controlWindow(1800, 0, 200), 1, 1, 1, 4096).Gate,
             ShardActions::GateMove::Hold)
       << "widening clamps at MaxSpinBudget";
-  EXPECT_EQ(Ctl.sample(controlWindow(2800, 0, 200), 1, 1, 64).Gate,
+  EXPECT_EQ(Ctl.sample(controlWindow(2800, 0, 200), 1, 1, 1, 64).Gate,
             ShardActions::GateMove::Narrow)
       << "a pairing-free window halves the budget";
-  EXPECT_EQ(Ctl.sample(controlWindow(3800, 0, 200), 1, 1, 8).Gate,
+  EXPECT_EQ(Ctl.sample(controlWindow(3800, 0, 200), 1, 1, 1, 8).Gate,
             ShardActions::GateMove::Hold)
       << "narrowing clamps at MinSpinBudget";
 }
@@ -824,6 +838,41 @@ TEST(AdaptiveStack, AutoTickShrinksUnderShortcutSoloLoad) {
     // window to act on: the mask and the epoch stay where they began.
     EXPECT_EQ(S.activeShards(), 2u);
     EXPECT_EQ(S.reconfigEpoch(), 0u);
+  }
+  EXPECT_EQ(countAccesses([&] { (void)S.push(0, 7); }).total(), 6u)
+      << "solo cost must stay at the paper's bound";
+}
+
+TEST(AdaptiveStack, AutoTickHoldsMaskThatSeparatesBusyThreads) {
+  ShardControllerConfig Ctl;
+  Ctl.TickOps = 8;
+  Ctl.MinDeltaOps = 8;
+  AdaptiveShardedStack<2> S(2, 4, /*InitialShards=*/2, /*SlotCount=*/1,
+                            /*SpinBudget=*/4, Ctl);
+  // Threads 0 and 1 take turns, each on its own home shard: every op
+  // takes the shortcut, and both shards complete work in every window,
+  // so the mask that keeps the two apart must stay.
+  for (std::uint32_t I = 0; I < 32; ++I)
+    for (std::uint32_t Tid = 0; Tid < 2; ++Tid) {
+      ASSERT_EQ(S.push(Tid, I + 1), PushResult::Done);
+      ASSERT_TRUE(S.pop(Tid).isValue());
+    }
+  EXPECT_EQ(S.activeShards(), 2u)
+      << "the control loop retired a shard that a busy thread was using";
+  EXPECT_EQ(S.reconfigEpoch(), 0u);
+  EXPECT_EQ(S.pathSnapshot().event(obs::Event::ShardShrink), 0u);
+  // Thread 1 goes quiet: its shard stops moving, so the next
+  // shortcut-dominant window has an idle shard to retire.
+  for (std::uint32_t I = 0; I < 32; ++I) {
+    ASSERT_EQ(S.push(0, I + 1), PushResult::Done);
+    ASSERT_TRUE(S.pop(0).isValue());
+  }
+  if constexpr (obs::MetricsEnabled) {
+    EXPECT_EQ(S.activeShards(), 1u)
+        << "the control loop kept a shard no thread was using";
+    EXPECT_EQ(S.pathSnapshot().event(obs::Event::ShardShrink), 1u);
+  } else {
+    EXPECT_EQ(S.activeShards(), 2u); // No signal, no ticks.
   }
   EXPECT_EQ(countAccesses([&] { (void)S.push(0, 7); }).total(), 6u)
       << "solo cost must stay at the paper's bound";
