@@ -39,7 +39,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -451,77 +450,75 @@ struct LockedQueueAdapter {
 };
 
 /// Default asynchrony-injection level for contended sweeps: 10% yield
-/// probability per shared access (see memory/ChaosHook.h). On a
-/// single-core host this emulates the paper's asynchronous interleaving;
-/// all implementations run under the identical hook.
+/// probability per shared access (FaultPlan::chaos). On a host with
+/// fewer cores than threads this emulates the paper's asynchronous
+/// interleaving; all implementations run under the identical plan.
 inline constexpr std::uint32_t DefaultChaosPermille = 100;
 
-/// Chaos-injection knobs for a sweep cell (memory/ChaosHook.h): the
-/// yield channel models ordinary preemption, the stall channel models
-/// the long lock-holder preemption that expires a lease.
-struct ChaosSettings {
-  std::uint32_t YieldPermille = DefaultChaosPermille;
-  std::uint32_t StallPermille = 0;
-  std::uint64_t StallGrants = 0;
-  /// Thread the stall channel targets (~0 = all). Benches stall a single
-  /// victim so that survivors keep ticking the access clock — see the
-  /// note on WorkloadConfig::ChaosStallTid.
-  std::uint32_t StallTid = ~std::uint32_t{0};
-};
-
-/// Parses the CSOBJ_CHAOS environment variable: comma-separated
-/// key=value pairs, keys "yield" (permille), "stall" (permille),
-/// "grants" (stall length in foreign shared accesses) and "victim"
-/// (thread id the stall channel targets; omit for all threads), e.g.
+/// The chaos plan of a sweep cell of \p Threads workers, its streams
+/// drawn from \p Seed: \p YieldPermille yields on every thread, or what
+/// the CSOBJ_CHAOS environment variable says when it is set. CSOBJ_CHAOS
+/// holds comma-separated key=value pairs, keys "yield" (permille),
+/// "stall" (permille), "grants" (stall length in foreign shared
+/// accesses) and "victim" (thread id the stall channel targets; omit for
+/// all threads), e.g.
 ///
 ///   CSOBJ_CHAOS="yield=100,stall=5,grants=2000" ./bench_starvation
 ///
-/// Unknown keys are ignored; unset keys keep their defaults. Returns
-/// nothing when the variable is absent, so every bench keeps its
-/// compiled-in settings unless the user opts into chaos mode.
-inline std::optional<ChaosSettings> chaosFromEnv() {
+/// Unknown keys are ignored; unset keys keep their defaults (yield
+/// DefaultChaosPermille, no stalls). A solo cell gets an empty plan: the
+/// noise emulates interleaving, which takes two threads.
+inline FaultPlan chaosPlan(std::uint32_t Threads, std::uint64_t Seed,
+                           std::uint32_t YieldPermille = DefaultChaosPermille) {
+  std::uint32_t StallPermille = 0, Victim = FaultPlan::AllThreads;
+  std::uint64_t StallGrants = 0;
   const char *Env = std::getenv("CSOBJ_CHAOS");
-  if (Env == nullptr || Env[0] == '\0')
-    return std::nullopt;
-  ChaosSettings Settings;
-  const char *P = Env;
-  while (*P != '\0') {
-    const char *KeyBegin = P;
-    while (*P != '\0' && *P != '=' && *P != ',')
-      ++P;
-    const std::size_t KeyLen = static_cast<std::size_t>(P - KeyBegin);
-    std::uint64_t Value = 0;
-    if (*P == '=') {
-      ++P;
-      while (*P >= '0' && *P <= '9')
-        Value = Value * 10 + static_cast<std::uint64_t>(*P++ - '0');
+  if (Env != nullptr && Env[0] != '\0') {
+    YieldPermille = DefaultChaosPermille;
+    const char *P = Env;
+    while (*P != '\0') {
+      const char *KeyBegin = P;
+      while (*P != '\0' && *P != '=' && *P != ',')
+        ++P;
+      const std::size_t KeyLen = static_cast<std::size_t>(P - KeyBegin);
+      std::uint64_t Value = 0;
+      if (*P == '=') {
+        ++P;
+        while (*P >= '0' && *P <= '9')
+          Value = Value * 10 + static_cast<std::uint64_t>(*P++ - '0');
+      }
+      const auto Is = [&](const char *Key) {
+        return KeyLen == std::char_traits<char>::length(Key) &&
+               std::char_traits<char>::compare(KeyBegin, Key, KeyLen) == 0;
+      };
+      if (Is("yield"))
+        YieldPermille = static_cast<std::uint32_t>(Value);
+      else if (Is("stall"))
+        StallPermille = static_cast<std::uint32_t>(Value);
+      else if (Is("grants"))
+        StallGrants = Value;
+      else if (Is("victim"))
+        Victim = static_cast<std::uint32_t>(Value);
+      while (*P != '\0' && *P != ',')
+        ++P;
+      if (*P == ',')
+        ++P;
     }
-    const auto Is = [&](const char *Key) {
-      return KeyLen == std::char_traits<char>::length(Key) &&
-             std::char_traits<char>::compare(KeyBegin, Key, KeyLen) == 0;
-    };
-    if (Is("yield"))
-      Settings.YieldPermille = static_cast<std::uint32_t>(Value);
-    else if (Is("stall"))
-      Settings.StallPermille = static_cast<std::uint32_t>(Value);
-    else if (Is("grants"))
-      Settings.StallGrants = Value;
-    else if (Is("victim"))
-      Settings.StallTid = static_cast<std::uint32_t>(Value);
-    while (*P != '\0' && *P != ',')
-      ++P;
-    if (*P == ',')
-      ++P;
   }
-  return Settings;
+  FaultPlan Plan;
+  if (Threads > 1)
+    Plan = FaultPlan::chaos(Threads, YieldPermille, StallPermille,
+                            StallGrants, Victim);
+  Plan.RateSeed = Seed;
+  return Plan;
 }
 
-/// Like runCell below but drives a caller-supplied adapter with explicit
-/// chaos settings, so per-object state (e.g. degradation counters on
+/// Like runCell below but drives a caller-supplied adapter, so
+/// per-object state (e.g. degradation counters on
 /// CrashTolerantStackAdapter) survives the run for reporting.
 template <typename AdapterT>
 WorkloadReport runCellOn(AdapterT &Adapter, std::uint32_t Threads,
-                         const ChaosSettings &Chaos,
+                         std::uint32_t ChaosPermille = DefaultChaosPermille,
                          std::uint32_t ThinkNs = 0,
                          std::uint32_t PushPercent = 50,
                          std::uint32_t Capacity = 4096) {
@@ -532,10 +529,7 @@ WorkloadReport runCellOn(AdapterT &Adapter, std::uint32_t Threads,
   Config.ThinkTimeNs = ThinkNs;
   Config.Capacity = Capacity;
   Config.PrefillPercent = 50;
-  Config.ChaosYieldPermille = Threads > 1 ? Chaos.YieldPermille : 0;
-  Config.ChaosStallPermille = Threads > 1 ? Chaos.StallPermille : 0;
-  Config.ChaosStallGrants = Chaos.StallGrants;
-  Config.ChaosStallTid = Chaos.StallTid;
+  Config.Faults = chaosPlan(Threads, Config.Seed, ChaosPermille);
   return runClosedLoop(Adapter, Config);
 }
 
@@ -547,12 +541,9 @@ WorkloadReport runCell(std::uint32_t Threads, std::uint32_t ThinkNs = 0,
                        std::uint32_t PushPercent = 50,
                        std::uint32_t Capacity = 4096,
                        std::uint32_t ChaosPermille = DefaultChaosPermille) {
-  ChaosSettings Chaos;
-  Chaos.YieldPermille = ChaosPermille;
-  if (const std::optional<ChaosSettings> Env = chaosFromEnv())
-    Chaos = *Env;
   AdapterT Adapter(Threads, Capacity);
-  return runCellOn(Adapter, Threads, Chaos, ThinkNs, PushPercent, Capacity);
+  return runCellOn(Adapter, Threads, ChaosPermille, ThinkNs, PushPercent,
+                   Capacity);
 }
 
 } // namespace bench

@@ -18,7 +18,6 @@
 
 #include "BenchCommon.h"
 
-#include "memory/ChaosHook.h"
 #include "runtime/SpinBarrier.h"
 #include "support/SplitMix64.h"
 
@@ -232,13 +231,15 @@ int main() {
     const std::uint32_t OpsPerThread = Quick ? 4000 : 20000;
     for (const std::uint32_t Threads : {1u, 2u, 4u}) {
       auto RunCounted = [&](auto DoOp) {
+        const FaultPlan Chaos =
+            FaultPlan::chaos(Threads, Threads > 1 ? 100 : 0);
+        FaultClock Clock;
         std::vector<AccessCounts> Counts(Threads);
         SpinBarrier Barrier(Threads);
         std::vector<std::thread> Workers;
         for (std::uint32_t T = 0; T < Threads; ++T)
           Workers.emplace_back([&, T] {
-            ChaosHook Chaos(T + 11, Threads > 1 ? 100 : 0);
-            SchedHookScope ChaosScope(Chaos);
+            FaultScope Faults(Chaos, T, Clock);
             AccessCounterScope CountScope(Counts[T]);
             SplitMix64 Rng(T + 500);
             Barrier.arriveAndWait();

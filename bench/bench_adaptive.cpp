@@ -104,13 +104,10 @@ void runRows(SweepOutput &Out, const char *Object) {
   const std::uint32_t Top = threadSweep().back();
   for (const std::uint32_t Threads : threadSweep()) {
     for (const LoadPhase &Phase : Phases) {
-      ChaosSettings Chaos;
-      Chaos.YieldPermille = DefaultChaosPermille;
-      if (const std::optional<ChaosSettings> Env = chaosFromEnv())
-        Chaos = *Env;
       AdapterT Adapter(Threads, /*Capacity=*/4096);
-      const WorkloadReport R = runCellOn(Adapter, Threads, Chaos,
-                                         /*ThinkNs=*/0, Phase.PushPercent);
+      const WorkloadReport R =
+          runCellOn(Adapter, Threads, DefaultChaosPermille,
+                    /*ThinkNs=*/0, Phase.PushPercent);
       const LatencySummary S = summarize(R.mergedLatency());
       const double Throughput = R.throughputOpsPerSec();
       if (Threads == Top)

@@ -36,7 +36,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "memory/ChaosHook.h"
 #include "obs/JsonReporter.h"
 #include "obs/MetricsJson.h"
 #include "runtime/SpinBarrier.h"
@@ -153,12 +152,14 @@ struct CellResult {
 /// opsPerThread() element-slots grouped into BatchSize-sized calls.
 template <typename AdapterT>
 CellResult runBatchCell(std::uint32_t Threads, std::uint32_t BatchSize,
-                        bool Paired, const ChaosSettings &Chaos) {
+                        bool Paired) {
   AdapterT Adapter(Threads, Capacity);
   for (std::uint32_t V = 0; V < Capacity / 2; ++V)
     Adapter.prefillOne(V + 1);
 
   const std::uint64_t Rounds = opsPerThread() / BatchSize;
+  const FaultPlan Chaos = chaosPlan(Threads, /*Seed=*/0xBA7C4ull);
+  FaultClock Clock;
   SpinBarrier StartLine(Threads + 1);
   std::vector<std::uint64_t> Done(Threads, 0);
   std::vector<double> Span(Threads, 0.0);
@@ -166,11 +167,7 @@ CellResult runBatchCell(std::uint32_t Threads, std::uint32_t BatchSize,
   Workers.reserve(Threads);
   for (std::uint32_t T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      ChaosHook Hook(/*Seed=*/0xBA7C4ull * (T + 1),
-                     Threads > 1 ? Chaos.YieldPermille : 0,
-                     Threads > 1 ? Chaos.StallPermille : 0,
-                     Chaos.StallGrants);
-      SchedHookScope Scope(Hook);
+      FaultScope Faults(Chaos, T, Clock);
       std::vector<std::uint32_t> Buf(BatchSize);
       StartLine.arriveAndWait();
       const auto Begin = std::chrono::steady_clock::now();
@@ -227,12 +224,8 @@ void runRows(SweepOutput &Out, const std::vector<std::uint32_t> &BatchSizes) {
       for (const bool Paired : {false, true}) {
         if (Paired && Threads < 2)
           continue; // Paired roles need a producer and a consumer.
-        ChaosSettings Chaos;
-        Chaos.YieldPermille = DefaultChaosPermille;
-        if (const std::optional<ChaosSettings> Env = chaosFromEnv())
-          Chaos = *Env;
         const CellResult R =
-            runBatchCell<AdapterT>(Threads, BatchSize, Paired, Chaos);
+            runBatchCell<AdapterT>(Threads, BatchSize, Paired);
         const char *Mix = Paired ? "paired" : "alternating";
         const double Rate = R.elementsPerSec();
         const bool Conserved = R.Snapshot.conserves();

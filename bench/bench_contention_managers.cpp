@@ -98,14 +98,10 @@ void runRow(SweepOutput &Out, const char *Object) {
     // ChaosPermille=0: keep the Instrumented/Fast comparison honest (the
     // chaos hook is a no-op under Fast). The adapter is built here, not
     // inside runCell, so its metrics survive the run for reporting.
-    ChaosSettings Chaos;
-    Chaos.YieldPermille = 0;
-    if (const std::optional<ChaosSettings> Env = chaosFromEnv())
-      Chaos = *Env;
     Cell<Policy, Manager> Adapter(Threads, /*Capacity=*/4096);
     const WorkloadReport R =
-        runCellOn(Adapter, Threads, Chaos, /*ThinkNs=*/0, /*PushPercent=*/50,
-                  /*Capacity=*/4096);
+        runCellOn(Adapter, Threads, /*ChaosPermille=*/0, /*ThinkNs=*/0,
+                  /*PushPercent=*/50, /*Capacity=*/4096);
     const double Throughput = R.throughputOpsPerSec();
     Out.Table.addRow({Object, Policy::Name, Manager::Name,
                       std::to_string(Threads), formatRate(Throughput),

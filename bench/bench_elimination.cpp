@@ -94,7 +94,7 @@ int main() {
     Config.Threads = Threads;
     Config.OpsPerThread = opsPerThread();
     Config.Capacity = 4096;
-    Config.ChaosYieldPermille = DefaultChaosPermille;
+    Config.Faults = FaultPlan::chaos(Threads, DefaultChaosPermille);
     const WorkloadReport R = runClosedLoop(Adapter, Config);
     const std::uint64_t Eliminated =
         Adapter.Stack.eliminationCountForTesting();
@@ -112,7 +112,7 @@ int main() {
     Config.Threads = Threads;
     Config.OpsPerThread = opsPerThread();
     Config.Capacity = 4096;
-    Config.ChaosYieldPermille = DefaultChaosPermille;
+    Config.Faults = FaultPlan::chaos(Threads, DefaultChaosPermille);
     const WorkloadReport R = runClosedLoop(Adapter, Config);
     const std::uint64_t Exchanged = Adapter.exchanges();
     std::cout << "gated-window hit rate at " << Threads

@@ -26,7 +26,6 @@
 #include "locks/TicketLock.h"
 #include "locks/TournamentLock.h"
 #include "memory/AccessCounter.h"
-#include "memory/ChaosHook.h"
 #include "runtime/SpinBarrier.h"
 #include "runtime/Stats.h"
 #include "runtime/TablePrinter.h"
@@ -58,15 +57,16 @@ void contendedRow(TablePrinter &Table, const char *Name,
   L Lock(Threads);
   std::vector<std::uint64_t> Acquisitions(Threads, 0);
   std::atomic<bool> Stop{false};
+  // Asynchrony injection (FaultPlan::chaos): without it, a single-core
+  // host round-robins whole timeslices and even a TAS lock looks fair by
+  // accident.
+  const FaultPlan Chaos = FaultPlan::chaos(Threads, /*YieldPermille=*/100);
+  FaultClock Clock;
   SpinBarrier Barrier(Threads + 1);
   std::vector<std::thread> Workers;
   for (std::uint32_t T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      // Asynchrony injection (memory/ChaosHook.h): without it, a
-      // single-core host round-robins whole timeslices and even a TAS
-      // lock looks fair by accident.
-      ChaosHook Chaos(T + 7, /*YieldPermille=*/100);
-      SchedHookScope Scope(Chaos);
+      FaultScope Faults(Chaos, T, Clock);
       Barrier.arriveAndWait();
       while (!Stop.load(std::memory_order_relaxed)) {
         Lock.lock(T);

@@ -36,7 +36,6 @@
 #include "BenchCommon.h"
 #include "baselines/LockedMap.h"
 #include "core/ContentionSensitiveMap.h"
-#include "memory/ChaosHook.h"
 #include "obs/JsonReporter.h"
 #include "obs/MetricsJson.h"
 #include "runtime/SpinBarrier.h"
@@ -107,23 +106,21 @@ struct CellResult {
 /// prefilled, Threads workers each issuing opsPerThread() operations.
 template <typename AdapterT>
 CellResult runMapCell(std::uint32_t Threads, std::uint32_t KeyRange,
-                      std::uint32_t ReadPercent, const ChaosSettings &Chaos) {
+                      std::uint32_t ReadPercent) {
   AdapterT Adapter(Threads, /*Capacity=*/KeyRange);
   for (std::uint32_t K = 0; K < KeyRange / 2; ++K)
     (void)Adapter.insert(0, K, K + 1);
 
   const std::uint64_t Ops = opsPerThread();
+  const FaultPlan Chaos = chaosPlan(Threads, /*Seed=*/0x9AB16ull);
+  FaultClock Clock;
   SpinBarrier StartLine(Threads + 1);
   std::vector<double> Span(Threads, 0.0);
   std::vector<std::thread> Workers;
   Workers.reserve(Threads);
   for (std::uint32_t T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      ChaosHook Hook(/*Seed=*/0x9AB16ull * (T + 1),
-                     Threads > 1 ? Chaos.YieldPermille : 0,
-                     Threads > 1 ? Chaos.StallPermille : 0,
-                     Chaos.StallGrants);
-      SchedHookScope Scope(Hook);
+      FaultScope Faults(Chaos, T, Clock);
       SplitMix64 Rng(0xE16E16ull + 0x9E37ull * (T + 1));
       StartLine.arriveAndWait();
       const auto Begin = std::chrono::steady_clock::now();
@@ -174,12 +171,8 @@ void runRows(SweepOutput &Out, const std::vector<std::uint32_t> &KeyRanges,
   for (const std::uint32_t Threads : threadSweep()) {
     for (const std::uint32_t KeyRange : KeyRanges) {
       for (const std::uint32_t ReadPercent : ReadMixes) {
-        ChaosSettings Chaos;
-        Chaos.YieldPermille = DefaultChaosPermille;
-        if (const std::optional<ChaosSettings> Env = chaosFromEnv())
-          Chaos = *Env;
         const CellResult R =
-            runMapCell<AdapterT>(Threads, KeyRange, ReadPercent, Chaos);
+            runMapCell<AdapterT>(Threads, KeyRange, ReadPercent);
         const double Rate = R.opsPerSec();
         const bool Conserved = R.Snapshot.conserves();
         Out.AllConserved = Out.AllConserved && Conserved;

@@ -18,7 +18,6 @@
 
 #include "BenchCommon.h"
 
-#include "memory/ChaosHook.h"
 #include "runtime/SpinBarrier.h"
 #include "runtime/TablePrinter.h"
 
@@ -49,18 +48,18 @@ std::pair<std::uint64_t, std::uint64_t>
 producerConsumerAborts(ObjectT &Object, EnqFn Enqueue, DeqFn Dequeue,
                        std::uint64_t Ops) {
   std::uint64_t EnqAborts = 0, DeqAborts = 0;
+  const FaultPlan Chaos = FaultPlan::chaos(2, DefaultChaosPermille);
+  FaultClock Clock;
   SpinBarrier Barrier(2);
   std::thread Producer([&] {
-    ChaosHook Chaos(101, DefaultChaosPermille);
-    SchedHookScope Scope(Chaos);
+    FaultScope Faults(Chaos, 0, Clock);
     Barrier.arriveAndWait();
     for (std::uint64_t I = 0; I < Ops; ++I)
       if (Enqueue(Object, static_cast<std::uint32_t>(I % 1000) + 1))
         ++EnqAborts;
   });
   std::thread Consumer([&] {
-    ChaosHook Chaos(202, DefaultChaosPermille);
-    SchedHookScope Scope(Chaos);
+    FaultScope Faults(Chaos, 1, Clock);
     Barrier.arriveAndWait();
     for (std::uint64_t I = 0; I < Ops; ++I)
       if (Dequeue(Object))

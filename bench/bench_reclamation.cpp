@@ -40,7 +40,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "memory/ChaosHook.h"
 #include "obs/JsonReporter.h"
 #include "obs/MetricsJson.h"
 #include "runtime/SpinBarrier.h"
@@ -81,14 +80,15 @@ struct CellResult {
 /// One churn cell: prefill Population/2, then Threads workers each
 /// issuing opsPerThread() ops, 50/50 push/pop on uniform coin flips.
 template <typename AdapterT>
-CellResult runChurnCell(std::uint32_t Threads, std::uint32_t Population,
-                        const ChaosSettings &Chaos) {
+CellResult runChurnCell(std::uint32_t Threads, std::uint32_t Population) {
   AdapterT Adapter(Threads, /*Capacity=*/Population);
   const std::uint32_t Prefill = Population / 2;
   for (std::uint32_t I = 0; I < Prefill; ++I)
     Adapter.prefillOne(I + 1);
 
   const std::uint64_t Ops = opsPerThread();
+  const FaultPlan Chaos = chaosPlan(Threads, /*Seed=*/0xE17ull);
+  FaultClock Clock;
   SpinBarrier StartLine(Threads + 1);
   std::vector<double> Span(Threads, 0.0);
   std::vector<std::uint64_t> Pushes(Threads, 0), Pops(Threads, 0);
@@ -96,11 +96,7 @@ CellResult runChurnCell(std::uint32_t Threads, std::uint32_t Population,
   Workers.reserve(Threads);
   for (std::uint32_t T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      ChaosHook Hook(/*Seed=*/0xE17ull * (T + 1),
-                     Threads > 1 ? Chaos.YieldPermille : 0,
-                     Threads > 1 ? Chaos.StallPermille : 0,
-                     Chaos.StallGrants);
-      SchedHookScope Scope(Hook);
+      FaultScope Faults(Chaos, T, Clock);
       SplitMix64 Rng(0xE17E17ull + 0x9E37ull * (T + 1));
       StartLine.arriveAndWait();
       const auto Begin = std::chrono::steady_clock::now();
@@ -168,11 +164,7 @@ void runRows(SweepOutput &Out,
              const std::vector<std::uint32_t> &Populations) {
   for (const std::uint32_t Threads : threadSweep()) {
     for (const std::uint32_t Population : Populations) {
-      ChaosSettings Chaos;
-      Chaos.YieldPermille = DefaultChaosPermille;
-      if (const std::optional<ChaosSettings> Env = chaosFromEnv())
-        Chaos = *Env;
-      const CellResult R = runChurnCell<AdapterT>(Threads, Population, Chaos);
+      const CellResult R = runChurnCell<AdapterT>(Threads, Population);
       Out.AllConserved = Out.AllConserved && R.Conserves;
       Out.AllBounded = Out.AllBounded && R.BacklogBounded;
       const double BytesPerElem =

@@ -77,13 +77,9 @@ template <typename AdapterT>
 void runRows(SweepOutput &Out, const char *Object) {
   for (const std::uint32_t Threads : threadSweep()) {
     for (const std::uint32_t PushPercent : {30u, 50u, 70u}) {
-      ChaosSettings Chaos;
-      Chaos.YieldPermille = DefaultChaosPermille;
-      if (const std::optional<ChaosSettings> Env = chaosFromEnv())
-        Chaos = *Env;
       AdapterT Adapter(Threads, /*Capacity=*/4096);
-      const WorkloadReport R =
-          runCellOn(Adapter, Threads, Chaos, /*ThinkNs=*/0, PushPercent);
+      const WorkloadReport R = runCellOn(Adapter, Threads, DefaultChaosPermille,
+                                         /*ThinkNs=*/0, PushPercent);
       const LatencySummary S = summarize(R.mergedLatency());
       const double Throughput = R.throughputOpsPerSec();
       Out.Best[Object][Threads] =

@@ -57,7 +57,8 @@ soak::SoakConfig makeConfig(bool Quick) {
   Config.Capacity = 4096;
   Config.Seed = 42;
   Config.QueueCapacity = 1u << 16;
-  Config.ChaosYieldPermille = DefaultChaosPermille;
+  Config.AccessFaults = FaultPlan::chaos(Config.Workers, DefaultChaosPermille);
+  Config.AccessFaults.RateSeed = Config.Seed;
   // 2s: far beyond any planned stall (ms-scale); a genuine wedge is
   // permanent and gets caught at any deadline.
   Config.OpDeadlineNs = 2'000'000'000;

@@ -98,9 +98,6 @@ void addOutageRow(csobj::TablePrinter &Table,
                   std::uint64_t HoldNs, std::uint64_t GapNs) {
   using namespace csobj;
   using namespace csobj::bench;
-  ChaosSettings Chaos; // Yield channel only: workers must stay contended.
-  if (const auto Env = chaosFromEnv())
-    Chaos = *Env;
   // One extra slot for the saboteur, which never runs operations.
   CrashTolerantStackAdapter Adapter(Threads + 1, conformance::BenchCapacity,
                                     BenchPatience);
@@ -125,7 +122,7 @@ void addOutageRow(csobj::TablePrinter &Table,
         std::this_thread::sleep_for(std::chrono::nanoseconds(GapNs));
       }
     });
-  const WorkloadReport R = runCellOn(Adapter, Threads, Chaos);
+  const WorkloadReport R = runCellOn(Adapter, Threads);
   Stop.store(true, std::memory_order_relaxed);
   if (Saboteur.joinable())
     Saboteur.join();

@@ -25,7 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ContentionSensitiveMap.h"
-#include "memory/ChaosHook.h"
+#include "faults/FaultInjector.h"
 #include "runtime/SpinBarrier.h"
 #include "soak/ArrivalSchedule.h"
 
@@ -76,14 +76,15 @@ int main() {
   for (std::uint32_t K = 0; K < KeyRange / 2; ++K)
     (void)Map.insert(0, K, K + 1);
 
+  // The library convention for contended measurements: 10% yield
+  // probability per shared access (FaultPlan::chaos).
+  const FaultPlan Chaos = FaultPlan::chaos(Workers, /*YieldPermille=*/100);
+  FaultClock Clock;
   SpinBarrier StartLine(Workers + 1);
   std::vector<std::thread> Threads;
   for (std::uint32_t W = 0; W < Workers; ++W)
     Threads.emplace_back([&, W] {
-      // The library convention for contended measurements: 10% yield
-      // probability per shared access (memory/ChaosHook.h).
-      ChaosHook Hook(/*Seed=*/0x407ull + W, /*YieldPermille=*/100);
-      SchedHookScope Scope(Hook);
+      FaultScope Faults(Chaos, W, Clock);
       StartLine.arriveAndWait();
       for (std::uint64_t I = W; I < TotalArrivals; I += Workers) {
         const soak::Arrival &A = Arrivals[I];

@@ -22,7 +22,7 @@
 #include "core/AbortableStack.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/NonBlockingStack.h"
-#include "memory/ChaosHook.h"
+#include "faults/FaultInjector.h"
 #include "runtime/SpinBarrier.h"
 #include "support/SplitMix64.h"
 
@@ -48,12 +48,13 @@ struct Tally {
 template <typename StackT, typename DoOpFn>
 std::vector<Tally> hammer(StackT &Stack, DoOpFn DoOp) {
   std::vector<Tally> Tallies(Threads);
+  const FaultPlan Chaos = FaultPlan::chaos(Threads, ChaosPermille);
+  FaultClock Clock;
   SpinBarrier StartLine(Threads);
   std::vector<std::thread> Workers;
   for (std::uint32_t T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      ChaosHook Chaos(T + 1, ChaosPermille);
-      SchedHookScope Scope(Chaos);
+      FaultScope Faults(Chaos, T, Clock);
       SplitMix64 Rng(T + 100);
       StartLine.arriveAndWait();
       for (std::uint32_t I = 0; I < OpsPerThread; ++I) {

@@ -25,7 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ContentionSensitiveStack.h"
-#include "memory/ChaosHook.h"
+#include "faults/FaultInjector.h"
 #include "perf/CombiningObjects.h"
 #include "runtime/SpinBarrier.h"
 
@@ -67,6 +67,11 @@ template <typename PushBatchFn, typename PopBatchFn, typename DrainFn>
 RunResult runTraffic(PushBatchFn PushBatch, PopBatchFn PopBatch,
                      DrainFn Drain) {
   const std::uint32_t Threads = Producers + Consumers;
+  // The library convention for contended measurements: 10% yield
+  // probability per shared access emulates the paper's asynchronous
+  // adversary (FaultPlan::chaos), identically for both objects.
+  const FaultPlan Chaos = FaultPlan::chaos(Threads, /*YieldPermille=*/100);
+  FaultClock Clock;
   SpinBarrier StartLine(Threads + 1);
   std::atomic<std::uint32_t> LiveProducers{Producers};
   std::atomic<std::uint64_t> Produced{0}, Consumed{0};
@@ -75,11 +80,7 @@ RunResult runTraffic(PushBatchFn PushBatch, PopBatchFn PopBatch,
 
   for (std::uint32_t P = 0; P < Producers; ++P)
     Workers.emplace_back([&, P] {
-      // The library convention for contended measurements: 10% yield
-      // probability per shared access emulates the paper's asynchronous
-      // adversary (memory/ChaosHook.h), identically for both objects.
-      ChaosHook Hook(/*Seed=*/0xBA6ull + P, /*YieldPermille=*/100);
-      SchedHookScope Scope(Hook);
+      FaultScope Faults(Chaos, P, Clock);
       std::vector<std::uint32_t> Buf(BatchSize);
       StartLine.arriveAndWait();
       std::uint64_t Count = 0, Sum = 0;
@@ -107,8 +108,7 @@ RunResult runTraffic(PushBatchFn PushBatch, PopBatchFn PopBatch,
   for (std::uint32_t C = 0; C < Consumers; ++C)
     Workers.emplace_back([&, C] {
       const std::uint32_t Tid = Producers + C;
-      ChaosHook Hook(/*Seed=*/0xBA6ull + Tid, /*YieldPermille=*/100);
-      SchedHookScope Scope(Hook);
+      FaultScope Faults(Chaos, Tid, Clock);
       std::vector<std::uint32_t> Buf(BatchSize);
       StartLine.arriveAndWait();
       std::uint64_t Count = 0, Sum = 0;

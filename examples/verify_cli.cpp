@@ -32,9 +32,9 @@
 #include "core/ContentionSensitiveQueue.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/NonBlockingStack.h"
+#include "faults/FaultInjector.h"
 #include "lincheck/Checker.h"
 #include "lincheck/Spec.h"
-#include "memory/ChaosHook.h"
 #include "runtime/SpinBarrier.h"
 #include "support/SplitMix64.h"
 
@@ -131,13 +131,14 @@ int runRounds(const Options &Opts, bool IsQueue,
     std::vector<HistoryRecorder> Recorders;
     for (std::uint32_t T = 0; T < Opts.Threads; ++T)
       Recorders.emplace_back(T);
+    FaultPlan Chaos = FaultPlan::chaos(Opts.Threads, Opts.ChaosPermille);
+    Chaos.RateSeed = Opts.Seed * 31 + Round * 7;
+    FaultClock Clock;
     SpinBarrier Barrier(Opts.Threads);
     std::vector<std::thread> Workers;
     for (std::uint32_t T = 0; T < Opts.Threads; ++T)
       Workers.emplace_back([&, T] {
-        ChaosHook Chaos(Opts.Seed * 31 + Round * 7 + T,
-                        Opts.ChaosPermille);
-        SchedHookScope Scope(Chaos);
+        FaultScope Faults(Chaos, T, Clock);
         SplitMix64 Rng(Opts.Seed + Round * 1009 + T);
         Barrier.arriveAndWait();
         for (std::uint32_t I = 0; I < Opts.OpsPerThread; ++I)

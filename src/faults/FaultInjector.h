@@ -11,11 +11,14 @@
 /// fault point, so the plan's access indices mean the same thing in every
 /// execution mode.
 ///
-///  * FaultInjector is a per-thread SchedHook for wall-clock runs (the
-///    closed-loop Driver, stress tests). At the trigger access it either
-///    throws ProcessCrash — the worker loop catches it and retires the
-///    thread, modelling crash-stop — or stalls until enough foreign
-///    accesses have ticked the run's shared FaultClock.
+///  * FaultInjector is the one per-thread SchedHook for wall-clock runs
+///    (the closed-loop Driver, the soak harness, stress tests, benches).
+///    At a trigger access it throws ProcessCrash — the worker loop
+///    catches it and retires or resurrects the thread, modelling
+///    crash-stop — stalls until enough foreign accesses have ticked the
+///    run's shared FaultClock, or yields once. Besides its plan it takes
+///    crashes and stalls posted from another thread, delivered at the
+///    owner's next shared access.
 ///  * faultPlanPick() adapts the same plan to the InterleaveScheduler: it
 ///    returns a picking policy that crashes the victim via KillFlag at
 ///    exactly the planned access index and refuses to grant a stalled
@@ -32,13 +35,14 @@
 #include "faults/FaultPlan.h"
 #include "memory/SchedHook.h"
 #include "sched/InterleaveScheduler.h"
-#include "support/SpinWait.h"
 #include "support/SplitMix64.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <thread>
 #include <vector>
 
 namespace csobj {
@@ -57,23 +61,21 @@ struct FaultClock {
   std::atomic<std::uint64_t> Ticks{0};
 };
 
-/// Consecutive progress-free waits before a stall expires early (the
-/// escape hatch shared by every wall-clock stall executor).
+/// Consecutive progress-free yields before a stall expires early.
 inline constexpr std::uint32_t StallIdleYieldCap = 512;
 
 /// Holds the calling thread until \p Grants foreign accesses have ticked
-/// \p Clock. Escape hatch: if the clock stops advancing (the victim is
-/// the only live thread, or every other thread is itself stalled) the
-/// stall expires after a bounded quiet spell instead of deadlocking the
-/// run or burning a grant-proportional wait. Shared by FaultInjector and
-/// the soak harness's campaign hook (src/soak/FaultCampaign.h).
+/// \p Clock, yielding between checks. Escape hatch: if the clock stops
+/// advancing (the victim is the only live thread, or every other thread
+/// is itself stalled) the stall expires after StallIdleYieldCap quiet
+/// yields instead of deadlocking the run. A stall thus lasts its grants
+/// or until no other thread runs, as faultPlanPick() ends it.
 inline void stallUntilForeignGrants(FaultClock &Clock, std::uint64_t Grants) {
   const std::uint64_t Start = Clock.Ticks.load(std::memory_order_relaxed);
   std::uint64_t LastSeen = Start;
   std::uint32_t Idle = 0;
-  SpinWait Waiter;
   while (Clock.Ticks.load(std::memory_order_relaxed) - Start < Grants) {
-    Waiter.once();
+    std::this_thread::yield();
     const std::uint64_t Now = Clock.Ticks.load(std::memory_order_relaxed);
     if (Now == LastSeen) {
       if (++Idle > StallIdleYieldCap)
@@ -85,15 +87,12 @@ inline void stallUntilForeignGrants(FaultClock &Clock, std::uint64_t Grants) {
   }
 }
 
-/// Per-thread wall-clock fault executor. Install with SchedHookScope.
-/// Chains to an optional inner hook (e.g. ChaosHook) so fault plans and
-/// randomized asynchrony compose.
+/// Per-thread wall-clock fault executor. Install with SchedHookScope, or
+/// with FaultScope below.
 class FaultInjector final : public SchedHook {
 public:
-  FaultInjector(const FaultPlan &Plan, std::uint32_t Tid, FaultClock &Clock,
-                SchedHook *Inner = nullptr)
-      : Clock(Clock), Inner(Inner),
-        RateRng(SplitMix64(Plan.RateSeed).split(Tid)) {
+  FaultInjector(const FaultPlan &Plan, std::uint32_t Tid, FaultClock &Clock)
+      : Clock(Clock), RateRng(SplitMix64(Plan.RateSeed).split(Tid)) {
     for (const FaultSpec &Spec : Plan.Faults) {
       if (Spec.Tid != Tid)
         continue;
@@ -110,55 +109,116 @@ public:
               });
   }
 
-  void beforeSharedAccess(AccessKind Kind) override {
-    if (Inner)
-      Inner->beforeSharedAccess(Kind);
+  void beforeSharedAccess(AccessKind) override {
     Clock.Ticks.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t Index = NextAccess++;
-    // At most one fault per access; one-shots outrank recurring outrank
-    // rate-based, so a deterministic plan stays deterministic even when
-    // a rate channel rides along.
-    if (Next < Pending.size() && Pending[Next].AtAccess == Index) {
-      fire(Pending[Next++]);
+    // At most one fault per access. A posted fault comes first; then
+    // one-shots outrank recurring outrank rate-based, so a deterministic
+    // plan stays deterministic even when a rate channel rides along. A
+    // one-shot displaced by a post fires at the next access.
+    if (Mailbox.load(std::memory_order_relaxed) != NoPost) {
+      const std::uint64_t Post =
+          Mailbox.exchange(NoPost, std::memory_order_acq_rel);
+      fire(Post == PostedCrash ? FaultKind::CrashStop : FaultKind::Stall,
+           Post);
+      return;
+    }
+    if (Next < Pending.size() && Pending[Next].AtAccess <= Index) {
+      const FaultSpec &Spec = Pending[Next++];
+      fire(Spec.Kind, Spec.StallGrants);
       return;
     }
     for (const FaultSpec &Spec : Recurring) {
       if (Index < Spec.AtAccess || (Index - Spec.AtAccess) % Spec.Period != 0)
         continue;
-      fire(Spec);
+      fire(Spec.Kind, Spec.StallGrants);
       return;
     }
     for (const FaultSpec &Spec : RateBased) {
       if (!RateRng.chance(Spec.RatePermille, 1000))
         continue;
-      fire(Spec);
+      fire(Spec.Kind, Spec.StallGrants);
       return;
     }
+  }
+
+  /// Posts a crash-stop for the owning thread's next shared access. Any
+  /// thread may post; a post overwrites one not yet delivered (a victim
+  /// can only die once per posting anyway).
+  void postCrash() { Mailbox.store(PostedCrash, std::memory_order_release); }
+
+  /// Posts a stall of \p Grants foreign accesses (see postCrash).
+  void postStall(std::uint64_t Grants) {
+    // Grants of 0 would read as no post; a 1-grant stall is equally short.
+    Mailbox.store(Grants ? Grants : 1, std::memory_order_release);
   }
 
   /// Number of accesses this thread has attempted so far.
   std::uint64_t accessesSeen() const { return NextAccess; }
 
-  /// Faults delivered so far (crashes thrown + stalls completed).
-  std::uint64_t faultsFired() const { return Fired; }
+  /// Faults of \p Kind delivered so far (crashes thrown, stalls begun,
+  /// yields taken), posted or planned. Readable from any thread while the
+  /// owner runs.
+  std::uint64_t fired(FaultKind Kind) const {
+    return Fired[static_cast<unsigned>(Kind)].load(
+        std::memory_order_relaxed);
+  }
+
+  /// Faults of every kind delivered so far.
+  std::uint64_t faultsFired() const {
+    std::uint64_t Total = 0;
+    for (const auto &Count : Fired)
+      Total += Count.load(std::memory_order_relaxed);
+    return Total;
+  }
 
 private:
-  void fire(const FaultSpec &Spec) {
-    ++Fired;
-    if (Spec.Kind == FaultKind::CrashStop)
+  static constexpr std::uint64_t NoPost = 0;
+  static constexpr std::uint64_t PostedCrash = ~std::uint64_t{0};
+
+  void fire(FaultKind Kind, std::uint64_t StallGrants) {
+    Fired[static_cast<unsigned>(Kind)].fetch_add(1,
+                                                 std::memory_order_relaxed);
+    switch (Kind) {
+    case FaultKind::CrashStop:
       throw ProcessCrash{};
-    stallUntilForeignGrants(Clock, Spec.StallGrants);
+    case FaultKind::Stall:
+      stallUntilForeignGrants(Clock, StallGrants);
+      return;
+    case FaultKind::Yield:
+      std::this_thread::yield();
+      return;
+    }
   }
 
   FaultClock &Clock;
-  SchedHook *Inner;
   std::vector<FaultSpec> Pending;   ///< One-shots, sorted by AtAccess.
   std::vector<FaultSpec> Recurring; ///< Period-triggered specs.
   std::vector<FaultSpec> RateBased; ///< Probability-triggered specs.
   SplitMix64 RateRng;
   std::size_t Next = 0;
   std::uint64_t NextAccess = 0;
-  std::uint64_t Fired = 0;
+  /// Posted fault: NoPost, PostedCrash, or a stall's grants.
+  std::atomic<std::uint64_t> Mailbox{NoPost};
+  std::atomic<std::uint64_t> Fired[NumFaultKinds] = {};
+};
+
+/// Runs the calling thread under a FaultInjector executing \p Plan for
+/// the scope's lifetime; installs nothing when the plan is empty. Every
+/// thread of a run installs one over the same plan and clock, so the
+/// threads a plan leaves alone still tick the clock a stall waits on.
+class FaultScope {
+public:
+  FaultScope(const FaultPlan &Plan, std::uint32_t Tid, FaultClock &Clock) {
+    if (Plan.empty())
+      return;
+    Injector.emplace(Plan, Tid, Clock);
+    Scope.emplace(*Injector);
+  }
+
+private:
+  std::optional<FaultInjector> Injector;
+  std::optional<SchedHookScope> Scope;
 };
 
 /// Adapts a FaultPlan to the InterleaveScheduler: wraps \p Base so that a
@@ -166,12 +226,13 @@ private:
 /// AtAccess-th granted access, and a planned stall keeps the victim
 /// parked until StallGrants foreign accesses have been granted (or no
 /// other thread can run, in which case the stall expires — mirroring the
-/// wall-clock escape hatch). Recurring specs (Period > 0) are never
-/// consumed and re-fire at every matching access index; rate-based specs
-/// fire from a per-victim stream derived from the plan's RateSeed, so a
-/// given plan explores the same faulty schedule every run. The returned
-/// policy owns its per-thread grant counters, so build a fresh one per
-/// run.
+/// wall-clock escape hatch). A planned yield is a one-grant stall: the
+/// step goes to another thread, so a plan means the same thing in both
+/// executors. Recurring specs (Period > 0) are never consumed and
+/// re-fire at every matching access index; rate-based specs fire from a
+/// per-victim stream derived from the plan's RateSeed, so a given plan
+/// explores the same faulty schedule every run. The returned policy owns
+/// its per-thread grant counters, so build a fresh one per run.
 inline InterleaveScheduler::PickFn
 faultPlanPick(FaultPlan Plan, InterleaveScheduler::PickFn Base =
                                   [](std::size_t,
@@ -261,9 +322,12 @@ faultPlanPick(FaultPlan Plan, InterleaveScheduler::PickFn Base =
         // so the per-thread count does not advance.
         return Chosen | InterleaveScheduler::KillFlag;
       }
-      // Stall: start holding the victim, grant someone else this step.
+      // Stall (or yield, a one-grant stall): start holding the victim,
+      // grant someone else this step.
       S->StalledTid = Chosen;
-      S->StallUntil = S->TotalGrants + Spec.StallGrants;
+      S->StallUntil = S->TotalGrants + (Spec.Kind == FaultKind::Yield
+                                            ? 1
+                                            : Spec.StallGrants);
       std::vector<std::uint32_t> Others;
       for (const std::uint32_t Tid : Parked)
         if (Tid != Chosen)

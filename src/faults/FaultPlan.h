@@ -11,7 +11,8 @@
 /// convention), independent of how the plan is executed:
 ///
 ///  * wall-clock runs execute a plan through faults/FaultInjector.h — a
-///    SchedHook that crashes or stalls the thread at the trigger access;
+///    SchedHook that crashes, stalls or yields the thread at the trigger
+///    access;
 ///  * explorer runs execute the same plan through faultPlanPick()
 ///    (faults/FaultInjector.h), which turns it into an
 ///    InterleaveScheduler picking policy so crashes land at exactly the
@@ -29,14 +30,25 @@
 ///    This models the lease-expiry scenario of locks/LeasedLock.h: a
 ///    lock holder preempted long enough for a waiter's patience to run
 ///    out, without the holder actually dying.
+///  * Yield — an ordinary preemption: the process gives up the core
+///    once (the explorer grants the step to another thread, a one-grant
+///    stall). On a host with fewer cores than threads, OS timeslices are
+///    so long relative to an operation that two operations would
+///    practically never overlap; yielding at a rate before each shared
+///    access restores the asynchrony the paper reasons about.
 ///
 /// Trigger shapes: besides the original one-shot at-access-K trigger, a
 /// spec may be *recurring* (re-fires every Period accesses) or
 /// *rate-based* (fires with a per-access probability from a seeded
-/// stream). Recurring/rate plans are what the soak harness
-/// (src/soak/FaultCampaign.h) builds its sustained fault campaigns from;
-/// under the closed-loop Driver a recurring crash degenerates to a
-/// one-shot because the victim is never resurrected.
+/// stream). FaultPlan::chaos builds the rate-based yield/stall noise
+/// that contended tests and benches run under; under the closed-loop
+/// Driver a recurring crash degenerates to a one-shot because the victim
+/// is never resurrected.
+///
+/// Posted faults: a wall-clock harness may also post a crash or a stall
+/// into a running thread's FaultInjector, which delivers it at that
+/// thread's next shared access. The soak harness's campaigns
+/// (src/soak/FaultCampaign.h) aim faults in wall-clock time this way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +63,12 @@ namespace csobj {
 /// What happens to the victim at the trigger point.
 enum class FaultKind : std::uint8_t {
   CrashStop, ///< Process stops forever (Section 5 crash fault).
-  Stall      ///< Process is held for StallGrants foreign accesses.
+  Stall,     ///< Process is held for StallGrants foreign accesses.
+  Yield      ///< Process gives up the core once.
 };
+
+/// Number of FaultKind values.
+inline constexpr unsigned NumFaultKinds = 3;
 
 /// One fault: thread \p Tid misbehaves at its \p AtAccess-th shared
 /// access (0-based, counted per thread).
@@ -87,6 +103,9 @@ struct FaultSpec {
 
 /// An ordered collection of faults to inject into one run.
 struct FaultPlan {
+  /// Victim argument of chaos(): stall every thread.
+  static constexpr std::uint32_t AllThreads = ~std::uint32_t{0};
+
   std::vector<FaultSpec> Faults;
   /// Base seed for rate-based triggers; each victim derives its own
   /// stream from (RateSeed, Tid).
@@ -150,6 +169,35 @@ struct FaultPlan {
     FaultSpec Spec{Tid, 0, FaultKind::CrashStop, 0};
     Spec.RatePermille = Permille;
     Plan.Faults.push_back(Spec);
+    return Plan;
+  }
+
+  /// Rate-based asynchrony noise for \p Threads threads: every thread
+  /// yields with probability \p YieldPermille/1000 before each shared
+  /// access, and \p Victim (or every thread) stalls for \p StallGrants
+  /// foreign accesses with probability \p StallPermille/1000. Stalling
+  /// one victim models the paper-relevant scenario, one process
+  /// preempted past the others' patience: when every thread may stall,
+  /// mutually stalled threads stop the access clock and release each
+  /// other early, so long stalls never expire a lease. Set RateSeed to
+  /// give each run its own streams.
+  static FaultPlan chaos(std::uint32_t Threads, std::uint32_t YieldPermille,
+                         std::uint32_t StallPermille = 0,
+                         std::uint64_t StallGrants = 0,
+                         std::uint32_t Victim = AllThreads) {
+    FaultPlan Plan;
+    for (std::uint32_t Tid = 0; Tid < Threads; ++Tid) {
+      if (StallPermille != 0 && (Victim == AllThreads || Victim == Tid)) {
+        FaultSpec Stall{Tid, 0, FaultKind::Stall, StallGrants};
+        Stall.RatePermille = StallPermille;
+        Plan.Faults.push_back(Stall);
+      }
+      if (YieldPermille != 0) {
+        FaultSpec Yield{Tid, 0, FaultKind::Yield};
+        Yield.RatePermille = YieldPermille;
+        Plan.Faults.push_back(Yield);
+      }
+    }
     return Plan;
   }
 };

@@ -50,8 +50,9 @@ struct AccessCounts {
 
 namespace detail {
 /// Active counter sink of the calling thread, or nullptr when accounting
-/// is off. Managed by AccessCounterScope.
-extern thread_local AccessCounts *ActiveAccessCounts;
+/// is off. Managed by AccessCounterScope. Defined inline with a constant
+/// initializer, so every use reads the thread-local slot directly.
+inline thread_local AccessCounts *ActiveAccessCounts = nullptr;
 } // namespace detail
 
 /// RAII installer: while alive, all AtomicRegister accesses performed by

@@ -10,8 +10,4 @@ namespace csobj {
 
 SchedHook::~SchedHook() = default;
 
-namespace detail {
-thread_local SchedHook *ActiveSchedHook = nullptr;
-} // namespace detail
-
 } // namespace csobj

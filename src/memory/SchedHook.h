@@ -33,7 +33,10 @@ public:
 };
 
 namespace detail {
-extern thread_local SchedHook *ActiveSchedHook;
+/// Hook of the calling thread, or nullptr when none is installed.
+/// Managed by SchedHookScope. Defined inline with a constant
+/// initializer, so every use reads the thread-local slot directly.
+inline thread_local SchedHook *ActiveSchedHook = nullptr;
 
 inline void preAccess(AccessKind Kind) {
   if (SchedHook *Hook = ActiveSchedHook)

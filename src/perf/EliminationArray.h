@@ -15,9 +15,10 @@
 ///
 ///  * policy-templated and hook-routed: every slot access goes through
 ///    AtomicRegister<_, Policy>, so rendezvous runs under the wall-clock
-///    Driver, the interleaving Explorer, ChaosHook and FaultInjector
-///    alike. The spin budget is a bounded number of slot re-reads, so a
-///    rendezvous contributes a bounded subtree to the schedule space.
+///    Driver, the interleaving Explorer and FaultInjector (planned faults
+///    and chaos noise) alike. The spin budget is a bounded number of slot
+///    re-reads, so a rendezvous contributes a bounded subtree to the
+///    schedule space.
 ///  * match-gated: the *matcher* — whichever side completes the pairing
 ///    CAS — first evaluates a caller-supplied gate. The gate read is the
 ///    linearizability witness: a successful match means the gate held at

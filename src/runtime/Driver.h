@@ -28,7 +28,6 @@
 #define CSOBJ_RUNTIME_DRIVER_H
 
 #include "faults/FaultInjector.h"
-#include "memory/ChaosHook.h"
 #include "runtime/SpinBarrier.h"
 #include "runtime/Watchdog.h"
 #include "runtime/Workload.h"
@@ -37,7 +36,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -64,8 +62,8 @@ WorkloadReport runClosedLoop(AdapterT &Adapter, const WorkloadConfig &Config) {
   std::vector<std::thread> Workers;
   Workers.reserve(Config.Threads);
 
-  // Shared access clock for deterministic fault plans and the liveness
-  // watchdog (runtime/Watchdog.h). Both are inert when unconfigured.
+  // Shared access clock for the fault plan, and the liveness watchdog
+  // (runtime/Watchdog.h). Both are inert when unconfigured.
   FaultClock Clock;
   Watchdog Dog(Config.Threads, Config.OpDeadlineNs);
   // When the adapter can attribute operations to paths, let stuck-op
@@ -78,26 +76,8 @@ WorkloadReport runClosedLoop(AdapterT &Adapter, const WorkloadConfig &Config) {
     Workers.emplace_back([&, Tid] {
       ThreadReport &Mine = Report.PerThread[Tid];
       SplitMix64 Rng = SplitMix64(Config.Seed).split(Tid);
-      // Optional asynchrony injection (see memory/ChaosHook.h): emulate
-      // preemption at shared-access points on single-core hosts. The
-      // stall channel applies only to the configured victim thread.
-      const bool StallsMe = Config.ChaosStallTid == ~std::uint32_t{0} ||
-                            Config.ChaosStallTid == Tid;
-      ChaosHook Chaos(Config.Seed ^ (Tid * 0x9e3779b9u),
-                      Config.ChaosYieldPermille,
-                      StallsMe ? Config.ChaosStallPermille : 0,
-                      Config.ChaosStallGrants);
-      const bool ChaosActive = Config.ChaosYieldPermille > 0 ||
-                               (StallsMe && Config.ChaosStallPermille > 0);
-      // Deterministic faults chain the chaos hook so both channels fire.
-      FaultInjector Injector(Config.Faults, Tid, Clock,
-                             ChaosActive ? &Chaos : nullptr);
-      const bool FaultsActive = !Config.Faults.empty();
-      std::optional<SchedHookScope> HookScope;
-      if (FaultsActive)
-        HookScope.emplace(Injector);
-      else if (ChaosActive)
-        HookScope.emplace(Chaos);
+      // Planned faults and asynchrony noise (faults/FaultPlan.h), if any.
+      FaultScope Faults(Config.Faults, Tid, Clock);
       StartLine.arriveAndWait();
       for (std::uint64_t Op = 0; Op < Config.OpsPerThread; ++Op) {
         const bool IsPush = Rng.chance(Config.PushPercent, 100);

@@ -47,26 +47,12 @@ struct WorkloadConfig {
   std::uint32_t Capacity = 1024;    ///< The paper's k.
   std::uint32_t PrefillPercent = 50;///< Percent of capacity prefilled.
   std::uint64_t Seed = 42;          ///< Base PRNG seed.
-  /// Probability (per mille) of yielding the core before each shared
-  /// access — asynchrony injection for single-core hosts (see
-  /// memory/ChaosHook.h). 0 disables the hook entirely.
-  std::uint32_t ChaosYieldPermille = 0;
-  /// Probability (per mille) of *stalling* before a shared access until
-  /// ChaosStallGrants foreign accesses have been granted — the
-  /// lease-expiry scenario (see memory/ChaosHook.h). 0 disables stalls.
-  std::uint32_t ChaosStallPermille = 0;
-  /// Length of an injected stall, in foreign access grants.
-  std::uint64_t ChaosStallGrants = 0;
-  /// Which thread the stall channel targets; ~0 = all threads. Stalling
-  /// a single victim models the paper-relevant scenario (one process
-  /// preempted past the others' patience): when every thread may stall,
-  /// mutually stalled threads stop the shared access clock and release
-  /// each other early, so long stalls never actually expire a lease.
-  std::uint32_t ChaosStallTid = ~std::uint32_t{0};
-  /// Deterministic faults to inject (crash-stop / bounded stall at named
-  /// access points, see faults/FaultPlan.h). A crashed thread stops
-  /// issuing operations; its partial tallies are kept and its Crashed
-  /// flag set. Empty = no faults.
+  /// Faults to inject (faults/FaultPlan.h): crash-stop or bounded stall
+  /// at named access points, and rate-based yield/stall noise
+  /// (FaultPlan::chaos) that emulates asynchrony on hosts with fewer
+  /// cores than threads. A crashed thread stops issuing operations; its
+  /// partial tallies are kept and its Crashed flag set. Empty = no
+  /// faults, and no hook installed.
   FaultPlan Faults;
   /// Per-operation liveness deadline in nanoseconds, enforced by
   /// runtime/Watchdog.h; operations overstaying it are reported in

@@ -13,18 +13,17 @@
 /// calm ...), and aims each one at a random live worker.
 ///
 /// Delivery reuses the SchedHook channel end to end: each worker runs
-/// with a CampaignHook installed, the campaign thread posts a command
-/// into the victim's slot, and the victim executes it at its *next
-/// shared access* — so campaign faults land at the same instrumented
-/// access points as FaultInjector faults, never in harness code. A crash
-/// raises the same ProcessCrash the closed-loop Driver knows; the soak
-/// worker catches it and re-enters its loop with the same thread id,
-/// which is precisely the resurrection scenario the crash-tolerant
-/// construction's RecoverableArbiter exists for (abandoned doorway
-/// entries must be reclaimed, the degraded path must absorb the churn).
-/// Stalls reuse stallUntilForeignGrants, so a campaign stall behaves
-/// byte-for-byte like a FaultPlan stall — long enough to expire leases,
-/// escape-hatched so it cannot wedge the run.
+/// under its FaultInjector (faults/FaultInjector.h), the campaign thread
+/// posts a crash or a stall into the victim's injector, and the victim
+/// executes it at its *next shared access* — so campaign faults land at
+/// the same instrumented access points as planned faults, never in
+/// harness code. A crash raises the same ProcessCrash the closed-loop
+/// Driver knows; the soak worker catches it and re-enters its loop with
+/// the same thread id, which is precisely the resurrection scenario the
+/// crash-tolerant construction's RecoverableArbiter exists for
+/// (abandoned doorway entries must be reclaimed, the degraded path must
+/// absorb the churn). A posted stall is a FaultPlan stall — long enough
+/// to expire leases, escape-hatched so it cannot wedge the run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +31,6 @@
 #define CSOBJ_SOAK_FAULTCAMPAIGN_H
 
 #include "faults/FaultInjector.h"
-#include "memory/SchedHook.h"
 #include "support/SplitMix64.h"
 
 #include <atomic>
@@ -78,71 +76,14 @@ struct Campaign {
   }
 };
 
-/// Per-worker fault delivery point. The campaign thread posts at most
-/// one pending command; the worker executes it at its next shared
-/// access. Chains an optional inner hook (ChaosHook) so campaigns and
-/// background asynchrony compose, and ticks the shared FaultClock so
-/// stall grants mean the same thing they mean everywhere else.
-class CampaignHook final : public SchedHook {
-public:
-  CampaignHook(FaultClock &Clock, SchedHook *Inner = nullptr)
-      : Clock(Clock), Inner(Inner) {}
-
-  /// Installs the inner hook chain. Called by the owning worker thread
-  /// before the hook is activated (SchedHookScope), never after.
-  void setInner(SchedHook *Hook) { Inner = Hook; }
-
-  void beforeSharedAccess(AccessKind Kind) override {
-    if (Inner)
-      Inner->beforeSharedAccess(Kind);
-    Clock.Ticks.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t C = Cmd.exchange(NoCmd, std::memory_order_acq_rel);
-    if (C == NoCmd)
-      return;
-    if (C == CrashCmd) {
-      CrashesFired.fetch_add(1, std::memory_order_relaxed);
-      throw ProcessCrash{};
-    }
-    StallsFired.fetch_add(1, std::memory_order_relaxed);
-    stallUntilForeignGrants(Clock, C);
-  }
-
-  /// Posts a crash-stop; overwrites any not-yet-executed command (a
-  /// victim can only die once per posting anyway).
-  void postCrash() { Cmd.store(CrashCmd, std::memory_order_release); }
-
-  /// Posts a stall of \p Grants foreign accesses.
-  void postStall(std::uint64_t Grants) {
-    // Grants of 0 would alias NoCmd; a 1-grant stall is equally "none".
-    Cmd.store(Grants ? Grants : 1, std::memory_order_release);
-  }
-
-  std::uint64_t crashesFired() const {
-    return CrashesFired.load(std::memory_order_relaxed);
-  }
-  std::uint64_t stallsFired() const {
-    return StallsFired.load(std::memory_order_relaxed);
-  }
-
-private:
-  static constexpr std::uint64_t NoCmd = 0;
-  static constexpr std::uint64_t CrashCmd = ~std::uint64_t{0};
-
-  FaultClock &Clock;
-  SchedHook *Inner;
-  std::atomic<std::uint64_t> Cmd{NoCmd};
-  std::atomic<std::uint64_t> CrashesFired{0};
-  std::atomic<std::uint64_t> StallsFired{0};
-};
-
 /// Walks a Campaign in wall-clock time on its own thread, posting
-/// commands into the workers' hooks. start()/stop() bracket the soak;
-/// totals are the *posted* counts (a command posted in the final
-/// instants may go unexecuted — compare with the hooks' fired counts).
+/// faults into the workers' injectors. start()/stop() bracket the soak;
+/// totals are the *posted* counts (a fault posted in the final instants
+/// may go undelivered — compare with the injectors' fired counts).
 class CampaignRunner {
 public:
-  CampaignRunner(const Campaign &Plan, std::vector<CampaignHook *> Hooks)
-      : Plan(Plan), Hooks(std::move(Hooks)), Rng(Plan.Seed) {}
+  CampaignRunner(const Campaign &Plan, std::vector<FaultInjector *> Victims)
+      : Plan(Plan), Victims(std::move(Victims)), Rng(Plan.Seed) {}
 
   ~CampaignRunner() { stop(); }
 
@@ -150,7 +91,7 @@ public:
   CampaignRunner &operator=(const CampaignRunner &) = delete;
 
   void start() {
-    if (Plan.empty() || Hooks.empty() || Thread.joinable())
+    if (Plan.empty() || Victims.empty() || Thread.joinable())
       return;
     Stopping.store(false, std::memory_order_relaxed);
     Thread = std::thread([this] { run(); });
@@ -210,12 +151,12 @@ private:
       }
       const CampaignPhase &P = Plan.Phases[PhaseIdx];
       if (NextCrash >= 0 && Now >= NextCrash) {
-        Hooks[Rng.below(Hooks.size())]->postCrash();
+        Victims[Rng.below(Victims.size())]->postCrash();
         CrashesPosted.fetch_add(1, std::memory_order_relaxed);
         NextCrash = Now + expGap(P.CrashMeanPeriodSec);
       }
       if (NextStall >= 0 && Now >= NextStall) {
-        Hooks[Rng.below(Hooks.size())]->postStall(P.StallGrants);
+        Victims[Rng.below(Victims.size())]->postStall(P.StallGrants);
         StallsPosted.fetch_add(1, std::memory_order_relaxed);
         NextStall = Now + expGap(P.StallMeanPeriodSec);
       }
@@ -224,7 +165,7 @@ private:
   }
 
   Campaign Plan;
-  std::vector<CampaignHook *> Hooks;
+  std::vector<FaultInjector *> Victims;
   SplitMix64 Rng;
   std::thread Thread;
   std::atomic<bool> Stopping{false};

@@ -17,8 +17,9 @@
 ///         real time)             overload)              resurrection)
 ///
 /// plus a CampaignRunner posting recurring crash/stall faults into the
-/// workers' hooks and a windowed collector freezing WindowStats every
-/// WindowSec. Three properties distinguish this from the closed loop:
+/// workers' fault injectors and a windowed collector freezing
+/// WindowStats every WindowSec. Three properties distinguish this from
+/// the closed loop:
 ///
 ///  * Overload is observable: arrivals are generated on schedule whether
 ///    or not workers keep up; the queue grows, then sheds, and both
@@ -43,7 +44,6 @@
 #ifndef CSOBJ_SOAK_SOAKHARNESS_H
 #define CSOBJ_SOAK_SOAKHARNESS_H
 
-#include "memory/ChaosHook.h"
 #include "memory/SchedHook.h"
 #include "runtime/Watchdog.h"
 #include "soak/ArrivalSchedule.h"
@@ -86,9 +86,10 @@ struct SoakConfig {
   std::size_t QueueCapacity = 1u << 16;
   /// Per-operation liveness deadline (runtime/Watchdog.h); 0 disables.
   std::uint64_t OpDeadlineNs = 0;
-  /// Background asynchrony: yield probability per shared access
-  /// (memory/ChaosHook.h), chained under the campaign hook.
-  std::uint32_t ChaosYieldPermille = 0;
+  /// Faults keyed to each worker's shared accesses (faults/FaultPlan.h),
+  /// run by the worker's injector beside the campaign's posts, e.g.
+  /// FaultPlan::chaos yield noise. Empty = none.
+  FaultPlan AccessFaults;
 
   ArrivalSchedule Schedule;
   Campaign Faults;
@@ -103,8 +104,8 @@ struct SoakReport {
   std::uint64_t TotalArrivals = 0;
   std::uint64_t TotalCompleted = 0;
   std::uint64_t TotalShed = 0;
-  std::uint64_t TotalCrashes = 0; ///< Executed (fired) campaign crashes.
-  std::uint64_t TotalStalls = 0;  ///< Executed campaign stalls.
+  std::uint64_t TotalCrashes = 0; ///< Executed (fired) crashes.
+  std::uint64_t TotalStalls = 0;  ///< Executed stalls (yields excluded).
   std::uint64_t TotalStuckOps = 0;
   std::uint64_t CrashesPosted = 0;
   std::uint64_t StallsPosted = 0;
@@ -325,11 +326,12 @@ SoakReport runSoak(const SoakConfig &Config) {
 
   detail::ArrivalQueue Queue(Config.QueueCapacity);
   std::vector<std::unique_ptr<detail::WorkerCell>> Cells;
-  std::vector<std::unique_ptr<CampaignHook>> Hooks;
+  std::vector<std::unique_ptr<FaultInjector>> Injectors;
   FaultClock Clock;
   for (std::uint32_t T = 0; T < Workers; ++T) {
     Cells.push_back(std::make_unique<detail::WorkerCell>());
-    Hooks.push_back(std::make_unique<CampaignHook>(Clock));
+    Injectors.push_back(
+        std::make_unique<FaultInjector>(Config.AccessFaults, T, Clock));
   }
 
   // Each worker's most recent key: lets the watchdog's path probe ask
@@ -346,10 +348,10 @@ SoakReport runSoak(const SoakConfig &Config) {
     });
   Dog.start();
 
-  std::vector<CampaignHook *> HookPtrs;
-  for (auto &H : Hooks)
-    HookPtrs.push_back(H.get());
-  CampaignRunner Campaigns(Config.Faults, std::move(HookPtrs));
+  std::vector<FaultInjector *> Victims;
+  for (auto &I : Injectors)
+    Victims.push_back(I.get());
+  CampaignRunner Campaigns(Config.Faults, std::move(Victims));
 
   std::atomic<bool> StopGenerator{false};
   std::atomic<std::uint64_t> ArrivalsGenerated{0};
@@ -398,15 +400,7 @@ SoakReport runSoak(const SoakConfig &Config) {
   WorkerThreads.reserve(Workers);
   for (std::uint32_t Tid = 0; Tid < Workers; ++Tid) {
     WorkerThreads.emplace_back([&, Tid] {
-      ChaosHook Chaos(Config.Seed ^ (Tid * 0x9e3779b9u),
-                      Config.ChaosYieldPermille, 0, 0);
-      CampaignHook &Hook = *Hooks[Tid];
-      // Rebind the hook's inner chain to this thread's chaos hook.
-      // (CampaignHook is constructed before threads exist; the chain is
-      // installed here, before the hook can fire on this thread.)
-      if (Config.ChaosYieldPermille > 0)
-        Hook.setInner(&Chaos);
-      SchedHookScope Scope(Hook);
+      SchedHookScope Scope(*Injectors[Tid]);
       detail::WorkerCell &Cell = *Cells[Tid];
       Arrival A;
       while (true) {
@@ -465,16 +459,10 @@ SoakReport runSoak(const SoakConfig &Config) {
   std::uint64_t PrevCrashes = 0, PrevStalls = 0;
   std::uint64_t PrevWindowEndNs = 0;
 
-  auto firedCrashes = [&] {
+  auto fired = [&](FaultKind Kind) {
     std::uint64_t N = 0;
-    for (const auto &H : Hooks)
-      N += H->crashesFired();
-    return N;
-  };
-  auto firedStalls = [&] {
-    std::uint64_t N = 0;
-    for (const auto &H : Hooks)
-      N += H->stallsFired();
+    for (const auto &I : Injectors)
+      N += I->fired(Kind);
     return N;
   };
 
@@ -492,8 +480,8 @@ SoakReport runSoak(const SoakConfig &Config) {
     const std::uint64_t Arrivals =
         ArrivalsGenerated.load(std::memory_order_relaxed);
     const std::uint64_t Shed = Queue.shedTotal();
-    const std::uint64_t Crashes = firedCrashes();
-    const std::uint64_t Stalls = firedStalls();
+    const std::uint64_t Crashes = fired(FaultKind::CrashStop);
+    const std::uint64_t Stalls = fired(FaultKind::Stall);
     W.Arrivals = Arrivals - PrevArrivals;
     W.Shed = Shed - PrevShed;
     W.Crashes = Crashes - PrevCrashes;
@@ -568,8 +556,8 @@ SoakReport runSoak(const SoakConfig &Config) {
   Report.DurationSec = static_cast<double>(elapsedNs()) * 1e-9;
   Report.TotalArrivals = ArrivalsGenerated.load(std::memory_order_relaxed);
   Report.TotalShed = Queue.shedTotal();
-  Report.TotalCrashes = firedCrashes();
-  Report.TotalStalls = firedStalls();
+  Report.TotalCrashes = fired(FaultKind::CrashStop);
+  Report.TotalStalls = fired(FaultKind::Stall);
   Report.CrashesPosted = Campaigns.crashesPosted();
   Report.StallsPosted = Campaigns.stallsPosted();
   Report.FinalPaths = poolSnapshot();

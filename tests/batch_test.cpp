@@ -29,7 +29,6 @@
 #include "core/ContentionSensitiveStack.h"
 #include "faults/FaultInjector.h"
 #include "memory/AccessCounter.h"
-#include "memory/ChaosHook.h"
 #include "perf/AdaptiveShardedStack.h"
 #include "perf/CombiningObjects.h"
 #include "runtime/SpinBarrier.h"
@@ -497,12 +496,14 @@ template <typename StackT>
 void runBatchSoloConservationStress(StackT &S, std::uint32_t Threads,
                                     std::uint32_t Rounds) {
   std::vector<std::int64_t> Balance(Threads, 0);
+  FaultPlan Chaos = FaultPlan::chaos(Threads, /*YieldPermille=*/300);
+  Chaos.RateSeed = 0xC0FFEEull;
+  FaultClock Clock;
   SpinBarrier Barrier(Threads);
   std::vector<std::thread> Workers;
   for (std::uint32_t T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      ChaosHook Chaos(/*Seed=*/0xC0FFEEull + T, /*YieldPermille=*/300);
-      SchedHookScope Scope(Chaos);
+      FaultScope Faults(Chaos, T, Clock);
       Barrier.arriveAndWait();
       SplitMix64 Rng(0xD1CEull + T);
       std::uint32_t Buf[8];

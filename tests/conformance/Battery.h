@@ -17,7 +17,8 @@
 ///                  for linearizability (Wing & Gong)
 ///   Explore        schedule-space search (exhaustive DFS where the
 ///                  schedule tree is bounded, random walks otherwise)
-///   Chaos          the stress shape under ChaosHook yield/stall noise
+///   Chaos          the stress shape under FaultPlan::chaos yield/stall
+///                  noise
 ///   CrashOrStall   a wall-clock stall-plan round for every entry, plus
 ///                  mode-specific crash sweeps (lock-free objects, the
 ///                  crash-tolerant skeleton, the leasable lock)
@@ -73,8 +74,6 @@
 #include "locks/TasLock.h"
 #include "memory/AccessCounter.h"
 #include "memory/AtomicRegister.h"
-#include "memory/ChaosHook.h"
-#include "memory/SchedHook.h"
 #include "obs/PathCounters.h"
 #include "runtime/SpinBarrier.h"
 #include "sched/Explorer.h"
@@ -124,6 +123,25 @@ inline std::uint32_t randomValue(SplitMix64 &Rng) {
 
 /// Which asynchrony source a stress round runs under.
 enum class AsyncMode { None, Chaos, StallPlan };
+
+/// The fault plan every thread of a stress round runs: yield/stall noise
+/// on every thread (streams drawn from \p RoundSeed) in Chaos mode, one
+/// victim stalled at a fixed access in StallPlan mode, none otherwise.
+inline FaultPlan asyncPlan(AsyncMode Mode, std::uint64_t RoundSeed) {
+  switch (Mode) {
+  case AsyncMode::Chaos: {
+    FaultPlan Plan = FaultPlan::chaos(StressThreads, ChaosYieldPermille,
+                                      ChaosStallPermille, ChaosStallGrants);
+    Plan.RateSeed = RoundSeed;
+    return Plan;
+  }
+  case AsyncMode::StallPlan:
+    return FaultPlan::stallAt(0, StallPlanAtAccess, StallPlanGrants);
+  case AsyncMode::None:
+    break;
+  }
+  return FaultPlan{};
+}
 
 //===----------------------------------------------------------------------===
 // Push/pop family adapters
@@ -862,50 +880,36 @@ template <typename A> void stressRounds(AsyncMode Mode) {
     std::atomic<std::uint32_t> Aborts{0};
     SpinBarrier Barrier(StressThreads);
     FaultClock Clock;
-    const FaultPlan Plan =
-        FaultPlan::stallAt(0, StallPlanAtAccess, StallPlanGrants);
+    const FaultPlan Plan = asyncPlan(Mode, 0xC4A05ull * (Round + 1));
 
     std::vector<std::thread> Threads;
     for (std::uint32_t T = 0; T < StressThreads; ++T) {
       Threads.emplace_back([&, T] {
+        FaultScope Faults(Plan, T, Clock);
         HistoryRecorder &Rec = Recorders[T];
         SplitMix64 Rng(0xBA77E59ull * (Round + 1) + T);
-        auto RunOps = [&] {
-          Barrier.arriveAndWait();
-          for (std::uint32_t I = 0; I < StressOpsPerThread; ++I) {
-            const bool IsPush = Rng.chance(1, 2);
-            const std::uint32_t V = randomValue(Rng);
-            const std::uint64_t T0 = HistoryRecorder::now();
-            if (IsPush) {
-              const PushResult R = A::push(*Obj, T, V);
-              const std::uint64_t T1 = HistoryRecorder::now();
-              if (R == PushResult::Abort)
-                Aborts.fetch_add(1, std::memory_order_relaxed);
-              else
-                Rec.recordPush(V, R == PushResult::Full, T0, T1);
-            } else {
-              const PopResult<std::uint32_t> R = A::pop(*Obj, T);
-              const std::uint64_t T1 = HistoryRecorder::now();
-              if (R.isAbort())
-                Aborts.fetch_add(1, std::memory_order_relaxed);
-              else if (R.isValue())
-                Rec.recordPopValue(R.value(), T0, T1);
-              else
-                Rec.recordPopEmpty(T0, T1);
-            }
+        Barrier.arriveAndWait();
+        for (std::uint32_t I = 0; I < StressOpsPerThread; ++I) {
+          const bool IsPush = Rng.chance(1, 2);
+          const std::uint32_t V = randomValue(Rng);
+          const std::uint64_t T0 = HistoryRecorder::now();
+          if (IsPush) {
+            const PushResult R = A::push(*Obj, T, V);
+            const std::uint64_t T1 = HistoryRecorder::now();
+            if (R == PushResult::Abort)
+              Aborts.fetch_add(1, std::memory_order_relaxed);
+            else
+              Rec.recordPush(V, R == PushResult::Full, T0, T1);
+          } else {
+            const PopResult<std::uint32_t> R = A::pop(*Obj, T);
+            const std::uint64_t T1 = HistoryRecorder::now();
+            if (R.isAbort())
+              Aborts.fetch_add(1, std::memory_order_relaxed);
+            else if (R.isValue())
+              Rec.recordPopValue(R.value(), T0, T1);
+            else
+              Rec.recordPopEmpty(T0, T1);
           }
-        };
-        if (Mode == AsyncMode::Chaos) {
-          ChaosHook Hook(0xC4A05ull * (Round + 1) + T, ChaosYieldPermille,
-                         ChaosStallPermille, ChaosStallGrants);
-          SchedHookScope Scope(Hook);
-          RunOps();
-        } else if (Mode == AsyncMode::StallPlan) {
-          FaultInjector Hook(Plan, T, Clock);
-          SchedHookScope Scope(Hook);
-          RunOps();
-        } else {
-          RunOps();
         }
       });
     }
@@ -937,56 +941,42 @@ template <typename A> void dequeStressRounds(AsyncMode Mode) {
     std::atomic<std::uint32_t> Aborts{0};
     SpinBarrier Barrier(StressThreads);
     FaultClock Clock;
-    const FaultPlan Plan =
-        FaultPlan::stallAt(0, StallPlanAtAccess, StallPlanGrants);
+    const FaultPlan Plan = asyncPlan(Mode, 0xCD0DEull * (Round + 1));
 
     std::vector<std::thread> Threads;
     for (std::uint32_t T = 0; T < StressThreads; ++T) {
       Threads.emplace_back([&, T] {
+        FaultScope Faults(Plan, T, Clock);
         HistoryRecorder &Rec = Recorders[T];
         SplitMix64 Rng(0xD0DECull * (Round + 1) + T);
-        auto RunOps = [&] {
-          Barrier.arriveAndWait();
-          for (std::uint32_t I = 0; I < StressOpsPerThread; ++I) {
-            const bool IsPush = Rng.chance(1, 2);
-            const bool Left = Rng.chance(1, 2);
-            const std::uint32_t V = randomValue(Rng);
-            const std::uint64_t T0 = HistoryRecorder::now();
-            if (IsPush) {
-              const PushResult R = A::push(*Obj, T, Left, V);
-              const std::uint64_t T1 = HistoryRecorder::now();
-              if (R == PushResult::Abort)
-                Aborts.fetch_add(1, std::memory_order_relaxed);
-              else
-                Rec.recordOp(Left ? OpCode::PushLeft : OpCode::PushRight, V,
-                             R == PushResult::Full ? ResCode::Full
-                                                   : ResCode::Done,
-                             0, T0, T1);
-            } else {
-              const PopResult<std::uint32_t> R = A::pop(*Obj, T, Left);
-              const std::uint64_t T1 = HistoryRecorder::now();
-              if (R.isAbort())
-                Aborts.fetch_add(1, std::memory_order_relaxed);
-              else if (R.isValue())
-                Rec.recordOp(Left ? OpCode::PopLeft : OpCode::PopRight, 0,
-                             ResCode::Value, R.value(), T0, T1);
-              else
-                Rec.recordOp(Left ? OpCode::PopLeft : OpCode::PopRight, 0,
-                             ResCode::Empty, 0, T0, T1);
-            }
+        Barrier.arriveAndWait();
+        for (std::uint32_t I = 0; I < StressOpsPerThread; ++I) {
+          const bool IsPush = Rng.chance(1, 2);
+          const bool Left = Rng.chance(1, 2);
+          const std::uint32_t V = randomValue(Rng);
+          const std::uint64_t T0 = HistoryRecorder::now();
+          if (IsPush) {
+            const PushResult R = A::push(*Obj, T, Left, V);
+            const std::uint64_t T1 = HistoryRecorder::now();
+            if (R == PushResult::Abort)
+              Aborts.fetch_add(1, std::memory_order_relaxed);
+            else
+              Rec.recordOp(Left ? OpCode::PushLeft : OpCode::PushRight, V,
+                           R == PushResult::Full ? ResCode::Full
+                                                 : ResCode::Done,
+                           0, T0, T1);
+          } else {
+            const PopResult<std::uint32_t> R = A::pop(*Obj, T, Left);
+            const std::uint64_t T1 = HistoryRecorder::now();
+            if (R.isAbort())
+              Aborts.fetch_add(1, std::memory_order_relaxed);
+            else if (R.isValue())
+              Rec.recordOp(Left ? OpCode::PopLeft : OpCode::PopRight, 0,
+                           ResCode::Value, R.value(), T0, T1);
+            else
+              Rec.recordOp(Left ? OpCode::PopLeft : OpCode::PopRight, 0,
+                           ResCode::Empty, 0, T0, T1);
           }
-        };
-        if (Mode == AsyncMode::Chaos) {
-          ChaosHook Hook(0xCD0DEull * (Round + 1) + T, ChaosYieldPermille,
-                         ChaosStallPermille, ChaosStallGrants);
-          SchedHookScope Scope(Hook);
-          RunOps();
-        } else if (Mode == AsyncMode::StallPlan) {
-          FaultInjector Hook(Plan, T, Clock);
-          SchedHookScope Scope(Hook);
-          RunOps();
-        } else {
-          RunOps();
         }
       });
     }
@@ -1531,29 +1521,15 @@ inline void counterStressRounds(AsyncMode Mode) {
     std::vector<std::vector<std::uint64_t>> Returns(StressThreads);
     SpinBarrier Barrier(StressThreads);
     FaultClock Clock;
-    const FaultPlan Plan =
-        FaultPlan::stallAt(0, StallPlanAtAccess, StallPlanGrants);
+    const FaultPlan Plan = asyncPlan(Mode, 0xC07EFull * (Round + 1));
 
     std::vector<std::thread> Threads;
     for (std::uint32_t T = 0; T < StressThreads; ++T) {
       Threads.emplace_back([&, T] {
-        auto RunOps = [&] {
-          Barrier.arriveAndWait();
-          for (std::uint32_t I = 0; I < StressOpsPerThread; ++I)
-            Returns[T].push_back(C.add(T, 1));
-        };
-        if (Mode == AsyncMode::Chaos) {
-          ChaosHook Hook(0xC07EFull * (Round + 1) + T, ChaosYieldPermille,
-                         ChaosStallPermille, ChaosStallGrants);
-          SchedHookScope Scope(Hook);
-          RunOps();
-        } else if (Mode == AsyncMode::StallPlan) {
-          FaultInjector Hook(Plan, T, Clock);
-          SchedHookScope Scope(Hook);
-          RunOps();
-        } else {
-          RunOps();
-        }
+        FaultScope Faults(Plan, T, Clock);
+        Barrier.arriveAndWait();
+        for (std::uint32_t I = 0; I < StressOpsPerThread; ++I)
+          Returns[T].push_back(C.add(T, 1));
       });
     }
     for (auto &Th : Threads)
@@ -1754,47 +1730,33 @@ template <typename A> void mapStressRounds(AsyncMode Mode) {
       Recorders.emplace_back(T);
     SpinBarrier Barrier(StressThreads);
     FaultClock Clock;
-    const FaultPlan Plan =
-        FaultPlan::stallAt(0, StallPlanAtAccess, StallPlanGrants);
+    const FaultPlan Plan = asyncPlan(Mode, 0x9AB5Eull * (Round + 1));
 
     std::vector<std::thread> Threads;
     for (std::uint32_t T = 0; T < StressThreads; ++T) {
       Threads.emplace_back([&, T] {
+        FaultScope Faults(Plan, T, Clock);
         SplitMix64 Rng(0x3A9D0ull * (Round + 1) + T);
-        auto RunOps = [&] {
-          Barrier.arriveAndWait();
-          for (std::uint32_t I = 0; I < StressOpsPerThread; ++I) {
-            const std::uint32_t K =
-                static_cast<std::uint32_t>(Rng.below(MapStressKeys));
-            const std::uint64_t Kind = Rng.below(4);
-            const std::uint64_t T0 = HistoryRecorder::now();
-            if (Kind < 2) {
-              const PopResult<std::uint32_t> R = A::get(*Obj, T, K);
-              recordMapValueOp(Recorders[T], OpCode::Get, K, R, T0,
-                               HistoryRecorder::now());
-            } else if (Kind == 2) {
-              const std::uint32_t V = randomValue(Rng);
-              const PushResult R = A::insert(*Obj, T, K, V);
-              recordMapInsert(Recorders[T], K, V, R, T0,
-                              HistoryRecorder::now());
-            } else {
-              const PopResult<std::uint32_t> R = A::erase(*Obj, T, K);
-              recordMapValueOp(Recorders[T], OpCode::Erase, K, R, T0,
-                               HistoryRecorder::now());
-            }
+        Barrier.arriveAndWait();
+        for (std::uint32_t I = 0; I < StressOpsPerThread; ++I) {
+          const std::uint32_t K =
+              static_cast<std::uint32_t>(Rng.below(MapStressKeys));
+          const std::uint64_t Kind = Rng.below(4);
+          const std::uint64_t T0 = HistoryRecorder::now();
+          if (Kind < 2) {
+            const PopResult<std::uint32_t> R = A::get(*Obj, T, K);
+            recordMapValueOp(Recorders[T], OpCode::Get, K, R, T0,
+                             HistoryRecorder::now());
+          } else if (Kind == 2) {
+            const std::uint32_t V = randomValue(Rng);
+            const PushResult R = A::insert(*Obj, T, K, V);
+            recordMapInsert(Recorders[T], K, V, R, T0,
+                            HistoryRecorder::now());
+          } else {
+            const PopResult<std::uint32_t> R = A::erase(*Obj, T, K);
+            recordMapValueOp(Recorders[T], OpCode::Erase, K, R, T0,
+                             HistoryRecorder::now());
           }
-        };
-        if (Mode == AsyncMode::Chaos) {
-          ChaosHook Hook(0x9AB5Eull * (Round + 1) + T, ChaosYieldPermille,
-                         ChaosStallPermille, ChaosStallGrants);
-          SchedHookScope Scope(Hook);
-          RunOps();
-        } else if (Mode == AsyncMode::StallPlan) {
-          FaultInjector Hook(Plan, T, Clock);
-          SchedHookScope Scope(Hook);
-          RunOps();
-        } else {
-          RunOps();
         }
       });
     }

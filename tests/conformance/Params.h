@@ -44,7 +44,8 @@ inline constexpr std::uint32_t StressThreads = 3;
 inline constexpr std::uint32_t StressOpsPerThread = 6;
 inline constexpr std::uint32_t StressRounds = 12;
 
-/// Chaos-cell rounds (same shape as stress, run under ChaosHook).
+/// Chaos-cell rounds (same shape as stress, run under FaultPlan::chaos
+/// yield/stall noise on every thread).
 inline constexpr std::uint32_t ChaosRounds = 6;
 inline constexpr std::uint32_t ChaosYieldPermille = 80;
 inline constexpr std::uint32_t ChaosStallPermille = 30;

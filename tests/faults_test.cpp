@@ -12,7 +12,8 @@
 ///
 ///  * FaultPlan execution — the same declarative plan delivered through
 ///    the wall-clock SchedHook (FaultInjector) and through the explorer
-///    picking policy (faultPlanPick), with matching semantics.
+///    picking policy (faultPlanPick), with matching semantics, including
+///    the yield/stall noise FaultPlan::chaos builds.
 ///  * LeasedLock — leases, revocation of suspected-dead holders, the
 ///    lost-lease accounting that makes false suspicion harmless.
 ///  * RecoverableArbiter — doorway recovery: suspects are skipped,
@@ -33,6 +34,7 @@
 #include "faults/FaultInjector.h"
 #include "faults/FaultPlan.h"
 
+#include "conformance/Params.h"
 #include "core/AbortableStack.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/CrashTolerantDeque.h"
@@ -45,7 +47,6 @@
 #include "locks/RecoverableArbiter.h"
 #include "memory/AccessCounter.h"
 #include "memory/AtomicRegister.h"
-#include "memory/ChaosHook.h"
 #include "runtime/Driver.h"
 #include "runtime/SpinBarrier.h"
 #include "runtime/Watchdog.h"
@@ -54,6 +55,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -68,12 +70,6 @@ namespace {
 //===----------------------------------------------------------------------===
 // FaultInjector: wall-clock plan execution
 //===----------------------------------------------------------------------===
-
-/// SchedHook that only counts invocations (chaining probe).
-struct CountingHook final : SchedHook {
-  void beforeSharedAccess(AccessKind) override { ++Count; }
-  std::uint64_t Count = 0;
-};
 
 TEST(FaultInjectorTest, CrashStopThrowsAtExactlyThePlannedAccess) {
   FaultClock Clock;
@@ -138,21 +134,6 @@ TEST(FaultInjectorTest, StallWaitsForForeignClockTicks) {
   Ticker.join();
   EXPECT_EQ(Reg.peekForTesting(), 1u);
   EXPECT_GE(Clock.Ticks.load(), 8u);
-}
-
-TEST(FaultInjectorTest, ChainsInnerHookBeforeItsOwnLogic) {
-  FaultClock Clock;
-  CountingHook Inner;
-  FaultInjector Injector(FaultPlan::crashAt(0, 3), 0, Clock, &Inner);
-  AtomicRegister<std::uint32_t> Reg;
-  SchedHookScope Scope(Injector);
-  try {
-    for (std::uint32_t I = 0; I < 10; ++I)
-      Reg.write(I);
-  } catch (const ProcessCrash &) {
-  }
-  // The inner hook saw every access attempt, including the fatal one.
-  EXPECT_EQ(Inner.Count, 4u);
 }
 
 TEST(FaultInjectorTest, RecurringStallFiresAtEveryPeriod) {
@@ -231,6 +212,94 @@ TEST(FaultInjectorTest, RateCrashDegeneratesToOneShotWithoutResurrection) {
   EXPECT_EQ(Reg.peekForTesting(), 0u); // The write never executed.
 }
 
+TEST(FaultInjectorTest, RateStallFiresAtEveryAccessAndSoloRunsTerminate) {
+  FaultClock Clock;
+  FaultInjector Injector(FaultPlan::stallAtRate(0, /*Permille=*/1000,
+                                                /*Grants=*/8),
+                         0, Clock);
+  AtomicRegister<std::uint32_t> Reg;
+  {
+    SchedHookScope Scope(Injector);
+    for (std::uint32_t I = 0; I < 32; ++I)
+      Reg.write(I);
+  }
+  // Probability 1: every access stalled, and the solo escape hatch
+  // released each stall.
+  EXPECT_EQ(Injector.fired(FaultKind::Stall), 32u);
+  EXPECT_EQ(Reg.peekForTesting(), 31u);
+}
+
+/// Cumulative yields after each of \p Accesses writes by thread \p Tid
+/// running \p Plan: equal vectors mean yields at the same accesses.
+std::vector<std::uint64_t> yieldTrace(const FaultPlan &Plan,
+                                      std::uint32_t Tid,
+                                      std::uint32_t Accesses) {
+  FaultClock Clock;
+  FaultInjector Injector(Plan, Tid, Clock);
+  AtomicRegister<std::uint32_t> Reg;
+  SchedHookScope Scope(Injector);
+  std::vector<std::uint64_t> Trace;
+  for (std::uint32_t I = 0; I < Accesses; ++I) {
+    Reg.write(I);
+    Trace.push_back(Injector.fired(FaultKind::Yield));
+  }
+  EXPECT_EQ(Injector.fired(FaultKind::Stall), 0u);
+  return Trace;
+}
+
+TEST(FaultInjectorTest, YieldRateFiresIdenticallyPerSeedAndTidNeverAtZero) {
+  FaultPlan Plan = FaultPlan::chaos(2, /*YieldPermille=*/250);
+  Plan.RateSeed = 99;
+  const std::vector<std::uint64_t> Tid0 = yieldTrace(Plan, 0, 256);
+  EXPECT_GT(Tid0.back(), 0u);
+  EXPECT_LT(Tid0.back(), 256u);
+  EXPECT_EQ(yieldTrace(Plan, 0, 256), Tid0);
+  // Each thread and each seed draws its own stream.
+  EXPECT_NE(yieldTrace(Plan, 1, 256), Tid0);
+  FaultPlan Reseeded = Plan;
+  Reseeded.RateSeed = 100;
+  EXPECT_NE(yieldTrace(Reseeded, 0, 256), Tid0);
+  // 0 permille builds no spec, so nothing fires.
+  EXPECT_TRUE(FaultPlan::chaos(2, 0).empty());
+  EXPECT_EQ(yieldTrace(FaultPlan::chaos(2, 0), 0, 256).back(), 0u);
+}
+
+TEST(FaultInjectorTest, ChaosPlanFiresBothChannelsInABatteryShapedRun) {
+  using namespace conformance;
+  // The battery's Chaos cell: StressThreads threads under its yield and
+  // stall levels, the stall channel on one victim. Every thread must
+  // yield, only the victim may stall, and it must.
+  constexpr std::uint32_t Victim = 1;
+  FaultPlan Plan = FaultPlan::chaos(StressThreads, ChaosYieldPermille,
+                                    ChaosStallPermille, ChaosStallGrants,
+                                    Victim);
+  Plan.RateSeed = 0xC4A05ull;
+  FaultClock Clock;
+  std::vector<std::unique_ptr<FaultInjector>> Injectors;
+  for (std::uint32_t T = 0; T < StressThreads; ++T)
+    Injectors.push_back(std::make_unique<FaultInjector>(Plan, T, Clock));
+  AtomicRegister<std::uint32_t> Reg;
+  SpinBarrier Barrier(StressThreads);
+  std::vector<std::thread> Threads;
+  for (std::uint32_t T = 0; T < StressThreads; ++T)
+    Threads.emplace_back([&, T] {
+      SchedHookScope Scope(*Injectors[T]);
+      Barrier.arriveAndWait();
+      for (std::uint32_t I = 0; I < 400; ++I)
+        Reg.write(I);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (std::uint32_t T = 0; T < StressThreads; ++T) {
+    EXPECT_GT(Injectors[T]->fired(FaultKind::Yield), 0u) << "tid " << T;
+    if (T == Victim)
+      EXPECT_GT(Injectors[T]->fired(FaultKind::Stall), 0u);
+    else
+      EXPECT_EQ(Injectors[T]->fired(FaultKind::Stall), 0u) << "tid " << T;
+    EXPECT_EQ(Injectors[T]->fired(FaultKind::CrashStop), 0u);
+  }
+}
+
 //===----------------------------------------------------------------------===
 // faultPlanPick: explorer-side plan execution
 //===----------------------------------------------------------------------===
@@ -296,13 +365,13 @@ TEST(FaultPlanPickTest, RecurringStallKeepsExplorerRunsLive) {
   EXPECT_EQ(Reg1.peekForTesting(), 6u);
 }
 
-TEST(FaultPlanPickTest, RateStallPlanExploresSameScheduleEveryRun) {
-  const auto runOnce = [] {
+TEST(FaultPlanPickTest, RatePlansExploreSameScheduleEveryRun) {
+  const auto runOnce = [](const FaultPlan &Plan) {
     AtomicRegister<std::uint32_t> Reg0, Reg1;
     InterleaveScheduler Scheduler(2);
     const auto Trace =
         Scheduler.run({counterBody(Reg0, 6), counterBody(Reg1, 6)},
-                      faultPlanPick(FaultPlan::stallAtRate(0, 300, 2)));
+                      faultPlanPick(Plan));
     EXPECT_EQ(Reg0.peekForTesting(), 6u);
     EXPECT_EQ(Reg1.peekForTesting(), 6u);
     std::vector<std::uint32_t> Choices;
@@ -311,28 +380,33 @@ TEST(FaultPlanPickTest, RateStallPlanExploresSameScheduleEveryRun) {
     return Choices;
   };
   // Rate triggers draw from a per-victim stream seeded by the plan, so
-  // the "random" faulty schedule replays exactly.
-  EXPECT_EQ(runOnce(), runOnce());
+  // the "random" faulty schedule replays exactly, for stalls and yields.
+  const FaultPlan Stalls = FaultPlan::stallAtRate(0, 300, 2);
+  EXPECT_EQ(runOnce(Stalls), runOnce(Stalls));
+  const FaultPlan Yields = FaultPlan::chaos(2, 300);
+  const std::vector<std::uint32_t> First = runOnce(Yields);
+  EXPECT_EQ(runOnce(Yields), First);
+  // Without a yield the base policy would run all 12 of thread 0's
+  // accesses first.
+  EXPECT_LT(std::find(First.begin(), First.end(), 1u) - First.begin(), 12);
 }
 
-//===----------------------------------------------------------------------===
-// ChaosHook: stall channel
-//===----------------------------------------------------------------------===
-
-TEST(ChaosHookTest, StallChannelFiresAndSoloRunsStillTerminate)
-{
-  ChaosHook Hook(/*Seed=*/7, /*YieldPermille=*/0, /*StallPermille=*/1000,
-                 /*StallGrants=*/8);
-  AtomicRegister<std::uint32_t> Reg;
-  {
-    SchedHookScope Scope(Hook);
-    for (std::uint32_t I = 0; I < 32; ++I)
-      Reg.write(I);
-  }
-  // Probability 1: every access stalled, and the solo escape hatch
-  // released each stall.
-  EXPECT_EQ(Hook.stallsTaken(), 32u);
-  EXPECT_EQ(Reg.peekForTesting(), 31u);
+TEST(FaultPlanPickTest, YieldGrantsTheStepToAnotherThread) {
+  // A one-shot yield at thread 0's access 1: the base policy favours
+  // thread 0, so step 1 goes to thread 1 and thread 0 resumes at step 2.
+  FaultPlan Plan;
+  Plan.Faults.push_back({0, 1, FaultKind::Yield});
+  AtomicRegister<std::uint32_t> Reg0, Reg1;
+  InterleaveScheduler Scheduler(2);
+  const auto Trace = Scheduler.run(
+      {counterBody(Reg0, 3), counterBody(Reg1, 3)}, faultPlanPick(Plan));
+  ASSERT_GE(Trace.Decisions.size(), 3u);
+  for (std::size_t Step = 0; Step < 3; ++Step)
+    EXPECT_EQ(Trace.Decisions[Step].Chosen & ~InterleaveScheduler::KillFlag,
+              Step == 1 ? 1u : 0u)
+        << "step " << Step;
+  EXPECT_EQ(Reg0.peekForTesting(), 3u);
+  EXPECT_EQ(Reg1.peekForTesting(), 3u);
 }
 
 //===----------------------------------------------------------------------===
@@ -838,8 +912,9 @@ TEST(DriverFaultsTest, ChaosStallChannelKeepsRunsLive) {
   Config.Threads = 2;
   Config.OpsPerThread = 200;
   Config.Capacity = 64;
-  Config.ChaosStallPermille = 100;
-  Config.ChaosStallGrants = 32;
+  Config.Faults = FaultPlan::chaos(Config.Threads, /*YieldPermille=*/0,
+                                   /*StallPermille=*/100,
+                                   /*StallGrants=*/32);
   Config.OpDeadlineNs = 5ull * 1000 * 1000 * 1000;
   TolerantStackAdapter Adapter(Config.Threads, Config.Capacity);
   const WorkloadReport Report = runClosedLoop(Adapter, Config);

@@ -27,7 +27,6 @@
 #include "locks/StarvationFreeLock.h"
 #include "locks/TicketLock.h"
 #include "memory/AccessCounter.h"
-#include "memory/ChaosHook.h"
 #include "memory/HazardDomain.h"
 #include "perf/AdaptiveShardedStack.h"
 #include "perf/CombiningObjects.h"
@@ -534,13 +533,14 @@ TEST(ShardedBalancer, RescueWindowExchangesUnderChaosLoad) {
     AdaptiveShardedStack<2> S(Threads, 8, /*InitialShards=*/2,
                               /*SlotCount=*/2, /*SpinBudget=*/64,
                               ControllerOff);
+    FaultPlan Chaos = FaultPlan::chaos(Threads, /*YieldPermille=*/350);
+    Chaos.RateSeed = 0xE11Full + Round * 31;
+    FaultClock Clock;
     SpinBarrier Barrier(Threads);
     std::vector<std::thread> Workers;
     for (std::uint32_t T = 0; T < Threads; ++T)
       Workers.emplace_back([&, T] {
-        ChaosHook Chaos(/*Seed=*/0xE11Full + Round * 31 + T,
-                        /*YieldPermille=*/350);
-        SchedHookScope Scope(Chaos);
+        FaultScope Faults(Chaos, T, Clock);
         Barrier.arriveAndWait();
         for (std::uint32_t I = 0; I < 400; ++I) {
           if ((T + I) % 2 == 0)

@@ -35,7 +35,6 @@
 #include "core/SkipListCore.h"
 #include "faults/FaultInjector.h"
 #include "faults/FaultPlan.h"
-#include "memory/ChaosHook.h"
 #include "memory/HazardDomain.h"
 #include "memory/NodePool.h"
 #include "memory/SchedHook.h"
@@ -495,11 +494,13 @@ TEST(SkipListChurnTest, TallKeyChurnLeavesEveryLaneSorted) {
   constexpr std::uint32_t OpsPerThread = 2000;
   for (std::uint32_t Round = 0; Round < Rounds; ++Round) {
     SkipListCore<> L(Threads, static_cast<std::uint32_t>(Keys.size()));
+    FaultPlan Chaos = FaultPlan::chaos(Threads, /*YieldPermille=*/100);
+    Chaos.RateSeed = 0xC4A05ull * (Round + 1);
+    FaultClock Clock;
     std::vector<std::thread> Workers;
     for (std::uint32_t Tid = 0; Tid < Threads; ++Tid)
       Workers.emplace_back([&, Tid] {
-        ChaosHook Hook(0xC4A05ull * (Round + 1) + Tid, /*YieldPermille=*/100);
-        SchedHookScope Scope(Hook);
+        FaultScope Faults(Chaos, Tid, Clock);
         SplitMix64 Rng(0x5EEDull * (Round + 1) + Tid);
         for (std::uint32_t I = 0; I < OpsPerThread; ++I) {
           const std::uint32_t K = Keys[Rng.below(Keys.size())];

@@ -10,9 +10,9 @@
 ///  * ArrivalStream — the open-loop load generator is deterministic
 ///    under a fixed seed, realises the configured rate, and skews keys
 ///    the way Zipf says it should.
-///  * CampaignHook / CampaignRunner — posted faults are delivered at the
-///    victim's next shared access through the SchedHook channel, and the
-///    wall-clock runner actually posts during active phases.
+///  * FaultInjector posts / CampaignRunner — posted faults are delivered
+///    at the victim's next shared access through the SchedHook channel,
+///    and the wall-clock runner actually posts during active phases.
 ///  * evaluateSlo — synthetic windows produce the exact violations the
 ///    policy promises (and a clean run produces none).
 ///  * runSoak — a short end-to-end smoke over the crash-tolerant stack:
@@ -137,22 +137,21 @@ TEST(ArrivalStreamTest, UniformKeysWhenSkewIsZero) {
 }
 
 //===----------------------------------------------------------------------===
-// CampaignHook / CampaignRunner
+// FaultInjector posts / CampaignRunner
 //===----------------------------------------------------------------------===
 
-TEST(CampaignHookTest, DeliversPostedFaultsAtTheNextSharedAccess) {
+TEST(FaultInjectorPostTest, DeliversPostedFaultsAtTheNextSharedAccess) {
   FaultClock Clock;
-  CampaignHook Hook(Clock);
+  FaultInjector Victim(FaultPlan{}, 0, Clock);
   AtomicRegister<std::uint32_t> Reg;
-  SchedHookScope Scope(Hook);
+  SchedHookScope Scope(Victim);
 
-  // No command posted: accesses are clean.
+  // Nothing posted: accesses are clean.
   Reg.write(1);
-  EXPECT_EQ(Hook.crashesFired(), 0u);
-  EXPECT_EQ(Hook.stallsFired(), 0u);
+  EXPECT_EQ(Victim.faultsFired(), 0u);
 
   // A posted crash fires exactly once, at the next access.
-  Hook.postCrash();
+  Victim.postCrash();
   bool Crashed = false;
   try {
     Reg.write(2);
@@ -160,28 +159,47 @@ TEST(CampaignHookTest, DeliversPostedFaultsAtTheNextSharedAccess) {
     Crashed = true;
   }
   EXPECT_TRUE(Crashed);
-  EXPECT_EQ(Hook.crashesFired(), 1u);
+  EXPECT_EQ(Victim.fired(FaultKind::CrashStop), 1u);
   EXPECT_EQ(Reg.peekForTesting(), 1u); // The faulted write never ran.
 
-  // The command was consumed: the follow-up access is clean again.
+  // The post was consumed: the follow-up access is clean again.
   Reg.write(3);
-  EXPECT_EQ(Hook.crashesFired(), 1u);
+  EXPECT_EQ(Victim.faultsFired(), 1u);
 
   // A posted stall holds, then lets the access complete (solo escape
   // hatch, same as every other wall-clock stall).
-  Hook.postStall(4);
+  Victim.postStall(4);
   Reg.write(4);
-  EXPECT_EQ(Hook.stallsFired(), 1u);
+  EXPECT_EQ(Victim.fired(FaultKind::Stall), 1u);
+  EXPECT_EQ(Victim.fired(FaultKind::CrashStop), 1u);
   EXPECT_EQ(Reg.peekForTesting(), 4u);
+}
+
+TEST(FaultInjectorPostTest, PostOutranksThePlanAndDisplacesItsOneShot) {
+  FaultClock Clock;
+  // The plan crashes at access 1; a stall posted before it takes that
+  // access, and the displaced crash lands at the next one.
+  FaultInjector Victim(FaultPlan::crashAt(0, 1), 0, Clock);
+  AtomicRegister<std::uint32_t> Reg;
+  SchedHookScope Scope(Victim);
+  Reg.write(1);
+  Victim.postStall(2);
+  Reg.write(2);
+  EXPECT_EQ(Victim.fired(FaultKind::Stall), 1u);
+  EXPECT_EQ(Victim.fired(FaultKind::CrashStop), 0u);
+  EXPECT_EQ(Reg.peekForTesting(), 2u);
+  EXPECT_THROW(Reg.write(3), ProcessCrash);
+  EXPECT_EQ(Victim.fired(FaultKind::CrashStop), 1u);
+  EXPECT_EQ(Reg.peekForTesting(), 2u);
 }
 
 TEST(CampaignRunnerTest, ActivePhasesPostBothFaultKinds) {
   FaultClock Clock;
-  CampaignHook Hook(Clock);
+  FaultInjector Victim(FaultPlan{}, 0, Clock);
   Campaign Plan;
   Plan.Phases = {{/*DurationSec=*/5.0, /*CrashMeanPeriodSec=*/0.01,
                   /*StallMeanPeriodSec=*/0.01, /*StallGrants=*/1}};
-  CampaignRunner Runner(Plan, {&Hook});
+  CampaignRunner Runner(Plan, {&Victim});
   Runner.start();
   // 10ms mean periods: ~30 posts per channel in 300ms. Wait for at
   // least one of each rather than asserting a count.
@@ -197,11 +215,11 @@ TEST(CampaignRunnerTest, ActivePhasesPostBothFaultKinds) {
 
 TEST(CampaignRunnerTest, EmptyCampaignNeverStarts) {
   FaultClock Clock;
-  CampaignHook Hook(Clock);
+  FaultInjector Victim(FaultPlan{}, 0, Clock);
   Campaign Plan;
   Plan.Phases = {{1.0, 0, 0, 0}}; // Quiet phase only.
   EXPECT_TRUE(Plan.empty());
-  CampaignRunner Runner(Plan, {&Hook});
+  CampaignRunner Runner(Plan, {&Victim});
   Runner.start();
   Runner.stop();
   EXPECT_EQ(Runner.crashesPosted(), 0u);
@@ -458,6 +476,28 @@ TEST(SoakSmokeTest, CampaignCrashesResurrectWorkersAndAreAccounted) {
   EXPECT_GT(Report.TotalCompleted, 0u); // Workers kept going after dying.
   EXPECT_TRUE(Report.FinalConserves);
   EXPECT_TRUE(Report.Verdict.Pass);
+}
+
+TEST(SoakSmokeTest, AccessFaultsRunOnEveryWorkerAndYieldsAreNotStalls) {
+  SoakConfig Config;
+  Config.Workers = 2;
+  Config.Capacity = 256;
+  Config.DurationSec = 0.2;
+  Config.WindowSec = 0.1;
+  Config.Seed = 11;
+  Config.Schedule = ArrivalSchedule::flat(2000);
+  // Every access of every worker yields, and worker 0 stalls once: the
+  // report counts that one stall and none of the yields.
+  Config.AccessFaults = FaultPlan::chaos(Config.Workers, 1000);
+  Config.AccessFaults.Faults.push_back({0, 10, FaultKind::Stall, 4});
+
+  const SoakReport Report = runSoak<SoakStackAdapter>(Config);
+
+  EXPECT_EQ(Report.TotalStalls, 1u);
+  EXPECT_EQ(Report.StallsPosted, 0u);
+  EXPECT_EQ(Report.TotalCrashes, 0u);
+  EXPECT_EQ(Report.TotalCompleted, Report.TotalArrivals);
+  EXPECT_TRUE(Report.FinalConserves);
 }
 
 } // namespace
