@@ -194,8 +194,8 @@ struct CsStackAdapter {
 /// Treiber's lock-free stack.
 struct TreiberStackAdapter {
   static constexpr const char *Name = "treiber";
-  TreiberStackAdapter(std::uint32_t, std::uint32_t Capacity)
-      : Stack(Capacity) {}
+  TreiberStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
+      : Stack(Threads, Capacity) {}
   OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
                   std::uint64_t &) {
     return IsPush ? fromPush(Stack.push(V)) : fromPop(Stack.pop());
@@ -207,8 +207,8 @@ struct TreiberStackAdapter {
 /// Elimination-backoff stack.
 struct EliminationStackAdapter {
   static constexpr const char *Name = "elimination";
-  EliminationStackAdapter(std::uint32_t, std::uint32_t Capacity)
-      : Stack(Capacity) {}
+  EliminationStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
+      : Stack(Threads, Capacity) {}
   OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
                   std::uint64_t &) {
     return IsPush ? fromPush(Stack.push(V)) : fromPop(Stack.pop());
@@ -426,7 +426,8 @@ struct CsQueueAdapter {
 
 struct MsQueueAdapter {
   static constexpr const char *Name = "michael-scott";
-  MsQueueAdapter(std::uint32_t, std::uint32_t Capacity) : Queue(Capacity) {}
+  MsQueueAdapter(std::uint32_t Threads, std::uint32_t Capacity)
+      : Queue(Threads, Capacity) {}
   OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
                   std::uint64_t &) {
     return IsPush ? fromPush(Queue.enqueue(V)) : fromPop(Queue.dequeue());

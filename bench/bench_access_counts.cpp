@@ -177,7 +177,7 @@ int main() {
 
   // --- Baselines for context ----------------------------------------------
   {
-    TreiberStack Stack(8);
+    TreiberStack Stack(2, 8);
     addRow(Table, "treiber stack", "push",
            countAccesses([&] { (void)Stack.push(1); }));
     addRow(Table, "treiber stack", "pop",

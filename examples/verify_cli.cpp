@@ -250,7 +250,7 @@ int main(int Argc, char **Argv) {
     });
   if (Opts.Impl == "treiber")
     return runRounds(Opts, false, [&] {
-      auto S = std::make_shared<TreiberStack>(Opts.Capacity);
+      auto S = std::make_shared<TreiberStack>(Opts.Threads, Opts.Capacity);
       return OpFn([S](std::uint32_t, bool IsPush, std::uint32_t V,
                       HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
@@ -262,7 +262,8 @@ int main(int Argc, char **Argv) {
     });
   if (Opts.Impl == "elimination")
     return runRounds(Opts, false, [&] {
-      auto S = std::make_shared<EliminationBackoffStack>(Opts.Capacity);
+      auto S = std::make_shared<EliminationBackoffStack>(Opts.Threads,
+                                                        Opts.Capacity);
       return OpFn([S](std::uint32_t, bool IsPush, std::uint32_t V,
                       HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();
@@ -274,7 +275,7 @@ int main(int Argc, char **Argv) {
     });
   if (Opts.Impl == "ms")
     return runRounds(Opts, true, [&] {
-      auto Q = std::make_shared<MichaelScottQueue>(Opts.Capacity);
+      auto Q = std::make_shared<MichaelScottQueue>(Opts.Threads, Opts.Capacity);
       return OpFn([Q](std::uint32_t, bool IsPush, std::uint32_t V,
                       HistoryRecorder &Rec) {
         const auto T0 = HistoryRecorder::now();

@@ -40,12 +40,12 @@ class EliminationBackoffStack {
 public:
   using Value = std::uint32_t;
 
-  /// \p SlotCount elimination slots; \p SpinBudget bounded wait (in slot
-  /// re-reads) for a partner before withdrawing.
-  explicit EliminationBackoffStack(std::uint32_t Capacity,
-                                   std::uint32_t SlotCount = 4,
-                                   std::uint32_t SpinBudget = 64)
-      : Central(Capacity), Elim(SlotCount, SpinBudget) {}
+  /// \p NumThreads is the paper's n; \p SlotCount elimination slots;
+  /// \p SpinBudget bounded wait (in slot re-reads) before withdrawing.
+  EliminationBackoffStack(std::uint32_t NumThreads, std::uint32_t Capacity,
+                          std::uint32_t SlotCount = 4,
+                          std::uint32_t SpinBudget = 64)
+      : Central(NumThreads, Capacity), Elim(SlotCount, SpinBudget) {}
 
   /// Pushes \p V, eliminating against a concurrent pop when the central
   /// CAS is contended. Returns Done or Full.

@@ -7,10 +7,11 @@
 /// \file
 /// Michael & Scott's lock-free queue (PODC'96), the canonical linked
 /// CAS-based FIFO and the lock-free baseline for the queue family
-/// (experiment E7). Bounded via a preallocated IndexPool (one extra node
-/// is the permanent dummy), with ABA tags on head, tail and every next
-/// link as in the original algorithm. Lock-free (helping swings the
-/// tail), not starvation-free.
+/// (experiment E7). Nodes come from a preallocated IndexPool (one extra
+/// node is the permanent dummy), with ABA tags on head, tail and every
+/// next link as in the original algorithm. Head's and Tail's tags count
+/// their moves, so Full is read from tag(Tail) - tag(Head), not from the
+/// pool. Lock-free (helping swings the tail), not starvation-free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,9 +23,9 @@
 #include "memory/IndexPool.h"
 #include "support/BitPack.h"
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 namespace csobj {
 
@@ -37,43 +38,54 @@ public:
   using Value = std::uint32_t;
   using RegisterPolicy = Policy;
 
-  explicit MichaelScottQueueT(std::uint32_t Capacity)
-      : Pool(Capacity + 1), Nodes(new Node[Capacity + 1]),
+  /// \p NumThreads is the paper's n; \p Capacity the element bound.
+  MichaelScottQueueT(std::uint32_t NumThreads, std::uint32_t Capacity)
+      : Pool(Capacity + 1, NumThreads), Nodes(new Node[Pool.size()]),
         CapacityK(Capacity) {
-    const auto Dummy = Pool.tryAcquire();
-    assert(Dummy && "fresh pool must yield the dummy node");
-    Nodes[*Dummy].Next.write(LinkCodec::pack(0, 0));
-    Head.write(PtrCodec::pack(*Dummy, 0));
-    Tail.write(PtrCodec::pack(*Dummy, 0));
+    const std::uint32_t Dummy = Pool.acquire(); // Its link starts null.
+    Head.write(PtrCodec::pack(Dummy, 0));
+    Tail.write(PtrCodec::pack(Dummy, 0));
   }
 
-  /// Enqueues \p V at the tail; Full when the node pool is exhausted.
+  /// Enqueues \p V at the tail; Full when the queue holds k values.
+  ///
+  /// Full is tag(Tail) - tag(Head) >= k, Tail confirmed before Head is
+  /// read: the last node is then at or past position tag(Tail). Done
+  /// keeps the length at most k: the link CAS lands only while the node
+  /// at tag(Tail) is last, so a second enqueuer's CAS fails and re-reads.
   PushResult enqueue(Value V) {
-    const std::optional<std::uint32_t> NewIdx = Pool.tryAcquire();
-    if (!NewIdx)
-      return PushResult::Full;
-    Nodes[*NewIdx].Payload.write(V);
-    // Reset our link to null, bumping its tag past the previous life.
-    const std::uint64_t OldLink = Nodes[*NewIdx].Next.read();
-    Nodes[*NewIdx].Next.write(LinkCodec::pack(0, tagOf(OldLink) + 1));
-
+    std::optional<std::uint32_t> NewIdx;
     while (true) {
       const std::uint64_t T = Tail.read();
       const std::uint64_t Next = Nodes[idxOf(T)].Next.read();
       if (T != Tail.read())
         continue; // Tail moved under us; re-snapshot.
-      if (linkOf(Next) == 0) {
-        // Tail really is last: try to link the new node after it.
-        if (Nodes[idxOf(T)].Next.compareAndSwap(
-                Next, LinkCodec::pack(*NewIdx + 1, tagOf(Next) + 1))) {
-          // Swing the tail; failure means someone helped already.
-          Tail.compareAndSwap(T, PtrCodec::pack(*NewIdx, tagOf(T) + 1));
-          return PushResult::Done;
-        }
-      } else {
+      if (linkOf(Next) != 0) {
         // Tail lagging: help swing it before retrying.
         Tail.compareAndSwap(T,
                             PtrCodec::pack(linkOf(Next) - 1, tagOf(T) + 1));
+        continue;
+      }
+      // Signed: a Head past a stale T reads as room; T's link CAS fails.
+      if (static_cast<std::int32_t>(tagOf(T) - tagOf(Head.read())) >=
+          static_cast<std::int32_t>(CapacityK)) {
+        if (NewIdx)
+          Pool.release(*NewIdx);
+        return PushResult::Full;
+      }
+      if (!NewIdx) {
+        NewIdx = Pool.acquire();
+        Nodes[*NewIdx].Payload.write(V);
+        // Reset our link to null, bumping its tag past the previous life.
+        const std::uint64_t OldLink = Nodes[*NewIdx].Next.read();
+        Nodes[*NewIdx].Next.write(LinkCodec::pack(0, tagOf(OldLink) + 1));
+      }
+      // Tail really is last: try to link the new node after it.
+      if (Nodes[idxOf(T)].Next.compareAndSwap(
+              Next, LinkCodec::pack(*NewIdx + 1, tagOf(Next) + 1))) {
+        // Swing the tail; failure means someone helped already.
+        Tail.compareAndSwap(T, PtrCodec::pack(*NewIdx, tagOf(T) + 1));
+        return PushResult::Done;
       }
     }
   }
@@ -105,16 +117,9 @@ public:
 
   std::uint32_t capacity() const { return CapacityK; }
 
-  /// Quiescent-only element count (test/debug aid).
+  /// Element count, tag(Tail) - tag(Head) (test/debug aid).
   std::uint32_t sizeForTesting() const {
-    std::uint32_t Count = 0;
-    std::uint32_t Link =
-        linkOf(Nodes[idxOf(Head.peekForTesting())].Next.peekForTesting());
-    while (Link != 0) {
-      ++Count;
-      Link = linkOf(Nodes[Link - 1].Next.peekForTesting());
-    }
-    return Count;
+    return tagOf(Tail.peekForTesting()) - tagOf(Head.peekForTesting());
   }
 
 private:
@@ -138,7 +143,7 @@ private:
     AtomicRegister<std::uint64_t, Policy> Next{0};
   };
 
-  IndexPool Pool;
+  IndexPool<Policy> Pool;
   AtomicRegister<std::uint64_t, Policy> Head{0};
   AtomicRegister<std::uint64_t, Policy> Tail{0};
   std::unique_ptr<Node[]> Nodes;

@@ -7,9 +7,10 @@
 /// \file
 /// Treiber's linked lock-free stack (IBM RC 5118, 1986), the canonical
 /// CAS-retry stack and the natural baseline for the paper's array-based
-/// family. Nodes come from a preallocated IndexPool so the structure is
-/// bounded and total like the paper's stack (pool exhausted => Full), and
-/// the head carries an ABA tag exactly as Section 2.2 prescribes.
+/// family. Its top is a second tagged index list over the node pool's
+/// links (memory/IndexPool.h): the head word carries Section 2.2's ABA
+/// tag and the depth, and Full is a depth of k read from it, as Figure 1
+/// reads it from TOP's index.
 ///
 /// The retry loops make the structure *lock-free* (some operation always
 /// completes) but not starvation-free, and unlike Figure 1 an individual
@@ -24,7 +25,6 @@
 #include "core/Results.h"
 #include "memory/AtomicRegister.h"
 #include "memory/IndexPool.h"
-#include "support/BitPack.h"
 
 #include <cstdint>
 #include <memory>
@@ -40,40 +40,35 @@ public:
   using Value = std::uint32_t;
   using RegisterPolicy = Policy;
 
-  explicit TreiberStackT(std::uint32_t Capacity)
-      : Pool(Capacity), Nodes(new Node[Capacity]) {}
+  /// \p NumThreads is the paper's n; \p Capacity the element bound.
+  TreiberStackT(std::uint32_t NumThreads, std::uint32_t Capacity)
+      : K(Capacity), Pool(Capacity, NumThreads),
+        Payloads(new AtomicRegister<Value, Policy>[Pool.size()]),
+        Top(Pool.emptyList()) {}
 
-  /// Pushes \p V; Full when the node pool is exhausted.
+  /// Pushes \p V; Full when the stack holds k values.
   PushResult push(Value V) {
-    const std::optional<std::uint32_t> Idx = Pool.tryAcquire();
-    if (!Idx)
+    std::uint64_t Observed = Top.read();
+    if (List::count(Observed) >= K)
       return PushResult::Full;
-    Nodes[*Idx].Payload.write(V);
-    while (true) {
-      const std::uint64_t Observed = Head.read();
-      Nodes[*Idx].Next.write(linkOf(Observed));
-      if (Head.compareAndSwap(
-              Observed,
-              HeadCodec::pack(*Idx + 1, tagOf(Observed) + 1)))
-        return PushResult::Done;
+    const std::uint32_t Idx = Pool.acquire();
+    Payloads[Idx].write(V);
+    while (!Top.tryPush(Observed, Idx)) {
+      Observed = Top.read();
+      if (List::count(Observed) >= K) {
+        Pool.release(Idx);
+        return PushResult::Full;
+      }
     }
+    return PushResult::Done;
   }
 
   /// Pops the top value; Empty when the stack is empty.
   PopResult<Value> pop() {
     while (true) {
-      const std::uint64_t Observed = Head.read();
-      const std::uint32_t Link = linkOf(Observed);
-      if (Link == 0)
-        return PopResult<Value>::empty();
-      const std::uint32_t Idx = Link - 1;
-      const std::uint32_t NextLink = Nodes[Idx].Next.read();
-      const Value V = Nodes[Idx].Payload.read();
-      if (Head.compareAndSwap(
-              Observed, HeadCodec::pack(NextLink, tagOf(Observed) + 1))) {
-        Pool.release(Idx);
-        return PopResult<Value>::value(V);
-      }
+      const PopResult<Value> Res = tryPopOnce();
+      if (!Res.isAbort())
+        return Res;
     }
   }
 
@@ -82,69 +77,43 @@ public:
   /// the paper's sense, so it can be wrapped by the Figure 3 construction
   /// (ablation E8) and by the elimination layer.
   PushResult tryPushOnce(Value V) {
-    const std::optional<std::uint32_t> Idx = Pool.tryAcquire();
-    if (!Idx)
+    const std::uint64_t Observed = Top.read();
+    if (List::count(Observed) >= K)
       return PushResult::Full;
-    Nodes[*Idx].Payload.write(V);
-    const std::uint64_t Observed = Head.read();
-    Nodes[*Idx].Next.write(linkOf(Observed));
-    if (Head.compareAndSwap(Observed,
-                            HeadCodec::pack(*Idx + 1, tagOf(Observed) + 1)))
+    const std::uint32_t Idx = Pool.acquire();
+    Payloads[Idx].write(V);
+    if (Top.tryPush(Observed, Idx))
       return PushResult::Done;
-    Pool.release(*Idx);
+    Pool.release(Idx);
     return PushResult::Abort;
   }
 
   /// Single head-CAS pop attempt: value, Empty, or Abort on a lost race.
+  /// The payload is read after the CAS, which makes the node ours.
   PopResult<Value> tryPopOnce() {
-    const std::uint64_t Observed = Head.read();
-    const std::uint32_t Link = linkOf(Observed);
-    if (Link == 0)
+    const std::uint64_t Observed = Top.read();
+    if (List::isEmpty(Observed))
       return PopResult<Value>::empty();
-    const std::uint32_t Idx = Link - 1;
-    const std::uint32_t NextLink = Nodes[Idx].Next.read();
-    const Value V = Nodes[Idx].Payload.read();
-    if (Head.compareAndSwap(Observed,
-                            HeadCodec::pack(NextLink, tagOf(Observed) + 1))) {
-      Pool.release(Idx);
-      return PopResult<Value>::value(V);
-    }
-    return PopResult<Value>::abort();
+    if (!Top.tryPop(Observed))
+      return PopResult<Value>::abort();
+    const std::uint32_t Idx = List::top(Observed);
+    const Value V = Payloads[Idx].read();
+    Pool.release(Idx);
+    return PopResult<Value>::value(V);
   }
 
-  std::uint32_t capacity() const { return Pool.size(); }
+  std::uint32_t capacity() const { return K; }
 
-  /// Quiescent-only element count (test/debug aid).
-  std::uint32_t sizeForTesting() const {
-    std::uint32_t Count = 0;
-    std::uint32_t Link = linkOf(Head.peekForTesting());
-    while (Link != 0) {
-      ++Count;
-      Link = Nodes[Link - 1].Next.peekForTesting();
-    }
-    return Count;
-  }
+  /// Element count read from the top word (test/debug aid).
+  std::uint32_t sizeForTesting() const { return Top.countForTesting(); }
 
 private:
-  using HeadCodec = PackedPair<std::uint64_t, 32, 32>;
+  using List = TaggedIndexList<Policy>;
 
-  static std::uint32_t linkOf(std::uint64_t Word) {
-    return static_cast<std::uint32_t>(HeadCodec::a(Word));
-  }
-  static std::uint32_t tagOf(std::uint64_t Word) {
-    return static_cast<std::uint32_t>(HeadCodec::b(Word));
-  }
-
-  struct Node {
-    AtomicRegister<Value, Policy> Payload{0};
-    AtomicRegister<std::uint32_t, Policy> Next{
-        0}; ///< Link = index+1; 0 = null.
-  };
-
-  IndexPool Pool;
-  AtomicRegister<std::uint64_t, Policy> Head{
-      0}; ///< <link, tag>; link 0 = empty.
-  std::unique_ptr<Node[]> Nodes;
+  const std::uint32_t K;
+  IndexPool<Policy> Pool;
+  std::unique_ptr<AtomicRegister<Value, Policy>[]> Payloads;
+  List Top;
 };
 
 /// The library-default Treiber stack (instrumented unless

@@ -9,10 +9,8 @@
 /// stores the value inline). BoxedStack<T> lifts that to arbitrary C++
 /// payloads: values live in a preallocated slot array, a lock-free
 /// IndexPool hands out slots, and the contention-sensitive stack of
-/// Figure 3 stores the slot indices. The slot handoff is safe because a
-/// slot index is exclusively owned from acquisition until it is pushed,
-/// and again from the pop until release — the stack's linearizability
-/// orders the transfers.
+/// Figure 3 stores the slot indices. A slot is its process's alone from
+/// acquisition until it is pushed and from its pop until its release.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +20,6 @@
 #include "core/ContentionSensitiveStack.h"
 #include "memory/IndexPool.h"
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -34,26 +31,19 @@ namespace csobj {
 template <typename T, typename Lock = TasLock>
 class BoxedStack {
 public:
-  /// \p NumThreads is the paper's n; \p Capacity the element bound.
-  ///
-  /// The pool carries NumThreads headroom slots beyond Capacity: at any
-  /// instant each thread owns at most one in-transit slot (acquired but
-  /// not yet pushed, or popped but not yet released), so acquisition can
-  /// never fail and the full answer comes solely from the index stack —
-  /// whose Full is linearizable. Sizing the pool at Capacity alone would
-  /// let a pop's unreleased slot starve a concurrent push into reporting
-  /// full while the abstract stack has room.
+  /// \p NumThreads is the paper's n; \p Capacity the element bound. The
+  /// pool's sizing rule (memory/IndexPool.h) makes Full the index
+  /// stack's answer alone.
   BoxedStack(std::uint32_t NumThreads, std::uint32_t Capacity)
-      : K(Capacity), Pool(Capacity + NumThreads),
-        Slots(new T[Capacity + NumThreads]), Indices(NumThreads, Capacity) {}
+      : Pool(Capacity, NumThreads), Slots(new T[Pool.size()]),
+        Indices(NumThreads, Capacity) {}
 
   /// Pushes \p V. Returns false when the stack is full.
   bool push(std::uint32_t Tid, T V) {
-    const std::optional<std::uint32_t> Idx = Pool.tryAcquire();
-    assert(Idx && "in-transit headroom guarantees a free slot");
-    Slots[*Idx] = std::move(V);
-    if (Indices.push(Tid, *Idx) == PushResult::Full) {
-      Pool.release(*Idx);
+    const std::uint32_t Idx = Pool.acquire();
+    Slots[Idx] = std::move(V);
+    if (Indices.push(Tid, Idx) == PushResult::Full) {
+      Pool.release(Idx);
       return false;
     }
     return true;
@@ -70,12 +60,11 @@ public:
     return Out;
   }
 
-  std::uint32_t capacity() const { return K; }
+  std::uint32_t capacity() const { return Indices.capacity(); }
   std::uint32_t sizeForTesting() const { return Indices.sizeForTesting(); }
 
 private:
-  const std::uint32_t K;
-  IndexPool Pool;
+  IndexPool<> Pool;
   std::unique_ptr<T[]> Slots;
   ContentionSensitiveStack<Compact64, Lock> Indices;
 };

@@ -31,6 +31,7 @@ namespace csobj {
 class BoundedStackSpec {
 public:
   explicit BoundedStackSpec(std::uint32_t Capacity) : Capacity(Capacity) {}
+  std::uint32_t capacity() const { return Capacity; }
 
   /// If \p Op is legal in the current state, applies it and returns true;
   /// otherwise leaves the state unchanged and returns false.
@@ -107,6 +108,7 @@ private:
 class BoundedQueueSpec {
 public:
   explicit BoundedQueueSpec(std::uint32_t Capacity) : Capacity(Capacity) {}
+  std::uint32_t capacity() const { return Capacity; }
 
   bool apply(const Operation &Op);
   std::string key() const;

@@ -115,7 +115,7 @@ public:
       if (Held.value().read(std::memory_order_relaxed) == 0 &&
           Held.value().exchange(1, std::memory_order_acquire) == 0)
         return;
-      Backoff.onFailure();
+      Backoff.onAbort();
     }
   }
 

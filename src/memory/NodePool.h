@@ -7,7 +7,7 @@
 /// \file
 /// The allocation side of the reclamation substrate: a grow-on-demand,
 /// type-stable pool of nodes. Where IndexPool hands out indices into a
-/// fixed preallocated array (the bounded objects' world), NodePool hands
+/// fixed array that never runs dry (bounded objects), NodePool hands
 /// out pointers and allocates new storage when the free list runs dry —
 /// the unbounded objects' world. Storage is *type-stable*: a node, once
 /// allocated, is owned by the pool's registry until the pool dies, so a

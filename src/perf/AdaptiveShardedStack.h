@@ -388,7 +388,7 @@ private:
       // draws a per-thread RNG seed.
       if (!Boundary)
         Boundary.emplace();
-      Boundary->onFailure();
+      Boundary->onAbort();
     }
   }
 
@@ -424,7 +424,7 @@ private:
       }
       if (!Boundary)
         Boundary.emplace();
-      Boundary->onFailure();
+      Boundary->onAbort();
     }
   }
 

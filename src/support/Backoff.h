@@ -68,7 +68,7 @@ public:
         Rng(Seed == DeriveBackoffSeed ? detail::deriveBackoffSeed() : Seed) {}
 
   /// Waits for a random duration within the current window and widens it.
-  void onFailure() {
+  void onAbort() {
     const std::uint64_t Steps = Rng.below(Window) + 1;
     for (std::uint64_t I = 0; I < Steps; ++I)
       cpuRelax();
@@ -80,9 +80,6 @@ public:
       std::this_thread::yield();
   }
 
-  /// ContentionManager spelling of onFailure().
-  void onAbort() { onFailure(); }
-
   /// Shrinks the window back to the floor after a success.
   void onSuccess() { Window = Floor; }
 
@@ -90,7 +87,7 @@ public:
 
   /// Next randomized step count, without the wait (regression-test aid:
   /// seed divergence is asserted on these draws; advances the RNG exactly
-  /// as onFailure would).
+  /// as onAbort would).
   std::uint64_t stepDrawForTesting() { return Rng.below(Window) + 1; }
 
 private:
@@ -105,9 +102,7 @@ private:
 struct NoBackoff {
   static constexpr const char *Name = "none";
 
-  void onFailure() { cpuRelax(); }
-  /// ContentionManager spelling of onFailure().
-  void onAbort() { onFailure(); }
+  void onAbort() { cpuRelax(); }
   void onSuccess() {}
 };
 

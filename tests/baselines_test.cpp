@@ -18,8 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -30,58 +32,95 @@ namespace {
 // IndexPool
 //===----------------------------------------------------------------------===
 
-TEST(IndexPoolTest, HandsOutAllIndicesOnce) {
-  IndexPool Pool(8);
+TEST(IndexPoolTest, HandsOutCapacityPlusProcessesDistinctIndices) {
+  IndexPool<> Pool(/*Capacity=*/6, /*NumThreads=*/2);
+  ASSERT_EQ(Pool.size(), 8u);
   std::vector<bool> Seen(8, false);
   for (int I = 0; I < 8; ++I) {
-    const auto Idx = Pool.tryAcquire();
-    ASSERT_TRUE(Idx.has_value());
-    ASSERT_LT(*Idx, 8u);
-    ASSERT_FALSE(Seen[*Idx]);
-    Seen[*Idx] = true;
+    const std::uint32_t Idx = Pool.acquire();
+    ASSERT_LT(Idx, 8u);
+    ASSERT_FALSE(Seen[Idx]);
+    Seen[Idx] = true;
   }
-  EXPECT_FALSE(Pool.tryAcquire().has_value());
+  EXPECT_EQ(Pool.freeCountForTesting(), 0u);
 }
 
 TEST(IndexPoolTest, ReleaseMakesIndexAvailableAgain) {
-  IndexPool Pool(2);
-  const auto A = Pool.tryAcquire();
-  const auto B = Pool.tryAcquire();
-  ASSERT_TRUE(A && B);
-  EXPECT_FALSE(Pool.tryAcquire().has_value());
-  Pool.release(*A);
-  const auto C = Pool.tryAcquire();
-  ASSERT_TRUE(C.has_value());
-  EXPECT_EQ(*C, *A);
+  IndexPool<> Pool(1, 1);
+  const std::uint32_t A = Pool.acquire();
+  const std::uint32_t B = Pool.acquire();
+  EXPECT_NE(A, B);
+  Pool.release(A);
+  EXPECT_EQ(Pool.acquire(), A);
 }
 
-TEST(IndexPoolTest, FreeCountTracksState) {
-  IndexPool Pool(5);
+TEST(IndexPoolTest, FreeCountIsTheHeadWordsCountField) {
+  IndexPool<> Pool(3, 2);
   EXPECT_EQ(Pool.freeCountForTesting(), 5u);
-  const auto A = Pool.tryAcquire();
+  const std::uint32_t A = Pool.acquire();
   EXPECT_EQ(Pool.freeCountForTesting(), 4u);
-  Pool.release(*A);
+  // A second list over the same links takes the entry; the pool's count
+  // comes from its own head word, not from a walk that would see it.
+  IndexPool<>::List Other = Pool.emptyList();
+  ASSERT_TRUE(Other.tryPush(Other.read(), A));
+  EXPECT_EQ(Other.countForTesting(), 1u);
+  EXPECT_EQ(Pool.freeCountForTesting(), 4u);
+  ASSERT_TRUE(Other.tryPop(Other.read()));
+  Pool.release(A);
   EXPECT_EQ(Pool.freeCountForTesting(), 5u);
+}
+
+TEST(IndexPoolTest, SizeOutsideTheLinkFieldThrows) {
+  constexpr std::uint32_t MaxEntries = TaggedIndexList<>::MaxEntries;
+  EXPECT_THROW(IndexPool<>(4, 0), std::invalid_argument);
+  EXPECT_THROW(IndexPool<>(MaxEntries, 1), std::invalid_argument);
+  EXPECT_EQ(IndexPool<>(MaxEntries - 1, 1).size(), MaxEntries);
+  EXPECT_THROW(TreiberStack(1, MaxEntries), std::invalid_argument);
+  EXPECT_THROW(EliminationBackoffStack(2, MaxEntries - 1),
+               std::invalid_argument);
+  // The queue's pool also holds the dummy node.
+  EXPECT_THROW(MichaelScottQueue(1, MaxEntries - 1), std::invalid_argument);
+  EXPECT_EQ(MichaelScottQueue(1, MaxEntries - 2).capacity(), MaxEntries - 2);
 }
 
 TEST(IndexPoolTest, ConcurrentAcquireReleaseLosesNothing) {
-  IndexPool Pool(16);
-  constexpr int Threads = 4;
+  constexpr std::uint32_t Threads = 4;
+  IndexPool<> Pool(/*Capacity=*/12, Threads);
   SpinBarrier Barrier(Threads);
   std::vector<std::thread> Workers;
-  for (int T = 0; T < Threads; ++T)
-    Workers.emplace_back([&, T] {
-      SplitMix64 Rng(T + 1);
+  for (std::uint32_t T = 0; T < Threads; ++T)
+    Workers.emplace_back([&] {
       Barrier.arriveAndWait();
-      for (int I = 0; I < 5000; ++I) {
-        const auto Idx = Pool.tryAcquire();
-        if (Idx)
-          Pool.release(*Idx);
-      }
+      for (int I = 0; I < 5000; ++I)
+        Pool.release(Pool.acquire());
     });
   for (auto &W : Workers)
     W.join();
   EXPECT_EQ(Pool.freeCountForTesting(), 16u);
+}
+
+TEST(TaggedIndexListTest, StaleHeadWordLosesEvenWhenTopAndCountMatch) {
+  std::unique_ptr<TaggedIndexList<>::Link[]> Links(
+      new TaggedIndexList<>::Link[4]);
+  TaggedIndexList<> List(Links.get());
+  std::uint64_t Word = List.read();
+  EXPECT_TRUE(TaggedIndexList<>::isEmpty(Word));
+  ASSERT_TRUE(List.tryPush(Word, 2));
+  EXPECT_FALSE(List.tryPush(Word, 3)) << "push through a stale head word";
+  ASSERT_TRUE(List.tryPush(List.read(), 3));
+  Word = List.read();
+  EXPECT_EQ(TaggedIndexList<>::top(Word), 3u);
+  EXPECT_EQ(TaggedIndexList<>::count(Word), 2u);
+  // ABA: pop 3 and push it back. Top and count read as before; only the
+  // tag tells the words apart, and it rejects the stale pop.
+  ASSERT_TRUE(List.tryPop(Word));
+  ASSERT_TRUE(List.tryPush(List.read(), 3));
+  EXPECT_EQ(TaggedIndexList<>::top(List.read()), 3u);
+  EXPECT_EQ(TaggedIndexList<>::count(List.read()), 2u);
+  EXPECT_FALSE(List.tryPop(Word));
+  ASSERT_TRUE(List.tryPop(List.read()));
+  EXPECT_EQ(TaggedIndexList<>::top(List.read()), 2u);
+  EXPECT_EQ(List.countForTesting(), 1u);
 }
 
 //===----------------------------------------------------------------------===
@@ -89,7 +128,7 @@ TEST(IndexPoolTest, ConcurrentAcquireReleaseLosesNothing) {
 //===----------------------------------------------------------------------===
 
 TEST(TreiberStackTest, SequentialLifo) {
-  TreiberStack Stack(8);
+  TreiberStack Stack(1, 8);
   EXPECT_TRUE(Stack.pop().isEmpty());
   EXPECT_EQ(Stack.push(1), PushResult::Done);
   EXPECT_EQ(Stack.push(2), PushResult::Done);
@@ -102,8 +141,8 @@ TEST(TreiberStackTest, SequentialLifo) {
   EXPECT_TRUE(Stack.pop().isEmpty());
 }
 
-TEST(TreiberStackTest, FullWhenPoolExhausted) {
-  TreiberStack Stack(3);
+TEST(TreiberStackTest, FullAtCapacity) {
+  TreiberStack Stack(1, 3);
   EXPECT_EQ(Stack.push(1), PushResult::Done);
   EXPECT_EQ(Stack.push(2), PushResult::Done);
   EXPECT_EQ(Stack.push(3), PushResult::Done);
@@ -113,7 +152,7 @@ TEST(TreiberStackTest, FullWhenPoolExhausted) {
 }
 
 TEST(TreiberStackTest, SingleAttemptOpsBehaveAbortably) {
-  TreiberStack Stack(4);
+  TreiberStack Stack(1, 4);
   // Solo: single attempts always succeed (obstruction-freedom analogue).
   EXPECT_EQ(Stack.tryPushOnce(9), PushResult::Done);
   const auto R = Stack.tryPopOnce();
@@ -123,8 +162,8 @@ TEST(TreiberStackTest, SingleAttemptOpsBehaveAbortably) {
 }
 
 TEST(TreiberStackTest, ConcurrentMixedOpsConserveValues) {
-  TreiberStack Stack(256);
   constexpr int Threads = 4;
+  TreiberStack Stack(Threads, 256);
   SpinBarrier Barrier(Threads);
   std::vector<std::int64_t> Net(Threads, 0);
   std::vector<std::thread> Workers;
@@ -153,7 +192,7 @@ TEST(TreiberStackTest, ConcurrentMixedOpsConserveValues) {
 TEST(TreiberStackTest, WrappableByFigure3Skeleton) {
   // The single-attempt operations make Treiber an abortable object, so
   // the paper's generic construction applies to it unchanged.
-  TreiberStack Stack(16);
+  TreiberStack Stack(2, 16);
   ContentionSensitive<TasLock> Skeleton(2);
   const PushResult R = Skeleton.strongApply(
       0, [&]() -> std::optional<PushResult> {
@@ -171,7 +210,7 @@ TEST(TreiberStackTest, WrappableByFigure3Skeleton) {
 //===----------------------------------------------------------------------===
 
 TEST(EliminationStackTest, SequentialLifo) {
-  EliminationBackoffStack Stack(8);
+  EliminationBackoffStack Stack(1, 8);
   EXPECT_TRUE(Stack.pop().isEmpty());
   EXPECT_EQ(Stack.push(1), PushResult::Done);
   EXPECT_EQ(Stack.push(2), PushResult::Done);
@@ -181,9 +220,10 @@ TEST(EliminationStackTest, SequentialLifo) {
 }
 
 TEST(EliminationStackTest, ConcurrentPushersAndPoppersConserveSum) {
-  EliminationBackoffStack Stack(4096, /*SlotCount=*/2, /*SpinBudget=*/128);
   constexpr int Pairs = 2;
   constexpr int PerThread = 5000;
+  EliminationBackoffStack Stack(/*NumThreads=*/2 * Pairs, /*Capacity=*/4096,
+                                /*SlotCount=*/2, /*SpinBudget=*/128);
   SpinBarrier Barrier(2 * Pairs);
   std::vector<std::uint64_t> Pushed(Pairs, 0), Popped(Pairs, 0);
   std::vector<std::uint64_t> PopCount(Pairs, 0);
@@ -286,7 +326,7 @@ TEST(LockedQueueTest, SequentialFifoAndWrap) {
 //===----------------------------------------------------------------------===
 
 TEST(MichaelScottQueueTest, SequentialFifo) {
-  MichaelScottQueue Queue(8);
+  MichaelScottQueue Queue(1, 8);
   EXPECT_TRUE(Queue.dequeue().isEmpty());
   for (std::uint32_t V = 1; V <= 5; ++V)
     EXPECT_EQ(Queue.enqueue(V), PushResult::Done);
@@ -298,8 +338,8 @@ TEST(MichaelScottQueueTest, SequentialFifo) {
   EXPECT_TRUE(Queue.dequeue().isEmpty());
 }
 
-TEST(MichaelScottQueueTest, FullWhenPoolExhausted) {
-  MichaelScottQueue Queue(2);
+TEST(MichaelScottQueueTest, FullAtCapacity) {
+  MichaelScottQueue Queue(1, 2);
   EXPECT_EQ(Queue.enqueue(1), PushResult::Done);
   EXPECT_EQ(Queue.enqueue(2), PushResult::Done);
   EXPECT_EQ(Queue.enqueue(3), PushResult::Full);
@@ -308,7 +348,7 @@ TEST(MichaelScottQueueTest, FullWhenPoolExhausted) {
 }
 
 TEST(MichaelScottQueueTest, NodeRecyclingSurvivesManyWraps) {
-  MichaelScottQueue Queue(3);
+  MichaelScottQueue Queue(1, 3);
   for (std::uint32_t I = 0; I < 10000; ++I) {
     ASSERT_EQ(Queue.enqueue(I + 1), PushResult::Done);
     const auto R = Queue.dequeue();
@@ -319,8 +359,8 @@ TEST(MichaelScottQueueTest, NodeRecyclingSurvivesManyWraps) {
 }
 
 TEST(MichaelScottQueueTest, ConcurrentProducersConsumersConserveSum) {
-  MichaelScottQueue Queue(1024);
   constexpr int Producers = 2, Consumers = 2;
+  MichaelScottQueue Queue(Producers + Consumers, 1024);
   constexpr std::uint32_t PerProducer = 8000;
   SpinBarrier Barrier(Producers + Consumers);
   std::vector<std::uint64_t> SumIn(Producers, 0);

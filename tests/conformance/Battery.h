@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The conformance battery: every concurrent object in src/core runs
-/// through one shared matrix of checks instead of hand-written per-object
-/// suites. An object joins the battery by providing a small adapter
-/// (make / push / pop / makeSpec) and registering a BatteryEntry; the six
-/// cells below are generic over the adapter:
+/// The conformance battery: every concurrent object in src/core and
+/// src/baselines runs through one shared matrix of checks instead of
+/// hand-written per-object suites. An object joins the battery by
+/// providing a small adapter (make / push / pop / makeSpec) and
+/// registering a BatteryEntry; the six cells below are generic over the
+/// adapter:
 ///
 ///   SpecReplay     solo op sequence crossing Full/Empty edges, every
 ///                  result validated against the sequential spec
@@ -40,9 +41,12 @@
 
 #include "conformance/Params.h"
 
+#include "baselines/EliminationBackoffStack.h"
 #include "baselines/LockedMap.h"
 #include "baselines/LockedQueue.h"
 #include "baselines/LockedStack.h"
+#include "baselines/MichaelScottQueue.h"
+#include "baselines/TreiberStack.h"
 #include "core/AbortableQueue.h"
 #include "core/AbortableStack.h"
 #include "core/BoxedStack.h"
@@ -307,6 +311,41 @@ template <typename Lock> struct LockedStackAdapter {
   static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
 };
 
+struct TreiberStackAdapter {
+  using Object = TreiberStack;
+  static constexpr bool Strong = true;
+  static std::unique_ptr<Object> make(std::uint32_t Threads,
+                                      std::uint32_t Capacity) {
+    return std::make_unique<Object>(Threads, Capacity);
+  }
+  static PushResult push(Object &O, std::uint32_t /*Tid*/, std::uint32_t V) {
+    return O.push(V);
+  }
+  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t /*Tid*/) {
+    return O.pop();
+  }
+  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
+};
+
+// Hendler-Shavit-Yerushalmi: two slots and a short spin, so contended
+// rounds keep crossing the rendezvous.
+struct HsyStackAdapter {
+  using Object = EliminationBackoffStack;
+  static constexpr bool Strong = true;
+  static std::unique_ptr<Object> make(std::uint32_t Threads,
+                                      std::uint32_t Capacity) {
+    return std::make_unique<Object>(Threads, Capacity, /*SlotCount=*/2,
+                                    /*SpinBudget=*/16);
+  }
+  static PushResult push(Object &O, std::uint32_t /*Tid*/, std::uint32_t V) {
+    return O.push(V);
+  }
+  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t /*Tid*/) {
+    return O.pop();
+  }
+  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
+};
+
 // Unbounded (chunked, hazard-reclaimed) stack. The battery drives it
 // well below its envelope, so Full is unreachable — exactly the
 // "unbounded" contract — and the spec capacity is the envelope itself.
@@ -469,6 +508,22 @@ struct UnboundedCsQueueAdapter {
   static BoundedQueueSpec makeSpec() {
     return BoundedQueueSpec(UnboundedQueue<>::TopC::MaxIndex);
   }
+};
+
+struct MsQueueAdapter {
+  using Object = MichaelScottQueue;
+  static constexpr bool Strong = true;
+  static std::unique_ptr<Object> make(std::uint32_t Threads,
+                                      std::uint32_t Capacity) {
+    return std::make_unique<Object>(Threads, Capacity);
+  }
+  static PushResult push(Object &O, std::uint32_t /*Tid*/, std::uint32_t V) {
+    return O.enqueue(V);
+  }
+  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t /*Tid*/) {
+    return O.dequeue();
+  }
+  static BoundedQueueSpec makeSpec() { return BoundedQueueSpec(SmallCapacity); }
 };
 
 template <typename Lock> struct LockedQueueAdapter {
@@ -1233,10 +1288,28 @@ template <typename A> void dequeExploreCell(bool Exhaustive) {
 // Cell: CrashOrStall — mode-specific crash sweeps
 //===----------------------------------------------------------------------===
 
+/// After a crash, the survivor pushes 4s until Full and returns how
+/// many landed. A bounded entry must then hold exactly its capacity: a
+/// crashed operation may strand a node, but only its process's own
+/// spare, so a capacity that shrank is a phantom Full.
+template <typename A> std::uint32_t fillToFull(typename A::Object &Obj) {
+  std::uint32_t Filled = 0;
+  while (Filled <= SmallCapacity) {
+    const PushResult R = A::push(Obj, 1, 4);
+    EXPECT_NE(R, PushResult::Abort) << "survivor fill aborted";
+    if (R != PushResult::Done)
+      break;
+    ++Filled;
+  }
+  return Filled;
+}
+
 /// Lock-free entries: crash a push (then a pop) at every shared-access
-/// point; the survivor completes solo and the crashed operation is
-/// all-or-nothing.
+/// point; the survivor completes solo, the crashed operation is
+/// all-or-nothing, and a bounded entry (spec capacity SmallCapacity; the
+/// unbounded ones are not filled) still fills to its capacity.
 template <typename A> void crashSweepCell() {
+  const bool Bounded = A::makeSpec().capacity() == SmallCapacity;
   std::size_t PushAccesses = 0;
   {
     auto Probe = A::make(StressThreads, SmallCapacity);
@@ -1251,6 +1324,7 @@ template <typename A> void crashSweepCell() {
     runAndCrashAt([&] { (void)A::push(*Obj, 0, 2); }, K);
     ASSERT_EQ(A::push(*Obj, 1, 3), PushResult::Done)
         << "survivor push blocked; crash point " << K;
+    const std::uint32_t Filled = Bounded ? fillToFull<A>(*Obj) : 0;
     std::uint32_t Seen1 = 0, Seen2 = 0, Seen3 = 0, Total = 0;
     for (std::uint32_t Guard = 0; Guard <= SmallCapacity + 1; ++Guard) {
       const PopResult<std::uint32_t> R = A::pop(*Obj, 1);
@@ -1268,8 +1342,12 @@ template <typename A> void crashSweepCell() {
     EXPECT_EQ(Seen1, 1u) << "crash point " << K;
     EXPECT_EQ(Seen3, 1u) << "crash point " << K;
     EXPECT_LE(Seen2, 1u) << "crash point " << K;
-    EXPECT_EQ(Total, 2u + Seen2)
+    EXPECT_EQ(Total, 2u + Seen2 + Filled)
         << "crashed push must be all-or-nothing; crash point " << K;
+    if (Bounded) {
+      EXPECT_EQ(Total, SmallCapacity)
+          << "survivor could not fill to capacity; crash point " << K;
+    }
   }
 
   std::size_t PopAccesses = 0;
@@ -1287,6 +1365,7 @@ template <typename A> void crashSweepCell() {
     runAndCrashAt([&] { (void)A::pop(*Obj, 0); }, K);
     ASSERT_EQ(A::push(*Obj, 1, 3), PushResult::Done)
         << "survivor push blocked; crash point " << K;
+    const std::uint32_t Filled = Bounded ? fillToFull<A>(*Obj) : 0;
     std::uint32_t Total = 0, Seen3 = 0;
     for (std::uint32_t Guard = 0; Guard <= SmallCapacity + 1; ++Guard) {
       const PopResult<std::uint32_t> R = A::pop(*Obj, 1);
@@ -1298,9 +1377,13 @@ template <typename A> void crashSweepCell() {
         ++Seen3;
     }
     EXPECT_EQ(Seen3, 1u) << "crash point " << K;
-    EXPECT_TRUE(Total == 2u || Total == 3u)
+    EXPECT_TRUE(Total - Filled == 2u || Total - Filled == 3u)
         << "crashed pop must be all-or-nothing; crash point " << K
-        << " drained " << Total;
+        << " drained " << Total << " after filling " << Filled;
+    if (Bounded) {
+      EXPECT_EQ(Total, SmallCapacity)
+          << "survivor could not fill to capacity; crash point " << K;
+    }
   }
 }
 
@@ -2182,8 +2265,9 @@ inline BatteryEntry counterEntry() {
 }
 
 /// The battery matrix. Crash modes per entry:
-///  * lock-free objects (abortable/nonblocking/HLM/wait-free): full
-///    victim-crash sweep in addition to the stall plan;
+///  * lock-free objects (abortable/nonblocking/HLM/wait-free, and the
+///    Treiber, HSY and Michael-Scott baselines): full victim-crash sweep
+///    in addition to the stall plan;
 ///  * crash-tolerant objects: the forced-slow crash sweep (degradation
 ///    counter nonzero iff the corpse held the lease);
 ///  * leasable-locked baselines: the non-RAII lock-level crash sweep;
@@ -2231,10 +2315,18 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
         AccessBounds{256, 256, false},
         [] { crashSweepCell<WaitFreeStackAdapter>(); }));
     R.push_back(pushPopEntry<LockedStackAdapter<TtasLock>>(
-        "locked-stack", {}, /*Exhaustive=*/false, AccessBounds{16, 16, false}));
+        "locked-stack", {"LockedStack.h"}, /*Exhaustive=*/false,
+        AccessBounds{16, 16, false}));
     R.push_back(pushPopEntry<LockedStackAdapter<StarvationFreeLock<Leasable>>>(
         "locked-stack-leased", {}, /*Exhaustive=*/false,
         AccessBounds{64, 64, false}, [] { leasableLockCrashSweep(); }));
+    R.push_back(pushPopEntry<TreiberStackAdapter>(
+        "treiber-stack", {"TreiberStack.h"}, /*Exhaustive=*/false,
+        AccessBounds{7, 7, true},
+        [] { crashSweepCell<TreiberStackAdapter>(); }));
+    R.push_back(pushPopEntry<HsyStackAdapter>(
+        "hsy-stack", {"EliminationBackoffStack.h"}, /*Exhaustive=*/false,
+        AccessBounds{7, 7, true}, [] { crashSweepCell<HsyStackAdapter>(); }));
     // Queues.
     R.push_back(pushPopEntry<AbortableQueueAdapter>(
         "abortable-queue", {"AbortableQueue.h"}, /*Exhaustive=*/true,
@@ -2259,10 +2351,14 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
         "unbounded-cs-queue", {}, /*Exhaustive=*/false,
         AccessBounds{7, 7, true}));
     R.push_back(pushPopEntry<LockedQueueAdapter<TtasLock>>(
-        "locked-queue", {}, /*Exhaustive=*/false, AccessBounds{16, 16, false}));
+        "locked-queue", {"LockedQueue.h"}, /*Exhaustive=*/false,
+        AccessBounds{16, 16, false}));
     R.push_back(pushPopEntry<LockedQueueAdapter<StarvationFreeLock<Leasable>>>(
         "locked-queue-leased", {}, /*Exhaustive=*/false,
         AccessBounds{64, 64, false}, [] { leasableLockCrashSweep(); }));
+    R.push_back(pushPopEntry<MsQueueAdapter>(
+        "ms-queue", {"MichaelScottQueue.h"}, /*Exhaustive=*/false,
+        AccessBounds{12, 9, true}, [] { crashSweepCell<MsQueueAdapter>(); }));
     // Deques.
     R.push_back(dequeEntry<OfDequeAdapter>(
         "of-deque", {"ObstructionFreeDeque.h"}, /*Exhaustive=*/true,
@@ -2319,7 +2415,8 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
         MapAccessBounds{9, 11, 11, 11, /*Exact=*/true},
         [] { mapCrashSweep(); }));
     R.push_back(mapEntry<LockedMapAdapter>(
-        "locked-map", {}, MapAccessBounds{16, 16, 16, 16, /*Exact=*/false}));
+        "locked-map", {"LockedMap.h"},
+        MapAccessBounds{16, 16, 16, 16, /*Exact=*/false}));
     return R;
   }();
   return Registry;

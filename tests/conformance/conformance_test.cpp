@@ -8,9 +8,9 @@
 /// Drives the conformance battery (Battery.h): every registered object
 /// runs the same six cells, parameterized over the registry. Two
 /// registry-level tests make the battery self-enforcing: the matrix may
-/// not have empty cells, and every header under src/core must be claimed
-/// by some entry — adding a new core object without registering it here
-/// fails the CI conformance job.
+/// not have empty cells, and every header under src/core and
+/// src/baselines must be claimed by some entry — adding a new object
+/// without registering it here fails the CI conformance job.
 ///
 /// Also hosts the StarvationFreeLock<Leasable> fault-plan coverage that
 /// the battery's lock-level crash sweep builds on: an explorer-driven
@@ -105,41 +105,42 @@ TEST(ConformanceRegistryTest, MatrixHasNoEmptyCells) {
     EXPECT_TRUE(E.CrashOrStall) << E.Name;
     EXPECT_TRUE(E.AccessBound) << E.Name;
   }
-  EXPECT_GE(Names.size(), 32u);
+  EXPECT_GE(Names.size(), 35u);
 }
 
-TEST(ConformanceRegistryTest, EveryCoreHeaderHasABatteryEntry) {
+TEST(ConformanceRegistryTest, EveryCoreAndBaselineHeaderHasABatteryEntry) {
   namespace fs = std::filesystem;
   std::set<std::string> Covered;
   for (const BatteryEntry &E : batteryRegistry())
     Covered.insert(E.CoveredHeaders.begin(), E.CoveredHeaders.end());
 
-  const fs::path CoreDir = fs::path(CSOBJ_SOURCE_DIR) / "src" / "core";
-  ASSERT_TRUE(fs::exists(CoreDir)) << CoreDir;
-  std::vector<std::string> Missing;
-  std::uint32_t HeadersSeen = 0;
-  for (const auto &Entry : fs::directory_iterator(CoreDir)) {
-    if (Entry.path().extension() != ".h")
-      continue;
-    ++HeadersSeen;
-    const std::string Name = Entry.path().filename().string();
-    if (!Covered.count(Name))
-      Missing.push_back(Name);
+  const fs::path SrcDir = fs::path(CSOBJ_SOURCE_DIR) / "src";
+  std::set<std::string> Headers;
+  for (const char *Dir : {"core", "baselines"}) {
+    ASSERT_TRUE(fs::exists(SrcDir / Dir)) << SrcDir / Dir;
+    std::uint32_t HeadersSeen = 0;
+    for (const auto &Entry : fs::directory_iterator(SrcDir / Dir)) {
+      if (Entry.path().extension() != ".h")
+        continue;
+      ++HeadersSeen;
+      Headers.insert(Entry.path().filename().string());
+    }
+    EXPECT_GT(HeadersSeen, 0u) << Dir;
   }
-  EXPECT_GT(HeadersSeen, 0u);
-  std::string Joined;
-  for (const std::string &M : Missing)
-    Joined += M + " ";
+  std::string Missing;
+  for (const std::string &Name : Headers)
+    if (!Covered.count(Name))
+      Missing += Name + " ";
   EXPECT_TRUE(Missing.empty())
-      << "src/core headers with no battery entry (register an adapter in "
-         "tests/conformance/Battery.h): "
-      << Joined;
+      << "src/core and src/baselines headers with no battery entry "
+         "(register an adapter in tests/conformance/Battery.h): "
+      << Missing;
 
   // Reverse direction: a covered-header claim must name a file that still
   // exists, so renames cannot leave the registry silently stale.
   for (const std::string &Name : Covered)
-    EXPECT_TRUE(fs::exists(CoreDir / Name))
-        << "battery entry claims nonexistent core header " << Name;
+    EXPECT_TRUE(Headers.count(Name))
+        << "battery entry claims nonexistent header " << Name;
 }
 
 //===----------------------------------------------------------------------===

@@ -49,7 +49,7 @@ TEST(BoxedStackTest, HoldsStrings) {
   EXPECT_FALSE(Stack.pop(0).has_value());
 }
 
-TEST(BoxedStackTest, FullWhenPoolExhausted) {
+TEST(BoxedStackTest, FullAtCapacity) {
   BoxedStack<int> Stack(1, 2);
   EXPECT_TRUE(Stack.push(0, 1));
   EXPECT_TRUE(Stack.push(0, 2));
@@ -144,7 +144,7 @@ TEST(CounterTest, ContentionFreeStrongAddIsThreeAccesses) {
 TEST(GenericSkeletonTest, TreiberUnderFigure3NeverLosesValues) {
   constexpr std::uint32_t Threads = 4;
   constexpr std::uint32_t PerThread = 1500;
-  TreiberStack Stack(Threads * PerThread);
+  TreiberStack Stack(Threads, Threads * PerThread);
   ContentionSensitive<TasLock> Skeleton(Threads);
   SpinBarrier Barrier(Threads);
   std::vector<std::thread> Workers;

@@ -202,16 +202,28 @@ TEST(CrashTest, HlmDequeSurvivesPushCrashBetweenItsTwoCas) {
 // Lock-free baselines
 //===----------------------------------------------------------------------===
 
+/// Pushes through \p Push until it answers Full (at most \p Capacity
+/// times) and returns how many pushes landed.
+template <typename PushFn>
+std::uint32_t fillToFull(PushFn Push, std::uint32_t Capacity) {
+  std::uint32_t Filled = 0;
+  while (Filled <= Capacity && Push(100 + Filled) == PushResult::Done)
+    ++Filled;
+  return Filled;
+}
+
 TEST(CrashTest, TreiberSurvivesPushCrashAtEveryPoint) {
-  // A crash can strand the node the crashed push had acquired (bounded
-  // leak of one slot — inherent to crashes with a free list) but the
-  // structure itself must stay consistent.
+  // The structure stays consistent, and the node a crash strands is the
+  // crashed process's spare (memory/IndexPool.h): the survivor still
+  // fills the stack to exactly its capacity.
   for (std::uint32_t K = 0; K <= 8; ++K) {
-    TreiberStack Stack(4);
+    TreiberStack Stack(/*NumThreads=*/2, /*Capacity=*/4);
     ASSERT_EQ(Stack.push(1), PushResult::Done);
     runAndCrashAt([&Stack] { (void)Stack.push(7); }, K);
 
     ASSERT_EQ(Stack.push(99), PushResult::Done);
+    const std::uint32_t Filled =
+        fillToFull([&Stack](std::uint32_t V) { return Stack.push(V); }, 4);
     std::vector<std::uint32_t> Drained;
     while (true) {
       const auto R = Stack.pop();
@@ -219,21 +231,24 @@ TEST(CrashTest, TreiberSurvivesPushCrashAtEveryPoint) {
         break;
       Drained.push_back(R.value());
     }
-    ASSERT_GE(Drained.size(), 2u);
-    ASSERT_EQ(Drained.front(), 99u);
+    ASSERT_EQ(Drained.size(), 4u) << "crash point " << K;
+    ASSERT_EQ(Drained[Filled], 99u);
     ASSERT_EQ(Drained.back(), 1u);
   }
 }
 
 TEST(CrashTest, MichaelScottSurvivesEnqueueCrashAtEveryPoint) {
   // Includes the classic window: crash after linking the node but
-  // before swinging the tail — the next operation must help.
-  for (std::uint32_t K = 0; K <= 10; ++K) {
-    MichaelScottQueue Queue(4);
+  // before swinging the tail — the next operation must help. The
+  // survivor fills the queue to exactly its capacity.
+  for (std::uint32_t K = 0; K <= 12; ++K) {
+    MichaelScottQueue Queue(/*NumThreads=*/2, /*Capacity=*/4);
     ASSERT_EQ(Queue.enqueue(1), PushResult::Done);
     runAndCrashAt([&Queue] { (void)Queue.enqueue(7); }, K);
 
     ASSERT_EQ(Queue.enqueue(99), PushResult::Done);
+    const std::uint32_t Filled = fillToFull(
+        [&Queue](std::uint32_t V) { return Queue.enqueue(V); }, 4);
     std::vector<std::uint32_t> Drained;
     while (true) {
       const auto R = Queue.dequeue();
@@ -241,9 +256,9 @@ TEST(CrashTest, MichaelScottSurvivesEnqueueCrashAtEveryPoint) {
         break;
       Drained.push_back(R.value());
     }
-    ASSERT_GE(Drained.size(), 2u);
+    ASSERT_EQ(Drained.size(), 4u) << "crash point " << K;
     ASSERT_EQ(Drained.front(), 1u);
-    ASSERT_EQ(Drained.back(), 99u);
+    ASSERT_EQ(Drained[3 - Filled], 99u);
   }
 }
 

@@ -650,7 +650,8 @@ TEST(CtorChecks, CoreAndBaselineCtorsRejectBadGeometry) {
   EXPECT_THROW(EliminatingContentionSensitiveStack<>(2, 8, /*SlotCount=*/0,
                                                      /*SpinBudget=*/8),
                std::invalid_argument);
-  EXPECT_THROW(EliminationBackoffStack(8, /*SlotCount=*/0),
+  EXPECT_THROW(EliminationBackoffStack(/*NumThreads=*/2, /*Capacity=*/8,
+                                       /*SlotCount=*/0),
                std::invalid_argument);
 }
 

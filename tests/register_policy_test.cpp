@@ -17,6 +17,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "baselines/MichaelScottQueue.h"
+#include "baselines/TreiberStack.h"
 #include "core/AbortableStack.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/NonBlockingStack.h"
@@ -111,6 +113,20 @@ TEST(RegisterPolicyTest, FastStackOperationsCountNothing) {
     EXPECT_TRUE(Stack.weakPop().isValue());
     EXPECT_EQ(NbStack.push(9), PushResult::Done);
     EXPECT_TRUE(NbStack.pop().isValue());
+  });
+  EXPECT_EQ(Counts.total(), 0u);
+}
+
+TEST(RegisterPolicyTest, FastPoolBackedBaselinesCountNothing) {
+  // The node pool's registers follow the owner's policy, so a Fast
+  // baseline's acquire and release are invisible too.
+  TreiberStackT<Fast> Stack(/*NumThreads=*/1, /*Capacity=*/4);
+  MichaelScottQueueT<Fast> Queue(/*NumThreads=*/1, /*Capacity=*/4);
+  const AccessCounts Counts = countAccesses([&] {
+    EXPECT_EQ(Stack.push(7), PushResult::Done);
+    EXPECT_TRUE(Stack.pop().isValue());
+    EXPECT_EQ(Queue.enqueue(9), PushResult::Done);
+    EXPECT_TRUE(Queue.dequeue().isValue());
   });
   EXPECT_EQ(Counts.total(), 0u);
 }

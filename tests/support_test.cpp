@@ -175,9 +175,9 @@ TEST(SpinWaitTest, SpinUntilObservesOtherThread) {
 TEST(BackoffTest, WindowGrowsAndResets) {
   ExponentialBackoff Backoff(4, 64);
   EXPECT_EQ(Backoff.window(), 4u);
-  Backoff.onFailure();
+  Backoff.onAbort();
   EXPECT_EQ(Backoff.window(), 8u);
-  Backoff.onFailure();
+  Backoff.onAbort();
   EXPECT_EQ(Backoff.window(), 16u);
   Backoff.onSuccess();
   EXPECT_EQ(Backoff.window(), 4u);
@@ -186,14 +186,14 @@ TEST(BackoffTest, WindowGrowsAndResets) {
 TEST(BackoffTest, WindowCapped) {
   ExponentialBackoff Backoff(4, 64);
   for (int I = 0; I < 20; ++I)
-    Backoff.onFailure();
+    Backoff.onAbort();
   EXPECT_LE(Backoff.window(), 64u);
 }
 
 namespace {
 
 /// First \p Count randomized step draws of a default-seeded manager. A
-/// wide fixed window (no onFailure in between) makes an accidental
+/// wide fixed window (no onAbort in between) makes an accidental
 /// full-sequence collision between independent streams astronomically
 /// unlikely (2^-20 per draw).
 std::vector<std::uint64_t> backoffDraws(ExponentialBackoff &Backoff,
