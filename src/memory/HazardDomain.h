@@ -14,18 +14,39 @@
 /// retired object is recycled only once no slot names it.
 ///
 /// Everything here lives on the *reclamation channel*: plain std::atomic
-/// operations, invisible to the AccessCounter oracle and the
-/// interleaving explorer, exactly like the MetricSink stores of the obs
-/// layer. The paper's algorithms run on an assumed infinite array; the
-/// hazard machinery is the memory system that materializes that array,
-/// not part of the algorithms' shared-memory access count. This also
-/// makes every HazardDomain operation *crash-atomic*: the fault
-/// injectors (SimulatedCrash, ProcessCrash, campaign stalls) fire only
-/// from instrumented preAccess hooks, and no such access occurs inside
-/// protect/clear/retire/scan — a crash can strand a published hazard
-/// (bounded: it pins at most SlotsPerThread objects until the thread is
-/// resurrected and publishes again) but can never tear a retire list or
-/// double-free.
+/// operations (and, per scan, one membarrier(2) call), invisible to the
+/// AccessCounter oracle and the interleaving explorer, exactly like the
+/// MetricSink stores of the obs layer. The paper's algorithms run on an
+/// assumed infinite array; the hazard machinery is the memory system
+/// that materializes that array, not part of the algorithms'
+/// shared-memory access count. This also makes every HazardDomain
+/// operation *crash-atomic*: the fault injectors (SimulatedCrash,
+/// ProcessCrash, campaign stalls) fire only from instrumented preAccess
+/// hooks, and no such access occurs inside protect/clear/retire/scan —
+/// a crash can strand a published hazard (bounded: it pins at most
+/// SlotsPerThread objects until the thread is resurrected and publishes
+/// again) but can never tear a retire list or double-free.
+///
+/// The handshake is asymmetric, like the paper's Figure 3: the frequent
+/// side (a reader's protect, several per skip-list search) pays no
+/// fence, and the rare side (a scan, once per 2*N*Slots retires) pays
+/// for both. A protect is a release store (a plain mov on x86) plus a
+/// compiler-only barrier; a scan first calls
+/// membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED), which runs a full
+/// barrier on every CPU then running a thread of this process, and only
+/// then reads the hazard slots. After that barrier, each reader either
+/// published its hazard before it (so the snapshot sees it) or runs its
+/// validating re-read after it, and therefore after the unlink that
+/// preceded the retire (so validation fails and the reader never
+/// dereferences the object). A protect that overwrites a pin also
+/// unpins the slot's previous pointer; its release keeps the reader's
+/// accesses to that object before the slot moves on, as clear()'s does.
+/// The process registers for the command when its first domain is
+/// built. Where the kernel does not offer it, and under ThreadSanitizer
+/// (which cannot see a barrier run by an inter-processor interrupt),
+/// protect keeps a seq_cst store and scan seq_cst loads — the symmetric
+/// Dekker handshake. asymmetricFence() reports which path this process
+/// runs.
 ///
 /// Identity is the *logical* thread id (the paper's process id), not
 /// thread_local state: the interleaving explorer multiplexes logical
@@ -53,11 +74,34 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#ifdef __linux__
+#include <linux/membarrier.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 namespace csobj {
+
+/// True when the compiler instruments this build for ThreadSanitizer,
+/// which cannot see a barrier that the kernel runs on another thread's
+/// CPU; such a build keeps the symmetric handshake. Set by the compiler
+/// alone.
+#if defined(__SANITIZE_THREAD__)
+inline constexpr bool ThreadSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+inline constexpr bool ThreadSanitized = true;
+#else
+inline constexpr bool ThreadSanitized = false;
+#endif
+#else
+inline constexpr bool ThreadSanitized = false;
+#endif
 
 /// A hazard-pointer domain: per-thread publication slots plus per-thread
 /// retire lists with amortized scan-and-recycle.
@@ -73,6 +117,7 @@ public:
   HazardDomain(std::uint32_t NumThreads, std::uint32_t SlotsPerThread)
       : N(NumThreads), Slots(SlotsPerThread),
         Stride(roundUpToLine(SlotsPerThread)),
+        Asymmetric(asymmetricFence()),
         Hazards(std::make_unique<std::atomic<const void *>[]>(
             static_cast<std::size_t>(NumThreads) * Stride)),
         Retired(NumThreads) {
@@ -93,14 +138,26 @@ public:
   /// domain and its pools).
   ~HazardDomain() = default;
 
-  /// Publishes \p Ptr in slot \p Slot of thread \p Tid. seq_cst: the
-  /// store must be ordered before the caller's validation re-read
-  /// (store-load), which is what makes the protect/validate handshake
-  /// sound against a concurrent unlink-then-scan.
+  /// Publishes \p Ptr in slot \p Slot of thread \p Tid. The caller
+  /// must then re-read the link it took \p Ptr from (a seq_cst load) and
+  /// dereference only if the link still names it. The store must not be
+  /// reordered after that re-read. On the asymmetric path only the
+  /// compiler is held back here: the hardware store-load order is
+  /// enforced by the scan's membarrier. The store is release because it
+  /// may also unpin the slot's previous pointer, so the caller's reads
+  /// of that object must come first, as in clear() (on x86 it is still
+  /// a plain mov). On the fallback the store is seq_cst and pairs with
+  /// the scan's seq_cst loads.
   void protect(std::uint32_t Tid, std::uint32_t Slot, const void *Ptr) {
     assert(Tid < N && Slot < Slots && "hazard slot out of range");
-    Hazards[static_cast<std::size_t>(Tid) * Stride + Slot].store(
-        Ptr, std::memory_order_seq_cst);
+    std::atomic<const void *> &H =
+        Hazards[static_cast<std::size_t>(Tid) * Stride + Slot];
+    if (Asymmetric) {
+      H.store(Ptr, std::memory_order_release);
+      std::atomic_signal_fence(std::memory_order_seq_cst);
+    } else {
+      H.store(Ptr, std::memory_order_seq_cst);
+    }
   }
 
   /// Clears one slot. Release suffices: nothing is validated against a
@@ -147,16 +204,26 @@ public:
     RetireBlock &B = Retired[Tid];
     if (B.List.empty())
       return 0;
-    // Snapshot all published hazards. seq_cst loads pair with the
-    // seq_cst protect stores: any reader whose validate succeeded
-    // against the pre-unlink structure has its hazard visible here.
+    // Every entry was unlinked before its retire. On the asymmetric
+    // path, after the barrier any reader whose validation saw an entry
+    // still linked has its hazard visible to the acquire loads below;
+    // on the fallback the loads are seq_cst and pair with protect's
+    // seq_cst stores.
+#ifdef __linux__
+    // A registered command cannot fail; if it did, the unfenced
+    // protects would be unsound, so stop rather than recycle.
+    if (Asymmetric &&
+        syscall(SYS_membarrier, MEMBARRIER_CMD_PRIVATE_EXPEDITED, 0) != 0)
+      std::abort();
+#endif
+    const std::memory_order Order =
+        Asymmetric ? std::memory_order_acquire : std::memory_order_seq_cst;
     std::vector<const void *> Live;
     Live.reserve(static_cast<std::size_t>(N) * Slots);
     for (std::uint32_t T = 0; T < N; ++T)
       for (std::uint32_t S = 0; S < Slots; ++S) {
         const void *P =
-            Hazards[static_cast<std::size_t>(T) * Stride + S].load(
-                std::memory_order_seq_cst);
+            Hazards[static_cast<std::size_t>(T) * Stride + S].load(Order);
         if (P)
           Live.push_back(P);
       }
@@ -210,6 +277,16 @@ public:
     return HighWater.load(std::memory_order_relaxed);
   }
 
+  /// True when this process runs the asymmetric handshake (protect a
+  /// plain store, scan one membarrier); false on the seq_cst fallback.
+  /// The first call, made by the first domain's constructor, asks the
+  /// kernel for MEMBARRIER_CMD_PRIVATE_EXPEDITED and registers the
+  /// process for it.
+  static bool asymmetricFence() {
+    static const bool Registered = registerForMembarrier();
+    return Registered;
+  }
+
   std::uint32_t numThreads() const { return N; }
   std::uint32_t slotsPerThread() const { return Slots; }
 
@@ -246,6 +323,23 @@ private:
     return ((SlotCount + PerLine - 1) / PerLine) * PerLine;
   }
 
+  static bool registerForMembarrier() {
+    if constexpr (ThreadSanitized) {
+      return false;
+    } else {
+#ifdef __linux__
+      const long Commands = syscall(SYS_membarrier, MEMBARRIER_CMD_QUERY, 0);
+      constexpr long Needed = MEMBARRIER_CMD_PRIVATE_EXPEDITED |
+                              MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED;
+      return Commands >= 0 && (Commands & Needed) == Needed &&
+             syscall(SYS_membarrier,
+                     MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED, 0) == 0;
+#else
+      return false;
+#endif
+    }
+  }
+
   void noteHighWater(std::size_t Size) {
     std::uint64_t Cur = HighWater.load(std::memory_order_relaxed);
     while (Size > Cur &&
@@ -257,6 +351,7 @@ private:
   const std::uint32_t N;
   const std::uint32_t Slots;
   const std::size_t Stride;
+  const bool Asymmetric;
   std::unique_ptr<std::atomic<const void *>[]> Hazards;
   std::vector<RetireBlock> Retired;
   std::atomic<std::uint64_t> HighWater{0};
@@ -275,8 +370,8 @@ public:
 
   ~HazardGuard() { Domain.clear(Tid, Slot); }
 
-  /// Publishes \p Ptr (seq_cst); the caller must re-validate
-  /// reachability afterwards before dereferencing.
+  /// Publishes \p Ptr (HazardDomain::protect); the caller must
+  /// re-validate reachability afterwards before dereferencing.
   void protect(const void *Ptr) { Domain.protect(Tid, Slot, Ptr); }
 
 private:

@@ -971,9 +971,10 @@ template <typename A> void stressRounds(AsyncMode Mode) {
     for (auto &Th : Threads)
       Th.join();
 
-    if (A::Strong)
+    if (A::Strong) {
       ASSERT_EQ(Aborts.load(), 0u)
           << "strong object aborted in round " << Round;
+    }
     assertPathConservation(*Obj, Round,
                            std::uint64_t{StressThreads} * StressOpsPerThread);
     const History H = mergeHistories(Recorders);
@@ -1038,9 +1039,10 @@ template <typename A> void dequeStressRounds(AsyncMode Mode) {
     for (auto &Th : Threads)
       Th.join();
 
-    if (A::Strong)
+    if (A::Strong) {
       ASSERT_EQ(Aborts.load(), 0u)
           << "strong deque aborted in round " << Round;
+    }
     assertPathConservation(*Obj, Round,
                            std::uint64_t{StressThreads} * StressOpsPerThread);
     const History H = mergeHistories(Recorders);
@@ -1072,8 +1074,9 @@ void drainAndCheck(typename A::Object &Obj,
     }
     Recs[0].recordPopValue(R.value(), T0, T1);
   }
-  if (A::Strong)
+  if (A::Strong) {
     ASSERT_EQ(Aborted, 0u);
+  }
   const History H = mergeHistories(Recs);
   ASSERT_TRUE(H.wellFormed());
   const CheckResult Result = checkLinearizable(H, A::makeSpec());
@@ -1090,8 +1093,9 @@ template <typename A> void exploreCell(bool Exhaustive) {
                    : Explorer.randomWalks(F, RandomWalkRuns, 0x5EED5ull + Salt);
     EXPECT_GT(R.Runs, 0u);
     EXPECT_EQ(R.CappedRuns, 0u);
-    if (Exhaustive)
+    if (Exhaustive) {
       EXPECT_TRUE(R.Complete);
+    }
   };
 
   // Two concurrent pushes on an empty object, drained and checked solo.
@@ -1181,8 +1185,9 @@ void dequeDrainAndCheck(typename A::Object &Obj,
     }
     Recs[0].recordOp(OpCode::PopLeft, 0, ResCode::Value, R.value(), T0, T1);
   }
-  if (A::Strong)
+  if (A::Strong) {
     ASSERT_EQ(Aborted, 0u);
+  }
   const History H = mergeHistories(Recs);
   ASSERT_TRUE(H.wellFormed());
   const CheckResult Result = checkLinearizable(H, A::makeSpec());
@@ -1199,8 +1204,9 @@ template <typename A> void dequeExploreCell(bool Exhaustive) {
                    : Explorer.randomWalks(F, RandomWalkRuns, 0xDEC5ull + Salt);
     EXPECT_GT(R.Runs, 0u);
     EXPECT_EQ(R.CappedRuns, 0u);
-    if (Exhaustive)
+    if (Exhaustive) {
       EXPECT_TRUE(R.Complete);
+    }
   };
 
   // pushLeft racing pushRight on an empty deque.
@@ -1795,8 +1801,9 @@ template <typename A> void mapSpecReplayCell() {
   Insert(2, 24, PushResult::Full);         // full again; 2 is gone now
   ValueOp(OpCode::Get, 2, std::nullopt);
   ValueOp(OpCode::Get, 5, 55);
-  if constexpr (requires { Obj->sizeForTesting(); })
+  if constexpr (requires { Obj->sizeForTesting(); }) {
     EXPECT_EQ(Obj->sizeForTesting(), 4u);
+  }
   assertPathConservation(*Obj, 0, 19);
 }
 
@@ -2011,8 +2018,9 @@ inline void mapCrashSweep() {
     runAndCrashAt([&M] { (void)M.insert(0, K, 7); },
                   static_cast<std::uint32_t>(C));
     const PopResult<std::uint32_t> G = M.get(1, K);
-    if (G.isValue())
+    if (G.isValue()) {
       EXPECT_EQ(G.value(), 7u) << "crash at " << C << " tore the insert";
+    }
     ASSERT_EQ(M.insert(1, K, 8), PushResult::Done) << "crash at " << C;
     ASSERT_TRUE(M.get(1, K).isValue());
     SurvivorOwnsRegion(M);
@@ -2055,8 +2063,9 @@ inline void mapCrashSweep() {
     runAndCrashAt([&M] { (void)M.erase(0, K); },
                   static_cast<std::uint32_t>(C));
     const PopResult<std::uint32_t> G = M.get(1, K);
-    if (G.isValue())
+    if (G.isValue()) {
       EXPECT_EQ(G.value(), 7u) << "crash at " << C << " tore the erase";
+    }
     ASSERT_EQ(M.insert(1, K, 8), PushResult::Done);
     const PopResult<std::uint32_t> After = M.get(1, K);
     ASSERT_TRUE(After.isValue());

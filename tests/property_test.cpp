@@ -275,8 +275,9 @@ TEST_P(CodecAgreementProperty, BothCodecsSameResults) {
       const auto B = Wide.weakPop();
       ASSERT_EQ(A.isValue(), B.isValue());
       ASSERT_EQ(A.isEmpty(), B.isEmpty());
-      if (A.isValue())
+      if (A.isValue()) {
         ASSERT_EQ(static_cast<std::uint64_t>(A.value()), B.value());
+      }
     }
   }
 }

@@ -38,15 +38,24 @@
 #include "memory/HazardDomain.h"
 #include "memory/NodePool.h"
 #include "memory/SchedHook.h"
+#include "support/CacheLine.h"
+#include "support/SpinWait.h"
 #include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <linux/membarrier.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 namespace csobj {
 namespace {
@@ -141,6 +150,22 @@ TEST(HazardDomainTest, DestructorDropsEntriesWithoutRecycling) {
          "structure frees storage wholesale in its own destructor";
 }
 
+// The handshake's path is the platform's choice, not a setting: a
+// kernel that offers MEMBARRIER_CMD_PRIVATE_EXPEDITED gets the
+// fence-free protect, except under ThreadSanitizer. A domain that fell
+// back to the seq_cst protect on such a kernel would still pass every
+// other test, only slower.
+TEST(HazardDomainTest, TakesTheAsymmetricPathWhereTheKernelOffersIt) {
+  HazardDomain D(1, 1);
+  bool Offered = false;
+#ifdef __linux__
+  const long Commands = syscall(SYS_membarrier, MEMBARRIER_CMD_QUERY, 0);
+  Offered = !ThreadSanitized && Commands >= 0 &&
+            (Commands & MEMBARRIER_CMD_PRIVATE_EXPEDITED);
+#endif
+  EXPECT_EQ(HazardDomain::asymmetricFence(), Offered);
+}
+
 TEST(HazardGuardTest, ClearsItsSlotOnUnwind) {
   HazardDomain D(1, 1);
   Counted A;
@@ -159,14 +184,25 @@ TEST(HazardGuardTest, ClearsItsSlotOnUnwind) {
 // Publish/validate handshake under real concurrency
 //===----------------------------------------------------------------------===
 
-// One writer repeatedly swaps a shared "current" pointer between nodes
-// and retires the displaced one; readers pin current via the hazard
-// handshake and assert the pinned node's generation is stable while
-// pinned. Any scan-vs-protect race that recycled a pinned node shows up
-// as a generation change (and as a TSan race on the reader's reads).
+// One writer repeatedly swaps a shared "current" pointer between nodes,
+// retires the displaced one and scans at once; readers pin current via
+// the hazard handshake, hold the pin for a while, and check the pinned
+// node's generation held still. A scan that misses a validated pin
+// recycles the node under the reader, which shows up as a generation
+// change.
+//
+// The setup gives a missing store-load fence room to show: just before
+// its protect, each reader writes a cache line the writer also writes,
+// so the hazard store waits in the store buffer behind a cache miss
+// while the validating re-read runs; and the hold of ~200 pauses lets
+// the writer's next scan recycle the node inside the window the reader
+// checks.
 TEST(HazardDomainRaceTest, PinnedNodeIsNeverRecycledWhilePinned) {
   constexpr std::uint32_t Readers = 3;
   constexpr std::uint32_t Iters = 20000;
+  constexpr std::uint64_t MinValidated = 20000;
+  constexpr int HoldPauses = 200;
+  constexpr std::chrono::seconds Deadline{10};
   HazardDomain D(Readers + 1, 1);
   NodePool<Counted> Pool;
 
@@ -181,12 +217,17 @@ TEST(HazardDomainRaceTest, PinnedNodeIsNeverRecycledWhilePinned) {
   std::atomic<Counted *> Current{Pool.acquire()};
   std::atomic<bool> Stop{false};
   std::atomic<std::uint64_t> Validated{0};
+  std::atomic<std::uint64_t> RecycledWhilePinned{0};
+  struct alignas(CacheLineSize) {
+    std::atomic<std::uint32_t> Word{0};
+  } Contended;
 
   std::vector<std::thread> Threads;
   for (std::uint32_t R = 0; R < Readers; ++R)
     Threads.emplace_back([&, R] {
       while (!Stop.load(std::memory_order_acquire)) {
         Counted *C = Current.load(std::memory_order_acquire);
+        Contended.Word.store(R, std::memory_order_relaxed);
         D.protect(R, 0, C);
         if (Current.load(std::memory_order_seq_cst) != C) {
           D.clear(R, 0);
@@ -194,30 +235,40 @@ TEST(HazardDomainRaceTest, PinnedNodeIsNeverRecycledWhilePinned) {
         }
         // Pinned and validated: the generation must hold still.
         const std::uint32_t G0 = C->Gen.load(std::memory_order_relaxed);
-        for (int Spin = 0; Spin < 8; ++Spin)
-          EXPECT_EQ(C->Gen.load(std::memory_order_relaxed), G0)
-              << "node recycled while hazard-pinned";
+        for (int Spin = 0; Spin < HoldPauses; ++Spin)
+          cpuRelax();
+        if (C->Gen.load(std::memory_order_relaxed) != G0)
+          RecycledWhilePinned.fetch_add(1, std::memory_order_relaxed);
         Validated.fetch_add(1, std::memory_order_relaxed);
         D.clear(R, 0);
       }
     });
 
   const std::uint32_t WriterTid = Readers;
-  for (std::uint32_t I = 0; I < Iters; ++I) {
+  // Churn until the readers have validated enough pins to make a missed
+  // hazard all but certain to show; under full churn the validate step
+  // loses most races, so the iteration count alone does not say that.
+  // A run whose readers starve stops at the deadline and fails below.
+  const auto Start = std::chrono::steady_clock::now();
+  for (std::uint32_t I = 0;
+       I < Iters || (Validated.load(std::memory_order_relaxed) < MinValidated &&
+                     std::chrono::steady_clock::now() - Start < Deadline);
+       ++I) {
+    Contended.Word.store(WriterTid, std::memory_order_relaxed);
     Counted *Fresh = Pool.acquire();
     Counted *Old = Current.exchange(Fresh, std::memory_order_seq_cst);
     D.retire(WriterTid, Old, RecycleToPool, &Pool);
+    (void)D.scan(WriterTid);
   }
-  // Under full churn the validate step can lose every race; with the
-  // writer idle it succeeds immediately. Wait for real coverage before
-  // stopping so the assertion below is deterministic.
-  while (Validated.load(std::memory_order_relaxed) < Readers)
-    std::this_thread::yield();
   Stop.store(true, std::memory_order_release);
   for (std::thread &T : Threads)
     T.join();
 
-  EXPECT_GE(Validated.load(), Readers) << "no reader ever validated a pin";
+  EXPECT_EQ(RecycledWhilePinned.load(), 0u)
+      << "nodes recycled while hazard-pinned";
+  ASSERT_GE(Validated.load(), MinValidated)
+      << "readers validated too few pins within " << Deadline.count()
+      << " s for the race to mean anything";
   D.quiescentScanAll();
   EXPECT_EQ(D.retireBacklog(), 0u);
   // Everything retired was recycled exactly once; one node is still
