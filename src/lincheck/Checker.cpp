@@ -39,51 +39,6 @@ std::string BoundedStackSpec::key() const {
   return Key;
 }
 
-bool BoundedDequeSpec::apply(const Operation &Op) {
-  switch (Op.Code) {
-  case OpCode::PushLeft:
-  case OpCode::PushRight:
-    if (Op.Result == ResCode::Done) {
-      if (Contents.size() >= Capacity)
-        return false;
-      if (Op.Code == OpCode::PushLeft)
-        Contents.push_front(Op.Arg);
-      else
-        Contents.push_back(Op.Arg);
-      return true;
-    }
-    return Op.Result == ResCode::Full && Contents.size() == Capacity;
-  case OpCode::PopLeft:
-    if (Op.Result == ResCode::Value) {
-      if (Contents.empty() || Contents.front() != Op.RetValue)
-        return false;
-      Contents.pop_front();
-      return true;
-    }
-    return Op.Result == ResCode::Empty && Contents.empty();
-  case OpCode::PopRight:
-    if (Op.Result == ResCode::Value) {
-      if (Contents.empty() || Contents.back() != Op.RetValue)
-        return false;
-      Contents.pop_back();
-      return true;
-    }
-    return Op.Result == ResCode::Empty && Contents.empty();
-  case OpCode::Push:
-  case OpCode::Pop:
-    return false; // Wrong operation model for a deque history.
-  }
-  return false;
-}
-
-std::string BoundedDequeSpec::key() const {
-  std::string Key;
-  Key.reserve(Contents.size() * 4);
-  for (std::uint32_t V : Contents)
-    Key.append(reinterpret_cast<const char *>(&V), sizeof(V));
-  return Key;
-}
-
 bool LinearDequeSpec::apply(const Operation &Op) {
   switch (Op.Code) {
   case OpCode::PushLeft:
@@ -122,7 +77,11 @@ bool LinearDequeSpec::apply(const Operation &Op) {
     return Op.Result == ResCode::Empty && Contents.empty();
   case OpCode::Push:
   case OpCode::Pop:
-    return false;
+  case OpCode::Get:
+  case OpCode::Insert:
+  case OpCode::Erase:
+  case OpCode::FetchAdd:
+    return false; // Wrong operation model for a deque history.
   }
   return false;
 }
@@ -236,6 +195,18 @@ std::string OrderedMapSpec::key() const {
     Key.append(reinterpret_cast<const char *>(&V), sizeof(V));
   }
   return Key;
+}
+
+bool FetchAddSpec::apply(const Operation &Op) {
+  if (Op.Code != OpCode::FetchAdd || Op.Result != ResCode::Value ||
+      Op.RetValue != Sum + Op.Arg)
+    return false;
+  Sum += Op.Arg;
+  return true;
+}
+
+std::string FetchAddSpec::key() const {
+  return std::string(reinterpret_cast<const char *>(&Sum), sizeof(Sum));
 }
 
 } // namespace csobj

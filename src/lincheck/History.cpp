@@ -46,6 +46,8 @@ static const char *opName(OpCode Code) {
     return "insert";
   case OpCode::Erase:
     return "erase";
+  case OpCode::FetchAdd:
+    return "fetch_add";
   }
   return "?";
 }
@@ -83,6 +85,8 @@ std::string History::describe() const {
     } else if (isPushLike(Op.Code))
       OS << "(" << Op.Arg << ") -> "
          << (Op.Result == ResCode::Done ? "done" : "full");
+    else if (Op.Code == OpCode::FetchAdd)
+      OS << "(" << Op.Arg << ") -> " << Op.RetValue;
     else if (Op.Result == ResCode::Value)
       OS << "() -> " << Op.RetValue;
     else

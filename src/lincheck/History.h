@@ -38,6 +38,7 @@ enum class OpCode : std::uint8_t {
   Get,       ///< map: get(Arg=key) -> Value(RetValue) | Empty
   Insert,    ///< map: insert(Arg=key, RetValue=value) -> Done | Full
   Erase,     ///< map: erase(Arg=key) -> Value(old value) | Empty
+  FetchAdd,  ///< counter: add(Arg=delta) -> Value(the sum after the add)
 };
 
 /// True for the operations that add an element.

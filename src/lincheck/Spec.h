@@ -8,9 +8,9 @@
 /// Sequential specifications of the objects under test, in the form the
 /// linearizability checker consumes: a value-type state plus an apply
 /// function that checks one operation's result against the state and
-/// advances it. Both objects are *bounded* and *total* exactly as in the
-/// paper: push on a full object answers "full", pop on an empty object
-/// answers "empty" (Section 1.1).
+/// advances it. The containers are *bounded* and *total* exactly as in
+/// the paper: push on a full object answers "full", pop on an empty
+/// object answers "empty" (Section 1.1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,22 +45,6 @@ public:
 private:
   std::uint32_t Capacity;
   std::vector<std::uint32_t> Contents;
-};
-
-/// Sequential bounded double-ended queue. Push/PopLeft and
-/// Push/PopRight act on the respective ends; the plain Push/Pop codes
-/// are rejected (a history mixing models is a bug in the harness).
-class BoundedDequeSpec {
-public:
-  explicit BoundedDequeSpec(std::uint32_t Capacity) : Capacity(Capacity) {}
-
-  bool apply(const Operation &Op);
-  std::string key() const;
-  std::size_t size() const { return Contents.size(); }
-
-private:
-  std::uint32_t Capacity;
-  std::deque<std::uint32_t> Contents;
 };
 
 /// Sequential specification of the *linear* (non-circular) HLM deque:
@@ -135,6 +119,19 @@ public:
 private:
   std::uint32_t Capacity;
   std::map<std::uint32_t, std::uint32_t> Live;
+};
+
+/// Sequential counter: fetch-and-add(Arg) answers the sum after the add,
+/// as ContentionSensitiveCounter::add does. State = the sum, which is
+/// also its memo key. Answers are recorded in the 32-bit RetValue, so a
+/// history must keep its sums below 2^32.
+class FetchAddSpec {
+public:
+  bool apply(const Operation &Op);
+  std::string key() const;
+
+private:
+  std::uint64_t Sum = 0;
 };
 
 } // namespace csobj

@@ -7,31 +7,48 @@
 /// \file
 /// The conformance battery: every concurrent object in src/core and
 /// src/baselines runs through one shared matrix of checks instead of
-/// hand-written per-object suites. An object joins the battery by
-/// providing a small adapter (make / push / pop / makeSpec) and
-/// registering a BatteryEntry; the six cells below are generic over the
-/// adapter:
+/// hand-written per-object suites. The matrix is written over two things.
 ///
-///   SpecReplay     solo op sequence crossing Full/Empty edges, every
-///                  result validated against the sequential spec
-///   LincheckStress randomized multi-thread rounds, each round checked
-///                  for linearizability (Wing & Gong)
-///   Explore        schedule-space search (exhaustive DFS where the
-///                  schedule tree is bounded, random walks otherwise)
-///   Chaos          the stress shape under FaultPlan::chaos yield/stall
+/// A *shape* says once how a family's operations are drawn, applied and
+/// checked: PushPop (stacks, queues and bags), DequeShape, MapShape and
+/// CounterShape. It names the sequential spec, the stress mix and its
+/// seeds, the SpecReplay script, the Explore races, the solo ops whose
+/// accesses AccessBound counts, and what a quiescent object must satisfy
+/// beyond its history. Operations travel as lincheck Operations, so
+/// applying, recording and checking one is written once for all shapes.
+/// A shape reaches an object's operations by their names (push or
+/// enqueue, with or without a process id, strong or weak), so no object
+/// needs an adapter.
+///
+/// A *row* is one object: its name, the src/ headers it covers, its
+/// shape, a factory, its solo access bounds, the crash sweep its
+/// CrashOrStall cell adds, and whether Explore may enumerate every
+/// schedule. The six cells have one body each:
+///
+///   SpecReplay     a solo script crossing Full/Empty edges, every
+///                  answer validated against the sequential spec
+///   LincheckStress randomized multi-thread rounds, each checked for
+///                  linearizability (Wing & Gong); a row whose spec
+///                  capacity is SmallCapacity then runs as many
+///                  capacity-boundary rounds (fill to Full, drain to
+///                  Empty, repeat)
+///   Explore        schedule-space search over the shape's races
+///                  (exhaustive DFS where the schedule tree is bounded,
+///                  random walks otherwise)
+///   Chaos          the stress rounds under FaultPlan::chaos yield/stall
 ///                  noise
-///   CrashOrStall   a wall-clock stall-plan round for every entry, plus
-///                  mode-specific crash sweeps (lock-free objects, the
-///                  crash-tolerant skeleton, the leasable lock)
+///   CrashOrStall   the stress rounds under a stall plan, plus the row's
+///                  crash sweep (lock-free objects, the crash-tolerant
+///                  skeleton, the leasable lock, the HLM deque, the map)
 ///   AccessBound    solo shared-access counts (exact for the paper's
 ///                  documented fast paths, upper bounds elsewhere)
 ///
 /// Crash modes: RAII-locked baselines must never be crash-swept — the
 /// SimulatedCrash unwind releases their ScopedLock, and a kill landing in
-/// the noexcept unlock would terminate — so lock-based entries get stall
+/// the noexcept unlock would terminate — so lock-based rows get stall
 /// plans only, and leasable-lock crash coverage runs as a dedicated
 /// non-RAII sweep (leasableLockCrashSweep). TimestampBoost's slow path
-/// defers forever to a crashed announced process, so boosted entries are
+/// defers forever to a crashed announced process, so boosted rows are
 /// stall-only too.
 ///
 //===----------------------------------------------------------------------===//
@@ -39,6 +56,7 @@
 #ifndef CSOBJ_TESTS_CONFORMANCE_BATTERY_H
 #define CSOBJ_TESTS_CONFORMANCE_BATTERY_H
 
+#include "CrashAt.h"
 #include "conformance/Params.h"
 
 #include "baselines/EliminationBackoffStack.h"
@@ -103,24 +121,6 @@ namespace conformance {
 // Shared helpers
 //===----------------------------------------------------------------------===
 
-/// Runs \p Body under the scheduler, crashing it at its (K+1)-th shared
-/// access. Returns the number of decision points, so callers discover an
-/// operation's access count by passing a huge K (same contract as the
-/// helper in tests/crash_test.cpp).
-inline std::size_t runAndCrashAt(std::function<void()> Body,
-                                 std::uint32_t K) {
-  InterleaveScheduler Scheduler(1);
-  const auto Trace = Scheduler.run(
-      {std::move(Body)},
-      [K](std::size_t Step, const std::vector<std::uint32_t> &Parked)
-          -> std::uint32_t {
-        if (Step == K)
-          return Parked.front() | InterleaveScheduler::KillFlag;
-        return Parked.front();
-      });
-  return Trace.Decisions.size();
-}
-
 inline std::uint32_t randomValue(SplitMix64 &Rng) {
   return static_cast<std::uint32_t>(Rng.below(1u << 16)) + 1;
 }
@@ -147,1161 +147,658 @@ inline FaultPlan asyncPlan(AsyncMode Mode, std::uint64_t RoundSeed) {
   return FaultPlan{};
 }
 
-//===----------------------------------------------------------------------===
-// Push/pop family adapters
-//===----------------------------------------------------------------------===
-// Contract: using Object; static constexpr bool Strong (ops never abort);
-// make(Threads, Capacity); push(Object&, Tid, V) -> PushResult;
-// pop(Object&, Tid) -> PopResult<uint32_t>; makeSpec() over SmallCapacity.
-
-struct AbortableStackAdapter {
-  using Object = AbortableStack<>;
-  static constexpr bool Strong = false;
-  static std::unique_ptr<Object> make(std::uint32_t /*Threads*/,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t /*Tid*/, std::uint32_t V) {
-    return O.weakPush(V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t /*Tid*/) {
-    return O.weakPop();
-  }
-  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
-};
-
-struct NonBlockingStackAdapter {
-  using Object = NonBlockingStack<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t /*Threads*/,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t /*Tid*/, std::uint32_t V) {
-    return O.push(V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t /*Tid*/) {
-    return O.pop();
-  }
-  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
-};
-
-struct CsStackAdapter {
-  using Object = ContentionSensitiveStack<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.pop(Tid);
-  }
-  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
-};
-
-struct CtStackAdapter {
-  using Object = CrashTolerantStack<>;
-  using Skeleton = Object::Skeleton;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    // Small patience everywhere: false revocation is linearizable for
-    // crash-tolerant objects (linearization points live in the weak
-    // C&S), and it buys degraded-path coverage in every cell.
-    return std::make_unique<Object>(Threads, Capacity, SmallPatience);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.pop(Tid);
-  }
-  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
-
-  // Crash-sweep extras.
-  static std::unique_ptr<Object> makeForSweep() {
-    return std::make_unique<Object>(2, SmallCapacity, SmallPatience);
-  }
-  static Skeleton &skeleton(Object &O) { return O.skeleton(); }
-  static auto forcedSlow(Object &O, std::uint32_t V) {
-    return [&O, V, Attempts = 0]() mutable -> std::optional<PushResult> {
-      if (Attempts++ == 0)
-        return std::nullopt;
-      const PushResult R = O.abortable().weakPush(V);
-      if (R == PushResult::Abort)
-        return std::nullopt;
-      return R;
-    };
-  }
-  static std::uint32_t drainCount(Object &O) {
-    std::uint32_t Seen = 0;
-    while (O.abortable().weakPop().isValue())
-      ++Seen;
-    return Seen;
-  }
-};
-
-struct BoxedStackAdapter {
-  using Object = BoxedStack<std::uint32_t>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V) ? PushResult::Done : PushResult::Full;
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    const std::optional<std::uint32_t> R = O.pop(Tid);
-    return R ? PopResult<std::uint32_t>::value(*R)
-             : PopResult<std::uint32_t>::empty();
-  }
-  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
-};
-
-struct BoostedStackAdapter {
-  using Object = BoostedStack<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.pop(Tid);
-  }
-  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
-};
-
-struct WaitFreeStackAdapter {
-  using Object = WaitFreeStack<SmallCapacity, 8>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    EXPECT_EQ(Capacity, SmallCapacity) << "compile-time capacity";
-    return std::make_unique<Object>(Threads);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.pop(Tid);
-  }
-  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
-};
-
-template <typename Lock> struct LockedStackAdapter {
-  using Object = LockedStack<Lock>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.pop(Tid);
-  }
-  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
-};
-
-struct TreiberStackAdapter {
-  using Object = TreiberStack;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t /*Tid*/, std::uint32_t V) {
-    return O.push(V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t /*Tid*/) {
-    return O.pop();
-  }
-  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
-};
-
-// Hendler-Shavit-Yerushalmi: two slots and a short spin, so contended
-// rounds keep crossing the rendezvous.
-struct HsyStackAdapter {
-  using Object = EliminationBackoffStack;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity, /*SlotCount=*/2,
-                                    /*SpinBudget=*/16);
-  }
-  static PushResult push(Object &O, std::uint32_t /*Tid*/, std::uint32_t V) {
-    return O.push(V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t /*Tid*/) {
-    return O.pop();
-  }
-  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
-};
-
-// Unbounded (chunked, hazard-reclaimed) stack. The battery drives it
-// well below its envelope, so Full is unreachable — exactly the
-// "unbounded" contract — and the spec capacity is the envelope itself.
-struct UnboundedStackAdapter {
-  using Object = UnboundedStack<>;
-  static constexpr bool Strong = false;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t /*Capacity*/) {
-    return std::make_unique<Object>(Threads);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.weakPush(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.weakPop(Tid);
-  }
-  static BoundedStackSpec makeSpec() {
-    return BoundedStackSpec(Object::TopC::MaxIndex);
-  }
-};
-
-struct UnboundedCsStackAdapter {
-  using Object = ContentionSensitiveUnboundedStack<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t /*Capacity*/) {
-    return std::make_unique<Object>(Threads);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.pop(Tid);
-  }
-  static BoundedStackSpec makeSpec() {
-    return BoundedStackSpec(UnboundedStack<>::TopC::MaxIndex);
-  }
-};
-
-struct AbortableQueueAdapter {
-  using Object = AbortableQueue<>;
-  static constexpr bool Strong = false;
-  static std::unique_ptr<Object> make(std::uint32_t /*Threads*/,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t /*Tid*/, std::uint32_t V) {
-    return O.weakEnqueue(V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t /*Tid*/) {
-    return O.weakDequeue();
-  }
-  static BoundedQueueSpec makeSpec() { return BoundedQueueSpec(SmallCapacity); }
-};
-
-struct NonBlockingQueueAdapter {
-  using Object = NonBlockingQueue<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t /*Threads*/,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t /*Tid*/, std::uint32_t V) {
-    return O.enqueue(V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t /*Tid*/) {
-    return O.dequeue();
-  }
-  static BoundedQueueSpec makeSpec() { return BoundedQueueSpec(SmallCapacity); }
-};
-
-struct CsQueueAdapter {
-  using Object = ContentionSensitiveQueue<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.enqueue(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.dequeue(Tid);
-  }
-  static BoundedQueueSpec makeSpec() { return BoundedQueueSpec(SmallCapacity); }
-};
-
-struct CtQueueAdapter {
-  using Object = CrashTolerantQueue<>;
-  using Skeleton = Object::Skeleton;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity, SmallPatience);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.enqueue(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.dequeue(Tid);
-  }
-  static BoundedQueueSpec makeSpec() { return BoundedQueueSpec(SmallCapacity); }
-
-  static std::unique_ptr<Object> makeForSweep() {
-    return std::make_unique<Object>(2, SmallCapacity, SmallPatience);
-  }
-  static Skeleton &skeleton(Object &O) { return O.skeleton(); }
-  static auto forcedSlow(Object &O, std::uint32_t V) {
-    return [&O, V, Attempts = 0]() mutable -> std::optional<PushResult> {
-      if (Attempts++ == 0)
-        return std::nullopt;
-      const PushResult R = O.abortable().weakEnqueue(V);
-      if (R == PushResult::Abort)
-        return std::nullopt;
-      return R;
-    };
-  }
-  static std::uint32_t drainCount(Object &O) {
-    std::uint32_t Seen = 0;
-    while (O.abortable().weakDequeue().isValue())
-      ++Seen;
-    return Seen;
-  }
-};
-
-// Unbounded (chunked-ring, hazard-reclaimed) queue. Like the unbounded
-// stack, the battery never approaches the envelope, so Full stays
-// unreachable and the spec capacity is the envelope.
-struct UnboundedQueueAdapter {
-  using Object = UnboundedQueue<>;
-  static constexpr bool Strong = false;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t /*Capacity*/) {
-    return std::make_unique<Object>(Threads);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.weakEnqueue(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.weakDequeue(Tid);
-  }
-  static BoundedQueueSpec makeSpec() {
-    return BoundedQueueSpec(Object::TopC::MaxIndex);
-  }
-};
-
-struct UnboundedCsQueueAdapter {
-  using Object = ContentionSensitiveUnboundedQueue<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t /*Capacity*/) {
-    return std::make_unique<Object>(Threads);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.enqueue(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.dequeue(Tid);
-  }
-  static BoundedQueueSpec makeSpec() {
-    return BoundedQueueSpec(UnboundedQueue<>::TopC::MaxIndex);
-  }
-};
-
-struct MsQueueAdapter {
-  using Object = MichaelScottQueue;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t /*Tid*/, std::uint32_t V) {
-    return O.enqueue(V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t /*Tid*/) {
-    return O.dequeue();
-  }
-  static BoundedQueueSpec makeSpec() { return BoundedQueueSpec(SmallCapacity); }
-};
-
-template <typename Lock> struct LockedQueueAdapter {
-  using Object = LockedQueue<Lock>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.enqueue(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.dequeue(Tid);
-  }
-  static BoundedQueueSpec makeSpec() { return BoundedQueueSpec(SmallCapacity); }
-};
-
-//===----------------------------------------------------------------------===
-// Deque family adapters
-//===----------------------------------------------------------------------===
-// Contract: push(Object&, Tid, Left, V); pop(Object&, Tid, Left); both
-// ends recorded as PushLeft/PushRight/PopLeft/PopRight over the
-// positional LinearDequeSpec (SmallCapacity with SmallLeftSlots).
-
-struct OfDequeAdapter {
-  using Object = ObstructionFreeDeque;
-  static constexpr bool Strong = false;
-  static std::unique_ptr<Object> make(std::uint32_t /*Threads*/) {
-    return std::make_unique<Object>(SmallCapacity, SmallLeftSlots);
-  }
-  static PushResult push(Object &O, std::uint32_t /*Tid*/, bool Left,
-                         std::uint32_t V) {
-    return Left ? O.tryPushLeft(V) : O.tryPushRight(V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t /*Tid*/,
-                                      bool Left) {
-    return Left ? O.tryPopLeft() : O.tryPopRight();
-  }
-  static LinearDequeSpec makeSpec() {
-    return LinearDequeSpec(SmallCapacity, SmallLeftSlots);
-  }
-};
-
-struct CsDequeAdapter {
-  using Object = ContentionSensitiveDeque<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads) {
-    return std::make_unique<Object>(Threads, SmallCapacity, SmallLeftSlots);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, bool Left,
-                         std::uint32_t V) {
-    return Left ? O.pushLeft(Tid, V) : O.pushRight(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid,
-                                      bool Left) {
-    return Left ? O.popLeft(Tid) : O.popRight(Tid);
-  }
-  static LinearDequeSpec makeSpec() {
-    return LinearDequeSpec(SmallCapacity, SmallLeftSlots);
-  }
-};
-
-struct CtDequeAdapter {
-  using Object = CrashTolerantDeque<>;
-  using Skeleton = Object::Skeleton;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads) {
-    return std::make_unique<Object>(Threads, SmallCapacity, SmallLeftSlots,
-                                    SmallPatience);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, bool Left,
-                         std::uint32_t V) {
-    return Left ? O.pushLeft(Tid, V) : O.pushRight(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid,
-                                      bool Left) {
-    return Left ? O.popLeft(Tid) : O.popRight(Tid);
-  }
-  static LinearDequeSpec makeSpec() {
-    return LinearDequeSpec(SmallCapacity, SmallLeftSlots);
-  }
-
-  // Crash-sweep extras: all slots on the right so the survivor's two
-  // healing pushes always fit regardless of whether the corpse's landed.
-  static std::unique_ptr<Object> makeForSweep() {
-    return std::make_unique<Object>(2, SmallCapacity, /*InitialLeftSlots=*/0,
-                                    SmallPatience);
-  }
-  static Skeleton &skeleton(Object &O) { return O.skeleton(); }
-  static auto forcedSlow(Object &O, std::uint32_t V) {
-    return [&O, V, Attempts = 0]() mutable -> std::optional<PushResult> {
-      if (Attempts++ == 0)
-        return std::nullopt;
-      const PushResult R = O.abortable().tryPushRight(V);
-      if (R == PushResult::Abort)
-        return std::nullopt;
-      return R;
-    };
-  }
-  static std::uint32_t drainCount(Object &O) {
-    std::uint32_t Seen = 0;
-    while (O.abortable().tryPopRight().isValue())
-      ++Seen;
-    return Seen;
-  }
-};
-
-//===----------------------------------------------------------------------===
-// Acceleration-layer adapters (perf/)
-//===----------------------------------------------------------------------===
-// Tiny elimination arrays (one slot, short spin budget) keep the stress
-// rendezvous rate high and the schedule trees small. All four entries are
-// stall-plan-only: their contended paths hold a lock or the combiner
-// word, so a crash strands waiters by design (see the registry comment).
-
-struct EliminatingCsStackAdapter {
-  using Object = EliminatingContentionSensitiveStack<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity, /*SlotCount=*/1,
-                                    /*SpinBudget=*/8);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.pop(Tid);
-  }
-  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
-};
-
-struct CombiningStackAdapter {
-  using Object = CombiningStack<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.pop(Tid);
-  }
-  static BoundedStackSpec makeSpec() { return BoundedStackSpec(SmallCapacity); }
-};
-
-struct CombiningQueueAdapter {
-  using Object = CombiningQueue<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.enqueue(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.dequeue(Tid);
-  }
-  static BoundedQueueSpec makeSpec() { return BoundedQueueSpec(SmallCapacity); }
-};
-
-struct CombiningDequeAdapter {
-  using Object = CombiningDeque;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads) {
-    return std::make_unique<Object>(Threads, SmallCapacity, SmallLeftSlots);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, bool Left,
-                         std::uint32_t V) {
-    return Left ? O.pushLeft(Tid, V) : O.pushRight(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid,
-                                      bool Left) {
-    return Left ? O.popLeft(Tid) : O.popRight(Tid);
-  }
-  static LinearDequeSpec makeSpec() {
-    return LinearDequeSpec(SmallCapacity, SmallLeftSlots);
-  }
-};
-
-/// The static two-shard bag: the adaptive facade at its full mask with
-/// the controller off, so the mask and the epoch never move.
-struct ShardedStackAdapter {
-  using Object = AdaptiveShardedStack<2>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity, /*InitialShards=*/2,
-                                    /*SlotCount=*/1, /*SpinBudget=*/8,
-                                    ShardControllerConfig{.TickOps = 0});
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.pop(Tid);
-  }
-  /// A bag, not a stack: pops return some element (per-shard LIFO only).
-  static BoundedBagSpec makeSpec() { return BoundedBagSpec(SmallCapacity); }
-};
-
-/// Adaptive facade with the default (bench-cadence) controller: the mask
-/// starts at one shard and widens only through op-driven grow-on-full, so
-/// this entry certifies that reconfiguration epochs preserve the
-/// BoundedBagSpec answers (observable capacity is TotalCapacity from the
-/// first operation, Empty spans retired shards).
-struct AdaptiveStackAdapter {
-  using Object = AdaptiveShardedStack<2>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity, /*InitialShards=*/1,
-                                    /*SlotCount=*/1, /*SpinBudget=*/8);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.pop(Tid);
-  }
-  static BoundedBagSpec makeSpec() { return BoundedBagSpec(SmallCapacity); }
-};
-
-/// The same facade with a deliberately twitchy controller (tick every 4
-/// ops, act on 8-op deltas, shrink at a 50% shortcut ratio): under the
-/// battery's chaos and stall schedules the mask grows AND shrinks many
-/// times per round, so conservation and the boundary certificates are
-/// exercised across live reconfiguration epochs, not just at quiesce.
-struct AdaptiveChurnStackAdapter {
-  using Object = AdaptiveShardedStack<2>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    ShardControllerConfig Ctl;
-    Ctl.TickOps = 4;
-    Ctl.MinDeltaOps = 8;
-    Ctl.GrowLockRatio = 0.01;
-    Ctl.ShrinkShortcutRatio = 0.5;
-    return std::make_unique<Object>(Threads, Capacity, /*InitialShards=*/2,
-                                    /*SlotCount=*/1, /*SpinBudget=*/8, Ctl);
-  }
-  static PushResult push(Object &O, std::uint32_t Tid, std::uint32_t V) {
-    return O.push(Tid, V);
-  }
-  static PopResult<std::uint32_t> pop(Object &O, std::uint32_t Tid) {
-    return O.pop(Tid);
-  }
-  static BoundedBagSpec makeSpec() { return BoundedBagSpec(SmallCapacity); }
-};
-
-//===----------------------------------------------------------------------===
-// Cell: SpecReplay (solo, every result validated against the spec)
-//===----------------------------------------------------------------------===
-
-template <typename A> void specReplayCell() {
-  auto Obj = A::make(StressThreads, SmallCapacity);
-  auto Spec = A::makeSpec();
-  std::uint64_t Clock = 0;
-
-  auto DoPush = [&](std::uint32_t V) {
-    const PushResult R = A::push(*Obj, 0, V);
-    ASSERT_NE(R, PushResult::Abort) << "solo push aborted";
-    Operation Op;
-    Op.Tid = 0;
-    Op.Code = OpCode::Push;
-    Op.Arg = V;
-    Op.Result = R == PushResult::Full ? ResCode::Full : ResCode::Done;
-    Op.InvokeNs = Clock++;
-    Op.ResponseNs = Clock++;
-    ASSERT_TRUE(Spec.apply(Op))
-        << "push(" << V << ") disagrees with the sequential spec";
-  };
-  auto DoPop = [&] {
-    const PopResult<std::uint32_t> R = A::pop(*Obj, 0);
-    ASSERT_FALSE(R.isAbort()) << "solo pop aborted";
-    Operation Op;
-    Op.Tid = 0;
-    Op.Code = OpCode::Pop;
-    if (R.isValue()) {
-      Op.Result = ResCode::Value;
-      Op.RetValue = R.value();
-    } else {
-      Op.Result = ResCode::Empty;
-    }
-    Op.InvokeNs = Clock++;
-    Op.ResponseNs = Clock++;
-    ASSERT_TRUE(Spec.apply(Op)) << "pop disagrees with the sequential spec";
-  };
-
-  // Cross the Full edge, then the Empty edge.
-  for (std::uint32_t V = 1; V <= SmallCapacity + 2; ++V)
-    DoPush(V);
-  for (std::uint32_t I = 0; I <= SmallCapacity + 2; ++I)
-    DoPop();
-  // Random solo mix, still spec-validated at every step.
-  SplitMix64 Rng(0xC0FFEEull);
-  for (std::uint32_t I = 0; I < 32; ++I) {
-    if (Rng.chance(1, 2))
-      DoPush(randomValue(Rng));
-    else
-      DoPop();
-  }
+/// An operation to apply: \p Arg is the pushed value, the key or the
+/// delta, and \p Value the value an insert writes.
+inline Operation op(OpCode Code, std::uint32_t Arg = 0,
+                    std::uint32_t Value = 0) {
+  Operation Op;
+  Op.Code = Code;
+  Op.Arg = Arg;
+  Op.RetValue = Value;
+  return Op;
 }
 
-template <typename A> void dequeSpecReplayCell() {
-  auto Obj = A::make(StressThreads);
-  auto Spec = A::makeSpec();
-  std::uint64_t Clock = 0;
-
-  auto DoPush = [&](bool Left, std::uint32_t V) {
-    const PushResult R = A::push(*Obj, 0, Left, V);
-    ASSERT_NE(R, PushResult::Abort) << "solo push aborted";
-    Operation Op;
-    Op.Tid = 0;
-    Op.Code = Left ? OpCode::PushLeft : OpCode::PushRight;
-    Op.Arg = V;
-    Op.Result = R == PushResult::Full ? ResCode::Full : ResCode::Done;
-    Op.InvokeNs = Clock++;
-    Op.ResponseNs = Clock++;
-    ASSERT_TRUE(Spec.apply(Op))
-        << (Left ? "pushLeft(" : "pushRight(") << V
-        << ") disagrees with the sequential spec";
-  };
-  auto DoPop = [&](bool Left) {
-    const PopResult<std::uint32_t> R = A::pop(*Obj, 0, Left);
-    ASSERT_FALSE(R.isAbort()) << "solo pop aborted";
-    Operation Op;
-    Op.Tid = 0;
-    Op.Code = Left ? OpCode::PopLeft : OpCode::PopRight;
-    if (R.isValue()) {
-      Op.Result = ResCode::Value;
-      Op.RetValue = R.value();
-    } else {
-      Op.Result = ResCode::Empty;
-    }
-    Op.InvokeNs = Clock++;
-    Op.ResponseNs = Clock++;
-    ASSERT_TRUE(Spec.apply(Op))
-        << (Left ? "popLeft" : "popRight")
-        << " disagrees with the sequential spec";
-  };
-
-  // Exhaust both ends (positional Full), then drain past Empty.
-  for (std::uint32_t V = 1; V <= SmallLeftSlots + 1; ++V)
-    DoPush(/*Left=*/true, V);
-  for (std::uint32_t V = 10; V <= 10 + (SmallCapacity - SmallLeftSlots); ++V)
-    DoPush(/*Left=*/false, V);
-  for (std::uint32_t I = 0; I <= SmallCapacity + 1; ++I)
-    DoPop(/*Left=*/true);
-  // Random solo mix over both ends.
-  SplitMix64 Rng(0xDEC0DEull);
-  for (std::uint32_t I = 0; I < 32; ++I) {
-    const bool Left = Rng.chance(1, 2);
-    if (Rng.chance(1, 2))
-      DoPush(Left, randomValue(Rng));
-    else
-      DoPop(Left);
-  }
+inline std::string describe(const Operation &Op) {
+  History H;
+  H.Ops.push_back(Op);
+  return H.describe();
 }
 
-//===----------------------------------------------------------------------===
-// Cell: LincheckStress / Chaos / stall-plan round (one workhorse)
-//===----------------------------------------------------------------------===
+/// Records the answered \p Op, invoked at \p T0 and responded now: the
+/// response is stamped here, after the operation returned.
+inline void record(HistoryRecorder &Rec, const Operation &Op,
+                   std::uint64_t T0) {
+  const std::uint64_t T1 = HistoryRecorder::now();
+  Rec.recordOp(Op.Code, Op.Arg, Op.Result, Op.RetValue, T0, T1);
+}
 
-/// Metrics-as-oracle: once a crash-free stress round quiesces, an
-/// object exposing a path snapshot must satisfy the conservation laws
-/// (obs::PathSnapshot::conserves — every entered op retired through
-/// exactly one path, pairings balance, degradations have causes), and
-/// with metrics compiled in it must have seen every operation the round
-/// issued (>= because a sharded facade op enters several skeletons).
-/// Entries without metrics skip the check via the requires-gate; note
-/// degradations are NOT asserted zero — the small-patience entries
-/// legitimately degrade under stress.
+/// Folds an object's answer into \p Op; false when the operation aborted.
+inline bool answer(Operation &Op, PushResult R) {
+  Op.Result = R == PushResult::Full ? ResCode::Full : ResCode::Done;
+  return R != PushResult::Abort;
+}
+inline bool answer(Operation &Op, const PopResult<std::uint32_t> &R) {
+  Op.Result = R.isValue() ? ResCode::Value : ResCode::Empty;
+  Op.RetValue = R.isValue() ? R.value() : 0;
+  return !R.isAbort();
+}
+
+/// BoxedStack answers a push with a bool and a pop with an optional.
+inline PushResult asPush(PushResult R) { return R; }
+inline PushResult asPush(bool Pushed) {
+  return Pushed ? PushResult::Done : PushResult::Full;
+}
+inline PopResult<std::uint32_t> asPop(const PopResult<std::uint32_t> &R) {
+  return R;
+}
+inline PopResult<std::uint32_t> asPop(const std::optional<std::uint32_t> &R) {
+  return R ? PopResult<std::uint32_t>::value(*R)
+           : PopResult<std::uint32_t>::empty();
+}
+
+/// A stack, queue or bag's push and pop: the first of its strong
+/// push/enqueue (with a process id, then without) or weak
+/// weakPush/weakEnqueue that the object has.
+template <typename O>
+PushResult pushOn(O &Obj, std::uint32_t Tid, std::uint32_t V) {
+  if constexpr (requires { Obj.push(Tid, V); })
+    return asPush(Obj.push(Tid, V));
+  else if constexpr (requires { Obj.enqueue(Tid, V); })
+    return Obj.enqueue(Tid, V);
+  else if constexpr (requires { Obj.push(V); })
+    return Obj.push(V);
+  else if constexpr (requires { Obj.enqueue(V); })
+    return Obj.enqueue(V);
+  else if constexpr (requires { Obj.weakPush(Tid, V); })
+    return Obj.weakPush(Tid, V);
+  else
+    return Obj.weakEnqueue(Tid, V);
+}
+
+template <typename O>
+PopResult<std::uint32_t> popOn(O &Obj, std::uint32_t Tid) {
+  if constexpr (requires { Obj.pop(Tid); })
+    return asPop(Obj.pop(Tid));
+  else if constexpr (requires { Obj.dequeue(Tid); })
+    return Obj.dequeue(Tid);
+  else if constexpr (requires { Obj.pop(); })
+    return Obj.pop();
+  else if constexpr (requires { Obj.dequeue(); })
+    return Obj.dequeue();
+  else if constexpr (requires { Obj.weakPop(Tid); })
+    return Obj.weakPop(Tid);
+  else
+    return Obj.weakDequeue(Tid);
+}
+
+/// An object the battery reaches through abortable attempts (weakPush,
+/// weakEnqueue, tryPush*): only such an object may answer Abort.
+template <typename O>
+concept Abortable =
+    requires(O &Obj, std::uint32_t V) { Obj.weakPush(V, V); } ||
+    requires(O &Obj, std::uint32_t V) { Obj.weakEnqueue(V, V); } ||
+    requires(O &Obj, std::uint32_t V) { Obj.tryPushRight(V); };
+
+/// Metrics-as-oracle: once a run quiesces, an object exposing a path
+/// snapshot must satisfy the conservation laws (obs::PathSnapshot::
+/// conserves — every entered op retired through exactly one path,
+/// pairings balance, degradations have causes), and with metrics compiled
+/// in it must have seen every operation the run issued (>= because a
+/// sharded facade op enters several skeletons). Degradations are NOT
+/// asserted zero: the small-patience rows legitimately degrade.
 template <typename ObjT>
-void assertPathConservation(const ObjT &Obj, std::uint32_t Round,
-                            std::uint64_t OpsIssued) {
+void assertPathConservation(const ObjT &Obj, std::uint64_t OpsIssued) {
   if constexpr (requires { Obj.pathSnapshot(); }) {
     const obs::PathSnapshot S = Obj.pathSnapshot();
     ASSERT_TRUE(S.conserves())
-        << "round " << Round << ": path conservation violated (ops="
-        << S.Ops << " pathTotal=" << S.pathTotal()
+        << "path conservation violated (ops=" << S.Ops
+        << " pathTotal=" << S.pathTotal()
         << " elimPush=" << S.event(obs::Event::EliminatedPush)
         << " elimPop=" << S.event(obs::Event::EliminatedPop)
         << " degraded=" << S.path(obs::Path::Degraded)
         << " doorwayTO=" << S.event(obs::Event::DoorwayTimeout)
         << " leaseTO=" << S.event(obs::Event::LeaseTimeout) << ")";
     if constexpr (obs::MetricsEnabled) {
-      ASSERT_GE(S.Ops, OpsIssued)
-          << "round " << Round << ": sink missed operations";
+      ASSERT_GE(S.Ops, OpsIssued) << "sink missed operations";
     }
   } else {
-    (void)Round;
     (void)OpsIssued;
   }
 }
 
-template <typename A> void stressRounds(AsyncMode Mode) {
+//===----------------------------------------------------------------------===
+// Shapes
+//===----------------------------------------------------------------------===
+// Each shape provides: Capacity (what the factory gets in the concurrent
+// cells), ReplayThreads, the stress seeds PlanSeed and MixSeed, bounded(),
+// spec(Capacity), draw(Rng, Phase), apply(Obj, Tid, Op) (false when the
+// op aborted), replay(), races(), solo() and settled(Obj, History). The
+// two container shapes also name their solo push (In), solo pop (Out)
+// and the pop that drains an object after a race (Drain).
+
+/// What a stress thread draws: the random mix, or, in a capacity-boundary
+/// round, pushes until Full (Fill) and pops until Empty (Drain).
+enum class Phase { Mix, Fill, Drain };
+
+/// One solo step of a SpecReplay script. A Checked step also states the
+/// answer: Result, and the value returned (or, for an insert, written).
+struct Step {
+  Operation Op;
+  bool Checked = false;
+};
+
+inline Step expect(OpCode Code, std::uint32_t Arg, ResCode Result,
+                   std::uint32_t Value = 0) {
+  Operation Op = op(Code, Arg, Value);
+  Op.Result = Result;
+  return {Op, true};
+}
+
+/// One Explore scenario: a solo prefix by process 0, then one op list per
+/// process raced under the explorer (random walks start from Seed).
+struct Race {
+  std::uint64_t Seed;
+  std::vector<Operation> Before;
+  std::vector<std::vector<Operation>> Bodies;
+};
+
+/// Stacks, queues and bags: push(V) and pop() under SpecT at
+/// SpecCapacity: SmallCapacity for the bounded objects, the codec's
+/// envelope for the unbounded ones (the battery stays far below it, so
+/// Full is unreachable: the "unbounded" contract).
+template <typename SpecT> struct PushPop {
+  std::uint32_t SpecCapacity = SmallCapacity;
+
+  static constexpr std::uint32_t Capacity = SmallCapacity;
+  static constexpr std::uint32_t ReplayThreads = StressThreads;
+  static constexpr std::uint64_t PlanSeed = 0xC4A05ull;
+  static constexpr std::uint64_t MixSeed = 0xBA77E59ull;
+  /// The solo push and pop, and the pop that drains after a race.
+  static constexpr OpCode In = OpCode::Push, Out = OpCode::Pop,
+                          Drain = OpCode::Pop;
+
+  bool bounded() const { return SpecCapacity == SmallCapacity; }
+  SpecT spec(std::uint32_t) const { return SpecT(SpecCapacity); }
+
+  static Operation draw(SplitMix64 &Rng, Phase P) {
+    const bool IsPush = P == Phase::Mix ? Rng.chance(1, 2) : P == Phase::Fill;
+    const std::uint32_t V = randomValue(Rng);
+    return IsPush ? op(In, V) : op(Out);
+  }
+
+  template <typename O>
+  static bool apply(O &Obj, std::uint32_t Tid, Operation &Op) {
+    return Op.Code == In ? answer(Op, pushOn(Obj, Tid, Op.Arg))
+                         : answer(Op, popOn(Obj, Tid));
+  }
+
+  /// Cross the Full edge, then the Empty edge, then a random solo mix.
+  static std::vector<Step> replay() {
+    std::vector<Step> Script;
+    for (std::uint32_t V = 1; V <= SmallCapacity + 2; ++V)
+      Script.push_back({op(In, V)});
+    for (std::uint32_t I = 0; I <= SmallCapacity + 2; ++I)
+      Script.push_back({op(Out)});
+    SplitMix64 Rng(0xC0FFEEull);
+    for (std::uint32_t I = 0; I < 32; ++I)
+      Script.push_back({Rng.chance(1, 2) ? op(In, randomValue(Rng)) : op(Out)});
+    return Script;
+  }
+
+  static std::vector<Race> races() {
+    return {// Two concurrent pushes on an empty object.
+            {0x5EED5ull + 1, {}, {{op(In, 1)}, {op(In, 2)}}},
+            // A push racing a pop on a one-element object.
+            {0x5EED5ull + 2, {op(In, 9)}, {{op(In, 1)}, {op(Out)}}}};
+  }
+
+  static std::vector<Operation> solo() { return {op(In, 7), op(Out)}; }
+
+  template <typename O> static void settled(O &, const History &) {}
+};
+
+/// The HLM deque family: both ends, recorded as PushLeft/PushRight/
+/// PopLeft/PopRight over the positional LinearDequeSpec (SmallCapacity
+/// with SmallLeftSlots; each end is Full when its own slots run out).
+struct DequeShape {
+  static constexpr std::uint32_t Capacity = SmallCapacity;
+  static constexpr std::uint32_t ReplayThreads = StressThreads;
+  static constexpr std::uint64_t PlanSeed = 0xCD0DEull;
+  static constexpr std::uint64_t MixSeed = 0xD0DECull;
+  /// Solo ops use the right end; a race drains from the left.
+  static constexpr OpCode In = OpCode::PushRight, Out = OpCode::PopRight,
+                          Drain = OpCode::PopLeft;
+
+  static constexpr bool bounded() { return true; }
+  LinearDequeSpec spec(std::uint32_t) const {
+    return LinearDequeSpec(SmallCapacity, SmallLeftSlots);
+  }
+
+  static Operation at(bool Push, bool Left, std::uint32_t V) {
+    if (Push)
+      return op(Left ? OpCode::PushLeft : OpCode::PushRight, V);
+    return op(Left ? OpCode::PopLeft : OpCode::PopRight);
+  }
+
+  static Operation draw(SplitMix64 &Rng, Phase P) {
+    const bool IsPush = P == Phase::Mix ? Rng.chance(1, 2) : P == Phase::Fill;
+    const bool Left = Rng.chance(1, 2);
+    const std::uint32_t V = randomValue(Rng);
+    return at(IsPush, Left, V);
+  }
+
+  template <typename O>
+  static bool apply(O &Obj, std::uint32_t Tid, Operation &Op) {
+    const bool Left = Op.Code == OpCode::PushLeft || Op.Code == OpCode::PopLeft;
+    const std::uint32_t V = Op.Arg;
+    if constexpr (requires { Obj.pushLeft(Tid, V); }) {
+      if (isPushLike(Op.Code))
+        return answer(Op, Left ? Obj.pushLeft(Tid, V) : Obj.pushRight(Tid, V));
+      return answer(Op, Left ? Obj.popLeft(Tid) : Obj.popRight(Tid));
+    } else {
+      if (isPushLike(Op.Code))
+        return answer(Op, Left ? Obj.tryPushLeft(V) : Obj.tryPushRight(V));
+      return answer(Op, Left ? Obj.tryPopLeft() : Obj.tryPopRight());
+    }
+  }
+
+  /// Exhaust both ends (positional Full), drain past Empty, then a random
+  /// solo mix over both ends.
+  static std::vector<Step> replay() {
+    std::vector<Step> Script;
+    for (std::uint32_t V = 1; V <= SmallLeftSlots + 1; ++V)
+      Script.push_back({op(OpCode::PushLeft, V)});
+    for (std::uint32_t V = 10; V <= 10 + (SmallCapacity - SmallLeftSlots); ++V)
+      Script.push_back({op(OpCode::PushRight, V)});
+    for (std::uint32_t I = 0; I <= SmallCapacity + 1; ++I)
+      Script.push_back({op(OpCode::PopLeft)});
+    SplitMix64 Rng(0xDEC0DEull);
+    for (std::uint32_t I = 0; I < 32; ++I) {
+      const bool Left = Rng.chance(1, 2);
+      Script.push_back({Rng.chance(1, 2) ? at(true, Left, randomValue(Rng))
+                                         : at(false, Left, 0)});
+    }
+    return Script;
+  }
+
+  static std::vector<Race> races() {
+    using enum OpCode;
+    return {// pushLeft racing pushRight on an empty deque.
+            {0xDEC5ull + 1, {}, {{op(PushLeft, 1)}, {op(PushRight, 2)}}},
+            // pushRight racing popRight on a one-element deque (same end).
+            {0xDEC5ull + 2,
+             {op(PushRight, 9)},
+             {{op(PushRight, 1)}, {op(PopRight)}}}};
+  }
+
+  static std::vector<Operation> solo() { return {op(In, 7), op(Out)}; }
+
+  template <typename O> static void settled(O &, const History &) {}
+};
+
+/// Ordered maps: keyed get/insert/erase over OrderedMapSpec. Concurrent
+/// cells run over MapStressKeys keys against MapCapacity, so the racy
+/// capacity edge stays out of reach (Params.h); the solo script crosses
+/// the Full and erase-frees-capacity edges at SmallCapacity.
+struct MapShape {
+  static constexpr std::uint32_t Capacity = MapCapacity;
+  static constexpr std::uint32_t ReplayThreads = 1;
+  static constexpr std::uint64_t PlanSeed = 0x9AB5Eull;
+  static constexpr std::uint64_t MixSeed = 0x3A9D0ull;
+
+  static constexpr bool bounded() { return false; }
+  OrderedMapSpec spec(std::uint32_t C) const { return OrderedMapSpec(C); }
+
+  static Operation draw(SplitMix64 &Rng, Phase) {
+    const auto K = static_cast<std::uint32_t>(Rng.below(MapStressKeys));
+    const std::uint64_t Kind = Rng.below(4);
+    if (Kind < 2)
+      return op(OpCode::Get, K);
+    if (Kind == 2)
+      return op(OpCode::Insert, K, randomValue(Rng));
+    return op(OpCode::Erase, K);
+  }
+
+  template <typename O>
+  static bool apply(O &Obj, std::uint32_t Tid, Operation &Op) {
+    if (Op.Code == OpCode::Insert)
+      return answer(Op, Obj.insert(Tid, Op.Arg, Op.RetValue));
+    return answer(Op, Op.Code == OpCode::Get ? Obj.get(Tid, Op.Arg)
+                                             : Obj.erase(Tid, Op.Arg));
+  }
+
+  /// Miss, fresh insert, update, erase, reinsert after erase, the
+  /// live-key Full boundary, update at capacity, and the erase-frees-
+  /// exactly-one-slot rule.
+  static std::vector<Step> replay() {
+    using enum OpCode;
+    using enum ResCode;
+    return {expect(Get, 5, Empty),        expect(Erase, 5, Empty),
+            expect(Insert, 1, Done, 11),  expect(Insert, 2, Done, 22),
+            expect(Insert, 1, Done, 12),  // update
+            expect(Get, 1, Value, 12),    expect(Erase, 1, Value, 12),
+            expect(Get, 1, Empty),        expect(Insert, 1, Done, 13),
+            expect(Get, 1, Value, 13),    expect(Insert, 3, Done, 33),
+            expect(Insert, 4, Done, 44),  // Live = {1,2,3,4} == capacity
+            expect(Insert, 5, Full, 55),  // fresh key at the boundary
+            expect(Insert, 2, Done, 23),  // update at capacity
+            expect(Erase, 2, Value, 23),  // frees exactly one slot
+            expect(Insert, 5, Done, 55),  // erase freed capacity
+            expect(Insert, 2, Full, 24),  // full again; 2 is gone now
+            expect(Get, 2, Empty),        expect(Get, 5, Value, 55)};
+  }
+
+  /// Two writers in one key region (doorway serialization), and an
+  /// insert racing an erase of the same key (ValState C&S interference),
+  /// each beside a reader. Keys 0 and MapRegions share region 0.
+  static std::vector<Race> races() {
+    using enum OpCode;
+    return {{0x3A9E1ull,
+             {},
+             {{op(Insert, 0, 11)}, {op(Insert, MapRegions, 22)}, {op(Get, 0)}}},
+            {0x3A9E2ull,
+             {},
+             {{op(Insert, 0, 11)}, {op(Erase, 0)}, {op(Get, 0)}}}};
+  }
+
+  /// A fresh insert, get, update and erase of a height-1 key. Exact for
+  /// the cs-map: the search reads MaxLevel links top-down (one per level
+  /// on a tiny map), so
+  ///   insert (fresh) = 1 CONTENTION + 8 search + 1 admission read
+  ///                    + 1 link C&S (allocating and initializing
+  ///                    unreachable storage is uncounted)        = 11
+  ///   get            = 8 search + 1 ValState read               =  9
+  ///   insert (update)= 1 CONTENTION + 8 search + 1 read + 1 C&S = 11
+  ///   erase          = 1 CONTENTION + 8 search + 1 read + 1 C&S = 11
+  ///                    (physical removal is uncounted reclamation)
+  /// — the map's constant-solo-cost analogue of the stack's 6.
+  static std::vector<Operation> solo() {
+    std::uint32_t K = 0;
+    while (SkipListCore<>::heightOf(K) != 1)
+      ++K;
+    return {op(OpCode::Insert, K, 7), op(OpCode::Get, K),
+            op(OpCode::Insert, K, 8), op(OpCode::Erase, K)};
+  }
+
+  /// The skip list's lanes stay well formed.
+  template <typename O> static void settled(O &Obj, const History &) {
+    if constexpr (requires { Obj.core().checkLanesForTesting(); }) {
+      ASSERT_EQ(Obj.core().checkLanesForTesting(), "");
+    }
+  }
+};
+
+/// The counter: unit fetch-and-adds under FetchAddSpec, so a history is
+/// checked for real-time order, not only for the set of sums returned.
+struct CounterShape {
+  static constexpr std::uint32_t Capacity = 0; // a counter has none
+  static constexpr std::uint32_t ReplayThreads = 1;
+  static constexpr std::uint64_t PlanSeed = 0xC07EFull;
+  static constexpr std::uint64_t MixSeed = 0; // the mix draws nothing
+
+  static constexpr bool bounded() { return false; }
+  FetchAddSpec spec(std::uint32_t) const { return FetchAddSpec(); }
+
+  static Operation draw(SplitMix64 &, Phase) {
+    return op(OpCode::FetchAdd, 1);
+  }
+
+  template <typename O>
+  static bool apply(O &Obj, std::uint32_t Tid, Operation &Op) {
+    Op.Result = ResCode::Value;
+    Op.RetValue = static_cast<std::uint32_t>(Obj.add(Tid, Op.Arg));
+    return true;
+  }
+
+  static std::vector<Step> replay() {
+    std::vector<Step> Script;
+    std::uint32_t Sum = 0;
+    for (std::uint32_t I = 1; I <= 10; ++I) {
+      Sum += I;
+      Script.push_back(expect(OpCode::FetchAdd, I, ResCode::Value, Sum));
+    }
+    return Script;
+  }
+
+  static std::vector<Race> races() {
+    const Operation Add = op(OpCode::FetchAdd, 1);
+    return {{0xC07E5ull, {}, {{Add, Add}, {Add, Add}}}};
+  }
+
+  /// Paper Theorem: a solo add costs 1 CONTENTION read + the 2-access
+  /// weak add — 3 shared accesses, exactly.
+  static std::vector<Operation> solo() { return {op(OpCode::FetchAdd, 1)}; }
+
+  /// The counter holds the sum of every add.
+  template <typename O> static void settled(O &Obj, const History &H) {
+    std::uint64_t Sum = 0;
+    for (const Operation &Op : H.Ops)
+      Sum += Op.Arg;
+    EXPECT_EQ(Obj.valueForTesting(), Sum);
+  }
+};
+
+//===----------------------------------------------------------------------===
+// Cells
+//===----------------------------------------------------------------------===
+
+/// The checks a concurrent run ends with, once quiescent: a strong object
+/// never aborted, the shape's settled state, path conservation over every
+/// op issued, and a linearizable history.
+template <typename Shape, typename O>
+void checkRun(const Shape &S, O &Obj, const std::vector<HistoryRecorder> &Recs,
+              std::uint32_t Aborted) {
+  if constexpr (!Abortable<O>) {
+    ASSERT_EQ(Aborted, 0u) << "a strong object aborted";
+  }
+  const History H = mergeHistories(Recs);
+  Shape::settled(Obj, H);
+  assertPathConservation(Obj, H.Ops.size() + Aborted);
+  if (::testing::Test::HasFatalFailure())
+    return;
+  ASSERT_TRUE(H.wellFormed());
+  const CheckResult Result = checkLinearizable(H, S.spec(Shape::Capacity));
+  ASSERT_FALSE(Result.HitSearchCap);
+  ASSERT_TRUE(Result.Linearizable) << Result.FailureNote;
+}
+
+/// SpecReplay: the shape's script, solo, each answer validated against
+/// the spec (and against the script where it states one). The object
+/// ends in the spec's state and its paths conserve.
+template <typename Shape, typename Make>
+void specReplayCell(const Shape &S, const Make &M) {
+  auto Obj = M(Shape::ReplayThreads, SmallCapacity);
+  auto Spec = S.spec(SmallCapacity);
+  History H;
+  for (const Step &St : Shape::replay()) {
+    Operation Op = St.Op;
+    ASSERT_TRUE(Shape::apply(*Obj, 0, Op))
+        << "solo op aborted at step " << H.Ops.size();
+    if (St.Checked) {
+      EXPECT_EQ(Op.Result, St.Op.Result) << describe(Op);
+      EXPECT_EQ(Op.RetValue, St.Op.RetValue) << describe(Op);
+    }
+    Op.InvokeNs = 2 * H.Ops.size();
+    Op.ResponseNs = Op.InvokeNs + 1;
+    ASSERT_TRUE(Spec.apply(Op))
+        << describe(Op) << "disagrees with the sequential spec";
+    H.Ops.push_back(Op);
+  }
+  if constexpr (requires { Spec.size(); }) {
+    EXPECT_EQ(Obj->sizeForTesting(), Spec.size());
+  }
+  Shape::settled(*Obj, H);
+  assertPathConservation(*Obj, H.Ops.size());
+}
+
+/// LincheckStress, Chaos and the stall-plan rounds of CrashOrStall:
+/// StressThreads threads run the shape's random mix for StressRounds
+/// rounds without faults, ChaosRounds under them. A row whose spec
+/// capacity is SmallCapacity then runs as many capacity-boundary rounds:
+/// each thread pushes until it is answered Full, pops until it is
+/// answered Empty, and repeats, for 2·(SmallCapacity+1) ops (one fill and
+/// one drain when it runs alone). Round r draws from MixSeed·(r+1)+tid
+/// and PlanSeed·(r+1), boundary rounds numbered on after the mix rounds.
+template <typename Shape, typename Make>
+void stressCell(const Shape &S, const Make &M, AsyncMode Mode) {
   const std::uint32_t Rounds =
       Mode == AsyncMode::None ? StressRounds : ChaosRounds;
-  for (std::uint32_t Round = 0; Round < Rounds; ++Round) {
-    auto Obj = A::make(StressThreads, SmallCapacity);
+  const std::uint32_t AllRounds = S.bounded() ? 2 * Rounds : Rounds;
+  for (std::uint32_t Round = 0; Round < AllRounds; ++Round) {
+    SCOPED_TRACE(::testing::Message() << "round " << Round);
+    const bool Boundary = Round >= Rounds;
+    const std::uint32_t OpsPerThread =
+        Boundary ? 2 * (SmallCapacity + 1) : StressOpsPerThread;
+    auto Obj = M(StressThreads, Shape::Capacity);
     std::vector<HistoryRecorder> Recorders;
     for (std::uint32_t T = 0; T < StressThreads; ++T)
       Recorders.emplace_back(T);
     std::atomic<std::uint32_t> Aborts{0};
     SpinBarrier Barrier(StressThreads);
     FaultClock Clock;
-    const FaultPlan Plan = asyncPlan(Mode, 0xC4A05ull * (Round + 1));
+    const FaultPlan Plan = asyncPlan(Mode, Shape::PlanSeed * (Round + 1));
 
     std::vector<std::thread> Threads;
     for (std::uint32_t T = 0; T < StressThreads; ++T) {
       Threads.emplace_back([&, T] {
         FaultScope Faults(Plan, T, Clock);
-        HistoryRecorder &Rec = Recorders[T];
-        SplitMix64 Rng(0xBA77E59ull * (Round + 1) + T);
+        SplitMix64 Rng(Shape::MixSeed * (Round + 1) + T);
+        Phase P = Boundary ? Phase::Fill : Phase::Mix;
         Barrier.arriveAndWait();
-        for (std::uint32_t I = 0; I < StressOpsPerThread; ++I) {
-          const bool IsPush = Rng.chance(1, 2);
-          const std::uint32_t V = randomValue(Rng);
+        for (std::uint32_t I = 0; I < OpsPerThread; ++I) {
+          Operation Op = Shape::draw(Rng, P);
           const std::uint64_t T0 = HistoryRecorder::now();
-          if (IsPush) {
-            const PushResult R = A::push(*Obj, T, V);
-            const std::uint64_t T1 = HistoryRecorder::now();
-            if (R == PushResult::Abort)
-              Aborts.fetch_add(1, std::memory_order_relaxed);
-            else
-              Rec.recordPush(V, R == PushResult::Full, T0, T1);
-          } else {
-            const PopResult<std::uint32_t> R = A::pop(*Obj, T);
-            const std::uint64_t T1 = HistoryRecorder::now();
-            if (R.isAbort())
-              Aborts.fetch_add(1, std::memory_order_relaxed);
-            else if (R.isValue())
-              Rec.recordPopValue(R.value(), T0, T1);
-            else
-              Rec.recordPopEmpty(T0, T1);
+          if (!Shape::apply(*Obj, T, Op)) {
+            Aborts.fetch_add(1, std::memory_order_relaxed);
+            continue;
           }
+          record(Recorders[T], Op, T0);
+          if (P == Phase::Fill && Op.Result == ResCode::Full)
+            P = Phase::Drain;
+          else if (P == Phase::Drain && Op.Result == ResCode::Empty)
+            P = Phase::Fill;
         }
       });
     }
     for (auto &Th : Threads)
       Th.join();
-
-    if (A::Strong) {
-      ASSERT_EQ(Aborts.load(), 0u)
-          << "strong object aborted in round " << Round;
-    }
-    assertPathConservation(*Obj, Round,
-                           std::uint64_t{StressThreads} * StressOpsPerThread);
-    const History H = mergeHistories(Recorders);
-    ASSERT_TRUE(H.wellFormed());
-    const CheckResult Result = checkLinearizable(H, A::makeSpec());
-    ASSERT_FALSE(Result.HitSearchCap);
-    ASSERT_TRUE(Result.Linearizable)
-        << "round " << Round << ": " << Result.FailureNote;
+    checkRun(S, *Obj, Recorders, Aborts.load());
+    if (::testing::Test::HasFatalFailure())
+      return;
   }
 }
 
-template <typename A> void dequeStressRounds(AsyncMode Mode) {
-  const std::uint32_t Rounds =
-      Mode == AsyncMode::None ? StressRounds : ChaosRounds;
-  for (std::uint32_t Round = 0; Round < Rounds; ++Round) {
-    auto Obj = A::make(StressThreads);
-    std::vector<HistoryRecorder> Recorders;
-    for (std::uint32_t T = 0; T < StressThreads; ++T)
-      Recorders.emplace_back(T);
-    std::atomic<std::uint32_t> Aborts{0};
-    SpinBarrier Barrier(StressThreads);
-    FaultClock Clock;
-    const FaultPlan Plan = asyncPlan(Mode, 0xCD0DEull * (Round + 1));
+/// After a race, process 0 pops the shape's Drain end until Empty,
+/// recording every pop (the map and the counter have nothing to drain).
+template <typename Shape, typename O>
+void drain(O &Obj, HistoryRecorder &Rec) {
+  if constexpr (requires { Shape::Drain; }) {
+    for (std::uint32_t Guard = 0;; ++Guard) {
+      ASSERT_LE(Guard, SmallCapacity + 1u) << "drain did not terminate";
+      Operation Op = op(Shape::Drain);
+      const std::uint64_t T0 = HistoryRecorder::now();
+      ASSERT_TRUE(Shape::apply(Obj, 0, Op)) << "solo drain aborted";
+      record(Rec, Op, T0);
+      if (Op.Result == ResCode::Empty)
+        break;
+    }
+  }
+}
 
-    std::vector<std::thread> Threads;
-    for (std::uint32_t T = 0; T < StressThreads; ++T) {
-      Threads.emplace_back([&, T] {
-        FaultScope Faults(Plan, T, Clock);
-        HistoryRecorder &Rec = Recorders[T];
-        SplitMix64 Rng(0xD0DECull * (Round + 1) + T);
-        Barrier.arriveAndWait();
-        for (std::uint32_t I = 0; I < StressOpsPerThread; ++I) {
-          const bool IsPush = Rng.chance(1, 2);
-          const bool Left = Rng.chance(1, 2);
-          const std::uint32_t V = randomValue(Rng);
-          const std::uint64_t T0 = HistoryRecorder::now();
-          if (IsPush) {
-            const PushResult R = A::push(*Obj, T, Left, V);
-            const std::uint64_t T1 = HistoryRecorder::now();
-            if (R == PushResult::Abort)
-              Aborts.fetch_add(1, std::memory_order_relaxed);
+/// Explore: each of the shape's races over a fresh object for as many
+/// processes as it has bodies, every schedule drained and checked.
+template <typename Shape, typename Make>
+void exploreCell(const Shape &S, const Make &M, bool Exhaustive) {
+  using O = typename decltype(M(0u, 0u))::element_type;
+  for (const Race &Rc : Shape::races()) {
+    const auto N = static_cast<std::uint32_t>(Rc.Bodies.size());
+    const auto Factory = [&] {
+      std::shared_ptr<O> Obj = M(N, Shape::Capacity);
+      auto Recs = std::make_shared<std::vector<HistoryRecorder>>();
+      for (std::uint32_t T = 0; T < N; ++T)
+        Recs->emplace_back(T);
+      auto Aborted = std::make_shared<std::uint32_t>(0);
+      for (Operation Op : Rc.Before) {
+        const std::uint64_t T0 = HistoryRecorder::now();
+        EXPECT_TRUE(Shape::apply(*Obj, 0, Op));
+        EXPECT_EQ(Op.Result, ResCode::Done);
+        record((*Recs)[0], Op, T0);
+      }
+      ScenarioRun Run;
+      for (std::uint32_t T = 0; T < N; ++T)
+        Run.Bodies.push_back([Obj, Recs, Aborted, T, Ops = Rc.Bodies[T]] {
+          for (Operation Op : Ops) {
+            const std::uint64_t T0 = HistoryRecorder::now();
+            if (Shape::apply(*Obj, T, Op))
+              record((*Recs)[T], Op, T0);
             else
-              Rec.recordOp(Left ? OpCode::PushLeft : OpCode::PushRight, V,
-                           R == PushResult::Full ? ResCode::Full
-                                                 : ResCode::Done,
-                           0, T0, T1);
-          } else {
-            const PopResult<std::uint32_t> R = A::pop(*Obj, T, Left);
-            const std::uint64_t T1 = HistoryRecorder::now();
-            if (R.isAbort())
-              Aborts.fetch_add(1, std::memory_order_relaxed);
-            else if (R.isValue())
-              Rec.recordOp(Left ? OpCode::PopLeft : OpCode::PopRight, 0,
-                           ResCode::Value, R.value(), T0, T1);
-            else
-              Rec.recordOp(Left ? OpCode::PopLeft : OpCode::PopRight, 0,
-                           ResCode::Empty, 0, T0, T1);
+              ++*Aborted;
           }
-        }
-      });
-    }
-    for (auto &Th : Threads)
-      Th.join();
-
-    if (A::Strong) {
-      ASSERT_EQ(Aborts.load(), 0u)
-          << "strong deque aborted in round " << Round;
-    }
-    assertPathConservation(*Obj, Round,
-                           std::uint64_t{StressThreads} * StressOpsPerThread);
-    const History H = mergeHistories(Recorders);
-    ASSERT_TRUE(H.wellFormed());
-    const CheckResult Result = checkLinearizable(H, A::makeSpec());
-    ASSERT_FALSE(Result.HitSearchCap);
-    ASSERT_TRUE(Result.Linearizable)
-        << "round " << Round << ": " << Result.FailureNote;
-  }
-}
-
-//===----------------------------------------------------------------------===
-// Cell: Explore (schedule-space search over tiny two-thread scenarios)
-//===----------------------------------------------------------------------===
-
-template <typename A>
-void drainAndCheck(typename A::Object &Obj,
-                   std::vector<HistoryRecorder> &Recs,
-                   std::uint32_t Aborted) {
-  for (std::uint32_t Guard = 0;; ++Guard) {
-    ASSERT_LE(Guard, SmallCapacity + 1u) << "drain did not terminate";
-    const std::uint64_t T0 = HistoryRecorder::now();
-    const PopResult<std::uint32_t> R = A::pop(Obj, 0);
-    const std::uint64_t T1 = HistoryRecorder::now();
-    ASSERT_FALSE(R.isAbort()) << "solo drain aborted";
-    if (!R.isValue()) {
-      Recs[0].recordPopEmpty(T0, T1);
-      break;
-    }
-    Recs[0].recordPopValue(R.value(), T0, T1);
-  }
-  if (A::Strong) {
-    ASSERT_EQ(Aborted, 0u);
-  }
-  const History H = mergeHistories(Recs);
-  ASSERT_TRUE(H.wellFormed());
-  const CheckResult Result = checkLinearizable(H, A::makeSpec());
-  ASSERT_FALSE(Result.HitSearchCap);
-  ASSERT_TRUE(Result.Linearizable) << Result.FailureNote;
-}
-
-template <typename A> void exploreCell(bool Exhaustive) {
-  const auto RunScenario = [&](const ScheduleExplorer::ScenarioFactory &F,
-                               std::uint64_t Salt) {
+        });
+      Run.PostCheck = [&S, Obj, Recs, Aborted] {
+        drain<Shape>(*Obj, (*Recs)[0]);
+        if (!::testing::Test::HasFatalFailure())
+          checkRun(S, *Obj, *Recs, *Aborted);
+      };
+      return Run;
+    };
     ScheduleExplorer Explorer;
     const ExploreResult R =
-        Exhaustive ? Explorer.exploreAll(F)
-                   : Explorer.randomWalks(F, RandomWalkRuns, 0x5EED5ull + Salt);
+        Exhaustive ? Explorer.exploreAll(Factory)
+                   : Explorer.randomWalks(Factory, RandomWalkRuns, Rc.Seed);
     EXPECT_GT(R.Runs, 0u);
     EXPECT_EQ(R.CappedRuns, 0u);
     if (Exhaustive) {
       EXPECT_TRUE(R.Complete);
     }
-  };
-
-  // Two concurrent pushes on an empty object, drained and checked solo.
-  RunScenario(
-      [] {
-        std::shared_ptr<typename A::Object> Obj = A::make(2, SmallCapacity);
-        auto Recs = std::make_shared<std::vector<HistoryRecorder>>();
-        Recs->emplace_back(0);
-        Recs->emplace_back(1);
-        auto Aborted = std::make_shared<std::uint32_t>(0);
-        ScenarioRun Run;
-        for (std::uint32_t T = 0; T < 2; ++T)
-          Run.Bodies.push_back([Obj, Recs, Aborted, T] {
-            const std::uint32_t V = T + 1;
-            const std::uint64_t T0 = HistoryRecorder::now();
-            const PushResult R = A::push(*Obj, T, V);
-            const std::uint64_t T1 = HistoryRecorder::now();
-            if (R == PushResult::Abort)
-              ++*Aborted;
-            else
-              (*Recs)[T].recordPush(V, R == PushResult::Full, T0, T1);
-          });
-        Run.PostCheck = [Obj, Recs, Aborted] {
-          drainAndCheck<A>(*Obj, *Recs, *Aborted);
-        };
-        return Run;
-      },
-      1);
-
-  // A push racing a pop on a one-element object.
-  RunScenario(
-      [] {
-        std::shared_ptr<typename A::Object> Obj = A::make(2, SmallCapacity);
-        auto Recs = std::make_shared<std::vector<HistoryRecorder>>();
-        Recs->emplace_back(0);
-        Recs->emplace_back(1);
-        auto Aborted = std::make_shared<std::uint32_t>(0);
-        {
-          const std::uint64_t T0 = HistoryRecorder::now();
-          const PushResult R = A::push(*Obj, 0, 9);
-          const std::uint64_t T1 = HistoryRecorder::now();
-          EXPECT_EQ(R, PushResult::Done);
-          (*Recs)[0].recordPush(9, false, T0, T1);
-        }
-        ScenarioRun Run;
-        Run.Bodies.push_back([Obj, Recs, Aborted] {
-          const std::uint64_t T0 = HistoryRecorder::now();
-          const PushResult R = A::push(*Obj, 0, 1);
-          const std::uint64_t T1 = HistoryRecorder::now();
-          if (R == PushResult::Abort)
-            ++*Aborted;
-          else
-            (*Recs)[0].recordPush(1, R == PushResult::Full, T0, T1);
-        });
-        Run.Bodies.push_back([Obj, Recs, Aborted] {
-          const std::uint64_t T0 = HistoryRecorder::now();
-          const PopResult<std::uint32_t> R = A::pop(*Obj, 1);
-          const std::uint64_t T1 = HistoryRecorder::now();
-          if (R.isAbort())
-            ++*Aborted;
-          else if (R.isValue())
-            (*Recs)[1].recordPopValue(R.value(), T0, T1);
-          else
-            (*Recs)[1].recordPopEmpty(T0, T1);
-        });
-        Run.PostCheck = [Obj, Recs, Aborted] {
-          drainAndCheck<A>(*Obj, *Recs, *Aborted);
-        };
-        return Run;
-      },
-      2);
+  }
 }
 
-template <typename A>
-void dequeDrainAndCheck(typename A::Object &Obj,
-                        std::vector<HistoryRecorder> &Recs,
-                        std::uint32_t Aborted) {
-  for (std::uint32_t Guard = 0;; ++Guard) {
-    ASSERT_LE(Guard, SmallCapacity + 1u) << "drain did not terminate";
-    const std::uint64_t T0 = HistoryRecorder::now();
-    const PopResult<std::uint32_t> R = A::pop(Obj, 0, /*Left=*/true);
-    const std::uint64_t T1 = HistoryRecorder::now();
-    ASSERT_FALSE(R.isAbort()) << "solo drain aborted";
-    if (!R.isValue()) {
-      Recs[0].recordOp(OpCode::PopLeft, 0, ResCode::Empty, 0, T0, T1);
-      break;
-    }
-    Recs[0].recordOp(OpCode::PopLeft, 0, ResCode::Value, R.value(), T0, T1);
-  }
-  if (A::Strong) {
-    ASSERT_EQ(Aborted, 0u);
-  }
-  const History H = mergeHistories(Recs);
-  ASSERT_TRUE(H.wellFormed());
-  const CheckResult Result = checkLinearizable(H, A::makeSpec());
-  ASSERT_FALSE(Result.HitSearchCap);
-  ASSERT_TRUE(Result.Linearizable) << Result.FailureNote;
+/// A row's solo access bounds, one per op of its shape's solo().
+struct AccessBounds {
+  std::vector<std::uint64_t> PerOp;
+  bool Exact = false;
+};
+
+inline AccessBounds exactly(std::vector<std::uint64_t> PerOp) {
+  return {std::move(PerOp), true};
+}
+inline AccessBounds atMost(std::vector<std::uint64_t> PerOp) {
+  return {std::move(PerOp), false};
 }
 
-template <typename A> void dequeExploreCell(bool Exhaustive) {
-  const auto RunScenario = [&](const ScheduleExplorer::ScenarioFactory &F,
-                               std::uint64_t Salt) {
-    ScheduleExplorer Explorer;
-    const ExploreResult R =
-        Exhaustive ? Explorer.exploreAll(F)
-                   : Explorer.randomWalks(F, RandomWalkRuns, 0xDEC5ull + Salt);
-    EXPECT_GT(R.Runs, 0u);
-    EXPECT_EQ(R.CappedRuns, 0u);
-    if (Exhaustive) {
-      EXPECT_TRUE(R.Complete);
+template <typename Shape, typename Make>
+void accessBoundCell(const Make &M, const AccessBounds &B) {
+  auto Obj = M(StressThreads, Shape::Capacity);
+  const std::vector<Operation> Ops = Shape::solo();
+  ASSERT_EQ(Ops.size(), B.PerOp.size());
+  for (std::size_t I = 0; I < Ops.size(); ++I) {
+    Operation Op = Ops[I];
+    const std::uint64_t Accesses =
+        countAccesses([&] { (void)Shape::apply(*Obj, 0, Op); }).total();
+    if (I == 0) {
+      EXPECT_GT(Accesses, 0u);
     }
-  };
-
-  // pushLeft racing pushRight on an empty deque.
-  RunScenario(
-      [] {
-        std::shared_ptr<typename A::Object> Obj = A::make(2);
-        auto Recs = std::make_shared<std::vector<HistoryRecorder>>();
-        Recs->emplace_back(0);
-        Recs->emplace_back(1);
-        auto Aborted = std::make_shared<std::uint32_t>(0);
-        ScenarioRun Run;
-        for (std::uint32_t T = 0; T < 2; ++T)
-          Run.Bodies.push_back([Obj, Recs, Aborted, T] {
-            const bool Left = T == 0;
-            const std::uint32_t V = T + 1;
-            const std::uint64_t T0 = HistoryRecorder::now();
-            const PushResult R = A::push(*Obj, T, Left, V);
-            const std::uint64_t T1 = HistoryRecorder::now();
-            if (R == PushResult::Abort)
-              ++*Aborted;
-            else
-              (*Recs)[T].recordOp(Left ? OpCode::PushLeft : OpCode::PushRight,
-                                  V,
-                                  R == PushResult::Full ? ResCode::Full
-                                                        : ResCode::Done,
-                                  0, T0, T1);
-          });
-        Run.PostCheck = [Obj, Recs, Aborted] {
-          dequeDrainAndCheck<A>(*Obj, *Recs, *Aborted);
-        };
-        return Run;
-      },
-      1);
-
-  // pushRight racing popRight on a one-element deque (same end).
-  RunScenario(
-      [] {
-        std::shared_ptr<typename A::Object> Obj = A::make(2);
-        auto Recs = std::make_shared<std::vector<HistoryRecorder>>();
-        Recs->emplace_back(0);
-        Recs->emplace_back(1);
-        auto Aborted = std::make_shared<std::uint32_t>(0);
-        {
-          const std::uint64_t T0 = HistoryRecorder::now();
-          const PushResult R = A::push(*Obj, 0, /*Left=*/false, 9);
-          const std::uint64_t T1 = HistoryRecorder::now();
-          EXPECT_EQ(R, PushResult::Done);
-          (*Recs)[0].recordOp(OpCode::PushRight, 9, ResCode::Done, 0, T0, T1);
-        }
-        ScenarioRun Run;
-        Run.Bodies.push_back([Obj, Recs, Aborted] {
-          const std::uint64_t T0 = HistoryRecorder::now();
-          const PushResult R = A::push(*Obj, 0, /*Left=*/false, 1);
-          const std::uint64_t T1 = HistoryRecorder::now();
-          if (R == PushResult::Abort)
-            ++*Aborted;
-          else
-            (*Recs)[0].recordOp(OpCode::PushRight, 1,
-                                R == PushResult::Full ? ResCode::Full
-                                                      : ResCode::Done,
-                                0, T0, T1);
-        });
-        Run.Bodies.push_back([Obj, Recs, Aborted] {
-          const std::uint64_t T0 = HistoryRecorder::now();
-          const PopResult<std::uint32_t> R = A::pop(*Obj, 1, /*Left=*/false);
-          const std::uint64_t T1 = HistoryRecorder::now();
-          if (R.isAbort())
-            ++*Aborted;
-          else if (R.isValue())
-            (*Recs)[1].recordOp(OpCode::PopRight, 0, ResCode::Value, R.value(),
-                                T0, T1);
-          else
-            (*Recs)[1].recordOp(OpCode::PopRight, 0, ResCode::Empty, 0, T0,
-                                T1);
-        });
-        Run.PostCheck = [Obj, Recs, Aborted] {
-          dequeDrainAndCheck<A>(*Obj, *Recs, *Aborted);
-        };
-        return Run;
-      },
-      2);
+    if (B.Exact) {
+      EXPECT_EQ(Accesses, B.PerOp[I]) << describe(Op);
+    } else {
+      EXPECT_LE(Accesses, B.PerOp[I]) << describe(Op);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===
-// Cell: CrashOrStall — mode-specific crash sweeps
+// Crash sweeps (the extra half of CrashOrStall)
 //===----------------------------------------------------------------------===
 
 /// After a crash, the survivor pushes 4s until Full and returns how
-/// many landed. A bounded entry must then hold exactly its capacity: a
+/// many landed. A bounded row must then hold exactly its capacity: a
 /// crashed operation may strand a node, but only its process's own
 /// spare, so a capacity that shrank is a phantom Full.
-template <typename A> std::uint32_t fillToFull(typename A::Object &Obj) {
+template <typename O> std::uint32_t fillToFull(O &Obj) {
   std::uint32_t Filled = 0;
   while (Filled <= SmallCapacity) {
-    const PushResult R = A::push(Obj, 1, 4);
+    const PushResult R = pushOn(Obj, 1, 4);
     EXPECT_NE(R, PushResult::Abort) << "survivor fill aborted";
     if (R != PushResult::Done)
       break;
@@ -1310,30 +807,32 @@ template <typename A> std::uint32_t fillToFull(typename A::Object &Obj) {
   return Filled;
 }
 
-/// Lock-free entries: crash a push (then a pop) at every shared-access
-/// point; the survivor completes solo, the crashed operation is
-/// all-or-nothing, and a bounded entry (spec capacity SmallCapacity; the
-/// unbounded ones are not filled) still fills to its capacity.
-template <typename A> void crashSweepCell() {
-  const bool Bounded = A::makeSpec().capacity() == SmallCapacity;
+/// Lock-free stacks and queues: crash a push (then a pop) at every
+/// shared-access point; the survivor completes solo, the crashed
+/// operation is all-or-nothing, and a bounded row (spec capacity
+/// SmallCapacity; the unbounded ones are not filled) still fills to its
+/// capacity.
+template <typename SpecT, typename Make>
+void crashSweepCell(const PushPop<SpecT> &S, const Make &M) {
+  const bool Bounded = S.bounded();
   std::size_t PushAccesses = 0;
   {
-    auto Probe = A::make(StressThreads, SmallCapacity);
-    EXPECT_EQ(A::push(*Probe, 0, 1), PushResult::Done);
+    auto Probe = M(StressThreads, SmallCapacity);
+    EXPECT_EQ(pushOn(*Probe, 0, 1), PushResult::Done);
     PushAccesses =
-        runAndCrashAt([&] { (void)A::push(*Probe, 0, 2); }, 100000);
+        runAndCrashAt([&] { (void)pushOn(*Probe, 0, 2); }, 100000);
   }
   ASSERT_GT(PushAccesses, 0u);
   for (std::uint32_t K = 0; K < PushAccesses; ++K) {
-    auto Obj = A::make(StressThreads, SmallCapacity);
-    ASSERT_EQ(A::push(*Obj, 0, 1), PushResult::Done);
-    runAndCrashAt([&] { (void)A::push(*Obj, 0, 2); }, K);
-    ASSERT_EQ(A::push(*Obj, 1, 3), PushResult::Done)
+    auto Obj = M(StressThreads, SmallCapacity);
+    ASSERT_EQ(pushOn(*Obj, 0, 1), PushResult::Done);
+    runAndCrashAt([&] { (void)pushOn(*Obj, 0, 2); }, K);
+    ASSERT_EQ(pushOn(*Obj, 1, 3), PushResult::Done)
         << "survivor push blocked; crash point " << K;
-    const std::uint32_t Filled = Bounded ? fillToFull<A>(*Obj) : 0;
+    const std::uint32_t Filled = Bounded ? fillToFull(*Obj) : 0;
     std::uint32_t Seen1 = 0, Seen2 = 0, Seen3 = 0, Total = 0;
     for (std::uint32_t Guard = 0; Guard <= SmallCapacity + 1; ++Guard) {
-      const PopResult<std::uint32_t> R = A::pop(*Obj, 1);
+      const PopResult<std::uint32_t> R = popOn(*Obj, 1);
       ASSERT_FALSE(R.isAbort()) << "survivor drain aborted; crash point " << K;
       if (!R.isValue())
         break;
@@ -1358,23 +857,23 @@ template <typename A> void crashSweepCell() {
 
   std::size_t PopAccesses = 0;
   {
-    auto Probe = A::make(StressThreads, SmallCapacity);
-    EXPECT_EQ(A::push(*Probe, 0, 1), PushResult::Done);
-    EXPECT_EQ(A::push(*Probe, 0, 2), PushResult::Done);
-    PopAccesses = runAndCrashAt([&] { (void)A::pop(*Probe, 0); }, 100000);
+    auto Probe = M(StressThreads, SmallCapacity);
+    EXPECT_EQ(pushOn(*Probe, 0, 1), PushResult::Done);
+    EXPECT_EQ(pushOn(*Probe, 0, 2), PushResult::Done);
+    PopAccesses = runAndCrashAt([&] { (void)popOn(*Probe, 0); }, 100000);
   }
   ASSERT_GT(PopAccesses, 0u);
   for (std::uint32_t K = 0; K < PopAccesses; ++K) {
-    auto Obj = A::make(StressThreads, SmallCapacity);
-    ASSERT_EQ(A::push(*Obj, 0, 1), PushResult::Done);
-    ASSERT_EQ(A::push(*Obj, 0, 2), PushResult::Done);
-    runAndCrashAt([&] { (void)A::pop(*Obj, 0); }, K);
-    ASSERT_EQ(A::push(*Obj, 1, 3), PushResult::Done)
+    auto Obj = M(StressThreads, SmallCapacity);
+    ASSERT_EQ(pushOn(*Obj, 0, 1), PushResult::Done);
+    ASSERT_EQ(pushOn(*Obj, 0, 2), PushResult::Done);
+    runAndCrashAt([&] { (void)popOn(*Obj, 0); }, K);
+    ASSERT_EQ(pushOn(*Obj, 1, 3), PushResult::Done)
         << "survivor push blocked; crash point " << K;
-    const std::uint32_t Filled = Bounded ? fillToFull<A>(*Obj) : 0;
+    const std::uint32_t Filled = Bounded ? fillToFull(*Obj) : 0;
     std::uint32_t Total = 0, Seen3 = 0;
     for (std::uint32_t Guard = 0; Guard <= SmallCapacity + 1; ++Guard) {
-      const PopResult<std::uint32_t> R = A::pop(*Obj, 1);
+      const PopResult<std::uint32_t> R = popOn(*Obj, 1);
       ASSERT_FALSE(R.isAbort()) << "survivor drain aborted; crash point " << K;
       if (!R.isValue())
         break;
@@ -1393,34 +892,52 @@ template <typename A> void crashSweepCell() {
   }
 }
 
-/// Crash-tolerant entries: generalizes the crash_test slow-path sweep to
-/// any CrashTolerant* object — crash a forced-slow operation at every
-/// access point; the survivor completes, degrading (degradation counter
-/// nonzero) exactly when the corpse held the lease.
-template <typename CT> void crashTolerantSweepCell() {
+/// Crash-tolerant rows: generalizes the crash_test slow-path sweep to any
+/// CrashTolerant* object — crash a forced-slow operation (its first weak
+/// attempt aborts; later ones run the shape's solo push on the object's
+/// abortable) at every access point; the survivor completes, degrading
+/// (degradation counter nonzero) exactly when the corpse held the lease.
+/// \p M builds the object for two processes.
+template <typename Shape, typename Make>
+void crashTolerantSweepCell(const Shape &, const Make &M) {
+  const auto ForcedSlow = [](auto &Obj, std::uint32_t V) {
+    return [&Obj, V, Attempts = 0]() mutable -> std::optional<PushResult> {
+      Operation Op = op(Shape::In, V);
+      if (Attempts++ == 0 || !Shape::apply(Obj.abortable(), 0, Op))
+        return std::nullopt;
+      return Op.Result == ResCode::Full ? PushResult::Full : PushResult::Done;
+    };
+  };
+  const auto DrainCount = [](auto &Obj) {
+    std::uint32_t Seen = 0;
+    for (Operation Op = op(Shape::Out);
+         Shape::apply(Obj.abortable(), 0, Op) && Op.Result == ResCode::Value;
+         Op = op(Shape::Out))
+      ++Seen;
+    return Seen;
+  };
+
   std::size_t Accesses = 0;
   {
-    auto Probe = CT::makeForSweep();
+    auto Probe = M(2, SmallCapacity);
     Accesses = runAndCrashAt(
         [&] {
-          (void)CT::skeleton(*Probe).strongApply(0, CT::forcedSlow(*Probe, 7));
+          (void)Probe->skeleton().strongApply(0, ForcedSlow(*Probe, 7));
         },
         100000);
   }
   ASSERT_GT(Accesses, 10u); // Sanity: the slow path is well past the fast 6.
 
   for (std::uint32_t K = 0; K < Accesses; ++K) {
-    auto Obj = CT::makeForSweep();
+    auto Obj = M(2, SmallCapacity);
     runAndCrashAt(
-        [&] {
-          (void)CT::skeleton(*Obj).strongApply(0, CT::forcedSlow(*Obj, 7));
-        },
+        [&] { (void)Obj->skeleton().strongApply(0, ForcedSlow(*Obj, 7)); },
         K);
-    auto &Skel = CT::skeleton(*Obj);
+    auto &Skel = Obj->skeleton();
     auto &Lock = Skel.slowPath().lock();
     const bool CorpseHeldLock = Lock.inner().holderForTesting() == 1;
 
-    const PushResult First = Skel.strongApply(1, CT::forcedSlow(*Obj, 99));
+    const PushResult First = Skel.strongApply(1, ForcedSlow(*Obj, 99));
     ASSERT_EQ(First, PushResult::Done) << "crash point " << K;
 
     const DegradationStats Stats = Lock.statsForTesting();
@@ -1434,12 +951,12 @@ template <typename CT> void crashTolerantSweepCell() {
       EXPECT_EQ(Stats.ProtectedOps, 1u) << "crash point " << K;
     }
 
-    const PushResult Second = Skel.strongApply(1, CT::forcedSlow(*Obj, 100));
+    const PushResult Second = Skel.strongApply(1, ForcedSlow(*Obj, 100));
     ASSERT_EQ(Second, PushResult::Done) << "crash point " << K;
     EXPECT_GE(Lock.statsForTesting().ProtectedOps, 1u) << "crash point " << K;
     EXPECT_FALSE(Skel.contentionForTesting()) << "crash point " << K;
     EXPECT_EQ(Lock.inner().holderForTesting(), 0u) << "crash point " << K;
-    EXPECT_GE(CT::drainCount(*Obj), 2u) << "crash point " << K;
+    EXPECT_GE(DrainCount(*Obj), 2u) << "crash point " << K;
   }
 }
 
@@ -1542,445 +1059,6 @@ inline void leasableLockCrashSweep() {
     Lock.unlock(2);
     EXPECT_EQ(Lock.inner().holderForTesting(), 0u) << "crash point " << K;
     EXPECT_EQ(Reg.peekForTesting(), 2u) << "crash point " << K;
-  }
-}
-
-//===----------------------------------------------------------------------===
-// Cell: AccessBound (solo shared-access counts)
-//===----------------------------------------------------------------------===
-
-struct AccessBounds {
-  std::uint32_t Push = 0;
-  std::uint32_t Pop = 0;
-  bool Exact = false;
-};
-
-template <typename A> void accessBoundCell(AccessBounds B) {
-  auto Obj = A::make(StressThreads, SmallCapacity);
-  const AccessCounts PushCounts =
-      countAccesses([&] { (void)A::push(*Obj, 0, 7); });
-  const AccessCounts PopCounts = countAccesses([&] { (void)A::pop(*Obj, 0); });
-  EXPECT_GT(PushCounts.total(), 0u);
-  if (B.Exact) {
-    EXPECT_EQ(PushCounts.total(), B.Push);
-    EXPECT_EQ(PopCounts.total(), B.Pop);
-  } else {
-    EXPECT_LE(PushCounts.total(), B.Push);
-    EXPECT_LE(PopCounts.total(), B.Pop);
-  }
-}
-
-template <typename A> void dequeAccessBoundCell(AccessBounds B) {
-  auto Obj = A::make(StressThreads);
-  const AccessCounts PushCounts =
-      countAccesses([&] { (void)A::push(*Obj, 0, /*Left=*/false, 7); });
-  const AccessCounts PopCounts =
-      countAccesses([&] { (void)A::pop(*Obj, 0, /*Left=*/false); });
-  EXPECT_GT(PushCounts.total(), 0u);
-  if (B.Exact) {
-    EXPECT_EQ(PushCounts.total(), B.Push);
-    EXPECT_EQ(PopCounts.total(), B.Pop);
-  } else {
-    EXPECT_LE(PushCounts.total(), B.Push);
-    EXPECT_LE(PopCounts.total(), B.Pop);
-  }
-}
-
-//===----------------------------------------------------------------------===
-// Counter cells (custom: returns are prefix sums, not push/pop codes)
-//===----------------------------------------------------------------------===
-
-inline void counterSpecReplayCell() {
-  ContentionSensitiveCounter<> C(1);
-  std::uint64_t Expect = 0;
-  for (std::uint32_t I = 1; I <= 10; ++I) {
-    Expect += I;
-    EXPECT_EQ(C.add(0, I), Expect);
-  }
-  EXPECT_EQ(C.valueForTesting(), Expect);
-}
-
-/// Unit adds from every thread: linearizability of a counter whose add
-/// returns the new value means the returns are exactly {1..total}.
-inline void counterStressRounds(AsyncMode Mode) {
-  const std::uint32_t Rounds =
-      Mode == AsyncMode::None ? StressRounds : ChaosRounds;
-  for (std::uint32_t Round = 0; Round < Rounds; ++Round) {
-    ContentionSensitiveCounter<> C(StressThreads);
-    std::vector<std::vector<std::uint64_t>> Returns(StressThreads);
-    SpinBarrier Barrier(StressThreads);
-    FaultClock Clock;
-    const FaultPlan Plan = asyncPlan(Mode, 0xC07EFull * (Round + 1));
-
-    std::vector<std::thread> Threads;
-    for (std::uint32_t T = 0; T < StressThreads; ++T) {
-      Threads.emplace_back([&, T] {
-        FaultScope Faults(Plan, T, Clock);
-        Barrier.arriveAndWait();
-        for (std::uint32_t I = 0; I < StressOpsPerThread; ++I)
-          Returns[T].push_back(C.add(T, 1));
-      });
-    }
-    for (auto &Th : Threads)
-      Th.join();
-
-    std::vector<std::uint64_t> All;
-    for (const auto &Per : Returns)
-      All.insert(All.end(), Per.begin(), Per.end());
-    std::sort(All.begin(), All.end());
-    ASSERT_EQ(All.size(),
-              static_cast<std::size_t>(StressThreads) * StressOpsPerThread);
-    for (std::size_t I = 0; I < All.size(); ++I)
-      ASSERT_EQ(All[I], I + 1) << "round " << Round;
-    EXPECT_EQ(C.valueForTesting(), All.size());
-  }
-}
-
-inline void counterExploreCell() {
-  const auto Factory = [] {
-    auto Obj = std::make_shared<ContentionSensitiveCounter<>>(2);
-    auto Returns = std::make_shared<std::vector<std::uint64_t>>();
-    ScenarioRun Run;
-    for (std::uint32_t T = 0; T < 2; ++T)
-      Run.Bodies.push_back([Obj, Returns, T] {
-        // The scheduler serializes bodies between accesses, so the
-        // shared vector needs no extra synchronization.
-        for (std::uint32_t I = 0; I < 2; ++I)
-          Returns->push_back(Obj->add(T, 1));
-      });
-    Run.PostCheck = [Obj, Returns] {
-      std::vector<std::uint64_t> Sorted = *Returns;
-      std::sort(Sorted.begin(), Sorted.end());
-      ASSERT_EQ(Sorted.size(), 4u);
-      for (std::size_t I = 0; I < Sorted.size(); ++I)
-        ASSERT_EQ(Sorted[I], I + 1);
-      ASSERT_EQ(Obj->valueForTesting(), 4u);
-    };
-    return Run;
-  };
-  ScheduleExplorer Explorer;
-  const ExploreResult R =
-      Explorer.randomWalks(Factory, RandomWalkRuns, 0xC07E5ull);
-  EXPECT_GT(R.Runs, 0u);
-  EXPECT_EQ(R.CappedRuns, 0u);
-}
-
-inline void counterAccessBoundCell() {
-  ContentionSensitiveCounter<> C(StressThreads);
-  // Paper Theorem: a solo add costs 1 CONTENTION read + the 2-access
-  // weak add — 3 shared accesses, exactly.
-  EXPECT_EQ(countAccesses([&] { (void)C.add(0, 1); }).total(), 3u);
-}
-
-//===----------------------------------------------------------------------===
-// Ordered-map cells (custom: keyed get/insert/erase over OrderedMapSpec)
-//===----------------------------------------------------------------------===
-// Adapter contract: using Object; static constexpr bool Strong;
-// make(Threads, Capacity); get/insert/erase(Object&, Tid, Key[, Value]).
-// Concurrent cells run over MapStressKeys keys against MapCapacity so the
-// racy capacity edge stays unreachable (Params.h); the sequential replay
-// cell crosses the Full and erase-frees-capacity edges at SmallCapacity.
-
-struct CsMapAdapter {
-  using Object = ContentionSensitiveMap<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity, MapRegions);
-  }
-  static PopResult<std::uint32_t> get(Object &O, std::uint32_t Tid,
-                                      std::uint32_t K) {
-    return O.get(Tid, K);
-  }
-  static PushResult insert(Object &O, std::uint32_t Tid, std::uint32_t K,
-                           std::uint32_t V) {
-    return O.insert(Tid, K, V);
-  }
-  static PopResult<std::uint32_t> erase(Object &O, std::uint32_t Tid,
-                                        std::uint32_t K) {
-    return O.erase(Tid, K);
-  }
-};
-
-struct LockedMapAdapter {
-  using Object = LockedMap<>;
-  static constexpr bool Strong = true;
-  static std::unique_ptr<Object> make(std::uint32_t Threads,
-                                      std::uint32_t Capacity) {
-    return std::make_unique<Object>(Threads, Capacity);
-  }
-  static PopResult<std::uint32_t> get(Object &O, std::uint32_t Tid,
-                                      std::uint32_t K) {
-    return O.get(Tid, K);
-  }
-  static PushResult insert(Object &O, std::uint32_t Tid, std::uint32_t K,
-                           std::uint32_t V) {
-    return O.insert(Tid, K, V);
-  }
-  static PopResult<std::uint32_t> erase(Object &O, std::uint32_t Tid,
-                                        std::uint32_t K) {
-    return O.erase(Tid, K);
-  }
-};
-
-/// Records one completed map operation (map ops never abort through the
-/// strong interface; weak aborts are absorbed by the Fig-3 skeleton).
-inline void recordMapInsert(HistoryRecorder &Rec, std::uint32_t K,
-                            std::uint32_t V, PushResult R, std::uint64_t T0,
-                            std::uint64_t T1) {
-  Rec.recordOp(OpCode::Insert, K,
-               R == PushResult::Full ? ResCode::Full : ResCode::Done, V, T0,
-               T1);
-}
-
-inline void recordMapValueOp(HistoryRecorder &Rec, OpCode Code,
-                             std::uint32_t K,
-                             const PopResult<std::uint32_t> &R,
-                             std::uint64_t T0, std::uint64_t T1) {
-  Rec.recordOp(Code, K, R.isValue() ? ResCode::Value : ResCode::Empty,
-               R.isValue() ? R.value() : 0, T0, T1);
-}
-
-/// Solo replay crossing every sequential edge of the ordered-map spec:
-/// miss, fresh insert, update, erase, reinsert-after-erase, the
-/// live-key Full boundary, update-at-capacity, and the erase-frees-
-/// exactly-one-slot rule — every answer validated against
-/// OrderedMapSpec.
-template <typename A> void mapSpecReplayCell() {
-  auto Obj = A::make(1, SmallCapacity);
-  OrderedMapSpec Spec(SmallCapacity);
-
-  const auto Insert = [&](std::uint32_t K, std::uint32_t V,
-                          PushResult Want) {
-    const PushResult R = A::insert(*Obj, 0, K, V);
-    EXPECT_EQ(R, Want) << "insert(" << K << ", " << V << ")";
-    ASSERT_NE(R, PushResult::Abort);
-    Operation Op;
-    Op.Code = OpCode::Insert;
-    Op.Arg = K;
-    Op.RetValue = V;
-    Op.Result = R == PushResult::Full ? ResCode::Full : ResCode::Done;
-    ASSERT_TRUE(Spec.apply(Op)) << "spec rejected insert(" << K << ")";
-  };
-  const auto ValueOp = [&](OpCode Code, std::uint32_t K,
-                           std::optional<std::uint32_t> Want) {
-    const PopResult<std::uint32_t> R = Code == OpCode::Get
-                                           ? A::get(*Obj, 0, K)
-                                           : A::erase(*Obj, 0, K);
-    ASSERT_FALSE(R.isAbort());
-    if (Want.has_value()) {
-      ASSERT_TRUE(R.isValue()) << "op(" << K << ") found nothing";
-      EXPECT_EQ(R.value(), *Want);
-    } else {
-      EXPECT_TRUE(R.isEmpty()) << "op(" << K << ") found " << R.value();
-    }
-    Operation Op;
-    Op.Code = Code;
-    Op.Arg = K;
-    Op.Result = R.isValue() ? ResCode::Value : ResCode::Empty;
-    Op.RetValue = R.isValue() ? R.value() : 0;
-    ASSERT_TRUE(Spec.apply(Op)) << "spec rejected keyed op on " << K;
-  };
-
-  ValueOp(OpCode::Get, 5, std::nullopt);   // miss on empty
-  ValueOp(OpCode::Erase, 5, std::nullopt); // erase miss
-  Insert(1, 11, PushResult::Done);         // fresh
-  Insert(2, 22, PushResult::Done);
-  Insert(1, 12, PushResult::Done);         // update
-  ValueOp(OpCode::Get, 1, 12);
-  ValueOp(OpCode::Erase, 1, 12);           // physical removal
-  ValueOp(OpCode::Get, 1, std::nullopt);
-  Insert(1, 13, PushResult::Done);         // reinsert after erase
-  ValueOp(OpCode::Get, 1, 13);
-  Insert(3, 33, PushResult::Done);
-  Insert(4, 44, PushResult::Done);         // Live = {1,2,3,4} == capacity
-  Insert(5, 55, PushResult::Full);         // fresh key at the boundary
-  Insert(2, 23, PushResult::Done);         // update at capacity
-  ValueOp(OpCode::Erase, 2, 23);           // frees exactly one slot
-  Insert(5, 55, PushResult::Done);         // erase freed capacity
-  Insert(2, 24, PushResult::Full);         // full again; 2 is gone now
-  ValueOp(OpCode::Get, 2, std::nullopt);
-  ValueOp(OpCode::Get, 5, 55);
-  if constexpr (requires { Obj->sizeForTesting(); }) {
-    EXPECT_EQ(Obj->sizeForTesting(), 4u);
-  }
-  assertPathConservation(*Obj, 0, 19);
-}
-
-/// Randomized keyed rounds (the stress workhorse shape over
-/// get/insert/erase), each round checked for linearizability against
-/// OrderedMapSpec and for path conservation.
-template <typename A> void mapStressRounds(AsyncMode Mode) {
-  const std::uint32_t Rounds =
-      Mode == AsyncMode::None ? StressRounds : ChaosRounds;
-  for (std::uint32_t Round = 0; Round < Rounds; ++Round) {
-    auto Obj = A::make(StressThreads, MapCapacity);
-    std::vector<HistoryRecorder> Recorders;
-    for (std::uint32_t T = 0; T < StressThreads; ++T)
-      Recorders.emplace_back(T);
-    SpinBarrier Barrier(StressThreads);
-    FaultClock Clock;
-    const FaultPlan Plan = asyncPlan(Mode, 0x9AB5Eull * (Round + 1));
-
-    std::vector<std::thread> Threads;
-    for (std::uint32_t T = 0; T < StressThreads; ++T) {
-      Threads.emplace_back([&, T] {
-        FaultScope Faults(Plan, T, Clock);
-        SplitMix64 Rng(0x3A9D0ull * (Round + 1) + T);
-        Barrier.arriveAndWait();
-        for (std::uint32_t I = 0; I < StressOpsPerThread; ++I) {
-          const std::uint32_t K =
-              static_cast<std::uint32_t>(Rng.below(MapStressKeys));
-          const std::uint64_t Kind = Rng.below(4);
-          const std::uint64_t T0 = HistoryRecorder::now();
-          if (Kind < 2) {
-            const PopResult<std::uint32_t> R = A::get(*Obj, T, K);
-            recordMapValueOp(Recorders[T], OpCode::Get, K, R, T0,
-                             HistoryRecorder::now());
-          } else if (Kind == 2) {
-            const std::uint32_t V = randomValue(Rng);
-            const PushResult R = A::insert(*Obj, T, K, V);
-            recordMapInsert(Recorders[T], K, V, R, T0,
-                            HistoryRecorder::now());
-          } else {
-            const PopResult<std::uint32_t> R = A::erase(*Obj, T, K);
-            recordMapValueOp(Recorders[T], OpCode::Erase, K, R, T0,
-                             HistoryRecorder::now());
-          }
-        }
-      });
-    }
-    for (auto &Th : Threads)
-      Th.join();
-
-    if constexpr (requires { Obj->core().checkLanesForTesting(); }) {
-      ASSERT_EQ(Obj->core().checkLanesForTesting(), "") << "round " << Round;
-    }
-    assertPathConservation(
-        *Obj, Round,
-        static_cast<std::uint64_t>(StressThreads) * StressOpsPerThread);
-    if (::testing::Test::HasFatalFailure())
-      return;
-    History H = mergeHistories(Recorders);
-    ASSERT_TRUE(H.wellFormed());
-    OrderedMapSpec Spec(MapCapacity);
-    const CheckResult R = checkLinearizable(H, Spec);
-    ASSERT_FALSE(R.HitSearchCap) << "round " << Round;
-    ASSERT_TRUE(R.Linearizable)
-        << "round " << Round << ": " << R.FailureNote << "\n"
-        << H.describe();
-  }
-}
-
-/// Schedule-space random walks over the two conflict shapes that matter:
-/// two writers in the same key region (doorway serialization) and an
-/// insert racing an erase of the same key (ValState CAS interference),
-/// with a concurrent reader in both. Every walk's history must
-/// linearize.
-template <typename A> void mapExploreCell() {
-  // Keys 0 and MapRegions share region 0 under `key % MapRegions`.
-  const auto Scenario = [](std::uint32_t KeyA, std::uint32_t KeyB,
-                           bool EraseRace) {
-    return [KeyA, KeyB, EraseRace] {
-      auto Obj = std::shared_ptr<typename A::Object>(
-          A::make(3, MapCapacity).release());
-      auto Recs = std::make_shared<std::vector<HistoryRecorder>>();
-      for (std::uint32_t T = 0; T < 3; ++T)
-        Recs->emplace_back(T);
-      ScenarioRun Run;
-      Run.Bodies.push_back([Obj, Recs, KeyA] {
-        const std::uint64_t T0 = HistoryRecorder::now();
-        const PushResult R = A::insert(*Obj, 0, KeyA, 11);
-        recordMapInsert((*Recs)[0], KeyA, 11, R, T0,
-                        HistoryRecorder::now());
-      });
-      Run.Bodies.push_back([Obj, Recs, KeyA, KeyB, EraseRace] {
-        const std::uint64_t T0 = HistoryRecorder::now();
-        if (EraseRace) {
-          const PopResult<std::uint32_t> R = A::erase(*Obj, 1, KeyA);
-          recordMapValueOp((*Recs)[1], OpCode::Erase, KeyA, R, T0,
-                           HistoryRecorder::now());
-        } else {
-          const PushResult R = A::insert(*Obj, 1, KeyB, 22);
-          recordMapInsert((*Recs)[1], KeyB, 22, R, T0,
-                          HistoryRecorder::now());
-        }
-      });
-      Run.Bodies.push_back([Obj, Recs, KeyA] {
-        const std::uint64_t T0 = HistoryRecorder::now();
-        const PopResult<std::uint32_t> R = A::get(*Obj, 2, KeyA);
-        recordMapValueOp((*Recs)[2], OpCode::Get, KeyA, R, T0,
-                         HistoryRecorder::now());
-      });
-      Run.PostCheck = [Obj, Recs] {
-        History H = mergeHistories(*Recs);
-        ASSERT_TRUE(H.wellFormed());
-        OrderedMapSpec Spec(MapCapacity);
-        const CheckResult R = checkLinearizable(H, Spec);
-        ASSERT_FALSE(R.HitSearchCap);
-        ASSERT_TRUE(R.Linearizable) << R.FailureNote << "\n"
-                                    << H.describe();
-        assertPathConservation(*Obj, 0, 3);
-      };
-      return Run;
-    };
-  };
-  ScheduleExplorer Explorer;
-  const ExploreResult Writers = Explorer.randomWalks(
-      Scenario(0, MapRegions, /*EraseRace=*/false), RandomWalkRuns,
-      0x3A9E1ull);
-  EXPECT_GT(Writers.Runs, 0u);
-  EXPECT_EQ(Writers.CappedRuns, 0u);
-  const ExploreResult Race = Explorer.randomWalks(
-      Scenario(0, MapRegions, /*EraseRace=*/true), RandomWalkRuns,
-      0x3A9E2ull);
-  EXPECT_GT(Race.Runs, 0u);
-  EXPECT_EQ(Race.CappedRuns, 0u);
-}
-
-/// Solo access bounds for the four op shapes. Exact for the cs-map: the
-/// search reads MaxLevel links top-down (one per level on a tiny map),
-/// so with a height-1 key
-///   get            = 8 search + 1 ValState read               =  9
-///   insert (fresh) = 1 CONTENTION + 8 search + 1 admission
-///                    read + 1 link C&S (allocation and init of
-///                    unreachable storage are uncounted)         = 11
-///   insert (update)= 1 CONTENTION + 8 search + 1 read + 1 C&S = 11
-///   erase          = 1 CONTENTION + 8 search + 1 read + 1 C&S = 11
-///                    (physical removal is uncounted reclamation)
-/// — the map's constant-solo-cost analogue of the stack's 6.
-struct MapAccessBounds {
-  std::uint64_t Get = 0;
-  std::uint64_t InsertFresh = 0;
-  std::uint64_t Update = 0;
-  std::uint64_t Erase = 0;
-  bool Exact = false;
-};
-
-template <typename A> void mapAccessBoundCell(MapAccessBounds B) {
-  auto Obj = A::make(StressThreads, MapCapacity);
-  // A deterministic height-1 key keeps the fresh-insert count minimal.
-  std::uint32_t K = 0;
-  while (SkipListCore<>::heightOf(K) != 1)
-    ++K;
-  const std::uint64_t Fresh =
-      countAccesses([&] { (void)A::insert(*Obj, 0, K, 7); }).total();
-  const std::uint64_t Get =
-      countAccesses([&] { (void)A::get(*Obj, 0, K); }).total();
-  const std::uint64_t Update =
-      countAccesses([&] { (void)A::insert(*Obj, 0, K, 8); }).total();
-  const std::uint64_t Erase =
-      countAccesses([&] { (void)A::erase(*Obj, 0, K); }).total();
-  if (B.Exact) {
-    EXPECT_EQ(Fresh, B.InsertFresh);
-    EXPECT_EQ(Get, B.Get);
-    EXPECT_EQ(Update, B.Update);
-    EXPECT_EQ(Erase, B.Erase);
-  } else {
-    EXPECT_LE(Fresh, B.InsertFresh);
-    EXPECT_LE(Get, B.Get);
-    EXPECT_LE(Update, B.Update);
-    EXPECT_LE(Erase, B.Erase);
   }
 }
 
@@ -2136,8 +1214,10 @@ inline void eliminationPairSpecPoint() {
 
   // The same rendezvous under unconstrained random walks: every walk
   // stays linearizable and a healthy fraction eliminates.
+  using Shape = PushPop<BoundedStackSpec>;
+  const Shape Spec;
   std::uint64_t TotalExchanges = 0;
-  const auto Factory = [&TotalExchanges] {
+  const auto Factory = [&] {
     auto Obj = std::make_shared<Stack>(2, SmallCapacity, /*SlotCount=*/1,
                                        /*SpinBudget=*/8);
     Obj->rescue().forceFirstForTesting(true);
@@ -2146,29 +1226,20 @@ inline void eliminationPairSpecPoint() {
     Recs->emplace_back(1);
     auto Aborted = std::make_shared<std::uint32_t>(0);
     ScenarioRun Run;
-    Run.Bodies.push_back([Obj, Recs, Aborted] {
-      const std::uint64_t T0 = HistoryRecorder::now();
-      const PushResult R = Obj->push(0, 7);
-      const std::uint64_t T1 = HistoryRecorder::now();
-      if (R == PushResult::Abort)
-        ++*Aborted;
-      else
-        (*Recs)[0].recordPush(7, R == PushResult::Full, T0, T1);
-    });
-    Run.Bodies.push_back([Obj, Recs, Aborted] {
-      const std::uint64_t T0 = HistoryRecorder::now();
-      const PopResult<std::uint32_t> R = Obj->pop(1);
-      const std::uint64_t T1 = HistoryRecorder::now();
-      if (R.isAbort())
-        ++*Aborted;
-      else if (R.isValue())
-        (*Recs)[1].recordPopValue(R.value(), T0, T1);
-      else
-        (*Recs)[1].recordPopEmpty(T0, T1);
-    });
-    Run.PostCheck = [Obj, Recs, Aborted, &TotalExchanges] {
+    for (std::uint32_t T = 0; T < 2; ++T)
+      Run.Bodies.push_back([Obj, Recs, Aborted, T] {
+        Operation Op = T == 0 ? op(OpCode::Push, 7) : op(OpCode::Pop);
+        const std::uint64_t T0 = HistoryRecorder::now();
+        if (Shape::apply(*Obj, T, Op))
+          record((*Recs)[T], Op, T0);
+        else
+          ++*Aborted;
+      });
+    Run.PostCheck = [&, Obj, Recs, Aborted] {
       TotalExchanges += Obj->rescue().array().exchangesForTesting();
-      drainAndCheck<EliminatingCsStackAdapter>(*Obj, *Recs, *Aborted);
+      drain<Shape>(*Obj, (*Recs)[0]);
+      if (!::testing::Test::HasFatalFailure())
+        checkRun(Spec, *Obj, *Recs, *Aborted);
     };
     return Run;
   };
@@ -2186,8 +1257,9 @@ inline void eliminationPairSpecPoint() {
 //===----------------------------------------------------------------------===
 
 /// One object's row in the battery matrix: a display name, the src/core
-/// headers it certifies (the registry-exhaustiveness test requires every
-/// core header to appear in some entry), and the six cells.
+/// and src/baselines headers it certifies (the registry-exhaustiveness
+/// test requires every such header to appear in some row), and the six
+/// cells.
 struct BatteryEntry {
   std::string Name;
   std::vector<std::string> CoveredHeaders;
@@ -2199,81 +1271,49 @@ struct BatteryEntry {
   std::function<void()> AccessBound;
 };
 
-template <typename A>
-BatteryEntry pushPopEntry(std::string Name,
-                          std::vector<std::string> Headers, bool Exhaustive,
-                          AccessBounds Bounds,
-                          std::function<void()> ExtraCrash = nullptr) {
+/// The factory of an object built as T(Threads, Capacity, Extra...), the
+/// constructor most rows share.
+template <typename T, typename... Args> auto sized(Args... Extra) {
+  return [=](std::uint32_t Threads, std::uint32_t Capacity) {
+    return std::make_unique<T>(Threads, Capacity, Extra...);
+  };
+}
+
+/// The crash sweep a row's CrashOrStall cell runs after its stall-plan
+/// rounds: none, one of the two written over the row's shape and
+/// factory, or a sweep with a body of its own.
+inline constexpr auto NoSweep = [](const auto &, const auto &) {};
+inline constexpr auto LockFreeSweep = [](const auto &S, const auto &M) {
+  crashSweepCell(S, M);
+};
+inline constexpr auto TolerantSweep = [](const auto &S, const auto &M) {
+  crashTolerantSweepCell(S, M);
+};
+inline auto ownSweep(void (*Sweep)()) {
+  return [Sweep](const auto &, const auto &) { Sweep(); };
+}
+
+template <typename Shape, typename Make, typename Sweep = decltype(NoSweep)>
+BatteryEntry row(std::string Name, std::vector<std::string> Headers, Shape S,
+                 Make M, AccessBounds Bounds, Sweep Extra = NoSweep,
+                 bool Exhaustive = false) {
   BatteryEntry E;
   E.Name = std::move(Name);
   E.CoveredHeaders = std::move(Headers);
-  E.SpecReplay = [] { specReplayCell<A>(); };
-  E.LincheckStress = [] { stressRounds<A>(AsyncMode::None); };
-  E.Explore = [Exhaustive] { exploreCell<A>(Exhaustive); };
-  E.Chaos = [] { stressRounds<A>(AsyncMode::Chaos); };
-  E.CrashOrStall = [Extra = std::move(ExtraCrash)] {
-    stressRounds<A>(AsyncMode::StallPlan);
-    if (Extra && !::testing::Test::HasFatalFailure())
-      Extra();
+  E.SpecReplay = [S, M] { specReplayCell(S, M); };
+  E.LincheckStress = [S, M] { stressCell(S, M, AsyncMode::None); };
+  E.Explore = [S, M, Exhaustive] { exploreCell(S, M, Exhaustive); };
+  E.Chaos = [S, M] { stressCell(S, M, AsyncMode::Chaos); };
+  E.CrashOrStall = [S, M, Extra] {
+    stressCell(S, M, AsyncMode::StallPlan);
+    if (!::testing::Test::HasFatalFailure())
+      Extra(S, M);
   };
-  E.AccessBound = [Bounds] { accessBoundCell<A>(Bounds); };
+  E.AccessBound = [M, Bounds] { accessBoundCell<Shape>(M, Bounds); };
   return E;
 }
 
-template <typename A>
-BatteryEntry dequeEntry(std::string Name, std::vector<std::string> Headers,
-                        bool Exhaustive, AccessBounds Bounds,
-                        std::function<void()> ExtraCrash = nullptr) {
-  BatteryEntry E;
-  E.Name = std::move(Name);
-  E.CoveredHeaders = std::move(Headers);
-  E.SpecReplay = [] { dequeSpecReplayCell<A>(); };
-  E.LincheckStress = [] { dequeStressRounds<A>(AsyncMode::None); };
-  E.Explore = [Exhaustive] { dequeExploreCell<A>(Exhaustive); };
-  E.Chaos = [] { dequeStressRounds<A>(AsyncMode::Chaos); };
-  E.CrashOrStall = [Extra = std::move(ExtraCrash)] {
-    dequeStressRounds<A>(AsyncMode::StallPlan);
-    if (Extra && !::testing::Test::HasFatalFailure())
-      Extra();
-  };
-  E.AccessBound = [Bounds] { dequeAccessBoundCell<A>(Bounds); };
-  return E;
-}
-
-template <typename A>
-BatteryEntry mapEntry(std::string Name, std::vector<std::string> Headers,
-                      MapAccessBounds Bounds,
-                      std::function<void()> ExtraCrash = nullptr) {
-  BatteryEntry E;
-  E.Name = std::move(Name);
-  E.CoveredHeaders = std::move(Headers);
-  E.SpecReplay = [] { mapSpecReplayCell<A>(); };
-  E.LincheckStress = [] { mapStressRounds<A>(AsyncMode::None); };
-  E.Explore = [] { mapExploreCell<A>(); };
-  E.Chaos = [] { mapStressRounds<A>(AsyncMode::Chaos); };
-  E.CrashOrStall = [Extra = std::move(ExtraCrash)] {
-    mapStressRounds<A>(AsyncMode::StallPlan);
-    if (Extra && !::testing::Test::HasFatalFailure())
-      Extra();
-  };
-  E.AccessBound = [Bounds] { mapAccessBoundCell<A>(Bounds); };
-  return E;
-}
-
-inline BatteryEntry counterEntry() {
-  BatteryEntry E;
-  E.Name = "cs-counter";
-  E.CoveredHeaders = {"ContentionSensitiveCounter.h"};
-  E.SpecReplay = [] { counterSpecReplayCell(); };
-  E.LincheckStress = [] { counterStressRounds(AsyncMode::None); };
-  E.Explore = [] { counterExploreCell(); };
-  E.Chaos = [] { counterStressRounds(AsyncMode::Chaos); };
-  E.CrashOrStall = [] { counterStressRounds(AsyncMode::StallPlan); };
-  E.AccessBound = [] { counterAccessBoundCell(); };
-  return E;
-}
-
-/// The battery matrix. Crash modes per entry:
+/// The battery matrix. Crash modes per row:
 ///  * lock-free objects (abortable/nonblocking/HLM/wait-free, and the
 ///    Treiber, HSY and Michael-Scott baselines): full victim-crash sweep
 ///    in addition to the stall plan;
@@ -2287,108 +1327,159 @@ inline BatteryEntry counterEntry() {
 ///    announcement blocks all later operations by design.
 inline const std::vector<BatteryEntry> &batteryRegistry() {
   static const std::vector<BatteryEntry> Registry = [] {
+    const PushPop<BoundedStackSpec> Stack;
+    const PushPop<BoundedQueueSpec> Queue;
+    const PushPop<BoundedStackSpec> EnvelopeStack{
+        UnboundedStack<>::TopC::MaxIndex};
+    const PushPop<BoundedQueueSpec> EnvelopeQueue{
+        UnboundedQueue<>::TopC::MaxIndex};
+    // A bag, not a stack: a sharded stack's pops return some element
+    // (per-shard LIFO only).
+    const PushPop<BoundedBagSpec> Bag;
+    const DequeShape Deque;
     std::vector<BatteryEntry> R;
-    // Stacks.
-    R.push_back(pushPopEntry<AbortableStackAdapter>(
-        "abortable-stack", {"AbortableStack.h", "Results.h"},
-        /*Exhaustive=*/true, AccessBounds{5, 5, true},
-        [] { crashSweepCell<AbortableStackAdapter>(); }));
-    R.push_back(pushPopEntry<NonBlockingStackAdapter>(
-        "nonblocking-stack", {"NonBlockingStack.h"}, /*Exhaustive=*/false,
-        AccessBounds{8, 8, false},
-        [] { crashSweepCell<NonBlockingStackAdapter>(); }));
-    R.push_back(pushPopEntry<CsStackAdapter>(
-        "cs-stack",
-        {"ContentionSensitiveStack.h", "ContentionSensitive.h",
-         "ContentionSensitiveObject.h"},
-        /*Exhaustive=*/false, AccessBounds{6, 6, true}));
-    R.push_back(pushPopEntry<CtStackAdapter>(
-        "ct-stack", {"CrashTolerantStack.h"},
-        /*Exhaustive=*/false, AccessBounds{6, 6, true},
-        [] { crashTolerantSweepCell<CtStackAdapter>(); }));
-    R.push_back(pushPopEntry<UnboundedStackAdapter>(
-        "unbounded-stack", {"AbortableStack.h"}, /*Exhaustive=*/false,
-        AccessBounds{5, 5, true},
-        [] { crashSweepCell<UnboundedStackAdapter>(); }));
-    R.push_back(pushPopEntry<UnboundedCsStackAdapter>(
-        "unbounded-cs-stack", {}, /*Exhaustive=*/false,
-        AccessBounds{6, 6, true}));
-    R.push_back(pushPopEntry<BoxedStackAdapter>(
-        "boxed-stack", {"BoxedStack.h"}, /*Exhaustive=*/false,
-        AccessBounds{32, 32, false}));
-    R.push_back(pushPopEntry<BoostedStackAdapter>(
-        "boosted-stack", {"TimestampBoost.h"}, /*Exhaustive=*/false,
-        AccessBounds{6, 6, true}));
-    R.push_back(pushPopEntry<WaitFreeStackAdapter>(
-        "wait-free-stack", {"WaitFreeUniversal.h"}, /*Exhaustive=*/false,
-        AccessBounds{256, 256, false},
-        [] { crashSweepCell<WaitFreeStackAdapter>(); }));
-    R.push_back(pushPopEntry<LockedStackAdapter<TtasLock>>(
-        "locked-stack", {"LockedStack.h"}, /*Exhaustive=*/false,
-        AccessBounds{16, 16, false}));
-    R.push_back(pushPopEntry<LockedStackAdapter<StarvationFreeLock<Leasable>>>(
-        "locked-stack-leased", {}, /*Exhaustive=*/false,
-        AccessBounds{64, 64, false}, [] { leasableLockCrashSweep(); }));
-    R.push_back(pushPopEntry<TreiberStackAdapter>(
-        "treiber-stack", {"TreiberStack.h"}, /*Exhaustive=*/false,
-        AccessBounds{7, 7, true},
-        [] { crashSweepCell<TreiberStackAdapter>(); }));
-    R.push_back(pushPopEntry<HsyStackAdapter>(
-        "hsy-stack", {"EliminationBackoffStack.h"}, /*Exhaustive=*/false,
-        AccessBounds{7, 7, true}, [] { crashSweepCell<HsyStackAdapter>(); }));
+
+    // Stacks. Small patience in every crash-tolerant row: false
+    // revocation is linearizable for crash-tolerant objects
+    // (linearization points live in the weak C&S), and it buys
+    // degraded-path coverage in every cell.
+    R.push_back(row(
+        "abortable-stack", {"AbortableStack.h", "Results.h"}, Stack,
+        [](std::uint32_t, std::uint32_t C) {
+          return std::make_unique<AbortableStack<>>(C);
+        },
+        exactly({5, 5}), LockFreeSweep, /*Exhaustive=*/true));
+    R.push_back(row(
+        "nonblocking-stack", {"NonBlockingStack.h"}, Stack,
+        [](std::uint32_t, std::uint32_t C) {
+          return std::make_unique<NonBlockingStack<>>(C);
+        },
+        atMost({8, 8}), LockFreeSweep));
+    R.push_back(row("cs-stack",
+                    {"ContentionSensitiveStack.h", "ContentionSensitive.h",
+                     "ContentionSensitiveObject.h"},
+                    Stack, sized<ContentionSensitiveStack<>>(),
+                    exactly({6, 6})));
+    R.push_back(row("ct-stack", {"CrashTolerantStack.h"}, Stack,
+                    sized<CrashTolerantStack<>>(SmallPatience),
+                    exactly({6, 6}), TolerantSweep));
+    R.push_back(row(
+        "unbounded-stack", {"AbortableStack.h"}, EnvelopeStack,
+        [](std::uint32_t N, std::uint32_t) {
+          return std::make_unique<UnboundedStack<>>(N);
+        },
+        exactly({5, 5}), LockFreeSweep));
+    R.push_back(row("unbounded-cs-stack", {}, EnvelopeStack,
+                    [](std::uint32_t N, std::uint32_t) {
+                      return std::make_unique<
+                          ContentionSensitiveUnboundedStack<>>(N);
+                    },
+                    exactly({6, 6})));
+    R.push_back(row("boxed-stack", {"BoxedStack.h"}, Stack,
+                    sized<BoxedStack<std::uint32_t>>(), atMost({32, 32})));
+    R.push_back(row("boosted-stack", {"TimestampBoost.h"}, Stack,
+                    sized<BoostedStack<>>(), exactly({6, 6})));
+    R.push_back(row(
+        "wait-free-stack", {"WaitFreeUniversal.h"}, Stack,
+        [](std::uint32_t N, std::uint32_t C) {
+          EXPECT_EQ(C, SmallCapacity) << "compile-time capacity";
+          return std::make_unique<WaitFreeStack<SmallCapacity, 8>>(N);
+        },
+        atMost({256, 256}), LockFreeSweep));
+    R.push_back(row("locked-stack", {"LockedStack.h"}, Stack,
+                    sized<LockedStack<TtasLock>>(), atMost({16, 16})));
+    R.push_back(row("locked-stack-leased", {}, Stack,
+                    sized<LockedStack<StarvationFreeLock<Leasable>>>(),
+                    atMost({64, 64}), ownSweep(leasableLockCrashSweep)));
+    R.push_back(row("treiber-stack", {"TreiberStack.h"}, Stack,
+                    sized<TreiberStack>(), exactly({7, 7}), LockFreeSweep));
+    // Hendler-Shavit-Yerushalmi: two slots and a short spin, so contended
+    // rounds keep crossing the rendezvous.
+    R.push_back(row("hsy-stack", {"EliminationBackoffStack.h"}, Stack,
+                    sized<EliminationBackoffStack>(/*SlotCount=*/2,
+                                                   /*SpinBudget=*/16),
+                    exactly({7, 7}), LockFreeSweep));
+
     // Queues.
-    R.push_back(pushPopEntry<AbortableQueueAdapter>(
-        "abortable-queue", {"AbortableQueue.h"}, /*Exhaustive=*/true,
-        AccessBounds{6, 6, true},
-        [] { crashSweepCell<AbortableQueueAdapter>(); }));
-    R.push_back(pushPopEntry<NonBlockingQueueAdapter>(
-        "nonblocking-queue", {"NonBlockingQueue.h"}, /*Exhaustive=*/false,
-        AccessBounds{10, 10, false},
-        [] { crashSweepCell<NonBlockingQueueAdapter>(); }));
-    R.push_back(pushPopEntry<CsQueueAdapter>(
-        "cs-queue", {"ContentionSensitiveQueue.h"}, /*Exhaustive=*/false,
-        AccessBounds{7, 7, true}));
-    R.push_back(pushPopEntry<CtQueueAdapter>(
-        "ct-queue", {"CrashTolerantQueue.h"}, /*Exhaustive=*/false,
-        AccessBounds{7, 7, true},
-        [] { crashTolerantSweepCell<CtQueueAdapter>(); }));
-    R.push_back(pushPopEntry<UnboundedQueueAdapter>(
-        "unbounded-queue", {"AbortableQueue.h"}, /*Exhaustive=*/false,
-        AccessBounds{6, 6, true},
-        [] { crashSweepCell<UnboundedQueueAdapter>(); }));
-    R.push_back(pushPopEntry<UnboundedCsQueueAdapter>(
-        "unbounded-cs-queue", {}, /*Exhaustive=*/false,
-        AccessBounds{7, 7, true}));
-    R.push_back(pushPopEntry<LockedQueueAdapter<TtasLock>>(
-        "locked-queue", {"LockedQueue.h"}, /*Exhaustive=*/false,
-        AccessBounds{16, 16, false}));
-    R.push_back(pushPopEntry<LockedQueueAdapter<StarvationFreeLock<Leasable>>>(
-        "locked-queue-leased", {}, /*Exhaustive=*/false,
-        AccessBounds{64, 64, false}, [] { leasableLockCrashSweep(); }));
-    R.push_back(pushPopEntry<MsQueueAdapter>(
-        "ms-queue", {"MichaelScottQueue.h"}, /*Exhaustive=*/false,
-        AccessBounds{12, 9, true}, [] { crashSweepCell<MsQueueAdapter>(); }));
+    R.push_back(row(
+        "abortable-queue", {"AbortableQueue.h"}, Queue,
+        [](std::uint32_t, std::uint32_t C) {
+          return std::make_unique<AbortableQueue<>>(C);
+        },
+        exactly({6, 6}), LockFreeSweep, /*Exhaustive=*/true));
+    R.push_back(row(
+        "nonblocking-queue", {"NonBlockingQueue.h"}, Queue,
+        [](std::uint32_t, std::uint32_t C) {
+          return std::make_unique<NonBlockingQueue<>>(C);
+        },
+        atMost({10, 10}), LockFreeSweep));
+    R.push_back(row("cs-queue", {"ContentionSensitiveQueue.h"}, Queue,
+                    sized<ContentionSensitiveQueue<>>(), exactly({7, 7})));
+    R.push_back(row("ct-queue", {"CrashTolerantQueue.h"}, Queue,
+                    sized<CrashTolerantQueue<>>(SmallPatience),
+                    exactly({7, 7}), TolerantSweep));
+    R.push_back(row(
+        "unbounded-queue", {"AbortableQueue.h"}, EnvelopeQueue,
+        [](std::uint32_t N, std::uint32_t) {
+          return std::make_unique<UnboundedQueue<>>(N);
+        },
+        exactly({6, 6}), LockFreeSweep));
+    R.push_back(row("unbounded-cs-queue", {}, EnvelopeQueue,
+                    [](std::uint32_t N, std::uint32_t) {
+                      return std::make_unique<
+                          ContentionSensitiveUnboundedQueue<>>(N);
+                    },
+                    exactly({7, 7})));
+    R.push_back(row("locked-queue", {"LockedQueue.h"}, Queue,
+                    sized<LockedQueue<TtasLock>>(), atMost({16, 16})));
+    R.push_back(row("locked-queue-leased", {}, Queue,
+                    sized<LockedQueue<StarvationFreeLock<Leasable>>>(),
+                    atMost({64, 64}), ownSweep(leasableLockCrashSweep)));
+    R.push_back(row("ms-queue", {"MichaelScottQueue.h"}, Queue,
+                    sized<MichaelScottQueue>(), exactly({12, 9}),
+                    LockFreeSweep));
+
     // Deques.
-    R.push_back(dequeEntry<OfDequeAdapter>(
-        "of-deque", {"ObstructionFreeDeque.h"}, /*Exhaustive=*/true,
-        AccessBounds{16, 16, false}, [] { ofDequeCrashSweep(); }));
-    R.push_back(dequeEntry<CsDequeAdapter>(
-        "cs-deque", {"ContentionSensitiveDeque.h"}, /*Exhaustive=*/false,
-        AccessBounds{24, 24, false}));
-    R.push_back(dequeEntry<CtDequeAdapter>(
-        "ct-deque", {"CrashTolerantDeque.h"}, /*Exhaustive=*/false,
-        AccessBounds{24, 24, false},
-        [] { crashTolerantSweepCell<CtDequeAdapter>(); }));
+    R.push_back(row(
+        "of-deque", {"ObstructionFreeDeque.h"}, Deque,
+        [](std::uint32_t, std::uint32_t C) {
+          return std::make_unique<ObstructionFreeDeque>(C, SmallLeftSlots);
+        },
+        atMost({16, 16}), ownSweep(ofDequeCrashSweep), /*Exhaustive=*/true));
+    R.push_back(row("cs-deque", {"ContentionSensitiveDeque.h"}, Deque,
+                    sized<ContentionSensitiveDeque<>>(SmallLeftSlots),
+                    atMost({24, 24})));
+    R.push_back(row(
+        "ct-deque", {"CrashTolerantDeque.h"}, Deque,
+        sized<CrashTolerantDeque<>>(SmallLeftSlots, SmallPatience),
+        atMost({24, 24}), [](const DequeShape &S, const auto &) {
+          // All slots on the right, so the survivor's two healing pushes
+          // fit whether or not the corpse's landed.
+          crashTolerantSweepCell(
+              S, sized<CrashTolerantDeque<>>(/*InitialLeftSlots=*/0u,
+                                             SmallPatience));
+        }));
+
     // Counter.
-    R.push_back(counterEntry());
-    // Acceleration layer (perf/). All stall-plan-only: the eliminating
-    // and sharded stacks fall back to Figure 3 lock paths, and a killed
+    R.push_back(row("cs-counter", {"ContentionSensitiveCounter.h"},
+                    CounterShape(),
+                    [](std::uint32_t N, std::uint32_t) {
+                      return std::make_unique<ContentionSensitiveCounter<>>(N);
+                    },
+                    exactly({3})));
+
+    // Acceleration layer (perf/). Tiny elimination arrays (one slot,
+    // short spin budget) keep the stress rendezvous rate high and the
+    // schedule trees small. All stall-plan-only: the eliminating and
+    // sharded stacks fall back to Figure 3 lock paths, and a killed
     // combiner strands its publication list (DESIGN.md, "Acceleration
     // layer").
     {
-      BatteryEntry E = pushPopEntry<EliminatingCsStackAdapter>(
-          "eliminating-stack", {}, /*Exhaustive=*/false,
-          AccessBounds{6, 6, true});
+      BatteryEntry E =
+          row("eliminating-stack", {}, Stack,
+              sized<EliminatingContentionSensitiveStack<>>(
+                  /*SlotCount=*/1, /*SpinBudget=*/8),
+              exactly({6, 6}));
       const auto Base = std::move(E.Explore);
       E.Explore = [Base] {
         Base();
@@ -2396,36 +1487,55 @@ inline const std::vector<BatteryEntry> &batteryRegistry() {
       };
       R.push_back(std::move(E));
     }
-    R.push_back(pushPopEntry<CombiningStackAdapter>(
-        "combining-stack", {}, /*Exhaustive=*/false, AccessBounds{6, 6, true}));
-    R.push_back(pushPopEntry<CombiningQueueAdapter>(
-        "combining-queue", {}, /*Exhaustive=*/false, AccessBounds{7, 7, true}));
-    R.push_back(dequeEntry<CombiningDequeAdapter>(
-        "combining-deque", {}, /*Exhaustive=*/false,
-        AccessBounds{24, 24, false}));
-    R.push_back(pushPopEntry<ShardedStackAdapter>(
-        "sharded-stack", {}, /*Exhaustive=*/false, AccessBounds{6, 6, true}));
-    // Adaptive facade, twice: the default controller (mask moves come
-    // only from grow-on-full) and the churn controller (the obs loop
-    // grows and shrinks mid-round). Stall-plan-only like every sharded
-    // entry; the access-bound cell runs at the one-shard mask, where a
-    // solo op is a plain Figure 3 shortcut — exactly six accesses.
-    R.push_back(pushPopEntry<AdaptiveStackAdapter>(
-        "adaptive-stack", {}, /*Exhaustive=*/false, AccessBounds{6, 6, true}));
-    R.push_back(pushPopEntry<AdaptiveChurnStackAdapter>(
-        "adaptive-stack-churn", {}, /*Exhaustive=*/false,
-        AccessBounds{6, 6, true}));
-    // Ordered maps. The cs-map's slow path is a per-region RAII lock, so
-    // stress-crash coverage is stall-plan-only like every Fig-3 entry;
+    R.push_back(row("combining-stack", {}, Stack, sized<CombiningStack<>>(),
+                    exactly({6, 6})));
+    R.push_back(row("combining-queue", {}, Queue, sized<CombiningQueue<>>(),
+                    exactly({7, 7})));
+    R.push_back(row("combining-deque", {}, Deque,
+                    sized<CombiningDeque>(SmallLeftSlots), atMost({24, 24})));
+    // The static two-shard bag: the adaptive facade at its full mask
+    // with the controller off, so the mask and the epoch never move.
+    R.push_back(row("sharded-stack", {}, Bag,
+                    sized<AdaptiveShardedStack<2>>(
+                        /*InitialShards=*/2, /*SlotCount=*/1,
+                        /*SpinBudget=*/8, ShardControllerConfig{.TickOps = 0}),
+                    exactly({6, 6})));
+    // Adaptive facade, twice. The default controller: the mask starts at
+    // one shard and widens only through op-driven grow-on-full, so this
+    // row certifies that reconfiguration epochs preserve the bag's
+    // answers (observable capacity is TotalCapacity from the first
+    // operation, Empty spans retired shards). The churn controller (tick
+    // every 4 ops, act on 8-op deltas, shrink at a 50% shortcut ratio)
+    // grows AND shrinks the mask many times per round, so conservation
+    // and the boundary certificates are exercised across live
+    // reconfiguration epochs. AccessBound runs at the one-shard mask,
+    // where a solo op is a plain Figure 3 shortcut — exactly six
+    // accesses.
+    R.push_back(row("adaptive-stack", {}, Bag,
+                    sized<AdaptiveShardedStack<2>>(/*InitialShards=*/1,
+                                                   /*SlotCount=*/1,
+                                                   /*SpinBudget=*/8),
+                    exactly({6, 6})));
+    R.push_back(row("adaptive-stack-churn", {}, Bag,
+                    sized<AdaptiveShardedStack<2>>(
+                        /*InitialShards=*/2, /*SlotCount=*/1,
+                        /*SpinBudget=*/8,
+                        ShardControllerConfig{.TickOps = 4,
+                                              .MinDeltaOps = 8,
+                                              .GrowLockRatio = 0.01,
+                                              .ShrinkShortcutRatio = 0.5}),
+                    exactly({6, 6})));
+
+    // Ordered maps, bounds in solo() order: fresh insert, get, update,
+    // erase. The cs-map's slow path is a per-region RAII lock, so its
+    // stress-crash coverage is stall-plan-only like every Figure 3 row;
     // the extra sweep crashes only shortcut shapes, which never hold a
     // lock (mapCrashSweep's banner states the boundary).
-    R.push_back(mapEntry<CsMapAdapter>(
-        "cs-map", {"ContentionSensitiveMap.h", "SkipListCore.h"},
-        MapAccessBounds{9, 11, 11, 11, /*Exact=*/true},
-        [] { mapCrashSweep(); }));
-    R.push_back(mapEntry<LockedMapAdapter>(
-        "locked-map", {"LockedMap.h"},
-        MapAccessBounds{16, 16, 16, 16, /*Exact=*/false}));
+    R.push_back(row("cs-map", {"ContentionSensitiveMap.h", "SkipListCore.h"},
+                    MapShape(), sized<ContentionSensitiveMap<>>(MapRegions),
+                    exactly({11, 9, 11, 11}), ownSweep(mapCrashSweep)));
+    R.push_back(row("locked-map", {"LockedMap.h"}, MapShape(),
+                    sized<LockedMap<>>(), atMost({16, 16, 16, 16})));
     return R;
   }();
   return Registry;

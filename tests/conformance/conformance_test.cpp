@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Drives the conformance battery (Battery.h): every registered object
-/// runs the same six cells, parameterized over the registry. Two
-/// registry-level tests make the battery self-enforcing: the matrix may
-/// not have empty cells, and every header under src/core and
-/// src/baselines must be claimed by some entry — adding a new object
-/// without registering it here fails the CI conformance job.
+/// Drives the conformance battery (Battery.h): every registry row (one
+/// object, over one of the four operation shapes) runs the same six
+/// cells, parameterized over the registry. Two registry-level tests make
+/// the battery self-enforcing: the matrix may not have empty cells, and
+/// every header under src/core and src/baselines must be claimed by some
+/// row — adding a new object without a row fails CI.
 ///
 /// Also hosts the StarvationFreeLock<Leasable> fault-plan coverage that
 /// the battery's lock-level crash sweep builds on: an explorer-driven
@@ -133,7 +133,7 @@ TEST(ConformanceRegistryTest, EveryCoreAndBaselineHeaderHasABatteryEntry) {
       Missing += Name + " ";
   EXPECT_TRUE(Missing.empty())
       << "src/core and src/baselines headers with no battery entry "
-         "(register an adapter in tests/conformance/Battery.h): "
+         "(add a row to batteryRegistry() in tests/conformance/Battery.h): "
       << Missing;
 
   // Reverse direction: a covered-header claim must name a file that still

@@ -32,6 +32,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "CrashAt.h"
 #include "sched/InterleaveScheduler.h"
 
 #include "baselines/MichaelScottQueue.h"
@@ -48,7 +49,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -56,23 +56,6 @@
 
 namespace csobj {
 namespace {
-
-/// Runs \p Body under the scheduler, crashing it at its (K+1)-th shared
-/// access (K = number of accesses that complete first). Returns the
-/// number of decision points taken, so callers can discover the access
-/// count by passing a huge K.
-std::size_t runAndCrashAt(std::function<void()> Body, std::uint32_t K) {
-  InterleaveScheduler Scheduler(1);
-  const auto Trace = Scheduler.run(
-      {std::move(Body)},
-      [K](std::size_t Step, const std::vector<std::uint32_t> &Parked)
-          -> std::uint32_t {
-        if (Step == K)
-          return Parked.front() | InterleaveScheduler::KillFlag;
-        return Parked.front();
-      });
-  return Trace.Decisions.size();
-}
 
 //===----------------------------------------------------------------------===
 // Figure 1: crash at every prefix of weak_push / weak_pop

@@ -137,52 +137,50 @@ TEST(CheckerTest, LostPushIsCaught) {
 }
 
 //===----------------------------------------------------------------------===
-// BoundedDequeSpec end-discipline
+// LinearDequeSpec end-discipline
 //===----------------------------------------------------------------------===
 
 TEST(DequeSpecTest, PlainPushAndPopAreRejected) {
   // The deque spec only speaks the four end-qualified codes; an adapter
   // that records a plain Push/Pop against it is a harness bug and must be
   // rejected outright, not silently folded onto one end.
-  BoundedDequeSpec Spec(4);
+  LinearDequeSpec Spec(4, 2);
   EXPECT_FALSE(
       Spec.apply(makeOp(0, OpCode::Push, 1, ResCode::Done, 0, 0, 1)));
   EXPECT_FALSE(
       Spec.apply(makeOp(0, OpCode::Pop, 0, ResCode::Empty, 0, 2, 3)));
 }
 
-TEST(DequeSpecTest, EndQualifiedSequenceIsAccepted) {
-  BoundedDequeSpec Spec(4);
-  EXPECT_TRUE(
-      Spec.apply(makeOp(0, OpCode::PushLeft, 1, ResCode::Done, 0, 0, 1)));
-  EXPECT_TRUE(
-      Spec.apply(makeOp(0, OpCode::PushRight, 2, ResCode::Done, 0, 2, 3)));
-  // [1, 2]: left pop sees 1, right pop sees 2, then the deque is empty.
-  EXPECT_TRUE(
-      Spec.apply(makeOp(0, OpCode::PopLeft, 0, ResCode::Value, 1, 4, 5)));
-  EXPECT_TRUE(
-      Spec.apply(makeOp(0, OpCode::PopRight, 0, ResCode::Value, 2, 6, 7)));
-  EXPECT_TRUE(
-      Spec.apply(makeOp(0, OpCode::PopLeft, 0, ResCode::Empty, 0, 8, 9)));
-}
-
-TEST(DequeSpecTest, FullEdgeAtCapacity) {
-  BoundedDequeSpec Spec(2);
-  EXPECT_TRUE(
-      Spec.apply(makeOp(0, OpCode::PushLeft, 1, ResCode::Done, 0, 0, 1)));
-  EXPECT_TRUE(
-      Spec.apply(makeOp(0, OpCode::PushRight, 2, ResCode::Done, 0, 2, 3)));
-  // At capacity: Done is illegal, Full is the only legal answer.
-  EXPECT_FALSE(
-      Spec.apply(makeOp(0, OpCode::PushLeft, 3, ResCode::Done, 0, 4, 5)));
-  EXPECT_TRUE(
-      Spec.apply(makeOp(0, OpCode::PushRight, 3, ResCode::Full, 0, 4, 5)));
-}
-
 TEST(DequeSpecTest, CheckerRejectsPlainPushHistoryAgainstDequeSpec) {
   History H;
   H.Ops.push_back(makeOp(0, OpCode::Push, 1, ResCode::Done, 0, 0, 1));
-  EXPECT_FALSE(checkLinearizable(H, BoundedDequeSpec(2)).Linearizable);
+  EXPECT_FALSE(checkLinearizable(H, LinearDequeSpec(2, 1)).Linearizable);
+}
+
+//===----------------------------------------------------------------------===
+// FetchAddSpec: answers in real-time order
+//===----------------------------------------------------------------------===
+
+TEST(FetchAddSpecTest, AnswersMustFollowRealTimeOrder) {
+  // Two sequential unit adds: the first must answer 1, the second 2.
+  // The swapped answers are the same set {1, 2}, which a sorted-returns
+  // check accepts; the spec must not.
+  const auto Add = [](std::uint32_t Tid, std::uint32_t Sum,
+                      std::uint64_t Invoke, std::uint64_t Response) {
+    return makeOp(Tid, OpCode::FetchAdd, 1, ResCode::Value, Sum, Invoke,
+                  Response);
+  };
+  History InOrder;
+  InOrder.Ops = {Add(0, 1, 0, 1), Add(1, 2, 2, 3)};
+  EXPECT_TRUE(checkLinearizable(InOrder, FetchAddSpec()).Linearizable);
+
+  History Swapped;
+  Swapped.Ops = {Add(0, 2, 0, 1), Add(1, 1, 2, 3)};
+  EXPECT_FALSE(checkLinearizable(Swapped, FetchAddSpec()).Linearizable);
+
+  // Overlapping, either order linearizes.
+  Swapped.Ops[1].InvokeNs = 0;
+  EXPECT_TRUE(checkLinearizable(Swapped, FetchAddSpec()).Linearizable);
 }
 
 } // namespace
