@@ -1,38 +1,31 @@
-//===- bench/BenchCommon.h - Shared benchmark adapters ----------*- C++ -*-===//
+//===- bench/BenchCommon.h - Shared benchmark settings ----------*- C++ -*-===//
 //
 // Part of csobj, a reproduction of Mostefaoui & Raynal (PI-1969, 2011).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Adapters binding every stack/queue implementation to the generic
-/// closed-loop driver (runtime/Driver.h), plus the shared sweep settings
-/// used by all experiment binaries. Setting CSOBJ_BENCH_QUICK=1 shrinks
-/// every sweep for smoke runs.
+/// What every experiment binary shares: the sweep settings, the chaos
+/// plan, the cell runner, and how a cell builds its object. A cell's
+/// *maker* takes the cell's worker count and capacity and returns the
+/// driver adapter (runtime/Driver.h) of a fresh object: Driven<Obj>
+/// (runtime/PushPop.h), built from the object's own constructor
+/// arguments. Setting CSOBJ_BENCH_QUICK=1 shrinks every sweep for smoke
+/// runs.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSOBJ_BENCH_BENCHCOMMON_H
 #define CSOBJ_BENCH_BENCHCOMMON_H
 
-#include "baselines/EliminationBackoffStack.h"
-#include "baselines/LockedQueue.h"
-#include "baselines/LockedStack.h"
-#include "baselines/MichaelScottQueue.h"
-#include "baselines/TreiberStack.h"
-#include "core/AbortableQueue.h"
-#include "core/AbortableStack.h"
-#include "core/ContentionSensitiveQueue.h"
+#include "conformance/Params.h"
 #include "core/ContentionSensitiveStack.h"
-#include "core/CrashTolerantStack.h"
-#include "core/NonBlockingQueue.h"
-#include "core/NonBlockingStack.h"
-#include "locks/McsLock.h"
-#include "locks/TicketLock.h"
+#include "memory/RegisterPolicy.h"
 #include "perf/AdaptiveShardedStack.h"
-#include "perf/CombiningObjects.h"
 #include "perf/EliminatingStack.h"
 #include "runtime/Driver.h"
+#include "runtime/PushPop.h"
+#include "runtime/SpinBarrier.h"
 #include "runtime/Workload.h"
 
 #include <algorithm>
@@ -41,6 +34,7 @@
 #include <cstdlib>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -97,358 +91,86 @@ template <typename BodyFn> double soloNsPerCall(BodyFn Body) {
 }
 
 //===----------------------------------------------------------------------===
-// Stack adapters (driver contract: apply + prefillOne)
+// Makers: how a cell of Threads workers over Capacity builds its object
 //===----------------------------------------------------------------------===
 
-inline OpOutcome fromPush(PushResult R) {
-  switch (R) {
-  case PushResult::Done:
-    return OpOutcome::Ok;
-  case PushResult::Full:
-    return OpOutcome::Full;
-  case PushResult::Abort:
-    return OpOutcome::Abort;
-  }
-  return OpOutcome::Abort;
+/// The maker of an adapter built from (Threads, Capacity): Driven<Obj>
+/// for an object whose constructor takes those two, or a type below that
+/// chooses its object's other arguments.
+template <typename AdapterT>
+AdapterT make(std::uint32_t Threads, std::uint32_t Capacity) {
+  return AdapterT(Threads, Capacity);
 }
 
-template <typename V>
-OpOutcome fromPop(const PopResult<V> &R) {
-  if (R.isValue())
-    return OpOutcome::Ok;
-  return R.isEmpty() ? OpOutcome::Empty : OpOutcome::Abort;
+/// The maker of an object whose operations take no process id: it is
+/// built from the capacity alone.
+template <typename ObjT>
+Driven<ObjT> unthreaded(std::uint32_t, std::uint32_t Capacity) {
+  return Driven<ObjT>(Capacity);
 }
 
-/// Figure 1: weak operations, aborts surface to the harness.
-struct WeakStackAdapter {
-  static constexpr const char *Name = "abortable(fig1)";
-  WeakStackAdapter(std::uint32_t, std::uint32_t Capacity)
-      : Stack(Capacity) {}
-  OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.weakPush(V)) : fromPop(Stack.weakPop());
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.weakPush(V); }
-  std::size_t footprintBytes() const {
-    return sizeof(Stack) + Stack.heapBytes();
-  }
-  AbortableStack<> Stack;
-};
-
-/// Figure 2: non-blocking retry loop; retries are reported.
-struct NonBlockingStackAdapter {
-  static constexpr const char *Name = "non-blocking(fig2)";
-  NonBlockingStackAdapter(std::uint32_t, std::uint32_t Capacity)
-      : Stack(Capacity) {}
-  OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
-                  std::uint64_t &Retries) {
-    if (IsPush) {
-      const auto R = Stack.pushCounting(V);
-      Retries += R.Retries;
-      return fromPush(R.Result);
-    }
-    const auto R = Stack.popCounting();
-    Retries += R.Retries;
-    return fromPop(R.Result);
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(V); }
-  NonBlockingStack<> Stack;
-};
-
-/// Figure 2 with exponential backoff as the retry policy.
-struct BackoffStackAdapter {
-  static constexpr const char *Name = "non-blocking+backoff";
-  BackoffStackAdapter(std::uint32_t, std::uint32_t Capacity)
-      : Stack(Capacity) {}
-  OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
-                  std::uint64_t &Retries) {
-    if (IsPush) {
-      const auto R = Stack.pushCounting(V);
-      Retries += R.Retries;
-      return fromPush(R.Result);
-    }
-    const auto R = Stack.popCounting();
-    Retries += R.Retries;
-    return fromPop(R.Result);
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(V); }
-  NonBlockingStack<Compact64, ExponentialBackoff> Stack;
-};
-
-/// Figure 3: the paper's contention-sensitive starvation-free stack.
-struct CsStackAdapter {
-  static constexpr const char *Name = "contention-sensitive(fig3)";
-  CsStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  obs::Path lastPath(std::uint32_t Tid) const { return Stack.lastPath(Tid); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  ContentionSensitiveStack<> Stack;
-};
-
-/// Treiber's lock-free stack.
-struct TreiberStackAdapter {
-  static constexpr const char *Name = "treiber";
-  TreiberStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(V)) : fromPop(Stack.pop());
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(V); }
-  TreiberStack Stack;
-};
-
-/// Elimination-backoff stack.
-struct EliminationStackAdapter {
-  static constexpr const char *Name = "elimination";
-  EliminationStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(V)) : fromPop(Stack.pop());
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(V); }
-  EliminationBackoffStack Stack;
-};
+/// Elimination slots for a cell of \p Threads workers: they scale with
+/// the threads so concurrent rendezvous spread.
+inline std::uint32_t eliminationSlots(std::uint32_t Threads) {
+  return Threads > 2 ? Threads / 2 : 1;
+}
 
 /// Figure 3 with the gated elimination window (perf/EliminatingStack.h).
-/// Slots scale with threads so concurrent rendezvous spread.
-struct EliminatingCsStackAdapter {
-  static constexpr const char *Name = "eliminating(fig3+elim)";
-  EliminatingCsStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity, /*SlotCount=*/Threads > 2 ? Threads / 2 : 1,
-              /*SpinBudget=*/64) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  std::uint64_t exchanges() const {
-    return Stack.rescue().array().exchangesForTesting();
-  }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  obs::Path lastPath(std::uint32_t Tid) const { return Stack.lastPath(Tid); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  EliminatingContentionSensitiveStack<> Stack;
-};
-
-/// Figure 3 fast path over the flat-combining slow path
-/// (perf/CombiningSlowPath.h).
-struct CombiningStackAdapter {
-  static constexpr const char *Name = "combining(fig3+fc)";
-  CombiningStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  std::uint64_t batches() {
-    return Stack.skeleton().slowPath().batchesForTesting();
-  }
-  std::uint64_t combinedOps() {
-    return Stack.skeleton().slowPath().combinedOpsForTesting();
-  }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  obs::Path lastPath(std::uint32_t Tid) const { return Stack.lastPath(Tid); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  CombiningStack<> Stack;
-};
+inline Driven<EliminatingContentionSensitiveStack<>>
+eliminatingStack(std::uint32_t Threads, std::uint32_t Capacity) {
+  return Driven<EliminatingContentionSensitiveStack<>>(
+      Threads, Capacity, eliminationSlots(Threads), /*SpinBudget=*/64);
+}
 
 /// N Figure 3 shards behind the bag facade with elimination balancing:
 /// the adaptive facade (perf/AdaptiveShardedStack.h) built at its full
 /// mask with the controller off, so the mask never moves. Capacity is
 /// rounded down to a multiple of N.
-template <std::uint32_t NumShards> struct StaticShardAdapter {
-  StaticShardAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity - Capacity % NumShards,
-              /*InitialShards=*/NumShards,
-              /*SlotCount=*/Threads > 2 ? Threads / 2 : 1,
-              /*SpinBudget=*/64, ShardControllerConfig{.TickOps = 0}) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  std::uint64_t exchanges() const {
-    return Stack.eliminationExchangesForTesting();
-  }
-  // No lastPath: one facade op enters several shard skeletons, so a
-  // single terminal path would be ambiguous.
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  AdaptiveShardedStack<NumShards> Stack;
-};
+template <std::uint32_t N>
+Driven<AdaptiveShardedStack<N>> staticShards(std::uint32_t Threads,
+                                             std::uint32_t Capacity) {
+  return Driven<AdaptiveShardedStack<N>>(
+      Threads, Capacity - Capacity % N, /*InitialShards=*/N,
+      eliminationSlots(Threads), /*SpinBudget=*/64,
+      ShardControllerConfig{.TickOps = 0});
+}
 
 /// Adaptive mask over eight Figure 3 shards driven by the obs control
 /// loop (perf/AdaptiveShardedStack.h). Starts at one shard; the
 /// controller widens the mask under lock-path pressure and retires
 /// shards that sit idle while the load is shortcut-dominant, so E18 can
 /// compare one object against every static shard count across load
-/// phases.
-struct AdaptiveStackAdapter {
-  static constexpr const char *Name = "adaptive(<=8xfig3)";
-  AdaptiveStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity - Capacity % 8, /*InitialShards=*/1,
-              /*SlotCount=*/Threads > 2 ? Threads / 2 : 1,
-              /*SpinBudget=*/64) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  std::uint64_t exchanges() const {
-    return Stack.eliminationExchangesForTesting();
-  }
-  std::uint32_t activeShards() const { return Stack.activeShards(); }
-  std::uint64_t reconfigEpoch() const { return Stack.reconfigEpoch(); }
-  // No lastPath, for the same reason as StaticShardAdapter.
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  AdaptiveShardedStack<8> Stack;
-};
-
-/// Crash-tolerant Figure 3 (core/CrashTolerantStack.h): leased lock,
-/// recoverable doorway, lock-free fallback. Exposes the degradation
-/// stats so benches can report how often the slow path fell back.
-struct CrashTolerantStackAdapter {
-  static constexpr const char *Name = "crash-tolerant(fig3+leases)";
-  CrashTolerantStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  CrashTolerantStackAdapter(std::uint32_t Threads, std::uint32_t Capacity,
-                            std::uint32_t Patience)
-      : Stack(Threads, Capacity, Patience) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  DegradationStats stats() const {
-    return Stack.skeleton().slowPath().lock().statsForTesting();
-  }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  obs::Path lastPath(std::uint32_t Tid) const { return Stack.lastPath(Tid); }
-  CrashTolerantStack<> Stack;
+/// phases. A type, not a function, because E15 soaks it
+/// (soak::runSoak builds its adapter from (Workers, Capacity)).
+struct AdaptiveShards : Driven<AdaptiveShardedStack<8>> {
+  AdaptiveShards(std::uint32_t Threads, std::uint32_t Capacity)
+      : Driven(Threads, Capacity - Capacity % 8, /*InitialShards=*/1,
+               eliminationSlots(Threads), /*SpinBudget=*/64) {}
 };
 
 /// Unbounded contention-sensitive stack (Figure 3 over the chunked
-/// reclaiming Figure 1). Capacity is ignored — the object grows and
-/// shrinks with the live population; Full exists only at the 65535-value
-/// envelope. Exposes the hazard domain so benches can report retire
-/// backlog and resident bytes alongside throughput.
-struct UnboundedCsStackAdapter {
-  static constexpr const char *Name = "unbounded-cs(fig3+hp)";
-  UnboundedCsStackAdapter(std::uint32_t Threads, std::uint32_t /*Capacity*/)
-      : Stack(Threads) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  obs::Path lastPath(std::uint32_t Tid) const { return Stack.lastPath(Tid); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  HazardDomain &domain() { return Stack.abortable().domain(); }
-  ContentionSensitiveUnboundedStack<> Stack;
+/// reclaiming Figure 1). Capacity is ignored: the object grows and
+/// shrinks with the live population; Full exists only at the
+/// 65535-value envelope. A type for E15, as above.
+struct UnboundedCsStack : Driven<ContentionSensitiveUnboundedStack<>> {
+  UnboundedCsStack(std::uint32_t Threads, std::uint32_t /*Capacity*/)
+      : Driven(Threads) {}
 };
 
-/// Coarse lock-based stack, parametric in the lock.
-template <typename Lock>
-struct LockedStackAdapter {
-  static constexpr const char *Name = "locked";
-  LockedStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  LockedStack<Lock> Stack;
-};
-
-//===----------------------------------------------------------------------===
-// Queue adapters
-//===----------------------------------------------------------------------===
-
-struct WeakQueueAdapter {
-  static constexpr const char *Name = "abortable-queue";
-  WeakQueueAdapter(std::uint32_t, std::uint32_t Capacity)
-      : Queue(Capacity) {}
-  OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Queue.weakEnqueue(V))
-                  : fromPop(Queue.weakDequeue());
-  }
-  void prefillOne(std::uint32_t V) { (void)Queue.weakEnqueue(V); }
-  AbortableQueue<> Queue;
-};
-
-struct NonBlockingQueueAdapter {
-  static constexpr const char *Name = "non-blocking-queue";
-  NonBlockingQueueAdapter(std::uint32_t, std::uint32_t Capacity)
-      : Queue(Capacity) {}
-  OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
-                  std::uint64_t &Retries) {
-    if (IsPush) {
-      const auto R = Queue.enqueueCounting(V);
-      Retries += R.Retries;
-      return fromPush(R.Result);
-    }
-    const auto R = Queue.dequeueCounting();
-    Retries += R.Retries;
-    return fromPop(R.Result);
-  }
-  void prefillOne(std::uint32_t V) { (void)Queue.enqueue(V); }
-  NonBlockingQueue<> Queue;
-};
-
-struct CsQueueAdapter {
-  static constexpr const char *Name = "cs-queue(fig3)";
-  CsQueueAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Queue(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Queue.enqueue(Tid, V))
-                  : fromPop(Queue.dequeue(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Queue.enqueue(0, V); }
-  obs::PathSnapshot pathSnapshot() const { return Queue.pathSnapshot(); }
-  obs::Path lastPath(std::uint32_t Tid) const { return Queue.lastPath(Tid); }
-  std::size_t footprintBytes() const { return Queue.footprintBytes(); }
-  ContentionSensitiveQueue<> Queue;
-};
-
-struct MsQueueAdapter {
-  static constexpr const char *Name = "michael-scott";
-  MsQueueAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Queue(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Queue.enqueue(V)) : fromPop(Queue.dequeue());
-  }
-  void prefillOne(std::uint32_t V) { (void)Queue.enqueue(V); }
-  MichaelScottQueue Queue;
-};
-
-template <typename Lock>
-struct LockedQueueAdapter {
-  static constexpr const char *Name = "locked-queue";
-  LockedQueueAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Queue(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Queue.enqueue(Tid, V))
-                  : fromPop(Queue.dequeue(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Queue.enqueue(0, V); }
-  LockedQueue<Lock> Queue;
-};
+/// Operations an elimination window matched (a pair counts 2), for the
+/// objects whose window reports them: the Figure 3 stack with the gated
+/// window and the sharded facades.
+template <typename ObjT>
+  requires requires(const ObjT &O) { O.eliminationExchangesForTesting(); } ||
+           requires(const ObjT &O) {
+             O.rescue().array().exchangesForTesting();
+           }
+std::uint64_t exchanges(const ObjT &Obj) {
+  if constexpr (requires { Obj.eliminationExchangesForTesting(); })
+    return Obj.eliminationExchangesForTesting();
+  else
+    return Obj.rescue().array().exchangesForTesting();
+}
 
 /// Default asynchrony-injection level for contended sweeps: 10% yield
 /// probability per shared access (FaultPlan::chaos). On a host with
@@ -514,15 +236,47 @@ inline FaultPlan chaosPlan(std::uint32_t Threads, std::uint64_t Seed,
   return Plan;
 }
 
-/// Like runCell below but drives a caller-supplied adapter, so
-/// per-object state (e.g. degradation counters on
-/// CrashTolerantStackAdapter) survives the run for reporting.
+/// Runs \p Work(T) on \p Threads workers released together from a start
+/// line, each under the cell's chaos plan drawn from \p Seed, and
+/// returns the slowest worker's span in seconds. Spans are measured
+/// worker-side from the release, so join-scheduling noise on an
+/// oversubscribed host cannot shrink or stretch the window. The cells
+/// that issue their own operations (E14, E16, E17) run on it.
+template <typename WorkFn>
+double runWorkers(std::uint32_t Threads, std::uint64_t Seed, WorkFn Work) {
+  const FaultPlan Chaos = chaosPlan(Threads, Seed);
+  FaultClock Clock;
+  SpinBarrier StartLine(Threads + 1);
+  std::vector<double> Span(Threads, 0.0);
+  std::vector<std::thread> Workers;
+  Workers.reserve(Threads);
+  for (std::uint32_t T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      FaultScope Faults(Chaos, T, Clock);
+      StartLine.arriveAndWait();
+      const auto Begin = std::chrono::steady_clock::now();
+      Work(T);
+      const std::chrono::duration<double> Took =
+          std::chrono::steady_clock::now() - Begin;
+      Span[T] = Took.count();
+    });
+  StartLine.arriveAndWait();
+  for (std::thread &W : Workers)
+    W.join();
+  return *std::max_element(Span.begin(), Span.end());
+}
+
+/// Runs one sweep cell on \p Adapter, a runtime/Driver.h adapter
+/// (usually a maker's): the closed loop with half the capacity prefilled,
+/// under the chaos plan. The adapter outlives the run, so a bench can
+/// read its object's own numbers afterwards. CSOBJ_CHAOS, when set,
+/// overrides the compiled-in chaos level (see chaosPlan).
 template <typename AdapterT>
-WorkloadReport runCellOn(AdapterT &Adapter, std::uint32_t Threads,
-                         std::uint32_t ChaosPermille = DefaultChaosPermille,
-                         std::uint32_t ThinkNs = 0,
-                         std::uint32_t PushPercent = 50,
-                         std::uint32_t Capacity = 4096) {
+WorkloadReport runCell(AdapterT &Adapter, std::uint32_t Threads,
+                       std::uint32_t ThinkNs = 0,
+                       std::uint32_t PushPercent = 50,
+                       std::uint32_t Capacity = conformance::BenchCapacity,
+                       std::uint32_t ChaosPermille = DefaultChaosPermille) {
   WorkloadConfig Config;
   Config.Threads = Threads;
   Config.OpsPerThread = opsPerThread();
@@ -532,19 +286,6 @@ WorkloadReport runCellOn(AdapterT &Adapter, std::uint32_t Threads,
   Config.PrefillPercent = 50;
   Config.Faults = chaosPlan(Threads, Config.Seed, ChaosPermille);
   return runClosedLoop(Adapter, Config);
-}
-
-/// Runs one sweep cell: fresh adapter, closed loop, returns the report.
-/// CSOBJ_CHAOS, when set, overrides the compiled-in chaos level for
-/// every cell (chaos mode without recompiling).
-template <typename AdapterT>
-WorkloadReport runCell(std::uint32_t Threads, std::uint32_t ThinkNs = 0,
-                       std::uint32_t PushPercent = 50,
-                       std::uint32_t Capacity = 4096,
-                       std::uint32_t ChaosPermille = DefaultChaosPermille) {
-  AdapterT Adapter(Threads, Capacity);
-  return runCellOn(Adapter, Threads, ChaosPermille, ThinkNs, PushPercent,
-                   Capacity);
 }
 
 } // namespace bench

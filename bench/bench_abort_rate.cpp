@@ -19,9 +19,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "core/AbortableStack.h"
 #include "obs/JsonReporter.h"
 
-#include "conformance/Params.h"
 #include "runtime/TablePrinter.h"
 
 #include <iostream>
@@ -40,7 +40,8 @@ int main() {
     Table.setTitle("E2a: abort rate of weak stack ops vs thread count "
                    "(think=0, 50/50 push-pop)");
     for (const std::uint32_t Threads : threadSweep()) {
-      const WorkloadReport R = runCell<WeakStackAdapter>(Threads);
+      Driven<AbortableStack<>> Stack(conformance::BenchCapacity);
+      const WorkloadReport R = runCell(Stack, Threads);
       Table.addRow({std::to_string(Threads), std::to_string(R.totalOps()),
                     std::to_string(R.totalAborts()),
                     formatDouble(R.abortRate() * 100, 2) + "%",
@@ -64,9 +65,10 @@ int main() {
                    "(4 threads)");
     const std::uint32_t Threads = quickMode() ? 2 : 4;
     for (const std::uint32_t Chaos : {0u, 10u, 50u, 100u, 300u}) {
-      const WorkloadReport R = runCell<WeakStackAdapter>(
-          Threads, /*ThinkNs=*/0, /*PushPercent=*/50,
-          /*Capacity=*/conformance::BenchCapacity, Chaos);
+      Driven<AbortableStack<>> Stack(conformance::BenchCapacity);
+      const WorkloadReport R =
+          runCell(Stack, Threads, /*ThinkNs=*/0, /*PushPercent=*/50,
+                  /*Capacity=*/conformance::BenchCapacity, Chaos);
       Table.addRow({std::to_string(Chaos),
                     std::to_string(R.totalAborts()),
                     formatDouble(R.abortRate() * 100, 3) + "%"});
@@ -85,7 +87,8 @@ int main() {
   {
     TablePrinter Table({"threads", "aborts", "abort-rate"});
     Table.setTitle("E2c: solo control — one thread never aborts");
-    const WorkloadReport R = runCell<WeakStackAdapter>(1);
+    Driven<AbortableStack<>> Stack(conformance::BenchCapacity);
+    const WorkloadReport R = runCell(Stack, 1);
     Table.addRow({"1", std::to_string(R.totalAborts()),
                   formatDouble(R.abortRate() * 100, 3) + "%"});
     Json.beginRecord();

@@ -21,13 +21,22 @@
 #include "runtime/SpinBarrier.h"
 #include "support/SplitMix64.h"
 
+#include "baselines/EliminationBackoffStack.h"
+#include "baselines/LockedQueue.h"
+#include "baselines/LockedStack.h"
+#include "baselines/MichaelScottQueue.h"
+#include "baselines/TreiberStack.h"
+#include "core/AbortableQueue.h"
 #include "core/ContentionSensitiveCounter.h"
+#include "core/ContentionSensitiveQueue.h"
+#include "core/NonBlockingStack.h"
 #include "locks/LamportFastLock.h"
 #include "locks/StarvationFreeLock.h"
+#include "locks/TicketLock.h"
 #include "memory/AccessCounter.h"
+#include "perf/CombiningObjects.h"
 #include "runtime/TablePrinter.h"
 
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <thread>
@@ -226,11 +235,11 @@ int main() {
                             "cas-failures/op"});
     Contended.setTitle("E1b: accesses per op under contention "
                        "(asynchrony 100 permille, 50/50)");
-    const bool Quick = std::getenv("CSOBJ_BENCH_QUICK") != nullptr &&
-                       std::getenv("CSOBJ_BENCH_QUICK")[0] == '1';
-    const std::uint32_t OpsPerThread = Quick ? 4000 : 20000;
+    const std::uint32_t OpsPerThread = bench::quickMode() ? 4000 : 20000;
     for (const std::uint32_t Threads : {1u, 2u, 4u}) {
-      auto RunCounted = [&](auto DoOp) {
+      auto RunCounted = [&](auto &Adapter) {
+        for (std::uint32_t I = 0; I < conformance::BenchCapacity / 2; ++I)
+          Adapter.prefillOne(I + 1);
         const FaultPlan Chaos =
             FaultPlan::chaos(Threads, Threads > 1 ? 100 : 0);
         FaultClock Clock;
@@ -242,10 +251,13 @@ int main() {
             FaultScope Faults(Chaos, T, Clock);
             AccessCounterScope CountScope(Counts[T]);
             SplitMix64 Rng(T + 500);
+            std::uint64_t Retries = 0;
             Barrier.arriveAndWait();
-            for (std::uint32_t I = 0; I < OpsPerThread; ++I)
-              DoOp(T, Rng.chance(1, 2),
-                   static_cast<std::uint32_t>(Rng.below(9999)) + 1);
+            for (std::uint32_t I = 0; I < OpsPerThread; ++I) {
+              const bool IsPush = Rng.chance(1, 2);
+              const auto V = static_cast<std::uint32_t>(Rng.below(9999)) + 1;
+              (void)Adapter.apply(T, IsPush, V, Retries);
+            }
           });
         for (auto &W : Workers)
           W.join();
@@ -264,30 +276,15 @@ int main() {
       };
 
       {
-        NonBlockingStack<> Stack(4096);
-        for (int I = 0; I < 2048; ++I)
-          (void)Stack.push(static_cast<std::uint32_t>(I) + 1);
-        const auto [Mean, Failures] =
-            RunCounted([&](std::uint32_t, bool IsPush, std::uint32_t V) {
-              if (IsPush)
-                (void)Stack.push(V);
-              else
-                (void)Stack.pop();
-            });
+        Driven<NonBlockingStack<>> Stack(conformance::BenchCapacity);
+        const auto [Mean, Failures] = RunCounted(Stack);
         Contended.addRow({"non-blocking(fig2)", std::to_string(Threads),
                           formatDouble(Mean, 2), formatDouble(Failures, 3)});
       }
       {
-        ContentionSensitiveStack<> Stack(Threads, 4096);
-        for (int I = 0; I < 2048; ++I)
-          (void)Stack.push(0, static_cast<std::uint32_t>(I) + 1);
-        const auto [Mean, Failures] =
-            RunCounted([&](std::uint32_t T, bool IsPush, std::uint32_t V) {
-              if (IsPush)
-                (void)Stack.push(T, V);
-              else
-                (void)Stack.pop(T);
-            });
+        Driven<ContentionSensitiveStack<>> Stack(Threads,
+                                                 conformance::BenchCapacity);
+        const auto [Mean, Failures] = RunCounted(Stack);
         Contended.addRow({"cs(fig3)", std::to_string(Threads),
                           formatDouble(Mean, 2), formatDouble(Failures, 3)});
       }

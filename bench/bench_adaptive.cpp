@@ -55,6 +55,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace {
@@ -84,37 +85,37 @@ struct SweepOutput {
   std::map<std::string, std::map<std::uint32_t, double>> TopPhase;
 };
 
+/// Only the adaptive row reports its mask: a static row's never moves.
+template <typename AdapterT>
+constexpr bool ReportsMask = std::is_same_v<AdapterT, AdaptiveShards>;
+
 template <typename AdapterT>
 void emitAccelStats(JsonReporter &Json, AdapterT &Adapter,
                     std::uint32_t Capacity) {
-  if constexpr (requires { Adapter.footprintBytes(); })
-    obs::emitMemoryFootprint(Json, Adapter.footprintBytes(), Capacity);
-  if constexpr (requires { Adapter.exchanges(); })
-    Json.field("elimination_exchanges", Adapter.exchanges());
-  if constexpr (requires { Adapter.activeShards(); }) {
-    Json.field("active_shards_final", Adapter.activeShards());
-    Json.field("reconfig_epoch", Adapter.reconfigEpoch());
+  obs::emitMemoryFootprint(Json, Adapter.footprintBytes(), Capacity);
+  Json.field("elimination_exchanges", exchanges(Adapter.object()));
+  if constexpr (ReportsMask<AdapterT>) {
+    Json.field("active_shards_final", Adapter.object().activeShards());
+    Json.field("reconfig_epoch", Adapter.object().reconfigEpoch());
   }
-  if constexpr (requires { Adapter.pathSnapshot(); })
-    obs::emitPathBreakdown(Json, Adapter.pathSnapshot());
+  obs::emitPathBreakdown(Json, Adapter.pathSnapshot());
 }
 
-template <typename AdapterT>
-void runRows(SweepOutput &Out, const char *Object) {
+template <typename MakeFn>
+void runRows(SweepOutput &Out, const char *Object, MakeFn Make) {
   const std::uint32_t Top = threadSweep().back();
   for (const std::uint32_t Threads : threadSweep()) {
     for (const LoadPhase &Phase : Phases) {
-      AdapterT Adapter(Threads, /*Capacity=*/4096);
+      auto Adapter = Make(Threads, conformance::BenchCapacity);
       const WorkloadReport R =
-          runCellOn(Adapter, Threads, DefaultChaosPermille,
-                    /*ThinkNs=*/0, Phase.PushPercent);
+          runCell(Adapter, Threads, /*ThinkNs=*/0, Phase.PushPercent);
       const LatencySummary S = summarize(R.mergedLatency());
       const double Throughput = R.throughputOpsPerSec();
       if (Threads == Top)
         Out.TopPhase[Object][Phase.Id] = Throughput;
       std::string Shards = "-";
-      if constexpr (requires { Adapter.activeShards(); })
-        Shards = std::to_string(Adapter.activeShards());
+      if constexpr (ReportsMask<decltype(Adapter)>)
+        Shards = std::to_string(Adapter.object().activeShards());
       Out.Table.addRow({Object, std::to_string(Threads), Phase.Name,
                         formatRate(Throughput),
                         formatNs(static_cast<double>(S.P99Ns)), Shards});
@@ -130,7 +131,7 @@ void runRows(SweepOutput &Out, const char *Object) {
       Out.Json.field("abort_rate", R.abortRate());
       Out.Json.field("p99_ns", static_cast<std::uint64_t>(S.P99Ns));
       Out.Json.field("jain_fairness", R.fairness());
-      emitAccelStats(Out.Json, Adapter, /*Capacity=*/4096);
+      emitAccelStats(Out.Json, Adapter, conformance::BenchCapacity);
       Out.Json.endRecord();
     }
   }
@@ -142,7 +143,7 @@ void runRows(SweepOutput &Out, const char *Object) {
 /// has taxed the paper's bound.
 bool soloSixAccessAfterShrink() {
   AdaptiveShardedStack<8, Compact64, TasLock, NoBackoff, Instrumented> S(
-      /*NumThreads=*/2, /*TotalCapacity=*/4096);
+      /*NumThreads=*/2, conformance::BenchCapacity);
   while (S.activeShards() < S.maxShards())
     if (!S.growForTesting(0))
       return false;
@@ -169,11 +170,11 @@ int main() {
   JsonReporter Json;
   SweepOutput Out{Table, Json, {}};
 
-  runRows<StaticShardAdapter<1>>(Out, "static(1xfig3)");
-  runRows<StaticShardAdapter<2>>(Out, "static(2xfig3)");
-  runRows<StaticShardAdapter<4>>(Out, "static(4xfig3)");
-  runRows<StaticShardAdapter<8>>(Out, "static(8xfig3)");
-  runRows<AdaptiveStackAdapter>(Out, "adaptive(<=8xfig3)");
+  runRows(Out, "static(1xfig3)", staticShards<1>);
+  runRows(Out, "static(2xfig3)", staticShards<2>);
+  runRows(Out, "static(4xfig3)", staticShards<4>);
+  runRows(Out, "static(8xfig3)", staticShards<8>);
+  runRows(Out, "adaptive(<=8xfig3)", make<AdaptiveShards>);
 
   Table.print(std::cout);
 

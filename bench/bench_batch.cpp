@@ -38,15 +38,13 @@
 #include "BenchCommon.h"
 #include "obs/JsonReporter.h"
 #include "obs/MetricsJson.h"
-#include "runtime/SpinBarrier.h"
+#include "perf/CombiningObjects.h"
 #include "runtime/TablePrinter.h"
 
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace {
@@ -54,88 +52,33 @@ namespace {
 using namespace csobj;
 using namespace csobj::bench;
 
-/// Batch-capable adapters: group entry points over the driver adapters'
-/// objects. pushBatch/popBatch return the number of *elements* applied.
-struct Fig3PerElementAdapter {
-  static constexpr const char *Name = "fig3 per-element";
-  Fig3PerElementAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  std::size_t pushBatch(std::uint32_t Tid, const std::uint32_t *Vs,
-                        std::size_t N) {
-    std::size_t Done = 0;
-    for (std::size_t I = 0; I < N; ++I)
-      if (Stack.push(Tid, Vs[I]) == PushResult::Done)
-        ++Done;
-    return Done;
-  }
-  std::size_t popBatch(std::uint32_t Tid, std::uint32_t *Out, std::size_t N) {
-    std::size_t Got = 0;
-    for (std::size_t I = 0; I < N; ++I) {
-      const PopResult<std::uint32_t> R = Stack.pop(Tid);
-      if (!R.isValue())
-        break;
-      Out[Got++] = R.value();
-    }
-    return Got;
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  ContentionSensitiveStack<> Stack;
-};
+constexpr std::uint32_t Capacity = conformance::BenchCapacity;
 
-struct Fig3BatchAdapter {
-  static constexpr const char *Name = "fig3 batch";
-  Fig3BatchAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  std::size_t pushBatch(std::uint32_t Tid, const std::uint32_t *Vs,
-                        std::size_t N) {
-    return Stack.push_all(Tid, Vs, N);
-  }
-  std::size_t popBatch(std::uint32_t Tid, std::uint32_t *Out, std::size_t N) {
-    return Stack.pop_all(Tid, Out, N);
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  ContentionSensitiveStack<> Stack;
-};
+/// The per-element row's group: pushOn/popOn once per element. Returns
+/// how many elements went in, and how many values came out before the
+/// first Empty.
+template <typename ObjT>
+std::size_t pushEach(ObjT &Obj, std::uint32_t Tid, const std::uint32_t *Vs,
+                     std::size_t N) {
+  std::size_t Done = 0;
+  for (std::size_t I = 0; I < N; ++I)
+    if (pushOn(Obj, Tid, Vs[I]) == PushResult::Done)
+      ++Done;
+  return Done;
+}
 
-struct CombiningBatchAdapter {
-  static constexpr const char *Name = "combining batch";
-  CombiningBatchAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  std::size_t pushBatch(std::uint32_t Tid, const std::uint32_t *Vs,
-                        std::size_t N) {
-    return Stack.push_all(Tid, Vs, N);
+template <typename ObjT>
+std::size_t popEach(ObjT &Obj, std::uint32_t Tid, std::uint32_t *Out,
+                    std::size_t N) {
+  std::size_t Got = 0;
+  for (; Got < N; ++Got) {
+    const PopResult<std::uint32_t> R = popOn(Obj, Tid);
+    if (!R.isValue())
+      break;
+    Out[Got] = R.value();
   }
-  std::size_t popBatch(std::uint32_t Tid, std::uint32_t *Out, std::size_t N) {
-    return Stack.pop_all(Tid, Out, N);
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  std::size_t footprintBytes() const { return Stack.footprintBytes(); }
-  std::uint64_t batches() {
-    return Stack.skeleton().slowPath().batchesForTesting();
-  }
-  CombiningStack<> Stack;
-};
-
-/// The static four-shard bag (full mask, controller off) driven through
-/// its group operations.
-struct ShardedBatchAdapter : StaticShardAdapter<4> {
-  static constexpr const char *Name = "sharded batch";
-  using StaticShardAdapter::StaticShardAdapter;
-  std::size_t pushBatch(std::uint32_t Tid, const std::uint32_t *Vs,
-                        std::size_t N) {
-    return Stack.push_all(Tid, Vs, N);
-  }
-  std::size_t popBatch(std::uint32_t Tid, std::uint32_t *Out, std::size_t N) {
-    return Stack.pop_all(Tid, Out, N);
-  }
-};
-
-constexpr std::uint32_t Capacity = 4096;
+  return Got;
+}
 
 struct CellResult {
   std::uint64_t Elements = 0; ///< Elements applied (pushes + pops).
@@ -149,59 +92,40 @@ struct CellResult {
 };
 
 /// One sweep cell: fresh object, Threads workers, each performing
-/// opsPerThread() element-slots grouped into BatchSize-sized calls.
-template <typename AdapterT>
-CellResult runBatchCell(std::uint32_t Threads, std::uint32_t BatchSize,
-                        bool Paired) {
-  AdapterT Adapter(Threads, Capacity);
+/// opsPerThread() element-slots grouped into BatchSize-sized calls: one
+/// push_all/pop_all call per group when \p Grouped, one pushOn/popOn per
+/// element otherwise.
+template <typename MakeFn>
+CellResult runBatchCell(MakeFn Make, bool Grouped, std::uint32_t Threads,
+                        std::uint32_t BatchSize, bool Paired) {
+  auto Adapter = Make(Threads, Capacity);
+  auto &Obj = Adapter.object();
   for (std::uint32_t V = 0; V < Capacity / 2; ++V)
     Adapter.prefillOne(V + 1);
 
   const std::uint64_t Rounds = opsPerThread() / BatchSize;
-  const FaultPlan Chaos = chaosPlan(Threads, /*Seed=*/0xBA7C4ull);
-  FaultClock Clock;
-  SpinBarrier StartLine(Threads + 1);
   std::vector<std::uint64_t> Done(Threads, 0);
-  std::vector<double> Span(Threads, 0.0);
-  std::vector<std::thread> Workers;
-  Workers.reserve(Threads);
-  for (std::uint32_t T = 0; T < Threads; ++T)
-    Workers.emplace_back([&, T] {
-      FaultScope Faults(Chaos, T, Clock);
-      std::vector<std::uint32_t> Buf(BatchSize);
-      StartLine.arriveAndWait();
-      const auto Begin = std::chrono::steady_clock::now();
-      // Paired: even tids produce, odd tids consume (solo runs
-      // alternate regardless, or nothing would ever drain).
-      const bool Produces = Paired && Threads > 1 ? T % 2 == 0 : true;
-      const bool Consumes = Paired && Threads > 1 ? T % 2 == 1 : true;
-      std::uint64_t Count = 0;
-      for (std::uint64_t R = 0; R < Rounds; ++R) {
-        if (Produces) {
-          for (std::uint32_t I = 0; I < BatchSize; ++I)
-            Buf[I] = static_cast<std::uint32_t>(R * BatchSize + I + 1);
-          Count += Adapter.pushBatch(T, Buf.data(), BatchSize);
-        }
-        if (Consumes)
-          Count += Adapter.popBatch(T, Buf.data(), BatchSize);
-      }
-      const auto End = std::chrono::steady_clock::now();
-      Done[T] = Count;
-      Span[T] = std::chrono::duration<double>(End - Begin).count();
-    });
-
-  StartLine.arriveAndWait();
-  for (std::thread &W : Workers)
-    W.join();
-
   CellResult R;
+  R.DurationSec = runWorkers(Threads, 0xBA7C4ull, [&](std::uint32_t T) {
+    std::vector<std::uint32_t> Buf(BatchSize);
+    // Paired: even tids produce, odd tids consume (solo runs alternate
+    // regardless, or nothing would ever drain).
+    const bool Produces = Paired && Threads > 1 ? T % 2 == 0 : true;
+    const bool Consumes = Paired && Threads > 1 ? T % 2 == 1 : true;
+    for (std::uint64_t Round = 0; Round < Rounds; ++Round) {
+      if (Produces) {
+        for (std::uint32_t I = 0; I < BatchSize; ++I)
+          Buf[I] = static_cast<std::uint32_t>(Round * BatchSize + I + 1);
+        Done[T] += Grouped ? Obj.push_all(T, Buf.data(), BatchSize)
+                           : pushEach(Obj, T, Buf.data(), BatchSize);
+      }
+      if (Consumes)
+        Done[T] += Grouped ? Obj.pop_all(T, Buf.data(), BatchSize)
+                           : popEach(Obj, T, Buf.data(), BatchSize);
+    }
+  });
   for (const std::uint64_t D : Done)
     R.Elements += D;
-  // The cell's window is the slowest worker's span, measured worker-side
-  // from the barrier release: join-scheduling noise on an oversubscribed
-  // host cannot shrink or stretch it.
-  for (const double S : Span)
-    R.DurationSec = std::max(R.DurationSec, S);
   R.Snapshot = Adapter.pathSnapshot();
   R.ObjectBytes = Adapter.footprintBytes();
   return R;
@@ -217,35 +141,36 @@ struct SweepOutput {
   bool AllConserved = true;
 };
 
-template <typename AdapterT>
-void runRows(SweepOutput &Out, const std::vector<std::uint32_t> &BatchSizes) {
+template <typename MakeFn>
+void runRows(SweepOutput &Out, const char *Object, MakeFn Make, bool Grouped,
+             const std::vector<std::uint32_t> &BatchSizes) {
   for (const std::uint32_t Threads : threadSweep()) {
     for (const std::uint32_t BatchSize : BatchSizes) {
       for (const bool Paired : {false, true}) {
         if (Paired && Threads < 2)
           continue; // Paired roles need a producer and a consumer.
         const CellResult R =
-            runBatchCell<AdapterT>(Threads, BatchSize, Paired);
+            runBatchCell(Make, Grouped, Threads, BatchSize, Paired);
         const char *Mix = Paired ? "paired" : "alternating";
         const double Rate = R.elementsPerSec();
         const bool Conserved = R.Snapshot.conserves();
         Out.AllConserved = Out.AllConserved && Conserved;
         if (BatchSize >= 8) {
-          Out.BestBatched[AdapterT::Name][Threads] =
-              std::max(Out.BestBatched[AdapterT::Name][Threads], Rate);
-          if (std::string(AdapterT::Name) == "combining batch")
+          Out.BestBatched[Object][Threads] =
+              std::max(Out.BestBatched[Object][Threads], Rate);
+          if (std::string(Object) == "combining batch")
             Out.CombiningBatchMean =
                 std::max(Out.CombiningBatchMean, R.Snapshot.batchMean());
         }
-        Out.BestPerElement[AdapterT::Name][Threads] =
-            std::max(Out.BestPerElement[AdapterT::Name][Threads], Rate);
-        Out.Table.addRow({AdapterT::Name, std::to_string(Threads),
+        Out.BestPerElement[Object][Threads] =
+            std::max(Out.BestPerElement[Object][Threads], Rate);
+        Out.Table.addRow({Object, std::to_string(Threads),
                           std::to_string(BatchSize), Mix,
                           formatRate(Rate),
                           formatDouble(R.Snapshot.batchMean(), 2),
                           Conserved ? "yes" : "NO"});
         Out.Json.beginRecord();
-        Out.Json.field("object", AdapterT::Name);
+        Out.Json.field("object", Object);
         Out.Json.field("threads", Threads);
         Out.Json.field("batch_size", BatchSize);
         Out.Json.field("mix", Mix);
@@ -276,10 +201,14 @@ int main() {
   JsonReporter Json;
   SweepOutput Out{Table, Json, {}, {}, 0.0, true};
 
-  runRows<Fig3PerElementAdapter>(Out, BatchSizes);
-  runRows<Fig3BatchAdapter>(Out, BatchSizes);
-  runRows<CombiningBatchAdapter>(Out, BatchSizes);
-  runRows<ShardedBatchAdapter>(Out, BatchSizes);
+  using Fig3 = Driven<ContentionSensitiveStack<>>;
+  runRows(Out, "fig3 per-element", make<Fig3>, /*Grouped=*/false,
+          BatchSizes);
+  runRows(Out, "fig3 batch", make<Fig3>, /*Grouped=*/true, BatchSizes);
+  runRows(Out, "combining batch", make<Driven<CombiningStack<>>>,
+          /*Grouped=*/true, BatchSizes);
+  runRows(Out, "sharded batch", staticShards<4>, /*Grouped=*/true,
+          BatchSizes);
 
   Table.print(std::cout);
 

@@ -22,6 +22,7 @@
 
 #include "BenchCommon.h"
 
+#include "core/NonBlockingStack.h"
 #include "core/TimestampBoost.h"
 #include "core/WaitFreeUniversal.h"
 #include "memory/AccessCounter.h"
@@ -34,36 +35,11 @@ namespace {
 using namespace csobj;
 using namespace csobj::bench;
 
-struct WaitFreeStackAdapter {
-  static constexpr const char *Name = "wait-free-universal";
-  WaitFreeStackAdapter(std::uint32_t Threads, std::uint32_t /*Capacity*/)
-      : Stack(Threads) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  // Compile-time capacity: 64 elements (the construction copies the
-  // whole state per operation, so it targets small objects).
-  WaitFreeStack<64> Stack;
-};
-
-struct BoostedStackAdapter {
-  static constexpr const char *Name = "timestamp-boost";
-  BoostedStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  BoostedStack<> Stack;
-};
-
-template <typename AdapterT>
-void addRows(TablePrinter &Table, const char *Name) {
+template <typename MakeFn>
+void addRows(TablePrinter &Table, const char *Name, MakeFn Make) {
   for (const std::uint32_t Threads : threadSweep()) {
-    const WorkloadReport R = runCell<AdapterT>(Threads);
+    auto Adapter = Make(Threads, conformance::BenchCapacity);
+    const WorkloadReport R = runCell(Adapter, Threads);
     const LatencySummary S = summarize(R.mergedLatency());
     Table.addRow({Name, std::to_string(Threads),
                   formatRate(R.throughputOpsPerSec()),
@@ -72,6 +48,14 @@ void addRows(TablePrinter &Table, const char *Name) {
                   formatDouble(R.meanLatencyRatio(), 2),
                   std::to_string(R.totalAborts())});
   }
+}
+
+/// The wait-free universal stack's capacity is compile-time, 64 elements:
+/// the construction copies the whole state per operation, so it targets
+/// small objects.
+Driven<WaitFreeStack<64>> waitFreeStack(std::uint32_t Threads,
+                                        std::uint32_t /*Capacity*/) {
+  return Driven<WaitFreeStack<64>>(Threads);
 }
 
 } // namespace
@@ -102,10 +86,11 @@ int main() {
                       "svc-ratio", "aborts"});
   Table.setTitle("E9: progress-boosting mechanisms — lock+turn (fig3), "
                  "timestamp deference [4,25], wait-free universal [7]");
-  addRows<CsStackAdapter>(Table, "lock+turn (fig3)");
-  addRows<BoostedStackAdapter>(Table, "timestamp-boost");
-  addRows<WaitFreeStackAdapter>(Table, "wait-free universal [7]");
-  addRows<NonBlockingStackAdapter>(Table, "none (fig2, lock-free only)");
+  addRows(Table, "lock+turn (fig3)", make<Driven<ContentionSensitiveStack<>>>);
+  addRows(Table, "timestamp-boost", make<Driven<BoostedStack<>>>);
+  addRows(Table, "wait-free universal [7]", waitFreeStack);
+  addRows(Table, "none (fig2, lock-free only)",
+          unthreaded<NonBlockingStack<>>);
   Table.print(std::cout);
 
   std::cout << "\ntakeaway: both boosts surface zero aborts with even service; "

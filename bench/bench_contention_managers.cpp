@@ -33,6 +33,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "core/NonBlockingStack.h"
+#include "locks/TasLock.h"
 #include "obs/JsonReporter.h"
 #include "obs/MetricsJson.h"
 
@@ -49,59 +51,20 @@ namespace {
 using namespace csobj;
 using namespace csobj::bench;
 
-/// Figure 2 stack with explicit policy and manager.
-template <typename Policy, typename Manager>
-struct NbStackCell {
-  static constexpr const char *Name = "nb-stack";
-  NbStackCell(std::uint32_t, std::uint32_t Capacity) : Stack(Capacity) {}
-  OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
-                  std::uint64_t &Retries) {
-    if (IsPush) {
-      const auto R = Stack.pushCounting(V);
-      Retries += R.Retries;
-      return fromPush(R.Result);
-    }
-    const auto R = Stack.popCounting();
-    Retries += R.Retries;
-    return fromPop(R.Result);
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(V); }
-  NonBlockingStack<Compact64, Manager, Policy> Stack;
-};
-
-/// Figure 3 stack with explicit policy and manager (lock matches policy).
-template <typename Policy, typename Manager>
-struct CsStackCell {
-  static constexpr const char *Name = "cs-stack";
-  CsStackCell(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    return IsPush ? fromPush(Stack.push(Tid, V)) : fromPop(Stack.pop(Tid));
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  obs::Path lastPath(std::uint32_t Tid) const { return Stack.lastPath(Tid); }
-  ContentionSensitiveStack<Compact64, TasLockT<Policy>, Manager, Policy>
-      Stack;
-};
-
 struct SweepOutput {
   TablePrinter &Table;
   JsonReporter &Json;
 };
 
-template <template <typename, typename> class Cell, typename Policy,
-          typename Manager>
-void runRow(SweepOutput &Out, const char *Object) {
+template <typename Policy, typename Manager, typename MakeFn>
+void runRow(SweepOutput &Out, const char *Object, MakeFn Make) {
   for (const std::uint32_t Threads : threadSweep()) {
     // ChaosPermille=0: keep the Instrumented/Fast comparison honest (the
-    // chaos hook is a no-op under Fast). The adapter is built here, not
-    // inside runCell, so its metrics survive the run for reporting.
-    Cell<Policy, Manager> Adapter(Threads, /*Capacity=*/4096);
+    // chaos hook is a no-op under Fast).
+    auto Adapter = Make(Threads, conformance::BenchCapacity);
     const WorkloadReport R =
-        runCellOn(Adapter, Threads, /*ChaosPermille=*/0, /*ThinkNs=*/0,
-                  /*PushPercent=*/50, /*Capacity=*/4096);
+        runCell(Adapter, Threads, /*ThinkNs=*/0, /*PushPercent=*/50,
+                conformance::BenchCapacity, /*ChaosPermille=*/0);
     const double Throughput = R.throughputOpsPerSec();
     Out.Table.addRow({Object, Policy::Name, Manager::Name,
                       std::to_string(Threads), formatRate(Throughput),
@@ -129,7 +92,8 @@ void runRow(SweepOutput &Out, const char *Object) {
 /// (median of 5 repeats), so it times the registers rather than a
 /// threaded harness whose own spread is wider than the policies' gap.
 template <typename Policy> double soloRoundTripNs() {
-  NonBlockingStack<Compact64, NoBackoff, Policy> Stack(/*Capacity=*/4096);
+  NonBlockingStack<Compact64, NoBackoff, Policy> Stack(
+      conformance::BenchCapacity);
   std::uint32_t V = 1;
   return soloNsPerCall([&] {
     (void)Stack.push(V);
@@ -138,14 +102,29 @@ template <typename Policy> double soloRoundTripNs() {
   });
 }
 
+/// The Figure 2 stack's row and the Figure 3 stack's row (whose lock
+/// matches the policy) under \p Policy and \p Manager.
+template <typename Policy, typename Manager> void nbRow(SweepOutput &Out) {
+  runRow<Policy, Manager>(
+      Out, "nb-stack",
+      unthreaded<NonBlockingStack<Compact64, Manager, Policy>>);
+}
+
+template <typename Policy, typename Manager> void csRow(SweepOutput &Out) {
+  runRow<Policy, Manager>(
+      Out, "cs-stack",
+      make<Driven<ContentionSensitiveStack<Compact64, TasLockT<Policy>,
+                                           Manager, Policy>>>);
+}
+
 template <typename Policy>
 void runPolicy(SweepOutput &Out) {
-  runRow<NbStackCell, Policy, NoBackoff>(Out, "nb-stack");
-  runRow<NbStackCell, Policy, ExponentialBackoff>(Out, "nb-stack");
-  runRow<NbStackCell, Policy, YieldBackoff>(Out, "nb-stack");
-  runRow<NbStackCell, Policy, AdaptiveBackoff>(Out, "nb-stack");
-  runRow<CsStackCell, Policy, NoBackoff>(Out, "cs-stack");
-  runRow<CsStackCell, Policy, AdaptiveBackoff>(Out, "cs-stack");
+  nbRow<Policy, NoBackoff>(Out);
+  nbRow<Policy, ExponentialBackoff>(Out);
+  nbRow<Policy, YieldBackoff>(Out);
+  nbRow<Policy, AdaptiveBackoff>(Out);
+  csRow<Policy, NoBackoff>(Out);
+  csRow<Policy, AdaptiveBackoff>(Out);
 }
 
 } // namespace

@@ -32,57 +32,16 @@ namespace {
 using namespace csobj;
 using namespace csobj::bench;
 
-/// Raw deque, single attempts; aborts surface.
-struct WeakDequeAdapter {
-  static constexpr const char *Name = "hlm-attempts";
-  WeakDequeAdapter(std::uint32_t, std::uint32_t Capacity)
-      : Deque(Capacity, Capacity / 2) {}
+/// Raw deque, single attempts; aborts surface. The one hand-written
+/// adapter: the deque's pushRight/popRight retry, so pushOn cannot pick
+/// the single attempt by name. It prefills through pushRight.
+struct SingleAttempts : Driven<ObstructionFreeDeque> {
+  using Driven::Driven;
   OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
                   std::uint64_t &) {
-    // Map push->right end, pop->right end (stack-like usage pattern).
-    if (IsPush)
-      return fromPush(Deque.tryPushRight(V % ObstructionFreeDeque::LeftNull));
-    return fromPop(Deque.tryPopRight());
+    return IsPush ? fromPush(object().tryPushRight(V))
+                  : fromPop(object().tryPopRight());
   }
-  void prefillOne(std::uint32_t V) {
-    (void)Deque.pushRight(V % ObstructionFreeDeque::LeftNull);
-  }
-  ObstructionFreeDeque Deque;
-};
-
-/// Obstruction-free retry loops (the HLM interface).
-struct ObstructionFreeDequeAdapter {
-  static constexpr const char *Name = "hlm-obstruction-free";
-  ObstructionFreeDequeAdapter(std::uint32_t, std::uint32_t Capacity)
-      : Deque(Capacity, Capacity / 2) {}
-  OpOutcome apply(std::uint32_t, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    if (IsPush)
-      return fromPush(Deque.pushRight(V % ObstructionFreeDeque::LeftNull));
-    return fromPop(Deque.popRight());
-  }
-  void prefillOne(std::uint32_t V) {
-    (void)Deque.pushRight(V % ObstructionFreeDeque::LeftNull);
-  }
-  ObstructionFreeDeque Deque;
-};
-
-/// Figure 3 over the deque.
-struct CsDequeAdapter {
-  static constexpr const char *Name = "cs-deque(fig3)";
-  CsDequeAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Deque(Threads, Capacity, Capacity / 2) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    if (IsPush)
-      return fromPush(
-          Deque.pushRight(Tid, V % ObstructionFreeDeque::LeftNull));
-    return fromPop(Deque.popRight(Tid));
-  }
-  void prefillOne(std::uint32_t V) {
-    (void)Deque.pushRight(0, V % ObstructionFreeDeque::LeftNull);
-  }
-  ContentionSensitiveDeque<> Deque;
 };
 
 } // namespace
@@ -122,30 +81,28 @@ int main() {
     Table.setTitle("E10b: obstruction-free vs contention-sensitive deque "
                    "(right-end 50/50, capacity 64)");
     for (const std::uint32_t Threads : threadSweep()) {
-      {
-        const WorkloadReport R = runCell<WeakDequeAdapter>(
-            Threads, /*ThinkNs=*/0, /*PushPercent=*/50, /*Capacity=*/64);
-        Table.addRow({"hlm attempts", std::to_string(Threads),
+      // Right-end 50/50 over capacity 64, half its slots on the left.
+      const auto Run = [Threads](auto &Adapter) {
+        return runCell(Adapter, Threads, /*ThinkNs=*/0, /*PushPercent=*/50,
+                       /*Capacity=*/64);
+      };
+      const auto AddRow = [&](const char *Name, const WorkloadReport &R) {
+        Table.addRow({Name, std::to_string(Threads),
                       formatRate(R.throughputOpsPerSec()),
                       formatDouble(R.abortRate() * 100, 2) + "%",
                       formatDouble(R.meanLatencyRatio(), 2)});
+      };
+      {
+        SingleAttempts Deque(64, 32);
+        AddRow("hlm attempts", Run(Deque));
       }
       {
-        const WorkloadReport R = runCell<ObstructionFreeDequeAdapter>(
-            Threads, /*ThinkNs=*/0, /*PushPercent=*/50, /*Capacity=*/64);
-        Table.addRow({"hlm retry (obstruction-free)",
-                      std::to_string(Threads),
-                      formatRate(R.throughputOpsPerSec()),
-                      formatDouble(R.abortRate() * 100, 2) + "%",
-                      formatDouble(R.meanLatencyRatio(), 2)});
+        Driven<ObstructionFreeDeque> Deque(64, 32);
+        AddRow("hlm retry (obstruction-free)", Run(Deque));
       }
       {
-        const WorkloadReport R = runCell<CsDequeAdapter>(
-            Threads, /*ThinkNs=*/0, /*PushPercent=*/50, /*Capacity=*/64);
-        Table.addRow({"cs-deque (fig3)", std::to_string(Threads),
-                      formatRate(R.throughputOpsPerSec()),
-                      formatDouble(R.abortRate() * 100, 2) + "%",
-                      formatDouble(R.meanLatencyRatio(), 2)});
+        Driven<ContentionSensitiveDeque<>> Deque(Threads, 64, 32);
+        AddRow("cs-deque (fig3)", Run(Deque));
       }
     }
     Table.print(std::cout);

@@ -26,7 +26,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "baselines/EliminationBackoffStack.h"
+#include "core/NonBlockingStack.h"
 #include "obs/JsonReporter.h"
+#include "perf/CombiningObjects.h"
 
 #include "runtime/TablePrinter.h"
 
@@ -37,10 +40,12 @@ namespace {
 using namespace csobj;
 using namespace csobj::bench;
 
-template <typename AdapterT>
-void addRows(TablePrinter &Table, JsonReporter &Json, const char *Name) {
+template <typename MakeFn>
+void addRows(TablePrinter &Table, JsonReporter &Json, const char *Name,
+             MakeFn Make) {
   for (const std::uint32_t Threads : threadSweep()) {
-    const WorkloadReport R = runCell<AdapterT>(Threads);
+    auto Adapter = Make(Threads, conformance::BenchCapacity);
+    const WorkloadReport R = runCell(Adapter, Threads);
     const LatencySummary S = summarize(R.mergedLatency());
     Table.addRow({Name, std::to_string(Threads),
                   formatRate(R.throughputOpsPerSec()),
@@ -68,13 +73,16 @@ int main() {
   Table.setTitle("E8: contention-management ablation (high contention, "
                  "50/50)");
   JsonReporter Json;
-  addRows<NonBlockingStackAdapter>(Table, Json, "cas-retry (fig2)");
-  addRows<BackoffStackAdapter>(Table, Json, "cas-retry+backoff");
-  addRows<EliminationStackAdapter>(Table, Json, "elimination");
-  addRows<CsStackAdapter>(Table, Json, "shortcut+lock (fig3)");
-  addRows<EliminatingCsStackAdapter>(Table, Json, "eliminating(fig3+elim)");
-  addRows<CombiningStackAdapter>(Table, Json, "combining(fig3+fc)");
-  addRows<StaticShardAdapter<4>>(Table, Json, "sharded(4xfig3)");
+  addRows(Table, Json, "cas-retry (fig2)", unthreaded<NonBlockingStack<>>);
+  addRows(Table, Json, "cas-retry+backoff",
+          unthreaded<NonBlockingStack<Compact64, ExponentialBackoff>>);
+  addRows(Table, Json, "elimination", make<Driven<EliminationBackoffStack>>);
+  addRows(Table, Json, "shortcut+lock (fig3)",
+          make<Driven<ContentionSensitiveStack<>>>);
+  addRows(Table, Json, "eliminating(fig3+elim)", eliminatingStack);
+  addRows(Table, Json, "combining(fig3+fc)",
+          make<Driven<CombiningStack<>>>);
+  addRows(Table, Json, "sharded(4xfig3)", staticShards<4>);
   Table.print(std::cout);
 
   const std::string JsonPath = "BENCH_elimination.json";
@@ -88,16 +96,17 @@ int main() {
   // stack, then the gated window in front of Figure 3 (whose exchange
   // counter counts operations, so a matched pair contributes 2).
   const std::uint32_t Threads = threadSweep().back();
+  WorkloadConfig Config;
+  Config.Threads = Threads;
+  Config.OpsPerThread = opsPerThread();
+  Config.Capacity = conformance::BenchCapacity;
+  Config.Faults = FaultPlan::chaos(Threads, DefaultChaosPermille);
   {
-    EliminationStackAdapter Adapter(Threads, 4096);
-    WorkloadConfig Config;
-    Config.Threads = Threads;
-    Config.OpsPerThread = opsPerThread();
-    Config.Capacity = 4096;
-    Config.Faults = FaultPlan::chaos(Threads, DefaultChaosPermille);
+    Driven<EliminationBackoffStack> Adapter(Threads,
+                                            conformance::BenchCapacity);
     const WorkloadReport R = runClosedLoop(Adapter, Config);
     const std::uint64_t Eliminated =
-        Adapter.Stack.eliminationCountForTesting();
+        Adapter.object().eliminationCountForTesting();
     std::cout << "\nelimination hit rate at " << Threads
               << " threads: " << Eliminated << " of " << R.totalOps()
               << " ops ("
@@ -107,14 +116,9 @@ int main() {
               << "%)\n";
   }
   {
-    EliminatingCsStackAdapter Adapter(Threads, 4096);
-    WorkloadConfig Config;
-    Config.Threads = Threads;
-    Config.OpsPerThread = opsPerThread();
-    Config.Capacity = 4096;
-    Config.Faults = FaultPlan::chaos(Threads, DefaultChaosPermille);
+    auto Adapter = eliminatingStack(Threads, conformance::BenchCapacity);
     const WorkloadReport R = runClosedLoop(Adapter, Config);
-    const std::uint64_t Exchanged = Adapter.exchanges();
+    const std::uint64_t Exchanged = exchanges(Adapter.object());
     std::cout << "gated-window hit rate at " << Threads
               << " threads: " << Exchanged << " of " << R.totalOps()
               << " ops ("

@@ -38,11 +38,9 @@
 #include "core/ContentionSensitiveMap.h"
 #include "obs/JsonReporter.h"
 #include "obs/MetricsJson.h"
-#include "runtime/SpinBarrier.h"
 #include "runtime/TablePrinter.h"
 #include "support/SplitMix64.h"
 
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <map>
@@ -54,43 +52,6 @@ namespace {
 
 using namespace csobj;
 using namespace csobj::bench;
-
-struct CsMapAdapter {
-  static constexpr const char *Name = "cs-map";
-  CsMapAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Map(Threads, Capacity) {}
-  PopResult<std::uint32_t> get(std::uint32_t Tid, std::uint32_t K) {
-    return Map.get(Tid, K);
-  }
-  PushResult insert(std::uint32_t Tid, std::uint32_t K, std::uint32_t V) {
-    return Map.insert(Tid, K, V);
-  }
-  PopResult<std::uint32_t> erase(std::uint32_t Tid, std::uint32_t K) {
-    return Map.erase(Tid, K);
-  }
-  obs::PathSnapshot pathSnapshot() const { return Map.pathSnapshot(); }
-  std::size_t footprintBytes() const { return Map.footprintBytes(); }
-  ContentionSensitiveMap<> Map;
-};
-
-struct LockedMapAdapter {
-  static constexpr const char *Name = "locked-map";
-  LockedMapAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Map(Threads, Capacity) {}
-  PopResult<std::uint32_t> get(std::uint32_t Tid, std::uint32_t K) {
-    return Map.get(Tid, K);
-  }
-  PushResult insert(std::uint32_t Tid, std::uint32_t K, std::uint32_t V) {
-    return Map.insert(Tid, K, V);
-  }
-  PopResult<std::uint32_t> erase(std::uint32_t Tid, std::uint32_t K) {
-    return Map.erase(Tid, K);
-  }
-  // No seam to attribute: the schema columns are emitted zeroed.
-  obs::PathSnapshot pathSnapshot() const { return {}; }
-  std::size_t footprintBytes() const { return Map.footprintBytes(); }
-  LockedMap<> Map;
-};
 
 struct CellResult {
   std::uint64_t Ops = 0;
@@ -104,53 +65,34 @@ struct CellResult {
 
 /// One sweep cell: fresh map over [0, KeyRange) with the lower half
 /// prefilled, Threads workers each issuing opsPerThread() operations.
-template <typename AdapterT>
+template <typename MapT>
 CellResult runMapCell(std::uint32_t Threads, std::uint32_t KeyRange,
                       std::uint32_t ReadPercent) {
-  AdapterT Adapter(Threads, /*Capacity=*/KeyRange);
+  MapT Map(Threads, /*Capacity=*/KeyRange);
   for (std::uint32_t K = 0; K < KeyRange / 2; ++K)
-    (void)Adapter.insert(0, K, K + 1);
+    (void)Map.insert(0, K, K + 1);
 
   const std::uint64_t Ops = opsPerThread();
-  const FaultPlan Chaos = chaosPlan(Threads, /*Seed=*/0x9AB16ull);
-  FaultClock Clock;
-  SpinBarrier StartLine(Threads + 1);
-  std::vector<double> Span(Threads, 0.0);
-  std::vector<std::thread> Workers;
-  Workers.reserve(Threads);
-  for (std::uint32_t T = 0; T < Threads; ++T)
-    Workers.emplace_back([&, T] {
-      FaultScope Faults(Chaos, T, Clock);
-      SplitMix64 Rng(0xE16E16ull + 0x9E37ull * (T + 1));
-      StartLine.arriveAndWait();
-      const auto Begin = std::chrono::steady_clock::now();
-      for (std::uint64_t I = 0; I < Ops; ++I) {
-        const std::uint32_t K =
-            static_cast<std::uint32_t>(Rng.below(KeyRange));
-        const std::uint64_t Roll = Rng.below(100);
-        if (Roll < ReadPercent)
-          (void)Adapter.get(T, K);
-        else if (Rng.below(2) == 0)
-          (void)Adapter.insert(T, K, static_cast<std::uint32_t>(I + 1));
-        else
-          (void)Adapter.erase(T, K);
-      }
-      const auto End = std::chrono::steady_clock::now();
-      Span[T] = std::chrono::duration<double>(End - Begin).count();
-    });
-
-  StartLine.arriveAndWait();
-  for (std::thread &W : Workers)
-    W.join();
-
   CellResult R;
   R.Ops = static_cast<std::uint64_t>(Threads) * Ops;
-  // Worker-side max span: join-scheduling noise cannot stretch the
-  // window on an oversubscribed host.
-  for (const double S : Span)
-    R.DurationSec = std::max(R.DurationSec, S);
-  R.Snapshot = Adapter.pathSnapshot();
-  R.ObjectBytes = Adapter.footprintBytes();
+  R.DurationSec = runWorkers(Threads, 0x9AB16ull, [&](std::uint32_t T) {
+    SplitMix64 Rng(0xE16E16ull + 0x9E37ull * (T + 1));
+    for (std::uint64_t I = 0; I < Ops; ++I) {
+      const std::uint32_t K = static_cast<std::uint32_t>(Rng.below(KeyRange));
+      const std::uint64_t Roll = Rng.below(100);
+      if (Roll < ReadPercent)
+        (void)Map.get(T, K);
+      else if (Rng.below(2) == 0)
+        (void)Map.insert(T, K, static_cast<std::uint32_t>(I + 1));
+      else
+        (void)Map.erase(T, K);
+    }
+  });
+  // The locked baseline has no seam to attribute: its path columns are
+  // emitted zeroed.
+  if constexpr (requires { Map.pathSnapshot(); })
+    R.Snapshot = Map.pathSnapshot();
+  R.ObjectBytes = Map.footprintBytes();
   return R;
 }
 
@@ -165,24 +107,25 @@ struct SweepOutput {
   bool AllConserved = true;
 };
 
-template <typename AdapterT>
-void runRows(SweepOutput &Out, const std::vector<std::uint32_t> &KeyRanges,
+template <typename MapT>
+void runRows(SweepOutput &Out, const char *Object,
+             const std::vector<std::uint32_t> &KeyRanges,
              const std::vector<std::uint32_t> &ReadMixes) {
   for (const std::uint32_t Threads : threadSweep()) {
     for (const std::uint32_t KeyRange : KeyRanges) {
       for (const std::uint32_t ReadPercent : ReadMixes) {
         const CellResult R =
-            runMapCell<AdapterT>(Threads, KeyRange, ReadPercent);
+            runMapCell<MapT>(Threads, KeyRange, ReadPercent);
         const double Rate = R.opsPerSec();
         const bool Conserved = R.Snapshot.conserves();
         Out.AllConserved = Out.AllConserved && Conserved;
-        Out.Rate[AdapterT::Name][Threads][KeyRange][ReadPercent] = Rate;
-        Out.Table.addRow({AdapterT::Name, std::to_string(Threads),
+        Out.Rate[Object][Threads][KeyRange][ReadPercent] = Rate;
+        Out.Table.addRow({Object, std::to_string(Threads),
                           std::to_string(KeyRange),
                           std::to_string(ReadPercent), formatRate(Rate),
                           Conserved ? "yes" : "NO"});
         Out.Json.beginRecord();
-        Out.Json.field("object", AdapterT::Name);
+        Out.Json.field("object", Object);
         Out.Json.field("threads", Threads);
         Out.Json.field("key_range", KeyRange);
         Out.Json.field("read_percent", ReadPercent);
@@ -214,8 +157,8 @@ int main() {
   JsonReporter Json;
   SweepOutput Out{Table, Json, {}, true};
 
-  runRows<CsMapAdapter>(Out, KeyRanges, ReadMixes);
-  runRows<LockedMapAdapter>(Out, KeyRanges, ReadMixes);
+  runRows<ContentionSensitiveMap<>>(Out, "cs-map", KeyRanges, ReadMixes);
+  runRows<LockedMap<>>(Out, "locked-map", KeyRanges, ReadMixes);
 
   Table.print(std::cout);
 

@@ -18,6 +18,15 @@
 
 #include "BenchCommon.h"
 
+#include "baselines/LockedQueue.h"
+#include "baselines/MichaelScottQueue.h"
+#include "core/AbortableQueue.h"
+#include "core/AbortableStack.h"
+#include "core/ContentionSensitiveQueue.h"
+#include "core/NonBlockingQueue.h"
+#include "locks/TasLock.h"
+#include "locks/TicketLock.h"
+
 #include "runtime/SpinBarrier.h"
 #include "runtime/TablePrinter.h"
 
@@ -29,10 +38,11 @@ namespace {
 using namespace csobj;
 using namespace csobj::bench;
 
-template <typename AdapterT>
-void addSweep(TablePrinter &Table, const char *Name) {
+template <typename MakeFn>
+void addSweep(TablePrinter &Table, const char *Name, MakeFn Make) {
   for (const std::uint32_t Threads : threadSweep()) {
-    const WorkloadReport R = runCell<AdapterT>(Threads);
+    auto Adapter = Make(Threads, conformance::BenchCapacity);
+    const WorkloadReport R = runCell(Adapter, Threads);
     Table.addRow({Name, std::to_string(Threads),
                   formatRate(R.throughputOpsPerSec()),
                   formatDouble(R.abortRate() * 100, 2) + "%",
@@ -42,11 +52,11 @@ void addSweep(TablePrinter &Table, const char *Name) {
 }
 
 /// One producer + one consumer on a provably never-empty / never-full
-/// object. Returns (producer aborts, consumer aborts).
-template <typename ObjectT, typename EnqFn, typename DeqFn>
+/// object, through its weak operations. Returns (producer aborts,
+/// consumer aborts).
+template <typename ObjectT>
 std::pair<std::uint64_t, std::uint64_t>
-producerConsumerAborts(ObjectT &Object, EnqFn Enqueue, DeqFn Dequeue,
-                       std::uint64_t Ops) {
+producerConsumerAborts(ObjectT &Object, std::uint64_t Ops) {
   std::uint64_t EnqAborts = 0, DeqAborts = 0;
   const FaultPlan Chaos = FaultPlan::chaos(2, DefaultChaosPermille);
   FaultClock Clock;
@@ -55,14 +65,15 @@ producerConsumerAborts(ObjectT &Object, EnqFn Enqueue, DeqFn Dequeue,
     FaultScope Faults(Chaos, 0, Clock);
     Barrier.arriveAndWait();
     for (std::uint64_t I = 0; I < Ops; ++I)
-      if (Enqueue(Object, static_cast<std::uint32_t>(I % 1000) + 1))
+      if (pushOn(Object, 0, static_cast<std::uint32_t>(I % 1000) + 1) ==
+          PushResult::Abort)
         ++EnqAborts;
   });
   std::thread Consumer([&] {
     FaultScope Faults(Chaos, 1, Clock);
     Barrier.arriveAndWait();
     for (std::uint64_t I = 0; I < Ops; ++I)
-      if (Dequeue(Object))
+      if (popOn(Object, 1).isAbort())
         ++DeqAborts;
   });
   Producer.join();
@@ -77,12 +88,12 @@ int main() {
   TablePrinter Sweep({"queue", "threads", "throughput", "abort-rate",
                       "retries/op", "jain"});
   Sweep.setTitle("E7a: queue family sweep (think=0, 50/50 enq-deq)");
-  addSweep<WeakQueueAdapter>(Sweep, "abortable");
-  addSweep<NonBlockingQueueAdapter>(Sweep, "non-blocking");
-  addSweep<CsQueueAdapter>(Sweep, "cs(fig3)");
-  addSweep<MsQueueAdapter>(Sweep, "michael-scott");
-  addSweep<LockedQueueAdapter<TasLock>>(Sweep, "locked(tas)");
-  addSweep<LockedQueueAdapter<TicketLock>>(Sweep, "locked(ticket)");
+  addSweep(Sweep, "abortable", unthreaded<AbortableQueue<>>);
+  addSweep(Sweep, "non-blocking", unthreaded<NonBlockingQueue<>>);
+  addSweep(Sweep, "cs(fig3)", make<Driven<ContentionSensitiveQueue<>>>);
+  addSweep(Sweep, "michael-scott", make<Driven<MichaelScottQueue>>);
+  addSweep(Sweep, "locked(tas)", make<Driven<LockedQueue<TasLock>>>);
+  addSweep(Sweep, "locked(ticket)", make<Driven<LockedQueue<TicketLock>>>);
   Sweep.print(std::cout);
 
   // Non-interference: queue vs stack under 1 producer + 1 consumer. The
@@ -97,13 +108,7 @@ int main() {
     AbortableQueue<> Queue(static_cast<std::uint32_t>(2 * Ops + 16));
     for (std::uint64_t I = 0; I < Ops + 8; ++I)
       (void)Queue.weakEnqueue(1);
-    const auto [E, D] = producerConsumerAborts(
-        Queue,
-        [](AbortableQueue<> &Q, std::uint32_t V) {
-          return Q.weakEnqueue(V) == PushResult::Abort;
-        },
-        [](AbortableQueue<> &Q) { return Q.weakDequeue().isAbort(); },
-        Ops);
+    const auto [E, D] = producerConsumerAborts(Queue, Ops);
     NonInterf.addRow({"abortable queue", std::to_string(E),
                       std::to_string(D)});
   }
@@ -111,12 +116,7 @@ int main() {
     AbortableStack<> Stack(static_cast<std::uint32_t>(2 * Ops + 16));
     for (std::uint64_t I = 0; I < Ops + 8; ++I)
       (void)Stack.weakPush(1);
-    const auto [E, D] = producerConsumerAborts(
-        Stack,
-        [](AbortableStack<> &S, std::uint32_t V) {
-          return S.weakPush(V) == PushResult::Abort;
-        },
-        [](AbortableStack<> &S) { return S.weakPop().isAbort(); }, Ops);
+    const auto [E, D] = producerConsumerAborts(Stack, Ops);
     NonInterf.addRow({"abortable stack", std::to_string(E),
                       std::to_string(D)});
   }

@@ -42,16 +42,14 @@
 #include "BenchCommon.h"
 #include "obs/JsonReporter.h"
 #include "obs/MetricsJson.h"
-#include "runtime/SpinBarrier.h"
 #include "runtime/TablePrinter.h"
 #include "support/SplitMix64.h"
 
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <map>
 #include <string>
-#include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace {
@@ -79,67 +77,49 @@ struct CellResult {
 
 /// One churn cell: prefill Population/2, then Threads workers each
 /// issuing opsPerThread() ops, 50/50 push/pop on uniform coin flips.
-template <typename AdapterT>
-CellResult runChurnCell(std::uint32_t Threads, std::uint32_t Population) {
-  AdapterT Adapter(Threads, /*Capacity=*/Population);
+template <typename MakeFn>
+CellResult runChurnCell(MakeFn Make, std::uint32_t Threads,
+                        std::uint32_t Population) {
+  auto Adapter = Make(Threads, /*Capacity=*/Population);
   const std::uint32_t Prefill = Population / 2;
   for (std::uint32_t I = 0; I < Prefill; ++I)
     Adapter.prefillOne(I + 1);
 
   const std::uint64_t Ops = opsPerThread();
-  const FaultPlan Chaos = chaosPlan(Threads, /*Seed=*/0xE17ull);
-  FaultClock Clock;
-  SpinBarrier StartLine(Threads + 1);
-  std::vector<double> Span(Threads, 0.0);
   std::vector<std::uint64_t> Pushes(Threads, 0), Pops(Threads, 0);
-  std::vector<std::thread> Workers;
-  Workers.reserve(Threads);
-  for (std::uint32_t T = 0; T < Threads; ++T)
-    Workers.emplace_back([&, T] {
-      FaultScope Faults(Chaos, T, Clock);
-      SplitMix64 Rng(0xE17E17ull + 0x9E37ull * (T + 1));
-      StartLine.arriveAndWait();
-      const auto Begin = std::chrono::steady_clock::now();
-      for (std::uint64_t I = 0; I < Ops; ++I) {
-        std::uint64_t Retries = 0;
-        if (Rng.below(2) == 0) {
-          if (Adapter.apply(T, /*IsPush=*/true,
-                            static_cast<std::uint32_t>(I + 1),
-                            Retries) == OpOutcome::Ok)
-            ++Pushes[T];
-        } else {
-          if (Adapter.apply(T, /*IsPush=*/false, 0, Retries) ==
-              OpOutcome::Ok)
-            ++Pops[T];
-        }
-      }
-      const auto End = std::chrono::steady_clock::now();
-      Span[T] = std::chrono::duration<double>(End - Begin).count();
-    });
-
-  StartLine.arriveAndWait();
-  for (std::thread &W : Workers)
-    W.join();
-
   CellResult R;
   R.Ops = static_cast<std::uint64_t>(Threads) * Ops;
-  for (const double S : Span)
-    R.DurationSec = std::max(R.DurationSec, S);
+  R.DurationSec = runWorkers(Threads, 0xE17ull, [&](std::uint32_t T) {
+    SplitMix64 Rng(0xE17E17ull + 0x9E37ull * (T + 1));
+    for (std::uint64_t I = 0; I < Ops; ++I) {
+      std::uint64_t Retries = 0;
+      if (Rng.below(2) == 0) {
+        if (Adapter.apply(T, /*IsPush=*/true, static_cast<std::uint32_t>(I + 1),
+                          Retries) == OpOutcome::Ok)
+          ++Pushes[T];
+      } else {
+        if (Adapter.apply(T, /*IsPush=*/false, 0, Retries) == OpOutcome::Ok)
+          ++Pops[T];
+      }
+    }
+  });
   for (std::uint32_t T = 0; T < Threads; ++T) {
     R.Pushed += Pushes[T];
     R.Popped += Pops[T];
   }
-  R.FinalSize = Adapter.Stack.sizeForTesting();
+  R.FinalSize = Adapter.object().sizeForTesting();
   R.Conserves =
       static_cast<std::int64_t>(R.FinalSize) - Prefill ==
       static_cast<std::int64_t>(R.Pushed) - static_cast<std::int64_t>(R.Popped);
-  if constexpr (requires { Adapter.domain(); }) {
+  // Only the unbounded stack reclaims through a hazard domain.
+  if constexpr (std::is_same_v<decltype(Adapter), UnboundedCsStack>) {
+    HazardDomain &Domain = Adapter.object().abortable().domain();
     // High water is sampled before the quiescent drain so the bound is
     // judged on the run itself, not on the cleanup.
-    R.BacklogHighWater = Adapter.domain().retireHighWater();
-    R.ScanThreshold = Adapter.domain().scanThreshold();
-    Adapter.domain().quiescentScanAll();
-    R.BacklogFinal = Adapter.domain().retireBacklog();
+    R.BacklogHighWater = Domain.retireHighWater();
+    R.ScanThreshold = Domain.scanThreshold();
+    Domain.quiescentScanAll();
+    R.BacklogFinal = Domain.retireBacklog();
     R.BacklogBounded = R.BacklogHighWater <= R.ScanThreshold &&
                        R.BacklogFinal == 0;
   }
@@ -147,6 +127,9 @@ CellResult runChurnCell(std::uint32_t Threads, std::uint32_t Population) {
   R.ObjectBytes = Adapter.footprintBytes();
   return R;
 }
+
+constexpr const char *Unbounded = "unbounded-cs(fig3+hp)";
+constexpr const char *Bounded = "contention-sensitive(fig3)";
 
 struct SweepOutput {
   TablePrinter &Table;
@@ -159,26 +142,26 @@ struct SweepOutput {
   bool AllBounded = true;
 };
 
-template <typename AdapterT>
-void runRows(SweepOutput &Out,
+template <typename MakeFn>
+void runRows(SweepOutput &Out, const char *Object, MakeFn Make,
              const std::vector<std::uint32_t> &Populations) {
   for (const std::uint32_t Threads : threadSweep()) {
     for (const std::uint32_t Population : Populations) {
-      const CellResult R = runChurnCell<AdapterT>(Threads, Population);
+      const CellResult R = runChurnCell(Make, Threads, Population);
       Out.AllConserved = Out.AllConserved && R.Conserves;
       Out.AllBounded = Out.AllBounded && R.BacklogBounded;
       const double BytesPerElem =
           R.FinalSize ? static_cast<double>(R.ObjectBytes) /
                             static_cast<double>(R.FinalSize)
                       : static_cast<double>(R.ObjectBytes);
-      Out.BytesPerElement[AdapterT::Name][Threads][Population] = BytesPerElem;
+      Out.BytesPerElement[Object][Threads][Population] = BytesPerElem;
       Out.Table.addRow(
-          {AdapterT::Name, std::to_string(Threads),
+          {Object, std::to_string(Threads),
            std::to_string(Population), formatRate(R.opsPerSec()),
            formatDouble(BytesPerElem, 1), std::to_string(R.BacklogHighWater),
            std::to_string(R.ScanThreshold), R.Conserves ? "yes" : "NO"});
       Out.Json.beginRecord();
-      Out.Json.field("object", AdapterT::Name);
+      Out.Json.field("object", Object);
       Out.Json.field("threads", Threads);
       Out.Json.field("capacity", Population);
       Out.Json.field("ops", R.Ops);
@@ -214,8 +197,9 @@ int main() {
   JsonReporter Json;
   SweepOutput Out{Table, Json, {}, true, true};
 
-  runRows<UnboundedCsStackAdapter>(Out, Populations);
-  runRows<CsStackAdapter>(Out, Populations);
+  runRows(Out, Unbounded, make<UnboundedCsStack>, Populations);
+  runRows(Out, Bounded, make<Driven<ContentionSensitiveStack<>>>,
+          Populations);
 
   Table.print(std::cout);
 
@@ -255,14 +239,13 @@ int main() {
 
   const std::uint32_t Top = threadSweep().back();
   const std::uint32_t Wide = Populations.back();
-  const double Unbounded =
-      Out.BytesPerElement[UnboundedCsStackAdapter::Name][Top][Wide];
-  const double Bounded = Out.BytesPerElement[CsStackAdapter::Name][Top][Wide];
+  const double UnboundedBytes = Out.BytesPerElement[Unbounded][Top][Wide];
+  const double BoundedBytes = Out.BytesPerElement[Bounded][Top][Wide];
   std::cout << "at " << Top << " threads, population " << Wide
-            << ": unbounded " << formatDouble(Unbounded, 1)
-            << " bytes/elem  bounded " << formatDouble(Bounded, 1)
+            << ": unbounded " << formatDouble(UnboundedBytes, 1)
+            << " bytes/elem  bounded " << formatDouble(BoundedBytes, 1)
             << " bytes/elem\n";
-  if (Bounded > 0.0 && Unbounded <= 2.0 * Bounded) {
+  if (BoundedBytes > 0.0 && UnboundedBytes <= 2.0 * BoundedBytes) {
     std::cout << "PASS: unbounded stack's steady-state bytes/element is "
                  "within 2x of the bounded baseline\n";
     return 0;

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "core/NonBlockingStack.h"
 
 #include "runtime/TablePrinter.h"
 
@@ -29,7 +30,8 @@ int main() {
   Table.setTitle("E3: non-blocking stack (fig2) — retries replace aborts");
   for (const std::uint32_t Threads : threadSweep()) {
     {
-      const WorkloadReport R = runCell<NonBlockingStackAdapter>(Threads);
+      Driven<NonBlockingStack<>> Stack(conformance::BenchCapacity);
+      const WorkloadReport R = runCell(Stack, Threads);
       const LatencySummary S = summarize(R.mergedLatency());
       Table.addRow({std::to_string(Threads), "immediate (paper)",
                     std::to_string(R.totalAborts()),
@@ -38,7 +40,9 @@ int main() {
                     formatRate(R.throughputOpsPerSec())});
     }
     {
-      const WorkloadReport R = runCell<BackoffStackAdapter>(Threads);
+      Driven<NonBlockingStack<Compact64, ExponentialBackoff>> Stack(
+          conformance::BenchCapacity);
+      const WorkloadReport R = runCell(Stack, Threads);
       const LatencySummary S = summarize(R.mergedLatency());
       Table.addRow({std::to_string(Threads), "exp-backoff",
                     std::to_string(R.totalAborts()),

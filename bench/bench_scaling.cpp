@@ -28,8 +28,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "baselines/EliminationBackoffStack.h"
+#include "baselines/TreiberStack.h"
 #include "obs/JsonReporter.h"
 #include "obs/MetricsJson.h"
+#include "perf/CombiningObjects.h"
 
 #include "runtime/TablePrinter.h"
 
@@ -53,33 +56,27 @@ struct SweepOutput {
   std::map<std::string, std::map<std::uint32_t, double>> Best;
 };
 
-/// Per-adapter acceleration stats, appended to the JSON record when the
-/// adapter exposes them. The path breakdown (obs/MetricsJson.h) is the
-/// preferred channel — it carries combiner_batches/combined_ops along
-/// with the per-path operation counts — so the legacy combiner fields
-/// are only emitted for adapters without a metrics snapshot.
+/// Per-object acceleration stats, appended to the JSON record when the
+/// object has them. The path breakdown (obs/MetricsJson.h) carries the
+/// combiner's batches and combined ops with the per-path counts.
 template <typename AdapterT>
 void emitAccelStats(JsonReporter &Json, AdapterT &Adapter,
                     std::uint32_t Capacity) {
   if constexpr (requires { Adapter.footprintBytes(); })
     obs::emitMemoryFootprint(Json, Adapter.footprintBytes(), Capacity);
-  if constexpr (requires { Adapter.exchanges(); })
-    Json.field("elimination_exchanges", Adapter.exchanges());
-  if constexpr (requires { Adapter.pathSnapshot(); }) {
+  if constexpr (requires { exchanges(Adapter.object()); })
+    Json.field("elimination_exchanges", exchanges(Adapter.object()));
+  if constexpr (requires { Adapter.pathSnapshot(); })
     obs::emitPathBreakdown(Json, Adapter.pathSnapshot());
-  } else if constexpr (requires { Adapter.batches(); }) {
-    Json.field("combiner_batches", Adapter.batches());
-    Json.field("combined_ops", Adapter.combinedOps());
-  }
 }
 
-template <typename AdapterT>
-void runRows(SweepOutput &Out, const char *Object) {
+template <typename MakeFn>
+void runRows(SweepOutput &Out, const char *Object, MakeFn Make) {
   for (const std::uint32_t Threads : threadSweep()) {
     for (const std::uint32_t PushPercent : {30u, 50u, 70u}) {
-      AdapterT Adapter(Threads, /*Capacity=*/4096);
-      const WorkloadReport R = runCellOn(Adapter, Threads, DefaultChaosPermille,
-                                         /*ThinkNs=*/0, PushPercent);
+      auto Adapter = Make(Threads, conformance::BenchCapacity);
+      const WorkloadReport R =
+          runCell(Adapter, Threads, /*ThinkNs=*/0, PushPercent);
       const LatencySummary S = summarize(R.mergedLatency());
       const double Throughput = R.throughputOpsPerSec();
       Out.Best[Object][Threads] =
@@ -100,7 +97,7 @@ void runRows(SweepOutput &Out, const char *Object) {
       Out.Json.field("mean_retries", R.meanRetries());
       Out.Json.field("p99_ns", static_cast<std::uint64_t>(S.P99Ns));
       Out.Json.field("jain_fairness", R.fairness());
-      emitAccelStats(Out.Json, Adapter, /*Capacity=*/4096);
+      emitAccelStats(Out.Json, Adapter, conformance::BenchCapacity);
       Out.Json.endRecord();
     }
   }
@@ -117,12 +114,13 @@ int main() {
   JsonReporter Json;
   SweepOutput Out{Table, Json, {}};
 
-  runRows<CsStackAdapter>(Out, "shortcut+lock (fig3)");
-  runRows<EliminatingCsStackAdapter>(Out, "eliminating(fig3+elim)");
-  runRows<CombiningStackAdapter>(Out, "combining(fig3+fc)");
-  runRows<StaticShardAdapter<4>>(Out, "sharded(4xfig3)");
-  runRows<TreiberStackAdapter>(Out, "treiber");
-  runRows<EliminationStackAdapter>(Out, "elimination");
+  runRows(Out, "shortcut+lock (fig3)",
+          make<Driven<ContentionSensitiveStack<>>>);
+  runRows(Out, "eliminating(fig3+elim)", eliminatingStack);
+  runRows(Out, "combining(fig3+fc)", make<Driven<CombiningStack<>>>);
+  runRows(Out, "sharded(4xfig3)", staticShards<4>);
+  runRows(Out, "treiber", make<Driven<TreiberStack>>);
+  runRows(Out, "elimination", make<Driven<EliminationBackoffStack>>);
 
   Table.print(std::cout);
 

@@ -37,6 +37,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "core/CrashTolerantStack.h"
 #include "obs/JsonReporter.h"
 #include "obs/MetricsJson.h"
 #include "runtime/TablePrinter.h"
@@ -143,12 +144,12 @@ void emitWindow(JsonReporter &Json, const soak::WindowStats &W) {
   Json.endObject();
 }
 
-/// Runs one soak scenario and appends its record to \p Json. Returns
-/// the report so main can aggregate verdicts.
+/// Runs one soak scenario of \p Object and appends its record to
+/// \p Json. Returns the report so main can aggregate verdicts.
 template <typename AdapterT>
 soak::SoakReport runScenario(JsonReporter &Json,
                              const soak::SoakConfig &Config, bool Quick,
-                             const char *Title) {
+                             const char *Title, const char *Object) {
   std::cout << "E15: soaking " << Title << " for " << Config.DurationSec
             << "s (" << Config.Workers << " workers, "
             << Config.Schedule.Keys << " keys, window " << Config.WindowSec
@@ -171,7 +172,7 @@ soak::SoakReport runScenario(JsonReporter &Json,
   Table.print(std::cout);
 
   Json.beginRecord();
-  Json.field("object", AdapterT::Name);
+  Json.field("object", Object);
   Json.field("experiment", "soak");
   Json.field("quick", Quick);
   Json.field("workers", Config.Workers);
@@ -245,16 +246,18 @@ int main() {
   JsonReporter Json;
 
   // Scenario 1: the bounded crash-tolerant stack (lease reclamation).
-  const soak::SoakReport Bounded = runScenario<CrashTolerantStackAdapter>(
-      Json, Config, Quick, "crash-tolerant stack");
+  const soak::SoakReport Bounded =
+      runScenario<Driven<CrashTolerantStack<>>>(
+          Json, Config, Quick, "crash-tolerant stack",
+          "crash-tolerant(fig3+leases)");
 
   // Scenario 2: the unbounded contention-sensitive stack. Same arrival
   // schedule and fault campaign, but reclamation is the hazard-pointer
   // domain: crashed workers abandon pinned chunks mid-operation and
   // their retire lists are drained by their resurrected successors, so
   // window conservation here soaks the E17 substrate, not the arbiter.
-  const soak::SoakReport Unbounded = runScenario<UnboundedCsStackAdapter>(
-      Json, Config, Quick, "unbounded cs stack");
+  const soak::SoakReport Unbounded = runScenario<UnboundedCsStack>(
+      Json, Config, Quick, "unbounded cs stack", "unbounded-cs(fig3+hp)");
 
   // Scenario 3: the adaptive sharded facade. Same schedule, but the
   // campaign keeps only its stall phases — the facade's shards hold a
@@ -265,8 +268,9 @@ int main() {
   soak::SoakConfig AdaptiveConfig = Config;
   for (auto &Phase : AdaptiveConfig.Faults.Phases)
     Phase.CrashMeanPeriodSec = 0;
-  const soak::SoakReport Adaptive = runScenario<AdaptiveStackAdapter>(
-      Json, AdaptiveConfig, Quick, "adaptive sharded stack");
+  const soak::SoakReport Adaptive = runScenario<AdaptiveShards>(
+      Json, AdaptiveConfig, Quick, "adaptive sharded stack",
+      "adaptive(<=8xfig3)");
 
   const std::string JsonPath = "BENCH_soak.json";
   if (!Json.writeFile(JsonPath)) {

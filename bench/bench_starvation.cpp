@@ -31,9 +31,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "baselines/LockedStack.h"
+#include "core/CrashTolerantStack.h"
+#include "core/NonBlockingStack.h"
+#include "locks/TasLock.h"
+#include "locks/TicketLock.h"
 #include "obs/JsonReporter.h"
 
-#include "conformance/Params.h"
 #include "runtime/TablePrinter.h"
 
 #include <atomic>
@@ -44,13 +48,14 @@
 
 namespace {
 
-template <typename AdapterT>
+template <typename MakeFn>
 void addRows(csobj::TablePrinter &Table, csobj::bench::JsonReporter &Json,
-             const char *Name) {
+             const char *Name, MakeFn Make) {
   using namespace csobj;
   using namespace csobj::bench;
   for (const std::uint32_t Threads : threadSweep()) {
-    const WorkloadReport R = runCell<AdapterT>(Threads);
+    auto Adapter = Make(Threads, conformance::BenchCapacity);
+    const WorkloadReport R = runCell(Adapter, Threads);
     const LatencySummary S = summarize(R.mergedLatency());
     Table.addRow({Name, std::to_string(Threads),
                   formatNs(static_cast<double>(S.P50Ns)),
@@ -99,15 +104,17 @@ void addOutageRow(csobj::TablePrinter &Table,
   using namespace csobj;
   using namespace csobj::bench;
   // One extra slot for the saboteur, which never runs operations.
-  CrashTolerantStackAdapter Adapter(Threads + 1, conformance::BenchCapacity,
-                                    BenchPatience);
+  Driven<CrashTolerantStack<>> Adapter(Threads + 1,
+                                       conformance::BenchCapacity,
+                                       BenchPatience);
+  auto &Lock = Adapter.object().skeleton().slowPath().lock();
   const std::uint32_t SaboteurTid = Threads;
   std::atomic<bool> Stop{false};
   std::uint64_t Outages = 0;
   std::thread Saboteur;
   if (HoldNs > 0)
     Saboteur = std::thread([&] {
-      auto &Guard = Adapter.Stack.skeleton().slowPath().lock().inner();
+      auto &Guard = Lock.inner();
       while (!Stop.load(std::memory_order_relaxed)) {
         if (Guard.lockBounded(SaboteurTid, BenchPatience) ==
             LeaseAcquire::Acquired) {
@@ -122,11 +129,11 @@ void addOutageRow(csobj::TablePrinter &Table,
         std::this_thread::sleep_for(std::chrono::nanoseconds(GapNs));
       }
     });
-  const WorkloadReport R = runCellOn(Adapter, Threads);
+  const WorkloadReport R = runCell(Adapter, Threads);
   Stop.store(true, std::memory_order_relaxed);
   if (Saboteur.joinable())
     Saboteur.join();
-  const DegradationStats Stats = Adapter.stats();
+  const DegradationStats Stats = Lock.statsForTesting();
   const double Ops = static_cast<double>(R.totalOps());
   const double DegradationRate =
       Ops > 0 ? static_cast<double>(Stats.Degradations) / Ops : 0;
@@ -139,7 +146,7 @@ void addOutageRow(csobj::TablePrinter &Table,
                 formatRate(R.throughputOpsPerSec())});
   Json.beginRecord();
   Json.field("experiment", "E4b_degradation");
-  Json.field("stack", CrashTolerantStackAdapter::Name);
+  Json.field("stack", "crash-tolerant(fig3+leases)");
   Json.field("threads", Threads);
   Json.field("outages", Outages);
   Json.field("hold_ns", HoldNs);
@@ -170,11 +177,15 @@ int main() {
                         "svc-ratio", "aborts", "throughput"});
     Table.setTitle("E4a: starvation-freedom — latency tail and fairness "
                    "under contention (think=0, 50/50)");
-    addRows<CsStackAdapter>(Table, Json, "cs(fig3)");
-    addRows<CrashTolerantStackAdapter>(Table, Json, "crash-tolerant");
-    addRows<NonBlockingStackAdapter>(Table, Json, "non-blocking(fig2)");
-    addRows<LockedStackAdapter<TasLock>>(Table, Json, "locked(tas)");
-    addRows<LockedStackAdapter<TicketLock>>(Table, Json, "locked(ticket)");
+    addRows(Table, Json, "cs(fig3)",
+            make<Driven<ContentionSensitiveStack<>>>);
+    addRows(Table, Json, "crash-tolerant",
+            make<Driven<CrashTolerantStack<>>>);
+    addRows(Table, Json, "non-blocking(fig2)",
+            unthreaded<NonBlockingStack<>>);
+    addRows(Table, Json, "locked(tas)", make<Driven<LockedStack<TasLock>>>);
+    addRows(Table, Json, "locked(ticket)",
+            make<Driven<LockedStack<TicketLock>>>);
     Table.print(std::cout);
   }
 

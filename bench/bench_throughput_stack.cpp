@@ -21,6 +21,15 @@
 
 #include "BenchCommon.h"
 
+#include "baselines/EliminationBackoffStack.h"
+#include "baselines/LockedStack.h"
+#include "baselines/TreiberStack.h"
+#include "core/AbortableStack.h"
+#include "core/NonBlockingStack.h"
+#include "locks/McsLock.h"
+#include "locks/TasLock.h"
+#include "locks/TicketLock.h"
+
 #include "runtime/TablePrinter.h"
 
 #include <iostream>
@@ -31,9 +40,9 @@ using namespace csobj;
 using namespace csobj::bench;
 
 /// One solo round trip per call: push then pop on a one-thread object.
-template <typename AdapterT>
-void addSolo(TablePrinter &Table, const char *Name) {
-  AdapterT Adapter(1, 1024);
+template <typename MakeFn>
+void addSolo(TablePrinter &Table, const char *Name, MakeFn Make) {
+  auto Adapter = Make(1, 1024);
   std::uint64_t Retries = 0;
   std::uint32_t V = 1;
   const double Ns = soloNsPerCall([&] {
@@ -44,11 +53,12 @@ void addSolo(TablePrinter &Table, const char *Name) {
   Table.addRow({Name, formatNs(Ns), formatRate(2e9 / Ns)});
 }
 
-template <typename AdapterT>
-void addSweep(TablePrinter &Table, const char *Name) {
+template <typename MakeFn>
+void addSweep(TablePrinter &Table, const char *Name, MakeFn Make) {
   for (const std::uint32_t Threads : threadSweep()) {
     for (const std::uint32_t ThinkNs : {0u, 2000u}) {
-      const WorkloadReport R = runCell<AdapterT>(Threads, ThinkNs);
+      auto Adapter = Make(Threads, conformance::BenchCapacity);
+      const WorkloadReport R = runCell(Adapter, Threads, ThinkNs);
       Table.addRow({Name, std::to_string(Threads), std::to_string(ThinkNs),
                     formatRate(R.throughputOpsPerSec()),
                     formatDouble(R.abortRate() * 100, 2) + "%"});
@@ -60,21 +70,22 @@ void addSweep(TablePrinter &Table, const char *Name) {
 
 int main() {
   csobj::bench::printRegisterPolicy(std::cout);
+  constexpr auto Fig3 = make<Driven<ContentionSensitiveStack<>>>;
 
   {
     TablePrinter Table({"stack", "ns/push+pop", "ops/s"});
     Table.setTitle("E5a: solo push+pop round trip (steady_clock loop, "
                    "median of 5 repeats)");
-    addSolo<CsStackAdapter>(Table, "cs(fig3)");
-    addSolo<WeakStackAdapter>(Table, "abortable(fig1)");
-    addSolo<NonBlockingStackAdapter>(Table, "non-blocking(fig2)");
-    addSolo<TreiberStackAdapter>(Table, "treiber");
-    addSolo<EliminationStackAdapter>(Table, "elimination");
-    addSolo<LockedStackAdapter<TasLock>>(Table, "locked(tas)");
-    addSolo<LockedStackAdapter<TtasLock>>(Table, "locked(ttas)");
-    addSolo<LockedStackAdapter<TicketLock>>(Table, "locked(ticket)");
-    addSolo<LockedStackAdapter<McsLock>>(Table, "locked(mcs)");
-    addSolo<LockedStackAdapter<StdMutexLock>>(Table, "locked(mutex)");
+    addSolo(Table, "cs(fig3)", Fig3);
+    addSolo(Table, "abortable(fig1)", unthreaded<AbortableStack<>>);
+    addSolo(Table, "non-blocking(fig2)", unthreaded<NonBlockingStack<>>);
+    addSolo(Table, "treiber", make<Driven<TreiberStack>>);
+    addSolo(Table, "elimination", make<Driven<EliminationBackoffStack>>);
+    addSolo(Table, "locked(tas)", make<Driven<LockedStack<TasLock>>>);
+    addSolo(Table, "locked(ttas)", make<Driven<LockedStack<TtasLock>>>);
+    addSolo(Table, "locked(ticket)", make<Driven<LockedStack<TicketLock>>>);
+    addSolo(Table, "locked(mcs)", make<Driven<LockedStack<McsLock>>>);
+    addSolo(Table, "locked(mutex)", make<Driven<LockedStack<StdMutexLock>>>);
     Table.print(std::cout);
   }
 
@@ -82,13 +93,13 @@ int main() {
                       "aborts"});
   Table.setTitle("E5b: throughput sweep — implementation x threads x "
                  "think time (50/50)");
-  addSweep<CsStackAdapter>(Table, "cs(fig3)");
-  addSweep<NonBlockingStackAdapter>(Table, "non-blocking(fig2)");
-  addSweep<TreiberStackAdapter>(Table, "treiber");
-  addSweep<EliminationStackAdapter>(Table, "elimination");
-  addSweep<LockedStackAdapter<TasLock>>(Table, "locked(tas)");
-  addSweep<LockedStackAdapter<TicketLock>>(Table, "locked(ticket)");
-  addSweep<LockedStackAdapter<StdMutexLock>>(Table, "locked(mutex)");
+  addSweep(Table, "cs(fig3)", Fig3);
+  addSweep(Table, "non-blocking(fig2)", unthreaded<NonBlockingStack<>>);
+  addSweep(Table, "treiber", make<Driven<TreiberStack>>);
+  addSweep(Table, "elimination", make<Driven<EliminationBackoffStack>>);
+  addSweep(Table, "locked(tas)", make<Driven<LockedStack<TasLock>>>);
+  addSweep(Table, "locked(ticket)", make<Driven<LockedStack<TicketLock>>>);
+  addSweep(Table, "locked(mutex)", make<Driven<LockedStack<StdMutexLock>>>);
   Table.print(std::cout);
 
   std::cout << "\npaper claim: in the contention-free regime the cs stack "

@@ -22,13 +22,11 @@
 #include "core/AbortableStack.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/NonBlockingStack.h"
-#include "faults/FaultInjector.h"
-#include "runtime/SpinBarrier.h"
-#include "support/SplitMix64.h"
+#include "runtime/Driver.h"
+#include "runtime/PushPop.h"
 
+#include <algorithm>
 #include <iostream>
-#include <thread>
-#include <vector>
 
 using namespace csobj;
 
@@ -38,49 +36,27 @@ constexpr std::uint32_t Threads = 4;
 constexpr std::uint32_t OpsPerThread = 30000;
 constexpr std::uint32_t ChaosPermille = 100;
 
-struct Tally {
-  std::uint64_t Completed = 0;
-  std::uint64_t Aborts = 0;
-  std::uint64_t Retries = 0;
-};
-
-/// Runs the standard workload; DoOp(Stack, Tid, IsPush, V, Tally).
-template <typename StackT, typename DoOpFn>
-std::vector<Tally> hammer(StackT &Stack, DoOpFn DoOp) {
-  std::vector<Tally> Tallies(Threads);
-  const FaultPlan Chaos = FaultPlan::chaos(Threads, ChaosPermille);
-  FaultClock Clock;
-  SpinBarrier StartLine(Threads);
-  std::vector<std::thread> Workers;
-  for (std::uint32_t T = 0; T < Threads; ++T)
-    Workers.emplace_back([&, T] {
-      FaultScope Faults(Chaos, T, Clock);
-      SplitMix64 Rng(T + 100);
-      StartLine.arriveAndWait();
-      for (std::uint32_t I = 0; I < OpsPerThread; ++I) {
-        const bool IsPush = Rng.chance(1, 2);
-        const auto V = static_cast<std::uint32_t>(Rng.below(1u << 16)) + 1;
-        DoOp(Stack, T, IsPush, V, Tallies[T]);
-      }
-    });
-  for (auto &W : Workers)
-    W.join();
-  return Tallies;
+/// Runs the standard workload on \p Stack: the closed loop of
+/// runtime/Driver.h, 50/50 pushes and pops on an empty stack.
+template <typename AdapterT> WorkloadReport hammer(AdapterT &Stack) {
+  WorkloadConfig Config;
+  Config.Threads = Threads;
+  Config.OpsPerThread = OpsPerThread;
+  Config.Capacity = 1024;
+  Config.PrefillPercent = 0;
+  Config.Faults = FaultPlan::chaos(Threads, ChaosPermille);
+  return runClosedLoop(Stack, Config);
 }
 
-void report(const char *Name, const std::vector<Tally> &Tallies) {
-  std::uint64_t Completed = 0, Aborts = 0, Retries = 0;
+void report(const char *Name, const WorkloadReport &R) {
   std::uint64_t MinCompleted = ~std::uint64_t{0};
-  for (const Tally &T : Tallies) {
-    Completed += T.Completed;
-    Aborts += T.Aborts;
-    Retries += T.Retries;
-    MinCompleted = std::min(MinCompleted, T.Completed);
-  }
+  for (const ThreadReport &T : R.PerThread)
+    MinCompleted = std::min(MinCompleted, T.completedOps() - T.Aborts);
   std::cout << Name << ":\n"
-            << "  completed ops          : " << Completed << '\n'
-            << "  bottoms seen by caller : " << Aborts << '\n'
-            << "  internal retries       : " << Retries << '\n'
+            << "  completed ops          : " << R.totalOps() - R.totalAborts()
+            << '\n'
+            << "  bottoms seen by caller : " << R.totalAborts() << '\n'
+            << "  internal retries       : " << R.totalRetries() << '\n'
             << "  slowest thread finished: " << MinCompleted << " ops\n";
 }
 
@@ -92,54 +68,21 @@ int main() {
             << " permille), three progress conditions:\n\n";
 
   {
-    AbortableStack<> Stack(1024);
-    const auto Tallies = hammer(Stack, [](AbortableStack<> &S, std::uint32_t,
-                                          bool IsPush, std::uint32_t V,
-                                          Tally &T) {
-      if (IsPush) {
-        if (S.weakPush(V) == PushResult::Abort)
-          ++T.Aborts;
-        else
-          ++T.Completed;
-      } else if (S.weakPop().isAbort()) {
-        ++T.Aborts;
-      } else {
-        ++T.Completed;
-      }
-    });
+    Driven<AbortableStack<>> Stack(1024);
     report("figure 1 — abortable (obstruction-free and then some)",
-           Tallies);
+           hammer(Stack));
   }
 
   {
-    NonBlockingStack<> Stack(1024);
-    const auto Tallies = hammer(
-        Stack, [](NonBlockingStack<> &S, std::uint32_t, bool IsPush,
-                  std::uint32_t V, Tally &T) {
-          if (IsPush) {
-            const auto R = S.pushCounting(V);
-            T.Retries += R.Retries;
-          } else {
-            const auto R = S.popCounting();
-            T.Retries += R.Retries;
-          }
-          ++T.Completed;
-        });
-    report("\nfigure 2 — non-blocking (bottoms become retries)", Tallies);
+    Driven<NonBlockingStack<>> Stack(1024);
+    report("\nfigure 2 — non-blocking (bottoms become retries)",
+           hammer(Stack));
   }
 
   {
-    ContentionSensitiveStack<> Stack(Threads, 1024);
-    const auto Tallies = hammer(
-        Stack, [](ContentionSensitiveStack<> &S, std::uint32_t Tid,
-                  bool IsPush, std::uint32_t V, Tally &T) {
-          if (IsPush)
-            (void)S.push(Tid, V);
-          else
-            (void)S.pop(Tid);
-          ++T.Completed;
-        });
-    report("\nfigure 3 — contention-sensitive, starvation-free", Tallies);
+    Driven<ContentionSensitiveStack<>> Stack(Threads, 1024);
+    report("\nfigure 3 — contention-sensitive, starvation-free",
+           hammer(Stack));
     std::cout << "  (and solo operations still cost just six shared "
                  "accesses — run access_audit)\n";
   }

@@ -32,20 +32,13 @@
 #include "core/ContentionSensitiveQueue.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/NonBlockingStack.h"
-#include "faults/FaultInjector.h"
-#include "lincheck/Checker.h"
 #include "lincheck/Spec.h"
-#include "runtime/SpinBarrier.h"
-#include "support/SplitMix64.h"
+#include "runtime/LincheckRounds.h"
 
 #include <cstdint>
-#include <cstring>
-#include <functional>
+#include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 using namespace csobj;
 
@@ -99,75 +92,50 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   return true;
 }
 
-/// One operation against the object under test; records non-bottom
-/// completions into the recorder.
-using OpFn = std::function<void(std::uint32_t Tid, bool IsPush,
-                                std::uint32_t V, HistoryRecorder &Rec)>;
-
-void record(HistoryRecorder &Rec, OpCode Code, std::uint32_t Arg,
-            PushResult R, std::uint64_t T0) {
-  if (R != PushResult::Abort)
-    Rec.recordOp(Code, Arg,
-                 R == PushResult::Full ? ResCode::Full : ResCode::Done, 0,
-                 T0, HistoryRecorder::now());
-}
-
-void record(HistoryRecorder &Rec, OpCode Code,
-            const PopResult<std::uint32_t> &R, std::uint64_t T0) {
-  if (R.isValue())
-    Rec.recordOp(Code, 0, ResCode::Value, R.value(), T0,
-                 HistoryRecorder::now());
-  else if (R.isEmpty())
-    Rec.recordOp(Code, 0, ResCode::Empty, 0, T0, HistoryRecorder::now());
-}
-
-/// Runs all rounds with a fresh object per round. MakeOp builds the
-/// per-round operation closure; IsQueue picks the sequential spec.
-int runRounds(const Options &Opts, bool IsQueue,
-              const std::function<OpFn()> &MakeOp) {
-  std::uint64_t TotalOps = 0;
-  for (std::uint32_t Round = 0; Round < Opts.Rounds; ++Round) {
-    OpFn Op = MakeOp();
-    std::vector<HistoryRecorder> Recorders;
-    for (std::uint32_t T = 0; T < Opts.Threads; ++T)
-      Recorders.emplace_back(T);
-    FaultPlan Chaos = FaultPlan::chaos(Opts.Threads, Opts.ChaosPermille);
-    Chaos.RateSeed = Opts.Seed * 31 + Round * 7;
-    FaultClock Clock;
-    SpinBarrier Barrier(Opts.Threads);
-    std::vector<std::thread> Workers;
-    for (std::uint32_t T = 0; T < Opts.Threads; ++T)
-      Workers.emplace_back([&, T] {
-        FaultScope Faults(Chaos, T, Clock);
-        SplitMix64 Rng(Opts.Seed + Round * 1009 + T);
-        Barrier.arriveAndWait();
-        for (std::uint32_t I = 0; I < Opts.OpsPerThread; ++I)
-          Op(T, Rng.chance(1, 2),
-             static_cast<std::uint32_t>(Rng.below(1u << 16)) + 1,
-             Recorders[T]);
-      });
-    for (auto &W : Workers)
-      W.join();
-
-    History H = mergeHistories(Recorders);
-    TotalOps += H.Ops.size();
-    const CheckResult Result =
-        IsQueue ? checkLinearizable(H, BoundedQueueSpec(Opts.Capacity))
-                : checkLinearizable(H, BoundedStackSpec(Opts.Capacity));
-    if (Result.HitSearchCap) {
-      std::cerr << "round " << Round << ": INCONCLUSIVE (search cap)\n";
-      return 2;
-    }
-    if (!Result.Linearizable) {
-      std::cerr << "round " << Round << ": NOT LINEARIZABLE\n"
-                << Result.FailureNote << "\n";
-      return 1;
-    }
+/// Runs all rounds on a fresh ObjT(Args...) per round against SpecT at
+/// the chosen capacity.
+template <typename ObjT, typename SpecT, typename... ArgTs>
+int verify(const Options &Opts, const ArgTs &...Args) {
+  const RoundsVerdict V = checkRounds<ObjT>(
+      {.Threads = Opts.Threads,
+       .OpsPerThread = Opts.OpsPerThread,
+       .Rounds = Opts.Rounds,
+       .SeedBase = Opts.Seed,
+       .SeedStride = 1009,
+       .ChaosPermille = Opts.ChaosPermille},
+      SpecT(Opts.Capacity), Args...);
+  if (!V.passed()) {
+    std::cerr << V.failure() << "\n";
+    return V.Check.HitSearchCap ? 2 : 1;
   }
-  std::cout << "PASS: " << Opts.Rounds << " rounds, " << TotalOps
+  std::cout << "PASS: " << Opts.Rounds << " rounds, " << V.Recorded
             << " completed operations, all histories linearizable\n";
   return 0;
 }
+
+/// The two ways a row builds its object: from (threads, capacity), or
+/// from the capacity alone.
+template <typename ObjT, typename SpecT> int threaded(const Options &O) {
+  return verify<ObjT, SpecT>(O, O.Threads, O.Capacity);
+}
+template <typename ObjT, typename SpecT> int unthreaded(const Options &O) {
+  return verify<ObjT, SpecT>(O, O.Capacity);
+}
+
+/// One row per implementation.
+const struct {
+  const char *Name;
+  int (*Run)(const Options &);
+} Impls[] = {
+    {"cs", threaded<ContentionSensitiveStack<>, BoundedStackSpec>},
+    {"nb", unthreaded<NonBlockingStack<>, BoundedStackSpec>},
+    {"weak", unthreaded<AbortableStack<>, BoundedStackSpec>},
+    {"queue", unthreaded<AbortableQueue<>, BoundedQueueSpec>},
+    {"csqueue", threaded<ContentionSensitiveQueue<>, BoundedQueueSpec>},
+    {"treiber", threaded<TreiberStack, BoundedStackSpec>},
+    {"elimination", threaded<EliminationBackoffStack, BoundedStackSpec>},
+    {"ms", threaded<MichaelScottQueue, BoundedQueueSpec>},
+};
 
 } // namespace
 
@@ -186,106 +154,9 @@ int main(int Argc, char **Argv) {
             << Opts.Rounds << " rounds, capacity " << Opts.Capacity
             << ", chaos " << Opts.ChaosPermille << " permille\n";
 
-  if (Opts.Impl == "cs")
-    return runRounds(Opts, /*IsQueue=*/false, [&] {
-      auto S = std::make_shared<ContentionSensitiveStack<>>(Opts.Threads,
-                                                            Opts.Capacity);
-      return OpFn([S](std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                      HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush)
-          record(Rec, OpCode::Push, V, S->push(Tid, V), T0);
-        else
-          record(Rec, OpCode::Pop, S->pop(Tid), T0);
-      });
-    });
-  if (Opts.Impl == "nb")
-    return runRounds(Opts, false, [&] {
-      auto S = std::make_shared<NonBlockingStack<>>(Opts.Capacity);
-      return OpFn([S](std::uint32_t, bool IsPush, std::uint32_t V,
-                      HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush)
-          record(Rec, OpCode::Push, V, S->push(V), T0);
-        else
-          record(Rec, OpCode::Pop, S->pop(), T0);
-      });
-    });
-  if (Opts.Impl == "weak")
-    return runRounds(Opts, false, [&] {
-      auto S = std::make_shared<AbortableStack<>>(Opts.Capacity);
-      return OpFn([S](std::uint32_t, bool IsPush, std::uint32_t V,
-                      HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush)
-          record(Rec, OpCode::Push, V, S->weakPush(V), T0);
-        else
-          record(Rec, OpCode::Pop, S->weakPop(), T0);
-      });
-    });
-  if (Opts.Impl == "queue")
-    return runRounds(Opts, true, [&] {
-      auto Q = std::make_shared<AbortableQueue<>>(Opts.Capacity);
-      return OpFn([Q](std::uint32_t, bool IsPush, std::uint32_t V,
-                      HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush)
-          record(Rec, OpCode::Push, V, Q->weakEnqueue(V), T0);
-        else
-          record(Rec, OpCode::Pop, Q->weakDequeue(), T0);
-      });
-    });
-  if (Opts.Impl == "csqueue")
-    return runRounds(Opts, true, [&] {
-      auto Q = std::make_shared<ContentionSensitiveQueue<>>(Opts.Threads,
-                                                            Opts.Capacity);
-      return OpFn([Q](std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                      HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush)
-          record(Rec, OpCode::Push, V, Q->enqueue(Tid, V), T0);
-        else
-          record(Rec, OpCode::Pop, Q->dequeue(Tid), T0);
-      });
-    });
-  if (Opts.Impl == "treiber")
-    return runRounds(Opts, false, [&] {
-      auto S = std::make_shared<TreiberStack>(Opts.Threads, Opts.Capacity);
-      return OpFn([S](std::uint32_t, bool IsPush, std::uint32_t V,
-                      HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush)
-          record(Rec, OpCode::Push, V, S->push(V), T0);
-        else
-          record(Rec, OpCode::Pop, S->pop(), T0);
-      });
-    });
-  if (Opts.Impl == "elimination")
-    return runRounds(Opts, false, [&] {
-      auto S = std::make_shared<EliminationBackoffStack>(Opts.Threads,
-                                                        Opts.Capacity);
-      return OpFn([S](std::uint32_t, bool IsPush, std::uint32_t V,
-                      HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush)
-          record(Rec, OpCode::Push, V, S->push(V), T0);
-        else
-          record(Rec, OpCode::Pop, S->pop(), T0);
-      });
-    });
-  if (Opts.Impl == "ms")
-    return runRounds(Opts, true, [&] {
-      auto Q = std::make_shared<MichaelScottQueue>(Opts.Threads, Opts.Capacity);
-      return OpFn([Q](std::uint32_t, bool IsPush, std::uint32_t V,
-                      HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush)
-          record(Rec, OpCode::Push, V, Q->enqueue(V), T0);
-        else
-          record(Rec, OpCode::Pop, Q->dequeue(), T0);
-      });
-    });
-
+  for (const auto &I : Impls)
+    if (Opts.Impl == I.Name)
+      return I.Run(Opts);
   std::cerr << "unknown implementation: " << Opts.Impl << "\n";
   return 2;
 }

@@ -10,34 +10,55 @@
 
 namespace csobj {
 
-bool BoundedStackSpec::apply(const Operation &Op) {
+namespace {
+
+/// The rule the bounded stack, queue and bag share: a push is Done below
+/// capacity and Full only at it; a pop answers Empty only when empty, or
+/// a value \p Take removes when it is one the container may hand out
+/// now. Every code but Push and Pop belongs to another operation model,
+/// which a history recorded against one of these specs must not use.
+template <typename ContentsT, typename PutFn, typename TakeFn>
+bool applyPushPop(const Operation &Op, const ContentsT &Contents,
+                  std::uint32_t Capacity, PutFn Put, TakeFn Take) {
   if (Op.Code == OpCode::Push) {
     if (Op.Result == ResCode::Done) {
       if (Contents.size() >= Capacity)
         return false;
-      Contents.push_back(Op.Arg);
+      Put(Op.Arg);
       return true;
     }
-    // Full answer is legal only at capacity.
     return Op.Result == ResCode::Full && Contents.size() == Capacity;
   }
-  // Pop.
-  if (Op.Result == ResCode::Value) {
-    if (Contents.empty() || Contents.back() != Op.RetValue)
-      return false;
-    Contents.pop_back();
-    return true;
-  }
+  if (Op.Code != OpCode::Pop)
+    return false;
+  if (Op.Result == ResCode::Value)
+    return Take(Op.RetValue);
   return Op.Result == ResCode::Empty && Contents.empty();
 }
 
-std::string BoundedStackSpec::key() const {
+/// The memo key of a container: its elements' bytes in order.
+template <typename ContentsT> std::string keyOf(const ContentsT &Contents) {
   std::string Key;
   Key.reserve(Contents.size() * 4);
   for (std::uint32_t V : Contents)
     Key.append(reinterpret_cast<const char *>(&V), sizeof(V));
   return Key;
 }
+
+} // namespace
+
+bool BoundedStackSpec::apply(const Operation &Op) {
+  return applyPushPop(
+      Op, Contents, Capacity, [&](std::uint32_t V) { Contents.push_back(V); },
+      [&](std::uint32_t V) {
+        if (Contents.empty() || Contents.back() != V)
+          return false;
+        Contents.pop_back();
+        return true;
+      });
+}
+
+std::string BoundedStackSpec::key() const { return keyOf(Contents); }
 
 bool LinearDequeSpec::apply(const Operation &Op) {
   switch (Op.Code) {
@@ -96,62 +117,35 @@ std::string LinearDequeSpec::key() const {
 }
 
 bool BoundedBagSpec::apply(const Operation &Op) {
-  if (Op.Code == OpCode::Push) {
-    if (Op.Result == ResCode::Done) {
-      if (Contents.size() >= Capacity)
-        return false;
-      Contents.insert(
-          std::lower_bound(Contents.begin(), Contents.end(), Op.Arg),
-          Op.Arg);
-      return true;
-    }
-    return Op.Result == ResCode::Full && Contents.size() == Capacity;
-  }
-  if (Op.Result == ResCode::Value) {
-    const auto It =
-        std::lower_bound(Contents.begin(), Contents.end(), Op.RetValue);
-    if (It == Contents.end() || *It != Op.RetValue)
-      return false;
-    Contents.erase(It);
-    return true;
-  }
-  return Op.Result == ResCode::Empty && Contents.empty();
+  return applyPushPop(
+      Op, Contents, Capacity,
+      [&](std::uint32_t V) {
+        Contents.insert(std::lower_bound(Contents.begin(), Contents.end(), V),
+                        V);
+      },
+      [&](std::uint32_t V) {
+        const auto It = std::lower_bound(Contents.begin(), Contents.end(), V);
+        if (It == Contents.end() || *It != V)
+          return false;
+        Contents.erase(It);
+        return true;
+      });
 }
 
-std::string BoundedBagSpec::key() const {
-  std::string Key;
-  Key.reserve(Contents.size() * 4);
-  for (std::uint32_t V : Contents)
-    Key.append(reinterpret_cast<const char *>(&V), sizeof(V));
-  return Key;
-}
+std::string BoundedBagSpec::key() const { return keyOf(Contents); }
 
 bool BoundedQueueSpec::apply(const Operation &Op) {
-  if (Op.Code == OpCode::Push) {
-    if (Op.Result == ResCode::Done) {
-      if (Contents.size() >= Capacity)
-        return false;
-      Contents.push_back(Op.Arg);
-      return true;
-    }
-    return Op.Result == ResCode::Full && Contents.size() == Capacity;
-  }
-  if (Op.Result == ResCode::Value) {
-    if (Contents.empty() || Contents.front() != Op.RetValue)
-      return false;
-    Contents.pop_front();
-    return true;
-  }
-  return Op.Result == ResCode::Empty && Contents.empty();
+  return applyPushPop(
+      Op, Contents, Capacity, [&](std::uint32_t V) { Contents.push_back(V); },
+      [&](std::uint32_t V) {
+        if (Contents.empty() || Contents.front() != V)
+          return false;
+        Contents.pop_front();
+        return true;
+      });
 }
 
-std::string BoundedQueueSpec::key() const {
-  std::string Key;
-  Key.reserve(Contents.size() * 4);
-  for (std::uint32_t V : Contents)
-    Key.append(reinterpret_cast<const char *>(&V), sizeof(V));
-  return Key;
-}
+std::string BoundedQueueSpec::key() const { return keyOf(Contents); }
 
 bool OrderedMapSpec::apply(const Operation &Op) {
   const std::uint32_t K = Op.Arg;

@@ -21,6 +21,8 @@
 #ifndef CSOBJ_LINCHECK_HISTORY_H
 #define CSOBJ_LINCHECK_HISTORY_H
 
+#include "core/Results.h"
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -109,6 +111,31 @@ private:
 
 /// Merges per-thread logs into one normalized history.
 History mergeHistories(const std::vector<HistoryRecorder> &Recorders);
+
+// Recording one stack or queue answer. The response stamp is read in the
+// body: the answer is an argument and so is computed before the call. A
+// trailing HistoryRecorder::now() argument at the call site could be
+// evaluated before the operation (GCC does), stamping the response before
+// the op ran and making the checker enforce real-time orders that never
+// held.
+
+/// Records one push answer, responded now, unless it aborted.
+inline void recordPush(HistoryRecorder &Rec, PushResult Res, std::uint32_t V,
+                       std::uint64_t T0) {
+  const std::uint64_t T1 = HistoryRecorder::now();
+  if (Res != PushResult::Abort)
+    Rec.recordPush(V, Res == PushResult::Full, T0, T1);
+}
+
+/// Records one pop answer, responded now, unless it aborted.
+inline void recordPop(HistoryRecorder &Rec,
+                      const PopResult<std::uint32_t> &Res, std::uint64_t T0) {
+  const std::uint64_t T1 = HistoryRecorder::now();
+  if (Res.isValue())
+    Rec.recordPopValue(Res.value(), T0, T1);
+  else if (Res.isEmpty())
+    Rec.recordPopEmpty(T0, T1);
+}
 
 } // namespace csobj
 

@@ -9,6 +9,8 @@
 /// every benchmark binary. It is templated over an *object adapter* so
 /// that all stack/queue variants (Figures 1-3, the baselines, the
 /// lock-based versions) are exercised by byte-identical harness code.
+/// Driven<Obj> (runtime/PushPop.h) is that adapter for any stack, queue,
+/// bag or deque; no caller writes its own.
 ///
 /// Adapter contract:
 ///

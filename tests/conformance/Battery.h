@@ -17,8 +17,8 @@
 /// beyond its history. Operations travel as lincheck Operations, so
 /// applying, recording and checking one is written once for all shapes.
 /// A shape reaches an object's operations by their names (push or
-/// enqueue, with or without a process id, strong or weak), so no object
-/// needs an adapter.
+/// enqueue, with or without a process id, strong or weak; pushOn and
+/// popOn in runtime/PushPop.h), so no object needs an adapter.
 ///
 /// A *row* is one object: its name, the src/ headers it covers, its
 /// shape, a factory, its solo access bounds, the crash sweep its
@@ -97,6 +97,7 @@
 #include "memory/AccessCounter.h"
 #include "memory/AtomicRegister.h"
 #include "obs/PathCounters.h"
+#include "runtime/PushPop.h"
 #include "runtime/SpinBarrier.h"
 #include "sched/Explorer.h"
 #include "sched/InterleaveScheduler.h"
@@ -181,54 +182,6 @@ inline bool answer(Operation &Op, const PopResult<std::uint32_t> &R) {
   Op.Result = R.isValue() ? ResCode::Value : ResCode::Empty;
   Op.RetValue = R.isValue() ? R.value() : 0;
   return !R.isAbort();
-}
-
-/// BoxedStack answers a push with a bool and a pop with an optional.
-inline PushResult asPush(PushResult R) { return R; }
-inline PushResult asPush(bool Pushed) {
-  return Pushed ? PushResult::Done : PushResult::Full;
-}
-inline PopResult<std::uint32_t> asPop(const PopResult<std::uint32_t> &R) {
-  return R;
-}
-inline PopResult<std::uint32_t> asPop(const std::optional<std::uint32_t> &R) {
-  return R ? PopResult<std::uint32_t>::value(*R)
-           : PopResult<std::uint32_t>::empty();
-}
-
-/// A stack, queue or bag's push and pop: the first of its strong
-/// push/enqueue (with a process id, then without) or weak
-/// weakPush/weakEnqueue that the object has.
-template <typename O>
-PushResult pushOn(O &Obj, std::uint32_t Tid, std::uint32_t V) {
-  if constexpr (requires { Obj.push(Tid, V); })
-    return asPush(Obj.push(Tid, V));
-  else if constexpr (requires { Obj.enqueue(Tid, V); })
-    return Obj.enqueue(Tid, V);
-  else if constexpr (requires { Obj.push(V); })
-    return Obj.push(V);
-  else if constexpr (requires { Obj.enqueue(V); })
-    return Obj.enqueue(V);
-  else if constexpr (requires { Obj.weakPush(Tid, V); })
-    return Obj.weakPush(Tid, V);
-  else
-    return Obj.weakEnqueue(Tid, V);
-}
-
-template <typename O>
-PopResult<std::uint32_t> popOn(O &Obj, std::uint32_t Tid) {
-  if constexpr (requires { Obj.pop(Tid); })
-    return asPop(Obj.pop(Tid));
-  else if constexpr (requires { Obj.dequeue(Tid); })
-    return Obj.dequeue(Tid);
-  else if constexpr (requires { Obj.pop(); })
-    return Obj.pop();
-  else if constexpr (requires { Obj.dequeue(); })
-    return Obj.dequeue();
-  else if constexpr (requires { Obj.weakPop(Tid); })
-    return Obj.weakPop(Tid);
-  else
-    return Obj.weakDequeue(Tid);
 }
 
 /// An object the battery reaches through abortable attempts (weakPush,

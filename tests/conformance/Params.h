@@ -7,9 +7,9 @@
 /// \file
 /// The one place the conformance battery's scope parameters live, shared
 /// with the benchmark drivers so the battery exercises the same object
-/// configurations the experiment tables report on. bench_abort_rate.cpp
-/// and bench_starvation.cpp include this header instead of repeating the
-/// capacity as a magic number.
+/// configurations the experiment tables report on. bench/BenchCommon.h
+/// includes this header, so no bench repeats the capacity as a magic
+/// number.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +21,8 @@
 namespace csobj {
 namespace conformance {
 
-/// Capacity used by the wall-clock experiment cells (BenchCommon's
-/// runCell default and the saboteur cells of bench_starvation) and by
-/// the battery's bench-configuration smoke checks. Large enough that no
+/// Capacity of the wall-clock experiment cells: BenchCommon's runCell
+/// default and the objects the cells build. Large enough that no
 /// bench workload ever hits Full, so abort/degradation rates measure
 /// contention, not capacity pressure.
 inline constexpr std::uint32_t BenchCapacity = 4096;

@@ -15,27 +15,22 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "HistoryRecording.h"
-
 #include "support/ContentionManager.h"
 
 #include "core/ContentionSensitiveQueue.h"
 #include "core/ContentionSensitiveStack.h"
 #include "core/NonBlockingQueue.h"
 #include "core/NonBlockingStack.h"
-#include "lincheck/Checker.h"
-#include "lincheck/History.h"
 #include "lincheck/Spec.h"
 #include "locks/TasLock.h"
 #include "memory/AccessCounter.h"
 #include "memory/AtomicRegister.h"
+#include "runtime/LincheckRounds.h"
 #include "runtime/SpinBarrier.h"
-#include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -154,85 +149,30 @@ TEST(ContentionManagerTest, AdaptiveDefaultSeedDivergesAcrossThreads) {
 // Linearizability: Fast policy x every manager (mixed workload oracle)
 //===----------------------------------------------------------------------===
 
-/// Same harness as lincheck_test.cpp's stress section: rounds of random
-/// concurrent operations, merged history checked against the sequential
-/// spec.
-template <typename MakeObjFn, typename ApplyFn, typename SpecFn>
-void runAndCheck(std::uint32_t Threads, std::uint32_t OpsPerThread,
-                 std::uint32_t Rounds, MakeObjFn MakeObject, ApplyFn Apply,
-                 SpecFn MakeSpec) {
-  for (std::uint32_t Round = 0; Round < Rounds; ++Round) {
-    auto Object = MakeObject();
-    std::vector<HistoryRecorder> Recorders;
-    for (std::uint32_t T = 0; T < Threads; ++T)
-      Recorders.emplace_back(T);
-    SpinBarrier Barrier(Threads);
-    std::vector<std::thread> Workers;
-    for (std::uint32_t T = 0; T < Threads; ++T)
-      Workers.emplace_back([&, T] {
-        SplitMix64 Rng(Round * 7919 + T);
-        Barrier.arriveAndWait();
-        for (std::uint32_t I = 0; I < OpsPerThread; ++I) {
-          const bool IsPush = Rng.chance(1, 2);
-          const auto V =
-              static_cast<std::uint32_t>(Rng.below(1u << 16)) + 1;
-          Apply(*Object, T, IsPush, V, Recorders[T]);
-        }
-      });
-    for (auto &W : Workers)
-      W.join();
-    const History H = mergeHistories(Recorders);
-    ASSERT_TRUE(H.wellFormed());
-    const CheckResult Result = checkLinearizable(H, MakeSpec());
-    ASSERT_FALSE(Result.HitSearchCap) << "inconclusive check";
-    ASSERT_TRUE(Result.Linearizable) << Result.FailureNote;
-  }
+/// Rounds of random concurrent pushes and pops, each round's merged
+/// history checked against the sequential spec.
+template <typename ObjT, typename SpecT, typename... ArgTs>
+void expectLinearizable(const SpecT &Spec, const ArgTs &...Args) {
+  const RoundsVerdict V = checkRounds<ObjT>(
+      {.Threads = 3, .OpsPerThread = 6, .Rounds = 25, .SeedStride = 7919},
+      Spec, Args...);
+  ASSERT_TRUE(V.passed()) << V.failure();
 }
 
 template <ContentionManager Manager> void stressFastNbStack() {
-  using Stack = NonBlockingStack<Compact64, Manager, Fast>;
-  runAndCheck(
-      3, 6, 25, [] { return std::make_unique<Stack>(4); },
-      [](Stack &S, std::uint32_t, bool IsPush, std::uint32_t V,
-         HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush)
-          recordPush(Rec, S.push(V), V, T0);
-        else
-          recordPop(Rec, S.pop(), T0);
-      },
-      [] { return BoundedStackSpec(4); });
+  expectLinearizable<NonBlockingStack<Compact64, Manager, Fast>>(
+      BoundedStackSpec(4), 4u);
 }
 
 template <ContentionManager Manager> void stressFastCsStack() {
-  using Stack =
-      ContentionSensitiveStack<Compact64, TasLockT<Fast>, Manager, Fast>;
-  runAndCheck(
-      3, 6, 25, [] { return std::make_unique<Stack>(3, 4); },
-      [](Stack &S, std::uint32_t Tid, bool IsPush, std::uint32_t V,
-         HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush)
-          recordPush(Rec, S.push(Tid, V), V, T0);
-        else
-          recordPop(Rec, S.pop(Tid), T0);
-      },
-      [] { return BoundedStackSpec(4); });
+  expectLinearizable<
+      ContentionSensitiveStack<Compact64, TasLockT<Fast>, Manager, Fast>>(
+      BoundedStackSpec(4), 3u, 4u);
 }
 
 template <ContentionManager Manager> void stressFastNbQueue() {
-  using Queue = NonBlockingQueue<Compact64, Manager, Fast>;
-  runAndCheck(
-      3, 6, 25, [] { return std::make_unique<Queue>(4); },
-      [](Queue &Q, std::uint32_t, bool IsPush, std::uint32_t V,
-         HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush)
-          recordPush(Rec, Q.enqueue(V), V, T0);
-        else
-          recordPop(Rec, Q.dequeue(), T0);
-      },
-      [] { return BoundedQueueSpec(4); });
+  expectLinearizable<NonBlockingQueue<Compact64, Manager, Fast>>(
+      BoundedQueueSpec(4), 4u);
 }
 
 TEST(FastPolicyLincheck, NbStackNoBackoff) { stressFastNbStack<NoBackoff>(); }
@@ -260,20 +200,9 @@ TEST(FastPolicyLincheck, NbQueueAdaptive) {
 }
 
 TEST(FastPolicyLincheck, CsQueueAdaptive) {
-  using Queue =
-      ContentionSensitiveQueue<Compact64, TasLockT<Fast>, AdaptiveBackoff,
-                               Fast>;
-  runAndCheck(
-      3, 6, 25, [] { return std::make_unique<Queue>(3, 4); },
-      [](Queue &Q, std::uint32_t Tid, bool IsPush, std::uint32_t V,
-         HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush)
-          recordPush(Rec, Q.enqueue(Tid, V), V, T0);
-        else
-          recordPop(Rec, Q.dequeue(Tid), T0);
-      },
-      [] { return BoundedQueueSpec(4); });
+  expectLinearizable<ContentionSensitiveQueue<Compact64, TasLockT<Fast>,
+                                              AdaptiveBackoff, Fast>>(
+      BoundedQueueSpec(4), 3u, 4u);
 }
 
 //===----------------------------------------------------------------------===

@@ -40,18 +40,16 @@
 #include "core/CrashTolerantDeque.h"
 #include "core/CrashTolerantQueue.h"
 #include "core/CrashTolerantStack.h"
-#include "lincheck/Checker.h"
-#include "lincheck/History.h"
 #include "lincheck/Spec.h"
 #include "locks/LeasedLock.h"
 #include "locks/RecoverableArbiter.h"
 #include "memory/AccessCounter.h"
 #include "memory/AtomicRegister.h"
 #include "runtime/Driver.h"
+#include "runtime/LincheckRounds.h"
 #include "runtime/SpinBarrier.h"
 #include "runtime/Watchdog.h"
 #include "sched/InterleaveScheduler.h"
-#include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
 
@@ -673,70 +671,17 @@ TEST(CrashTolerantTest, DegradesWhenTheLockNeverFrees) {
 // Lincheck stress over degraded mode
 //===----------------------------------------------------------------------===
 
-/// Local copy of the lincheck_test harness: Rounds rounds of Threads x
-/// OpsPerThread random ops, merged history checked per round.
-template <typename MakeObjFn, typename ApplyFn, typename MakeSpecFn>
-void runAndCheck(std::uint32_t Threads, std::uint32_t OpsPerThread,
-                 std::uint32_t Rounds, MakeObjFn MakeObject, ApplyFn Apply,
-                 MakeSpecFn MakeSpec) {
-  for (std::uint32_t Round = 0; Round < Rounds; ++Round) {
-    auto Object = MakeObject();
-    std::vector<HistoryRecorder> Recorders;
-    for (std::uint32_t T = 0; T < Threads; ++T)
-      Recorders.emplace_back(T);
-    SpinBarrier Barrier(Threads);
-    std::vector<std::thread> Workers;
-    for (std::uint32_t T = 0; T < Threads; ++T)
-      Workers.emplace_back([&, T] {
-        SplitMix64 Rng(Round * 1000 + T);
-        Barrier.arriveAndWait();
-        for (std::uint32_t I = 0; I < OpsPerThread; ++I) {
-          const bool IsPush = Rng.chance(1, 2);
-          const auto V =
-              static_cast<std::uint32_t>(Rng.below(1u << 16)) + 1;
-          Apply(*Object, T, IsPush, V, Recorders[T]);
-        }
-      });
-    for (auto &W : Workers)
-      W.join();
-    const History H = mergeHistories(Recorders);
-    ASSERT_TRUE(H.wellFormed());
-    const CheckResult Result = checkLinearizable(H, MakeSpec());
-    ASSERT_FALSE(Result.HitSearchCap) << "inconclusive check";
-    ASSERT_TRUE(Result.Linearizable) << Result.FailureNote;
-  }
-}
-
 TEST(FaultsLincheckStress, DegradedModeHistoriesLinearize) {
   // A patience of 2 makes doorway and lease timeouts routine under live
   // contention, so the merged histories mix fast-path, protected and
   // degraded completions — all three must interleave linearizably
   // (every linearization point is a weak-object C&S; the lock is only a
   // contention-reduction device).
-  runAndCheck(
-      3, 6, 40,
-      [] {
-        return std::make_unique<CrashTolerantStack<>>(3, 4, /*Patience=*/2);
-      },
-      [](CrashTolerantStack<> &Stack, std::uint32_t Tid, bool IsPush,
-         std::uint32_t V, HistoryRecorder &Rec) {
-        const auto T0 = HistoryRecorder::now();
-        if (IsPush) {
-          const PushResult R = Stack.push(Tid, V);
-          const auto T1 = HistoryRecorder::now();
-          ASSERT_NE(R, PushResult::Abort); // Strong ops never abort.
-          Rec.recordPush(V, R == PushResult::Full, T0, T1);
-        } else {
-          const auto R = Stack.pop(Tid);
-          const auto T1 = HistoryRecorder::now();
-          ASSERT_FALSE(R.isAbort());
-          if (R.isValue())
-            Rec.recordPopValue(R.value(), T0, T1);
-          else
-            Rec.recordPopEmpty(T0, T1);
-        }
-      },
-      [] { return BoundedStackSpec(4); });
+  const RoundsVerdict V = checkRounds<CrashTolerantStack<>>(
+      {.Threads = 3, .OpsPerThread = 6, .Rounds = 40, .SeedStride = 1000},
+      BoundedStackSpec(4), 3u, 4u, /*Patience=*/2u);
+  EXPECT_EQ(V.Aborts, 0u); // Strong operations never answer bottom.
+  ASSERT_TRUE(V.passed()) << V.failure();
 }
 
 //===----------------------------------------------------------------------===
@@ -856,31 +801,6 @@ TEST(WatchdogTest, StopStartReuseDrainsPerWindowAndKeepsLifetimeTotal) {
 // Driver integration: planned faults + watchdog as a liveness oracle
 //===----------------------------------------------------------------------===
 
-/// Driver-contract adapter over the crash-tolerant stack.
-struct TolerantStackAdapter {
-  TolerantStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    if (IsPush) {
-      switch (Stack.push(Tid, V)) {
-      case PushResult::Done:
-        return OpOutcome::Ok;
-      case PushResult::Full:
-        return OpOutcome::Full;
-      case PushResult::Abort:
-        return OpOutcome::Abort;
-      }
-    }
-    const auto R = Stack.pop(Tid);
-    if (R.isValue())
-      return OpOutcome::Ok;
-    return R.isEmpty() ? OpOutcome::Empty : OpOutcome::Abort;
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  CrashTolerantStack<> Stack;
-};
-
 TEST(DriverFaultsTest, PlannedCrashRetiresVictimAndSurvivorsFinish) {
   WorkloadConfig Config;
   Config.Threads = 3;
@@ -892,7 +812,7 @@ TEST(DriverFaultsTest, PlannedCrashRetiresVictimAndSurvivorsFinish) {
   Config.Faults = FaultPlan::crashAt(0, 50);
   // Liveness oracle: no survivor operation may overstay 5 seconds.
   Config.OpDeadlineNs = 5ull * 1000 * 1000 * 1000;
-  TolerantStackAdapter Adapter(Config.Threads, Config.Capacity);
+  Driven<CrashTolerantStack<>> Adapter(Config.Threads, Config.Capacity);
   const WorkloadReport Report = runClosedLoop(Adapter, Config);
 
   EXPECT_EQ(Report.crashedThreads(), 1u);
@@ -916,7 +836,7 @@ TEST(DriverFaultsTest, ChaosStallChannelKeepsRunsLive) {
                                    /*StallPermille=*/100,
                                    /*StallGrants=*/32);
   Config.OpDeadlineNs = 5ull * 1000 * 1000 * 1000;
-  TolerantStackAdapter Adapter(Config.Threads, Config.Capacity);
+  Driven<CrashTolerantStack<>> Adapter(Config.Threads, Config.Capacity);
   const WorkloadReport Report = runClosedLoop(Adapter, Config);
   EXPECT_EQ(Report.crashedThreads(), 0u);
   EXPECT_EQ(Report.totalOps(),

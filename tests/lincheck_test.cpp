@@ -137,6 +137,40 @@ TEST(CheckerTest, LostPushIsCaught) {
 }
 
 //===----------------------------------------------------------------------===
+// Stack, queue and bag specs speak only Push and Pop
+//===----------------------------------------------------------------------===
+
+/// Every other code, answered Empty on an empty container: a legal pop
+/// answer there, so a spec that read each non-Push code as a pop would
+/// accept it. A harness that records the wrong operation model against
+/// a container spec must fail, as the deque spec's plain Push does.
+template <typename SpecT> void expectOnlyPushAndPop() {
+  using enum OpCode;
+  for (const OpCode Code :
+       {PushLeft, PushRight, PopLeft, PopRight, Get, Insert, Erase, FetchAdd}) {
+    SpecT Spec(4);
+    EXPECT_FALSE(Spec.apply(makeOp(0, Code, 1, ResCode::Empty, 0, 0, 1)))
+        << "op code " << static_cast<int>(Code);
+  }
+  SpecT Spec(4);
+  EXPECT_TRUE(Spec.apply(makeOp(0, Push, 1, ResCode::Done, 0, 0, 1)));
+  EXPECT_TRUE(Spec.apply(makeOp(0, Pop, 0, ResCode::Value, 1, 2, 3)));
+  EXPECT_TRUE(Spec.apply(makeOp(0, Pop, 0, ResCode::Empty, 0, 4, 5)));
+}
+
+TEST(ContainerSpecTest, StackRejectsOtherOperationModels) {
+  expectOnlyPushAndPop<BoundedStackSpec>();
+}
+
+TEST(ContainerSpecTest, QueueRejectsOtherOperationModels) {
+  expectOnlyPushAndPop<BoundedQueueSpec>();
+}
+
+TEST(ContainerSpecTest, BagRejectsOtherOperationModels) {
+  expectOnlyPushAndPop<BoundedBagSpec>();
+}
+
+//===----------------------------------------------------------------------===
 // LinearDequeSpec end-discipline
 //===----------------------------------------------------------------------===
 

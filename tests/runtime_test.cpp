@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Driver.h"
+#include "runtime/PushPop.h"
 #include "runtime/SpinBarrier.h"
 #include "runtime/Stats.h"
 #include "runtime/TablePrinter.h"
@@ -12,6 +13,10 @@
 #include "runtime/Workload.h"
 
 #include "baselines/LockedStack.h"
+#include "core/ContentionSensitiveStack.h"
+#include "core/ObstructionFreeDeque.h"
+#include "core/TimestampBoost.h"
+#include "perf/AdaptiveShardedStack.h"
 
 #include <gtest/gtest.h>
 
@@ -315,26 +320,34 @@ TEST(SpinBarrierTest, ReusableAcrossRounds) {
 // Workload driver
 //===----------------------------------------------------------------------===
 
-/// Adapter binding the generic driver to the locked stack.
-struct LockedStackAdapter {
-  explicit LockedStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t Value,
-                  std::uint64_t &Retries) {
-    (void)Retries;
-    if (IsPush) {
-      const PushResult R = Stack.push(Tid, Value);
-      return R == PushResult::Done ? OpOutcome::Ok : OpOutcome::Full;
-    }
-    const auto R = Stack.pop(Tid);
-    return R.isValue() ? OpOutcome::Ok : OpOutcome::Empty;
-  }
-
-  void prefillOne(std::uint32_t Value) { (void)Stack.push(0, Value); }
-
-  LockedStack<> Stack;
+template <typename A>
+concept HasLastPath = requires(const A &Adapter) { Adapter.lastPath(0u); };
+template <typename A>
+concept HasPathSnapshot = requires(const A &Adapter) {
+  Adapter.pathSnapshot();
 };
+
+TEST(DrivenTest, ProbesExistExactlyWhenTheObjectHasThem) {
+  static_assert(HasLastPath<Driven<ContentionSensitiveStack<>>>);
+  static_assert(HasPathSnapshot<Driven<ContentionSensitiveStack<>>>);
+  // One facade op enters several shard skeletons: no single last path.
+  static_assert(HasPathSnapshot<Driven<AdaptiveShardedStack<2>>>);
+  static_assert(!HasLastPath<Driven<AdaptiveShardedStack<2>>>);
+  // The timestamp boost declares lastPath but keeps no metric sink.
+  static_assert(!HasLastPath<Driven<BoostedStack<>>>);
+  static_assert(!HasPathSnapshot<Driven<LockedStack<>>>);
+}
+
+TEST(DrivenTest, DrivesADequeAtItsRightEnd) {
+  Driven<ObstructionFreeDeque> Deque(/*Capacity=*/8, /*InitialLeftSlots=*/4);
+  Deque.prefillOne(5);
+  std::uint64_t Retries = 0;
+  EXPECT_EQ(Deque.apply(0, /*IsPush=*/true, 6, Retries), OpOutcome::Ok);
+  EXPECT_EQ(Deque.object().popRight().value(), 6u);
+  EXPECT_EQ(Deque.object().popLeft().value(), 5u);
+  EXPECT_EQ(Deque.apply(0, /*IsPush=*/false, 0, Retries), OpOutcome::Empty);
+  EXPECT_EQ(Retries, 0u);
+}
 
 TEST(DriverTest, RunsConfiguredOperationCount) {
   WorkloadConfig Config;
@@ -342,7 +355,7 @@ TEST(DriverTest, RunsConfiguredOperationCount) {
   Config.OpsPerThread = 500;
   Config.Capacity = 64;
   Config.PrefillPercent = 50;
-  LockedStackAdapter Adapter(Config.Threads, Config.Capacity);
+  Driven<LockedStack<>> Adapter(Config.Threads, Config.Capacity);
   const WorkloadReport Report = runClosedLoop(Adapter, Config);
   EXPECT_EQ(Report.PerThread.size(), 3u);
   EXPECT_EQ(Report.totalOps(), 3u * 500u);
@@ -360,7 +373,7 @@ TEST(DriverTest, PrefillLeavesElementsToPop) {
   Config.PushPercent = 0; // Pop-only: prefill must provide values.
   Config.Capacity = 1000;
   Config.PrefillPercent = 50; // 500 elements.
-  LockedStackAdapter Adapter(1, Config.Capacity);
+  Driven<LockedStack<>> Adapter(1, Config.Capacity);
   const WorkloadReport Report = runClosedLoop(Adapter, Config);
   EXPECT_EQ(Report.PerThread[0].Pops, 100u);
   EXPECT_EQ(Report.PerThread[0].Empties, 0u);
@@ -373,7 +386,7 @@ TEST(DriverTest, PushOnlyWorkloadHitsFull) {
   Config.PushPercent = 100;
   Config.Capacity = 10;
   Config.PrefillPercent = 0;
-  LockedStackAdapter Adapter(1, Config.Capacity);
+  Driven<LockedStack<>> Adapter(1, Config.Capacity);
   const WorkloadReport Report = runClosedLoop(Adapter, Config);
   EXPECT_EQ(Report.PerThread[0].Pushes, 10u);
   EXPECT_EQ(Report.PerThread[0].Fulls, 90u);

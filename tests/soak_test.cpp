@@ -29,7 +29,7 @@
 #include "soak/SoakHarness.h"
 
 #include "core/CrashTolerantStack.h"
-#include "runtime/Driver.h"
+#include "runtime/PushPop.h"
 
 #include <gtest/gtest.h>
 
@@ -340,34 +340,6 @@ TEST(SloTest, StuckAndShedBudgetsAreWholeRun) {
 // runSoak: end-to-end smoke
 //===----------------------------------------------------------------------===
 
-/// Soak adapter over the crash-tolerant stack, as in bench/BenchCommon.h
-/// but local so the test suite does not grow a bench dependency.
-struct SoakStackAdapter {
-  SoakStackAdapter(std::uint32_t Threads, std::uint32_t Capacity)
-      : Stack(Threads, Capacity) {}
-  OpOutcome apply(std::uint32_t Tid, bool IsPush, std::uint32_t V,
-                  std::uint64_t &) {
-    if (IsPush) {
-      switch (Stack.push(Tid, V)) {
-      case PushResult::Done:
-        return OpOutcome::Ok;
-      case PushResult::Full:
-        return OpOutcome::Full;
-      case PushResult::Abort:
-        return OpOutcome::Abort;
-      }
-    }
-    const auto R = Stack.pop(Tid);
-    if (R.isValue())
-      return OpOutcome::Ok;
-    return R.isEmpty() ? OpOutcome::Empty : OpOutcome::Abort;
-  }
-  void prefillOne(std::uint32_t V) { (void)Stack.push(0, V); }
-  obs::PathSnapshot pathSnapshot() const { return Stack.pathSnapshot(); }
-  obs::Path lastPath(std::uint32_t Tid) const { return Stack.lastPath(Tid); }
-  CrashTolerantStack<> Stack;
-};
-
 /// Every completed op records its generator lag (enqueue - nominal),
 /// queue wait (start - enqueue), service (end - start) and sojourn
 /// (end - nominal), so the first three sum to the fourth exactly, in
@@ -405,7 +377,7 @@ TEST(SoakSmokeTest, ShortRunCompletesConservesAndPasses) {
   // Zero-initialised policy: conservation only — the smoke asserts the
   // harness's bookkeeping, not this host's latency.
 
-  const SoakReport Report = runSoak<SoakStackAdapter>(Config);
+  const SoakReport Report = runSoak<Driven<CrashTolerantStack<>>>(Config);
 
   // Three timed windows plus the post-join drain window.
   ASSERT_GE(Report.Windows.size(), 4u);
@@ -445,7 +417,7 @@ TEST(SoakSmokeTest, PacedGeneratorDeliversEveryArrivalAtAHighRate) {
   Config.Schedule = ArrivalSchedule::flat(50000);
   Config.Schedule.Keys = 4;
 
-  const SoakReport Report = runSoak<SoakStackAdapter>(Config);
+  const SoakReport Report = runSoak<Driven<CrashTolerantStack<>>>(Config);
 
   EXPECT_GT(Report.TotalArrivals, 10000u);
   EXPECT_EQ(Report.TotalShed, 0u);
@@ -469,7 +441,7 @@ TEST(SoakSmokeTest, CampaignCrashesResurrectWorkersAndAreAccounted) {
   // entered operation.
   Config.Faults.Phases = {{10.0, /*crash*/ 0.05, 0, 0}};
 
-  const SoakReport Report = runSoak<SoakStackAdapter>(Config);
+  const SoakReport Report = runSoak<Driven<CrashTolerantStack<>>>(Config);
 
   EXPECT_GT(Report.TotalCrashes, 0u);
   EXPECT_LE(Report.TotalCrashes, Report.CrashesPosted);
@@ -491,7 +463,7 @@ TEST(SoakSmokeTest, AccessFaultsRunOnEveryWorkerAndYieldsAreNotStalls) {
   Config.AccessFaults = FaultPlan::chaos(Config.Workers, 1000);
   Config.AccessFaults.Faults.push_back({0, 10, FaultKind::Stall, 4});
 
-  const SoakReport Report = runSoak<SoakStackAdapter>(Config);
+  const SoakReport Report = runSoak<Driven<CrashTolerantStack<>>>(Config);
 
   EXPECT_EQ(Report.TotalStalls, 1u);
   EXPECT_EQ(Report.StallsPosted, 0u);

@@ -6,8 +6,8 @@
 
 #include "core/WaitFreeUniversal.h"
 
-#include "lincheck/Checker.h"
 #include "lincheck/Spec.h"
+#include "runtime/LincheckRounds.h"
 #include "runtime/SpinBarrier.h"
 #include "sched/Explorer.h"
 #include "support/SplitMix64.h"
@@ -143,42 +143,10 @@ TEST(WaitFreeStackTest, ConcurrentConservation) {
 }
 
 TEST(WaitFreeStackLincheck, ConcurrentHistoriesLinearize) {
-  for (std::uint32_t Round = 0; Round < 40; ++Round) {
-    auto Stack = std::make_unique<WaitFreeStack<4>>(3);
-    std::vector<HistoryRecorder> Recorders;
-    for (std::uint32_t T = 0; T < 3; ++T)
-      Recorders.emplace_back(T);
-    SpinBarrier Barrier(3);
-    std::vector<std::thread> Workers;
-    for (std::uint32_t T = 0; T < 3; ++T)
-      Workers.emplace_back([&, T] {
-        SplitMix64 Rng(Round * 131 + T);
-        Barrier.arriveAndWait();
-        for (int I = 0; I < 6; ++I) {
-          const auto V =
-              static_cast<std::uint32_t>(Rng.below(1u << 16)) + 1;
-          const auto T0 = HistoryRecorder::now();
-          if (Rng.chance(1, 2)) {
-            const PushResult R = Stack->push(T, V);
-            Recorders[T].recordPush(V, R == PushResult::Full, T0,
-                                    HistoryRecorder::now());
-          } else {
-            const auto R = Stack->pop(T);
-            if (R.isValue())
-              Recorders[T].recordPopValue(R.value(), T0,
-                                          HistoryRecorder::now());
-            else
-              Recorders[T].recordPopEmpty(T0, HistoryRecorder::now());
-          }
-        }
-      });
-    for (auto &W : Workers)
-      W.join();
-    const History H = mergeHistories(Recorders);
-    const CheckResult Result = checkLinearizable(H, BoundedStackSpec(4));
-    ASSERT_FALSE(Result.HitSearchCap);
-    ASSERT_TRUE(Result.Linearizable) << Result.FailureNote;
-  }
+  const RoundsVerdict V = checkRounds<WaitFreeStack<4>>(
+      {.Threads = 3, .OpsPerThread = 6, .Rounds = 40, .SeedStride = 131},
+      BoundedStackSpec(4), 3u);
+  ASSERT_TRUE(V.passed()) << V.failure();
 }
 
 TEST(WaitFreeStackExhaustive, PushRacingPopConsistent) {
